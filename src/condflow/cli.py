@@ -141,7 +141,8 @@ def cmd_diagnose(args):
 
 def cmd_reference(args):
     cfg = _load_config(args.config)
-    return run_reference_experiment(cfg, dry_run=args.dry_run)
+    return run_reference_experiment(cfg, dry_run=args.dry_run,
+                                    out_dir=args.out_dir)
 
 
 def build_parser():

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .grid import ScalarField
-from .kle import synthesize_unconditioned
+from .kle import _fix_signs, synthesize_unconditioned
 from .kriging import snap_to_cells
 
 _MOD = "conditioning"
@@ -88,11 +88,7 @@ def nullspace_basis(dm):
         return Projector(np.eye(n), 0)
     _, svals, Vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(svals > RANK_RTOL * svals[0]))
-    Q = Vt[rank:].T
-    idx = np.argmax(np.abs(Q), axis=0)
-    signs = np.sign(Q[idx, np.arange(Q.shape[1])])
-    signs[signs == 0] = 1.0
-    return Projector(Q * signs, rank)
+    return Projector(_fix_signs(Vt[rank:].T), rank)
 
 
 def project(theta, proj):

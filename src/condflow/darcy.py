@@ -5,13 +5,19 @@ Discretization: two-point flux approximation with harmonic averaging of
 the cell permeabilities at interior faces. Dirichlet boundaries (left
 and right edges) use the half-cell distance, which makes the scheme
 exact for layered permeability and linear pressure. Top and bottom
-edges carry Neumann data (default no-flow).
+edges carry Neumann data (default no-flow). There are no sources.
+
+One builder, ``_tpfa``, assembles the dense operator for a stack of
+permeability fields of shape (..., ny, nx) and returns it with the
+left and right edge transmissibilities. The pressure solve calls it
+with one field; ``boundary_fluxes`` shares its edge formula.
 
 Upscaling solves, per coarse block, two local TPFA problems with a unit
 pressure drop (in x and in y, no-flow on the lateral faces), converts
 the resulting through-flux to a directional effective permeability, and
-stores the log of the geometric mean of the two directions. All block
-problems of one direction are solved in a single batched dense solve.
+stores the log of the geometric mean of the two directions. The builder
+assembles all blocks of one direction at once, and one batched dense
+solve solves them.
 """
 
 from __future__ import annotations
@@ -37,47 +43,42 @@ class BoundaryConditions:
     v_bottom: float = 0.0
 
 
-def _transmissibilities(k, hx, hy):
-    """Interior face transmissibilities from harmonic permeability means.
+def _edge_transmissibilities(k, hx, hy):
+    """Left and right Dirichlet edge transmissibilities (half-cell
+    distance) of fields k of shape (..., ny, nx)."""
+    return 2.0 * hy * k[..., :, 0] / hx, 2.0 * hy * k[..., :, -1] / hx
 
-    k is (ny, nx); returns Tx (ny, nx-1) and Ty (ny-1, nx).
+
+def _tpfa(k, hx, hy):
+    """Dense TPFA operators of permeability fields k of shape (..., ny, nx).
+
+    Returns the operators (..., N, N) with N = nx * ny, Dirichlet edge
+    terms included, and the edge transmissibilities Tl, Tr (..., ny).
     """
-    Tx = 2.0 * hy / (hx * (1.0 / k[:, :-1] + 1.0 / k[:, 1:]))
-    Ty = 2.0 * hx / (hy * (1.0 / k[:-1, :] + 1.0 / k[1:, :]))
-    return Tx, Ty
-
-
-def _assemble(k, hx, hy, bc, rhs):
-    """Dense TPFA system matrix and right-hand side (modified in place)."""
-    ny, nx = k.shape
+    ny, nx = k.shape[-2:]
     N = nx * ny
     idx = np.arange(N).reshape(ny, nx)
-    A = np.zeros((N, N))
-    Tx, Ty = _transmissibilities(k, hx, hy)
-
+    A = np.zeros(k.shape[:-2] + (N, N))
+    Tx = 2.0 * hy / (hx * (1.0 / k[..., :, :-1] + 1.0 / k[..., :, 1:]))
+    Ty = 2.0 * hx / (hy * (1.0 / k[..., :-1, :] + 1.0 / k[..., 1:, :]))
     for (T, a, b) in (
-        (Tx.ravel(), idx[:, :-1].ravel(), idx[:, 1:].ravel()),
-        (Ty.ravel(), idx[:-1, :].ravel(), idx[1:, :].ravel()),
+        (Tx, idx[:, :-1].ravel(), idx[:, 1:].ravel()),
+        (Ty, idx[:-1, :].ravel(), idx[1:, :].ravel()),
     ):
-        A[a, a] += T
-        A[b, b] += T
-        A[a, b] -= T
-        A[b, a] -= T
+        T = T.reshape(k.shape[:-2] + (-1,))
+        A[..., a, a] += T
+        A[..., b, b] += T
+        A[..., a, b] -= T
+        A[..., b, a] -= T
 
-    Tl = 2.0 * hy * k[:, 0] / hx
-    Tr = 2.0 * hy * k[:, -1] / hx
-    A[idx[:, 0], idx[:, 0]] += Tl
-    A[idx[:, -1], idx[:, -1]] += Tr
-    rhs[idx[:, 0]] += Tl * bc.p_left
-    rhs[idx[:, -1]] += Tr * bc.p_right
-    # outward Neumann flux leaves the cell, so it subtracts from the source
-    rhs[idx[0, :]] -= bc.v_bottom * hx
-    rhs[idx[-1, :]] -= bc.v_top * hx
-    return A
+    Tl, Tr = _edge_transmissibilities(k, hx, hy)
+    A[..., idx[:, 0], idx[:, 0]] += Tl
+    A[..., idx[:, -1], idx[:, -1]] += Tr
+    return A, Tl, Tr
 
 
-def solve_pressure(logperm, bc, source=None):
-    """Solve -div(k grad p) = f with k = exp(logperm), cellwise.
+def solve_pressure(logperm, bc):
+    """Solve -div(k grad p) = 0 with k = exp(logperm), cellwise.
 
     Returns the pressure as a ScalarField on the same grid. The linear
     solve is verified to a relative residual of 1e-10.
@@ -87,10 +88,14 @@ def solve_pressure(logperm, bc, source=None):
     if not np.all(np.isfinite(k)):
         raise ArgumentError("permeability overflowed to non-finite values",
                             module=_MOD)
-    rhs = np.zeros(grid.n_cells)
-    if source is not None:
-        rhs += np.asarray(source.values) * grid.hx * grid.hy
-    A = _assemble(k, grid.hx, grid.hy, bc, rhs)
+    A, Tl, Tr = _tpfa(k, grid.hx, grid.hy)
+    rhs = np.zeros(k.shape)
+    rhs[:, 0] += Tl * bc.p_left
+    rhs[:, -1] += Tr * bc.p_right
+    # outward Neumann flux leaves the cell, so it subtracts from the source
+    rhs[0, :] -= bc.v_bottom * grid.hx
+    rhs[-1, :] -= bc.v_top * grid.hx
+    rhs = rhs.ravel()
     try:
         p = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
@@ -106,56 +111,26 @@ def solve_pressure(logperm, bc, source=None):
 def boundary_fluxes(logperm, pressure, bc):
     """(inflow through the left edge, outflow through the right edge)."""
     grid = logperm.grid
-    k = np.exp(logperm.as_2d())
+    Tl, Tr = _edge_transmissibilities(np.exp(logperm.as_2d()),
+                                      grid.hx, grid.hy)
     p = pressure.as_2d()
-    Tl = 2.0 * grid.hy * k[:, 0] / grid.hx
-    Tr = 2.0 * grid.hy * k[:, -1] / grid.hx
     q_in = float(np.sum(Tl * (bc.p_left - p[:, 0])))
     q_out = float(np.sum(Tr * (p[:, -1] - bc.p_right)))
     return q_in, q_out
 
 
-def _batched_keff_x(kb, hx, hy):
+def _keff_x(kb, hx, hy):
     """Directional effective permeability of blocks for flow in x.
 
     kb is (nblocks, by, bx): unit pressure drop left to right, no-flow
     top and bottom, one dense solve for all blocks.
     """
     nb, by, bx = kb.shape
-    s = by * bx
-    idx = np.arange(s).reshape(by, bx)
-    M = np.zeros((nb, s, s))
-    rhs = np.zeros((nb, s))
-
-    if bx > 1:
-        Tx = 2.0 * hy / (hx * (1.0 / kb[:, :, :-1] + 1.0 / kb[:, :, 1:]))
-        a = idx[:, :-1].ravel()
-        b = idx[:, 1:].ravel()
-        T = Tx.reshape(nb, -1)
-        M[:, a, a] += T
-        M[:, b, b] += T
-        M[:, a, b] -= T
-        M[:, b, a] -= T
-    if by > 1:
-        Ty = 2.0 * hx / (hy * (1.0 / kb[:, :-1, :] + 1.0 / kb[:, 1:, :]))
-        a = idx[:-1, :].ravel()
-        b = idx[1:, :].ravel()
-        T = Ty.reshape(nb, -1)
-        M[:, a, a] += T
-        M[:, b, b] += T
-        M[:, a, b] -= T
-        M[:, b, a] -= T
-
-    Tl = 2.0 * hy * kb[:, :, 0] / hx
-    Tr = 2.0 * hy * kb[:, :, -1] / hx
-    left = idx[:, 0]
-    right = idx[:, -1]
-    M[:, left, left] += Tl
-    M[:, right, right] += Tr
-    rhs[:, left] += Tl  # p = 1 on the left face, 0 on the right
-
-    p = np.linalg.solve(M, rhs[..., None])[..., 0]
-    q = np.sum(Tr * p[:, right], axis=1)
+    M, Tl, Tr = _tpfa(kb, hx, hy)
+    rhs = np.zeros(kb.shape)
+    rhs[:, :, 0] += Tl  # p = 1 on the left face, 0 on the right
+    p = np.linalg.solve(M, rhs.reshape(nb, -1, 1)).reshape(kb.shape)
+    q = np.sum(Tr * p[:, :, -1], axis=1)
     # q = keff * height * dp / width with dp = 1
     return q * (bx * hx) / (by * hy)
 
@@ -183,8 +158,8 @@ def upscale(fine_logperm, fine, coarse):
         .transpose(0, 2, 1, 3)
         .reshape(-1, by, bx)
     )
-    keff_x = _batched_keff_x(blocks, fine.hx, fine.hy)
-    keff_y = _batched_keff_x(blocks.transpose(0, 2, 1), fine.hy, fine.hx)
+    keff_x = _keff_x(blocks, fine.hx, fine.hy)
+    keff_y = _keff_x(blocks.transpose(0, 2, 1), fine.hy, fine.hx)
     return ScalarField(coarse, 0.5 * (np.log(keff_x) + np.log(keff_y)))
 
 

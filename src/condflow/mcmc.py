@@ -162,17 +162,15 @@ def fine_accept_prob(loglik_f_prop, loglik_f_curr, loglik_c_prop, loglik_c_curr)
                        - (loglik_c_prop - loglik_c_curr))
 
 
-def _field_for(theta, cfg, bundle):
+def _coarse_step(theta, cfg, bundle):
+    """Fine log-permeability field of a state and its coarse
+    log-likelihood."""
     if cfg.conditioned:
-        return conditioning.synthesize_conditioned(
+        fine_field = conditioning.synthesize_conditioned(
             bundle.basis, bundle.kriged, theta, bundle.projector
         )
-    return kle.synthesize_unconditioned(bundle.basis, theta)
-
-
-def _logliks(theta, cfg, bundle, want_fine):
-    """Coarse (always) and fine (optional) log-likelihood of a state."""
-    fine_field = _field_for(theta, cfg, bundle)
+    else:
+        fine_field = kle.synthesize_unconditioned(bundle.basis, theta)
     coarse_field = darcy.upscale(fine_field, bundle.fine, bundle.coarse)
     pc = darcy.solve_pressure(coarse_field, bundle.bc)
     llc = log_likelihood(
@@ -180,15 +178,17 @@ def _logliks(theta, cfg, bundle, want_fine):
         bundle.ref_obs_coarse,
         bundle.likelihood.sigma_c2,
     )
-    llf = None
-    if want_fine:
-        pf = darcy.solve_pressure(fine_field, bundle.bc)
-        llf = log_likelihood(
-            darcy.observe_pressure(pf, bundle.fine_mask),
-            bundle.ref_obs_fine,
-            bundle.likelihood.sigma_f2,
-        )
-    return llc, llf
+    return fine_field, llc
+
+
+def _fine_step(fine_field, bundle):
+    """Fine log-likelihood of a fine log-permeability field."""
+    pf = darcy.solve_pressure(fine_field, bundle.bc)
+    return log_likelihood(
+        darcy.observe_pressure(pf, bundle.fine_mask),
+        bundle.ref_obs_fine,
+        bundle.likelihood.sigma_f2,
+    )
 
 
 def run_chain(cfg, bundle, initial_theta=None):
@@ -196,7 +196,8 @@ def run_chain(cfg, bundle, initial_theta=None):
 
     The chain state is the unprojected theta unless
     ``cfg.store_projected`` is set, in which case the projected vector
-    is stored after each fine acceptance.
+    is stored after each fine acceptance. Each proposal's forward model
+    is evaluated once: the fine step reuses the field of the coarse step.
     """
     if cfg.conditioned and (bundle.projector is None or bundle.kriged is None):
         raise ArgumentError(
@@ -210,46 +211,34 @@ def run_chain(cfg, bundle, initial_theta=None):
     if theta.size != n:
         raise ArgumentError(f"initial theta must have {n} entries", module=_MOD)
 
-    try:
-        llc, llf = _logliks(theta, cfg, bundle, want_fine=True)
-    except CondflowError as exc:
-        raise CondflowError(
-            f"forward solve failed for the initial state: {exc}",
-            module=_MOD, code="forward",
-        ) from exc
-
     thetas = np.empty((cfg.iterations, n))
     coarse_acc = np.zeros(cfg.iterations, dtype=bool)
     fine_acc = np.zeros(cfg.iterations, dtype=bool)
     logliks = np.empty(cfg.iterations)
 
-    for it in range(cfg.iterations):
-        theta_p = rws_propose(theta, cfg.beta, rng, cfg.single_component)
-        try:
-            llc_p, _ = _logliks(theta_p, cfg, bundle, want_fine=False)
-        except CondflowError as exc:
-            raise CondflowError(
-                f"coarse solve failed at iteration {it}: {exc}",
-                module=_MOD, code="forward",
-            ) from exc
-        if rng.random() < coarse_accept_prob(llc_p, llc):
-            coarse_acc[it] = True
-            try:
-                _, llf_p = _logliks(theta_p, cfg, bundle, want_fine=True)
-            except CondflowError as exc:
-                raise CondflowError(
-                    f"fine solve failed at iteration {it}: {exc}",
-                    module=_MOD, code="forward",
-                ) from exc
-            if rng.random() < fine_accept_prob(llf_p, llf, llc_p, llc):
-                fine_acc[it] = True
-                if cfg.conditioned and cfg.store_projected:
-                    theta = conditioning.project(theta_p, bundle.projector)
-                else:
-                    theta = theta_p
-                llc, llf = llc_p, llf_p
-        thetas[it] = theta
-        logliks[it] = llf
+    it = None
+    try:
+        fine_field, llc = _coarse_step(theta, cfg, bundle)
+        llf = _fine_step(fine_field, bundle)
+        for it in range(cfg.iterations):
+            theta_p = rws_propose(theta, cfg.beta, rng, cfg.single_component)
+            field_p, llc_p = _coarse_step(theta_p, cfg, bundle)
+            if rng.random() < coarse_accept_prob(llc_p, llc):
+                coarse_acc[it] = True
+                llf_p = _fine_step(field_p, bundle)
+                if rng.random() < fine_accept_prob(llf_p, llf, llc_p, llc):
+                    fine_acc[it] = True
+                    if cfg.conditioned and cfg.store_projected:
+                        theta = conditioning.project(theta_p, bundle.projector)
+                    else:
+                        theta = theta_p
+                    llc, llf = llc_p, llf_p
+            thetas[it] = theta
+            logliks[it] = llf
+    except CondflowError as exc:
+        where = "for the initial state" if it is None else f"at iteration {it}"
+        raise CondflowError(f"forward solve failed {where}: {exc}",
+                            module=_MOD, code="forward") from exc
 
     return ChainTrace(thetas, coarse_acc, fine_acc, logliks, cfg.seed, cfg)
 

@@ -231,10 +231,11 @@ def write_manifest(path, cfg, seeds, artifact_paths, timings=None):
         fh.write("\n")
 
 
-def run_reference_experiment(cfg, dry_run=False, log=print):
+def run_reference_experiment(cfg, dry_run=False, log=print, out_dir=None):
     """Both studies (unconditioned, then conditioned with paired seeds),
-    plus diagnostics, snapshots, and the acceptance-rate table."""
-    out_dir = resolve_output_dir(cfg)
+    plus diagnostics, snapshots, and the acceptance-rate table, written
+    to ``out_dir`` or, when it is None, to :func:`resolve_output_dir`."""
+    out_dir = out_dir or resolve_output_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     seeds = chain_seeds(cfg)
     manifest_path = os.path.join(out_dir, "manifest.json")

@@ -116,6 +116,17 @@ def test_reference_dry_run(tmp_path, fast_config, monkeypatch):
     assert os.listdir(out) == ["manifest.json"]
 
 
+def test_reference_dry_run_out_dir(tmp_path, fast_config, monkeypatch):
+    # --out-dir wins over CONDFLOW_OUTPUT_DIR, as in the other subcommands
+    out, env_out = tmp_path / "out", tmp_path / "env_out"
+    monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(env_out))
+    rc = main(["reference", "--config", fast_config, "--dry-run",
+               "--out-dir", str(out)])
+    assert rc == 0
+    assert os.listdir(out) == ["manifest.json"]
+    assert not env_out.exists()
+
+
 def test_reference_full_run(tmp_path, fast_config, monkeypatch):
     out = tmp_path / "out"
     monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(out))

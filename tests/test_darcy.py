@@ -67,6 +67,10 @@ def _dense_oracle_solve(k2d, hx, hy, bc):
                 T = 2 * hy * k2d[j, i] / hx
                 A[c, c] += T
                 b[c] += T * bc.p_right
+            if j == 0:
+                b[c] -= bc.v_bottom * hx
+            if j == ny - 1:
+                b[c] -= bc.v_top * hx
     return np.linalg.solve(A, b)
 
 
@@ -79,6 +83,20 @@ def test_checkerboard_maximum_principle_and_oracle():
     assert np.all(p.values <= 1.0 + 1e-12)
     oracle = _dense_oracle_solve(k.reshape(4, 4), g.hx, g.hy, BC)
     assert np.max(np.abs(p.values - oracle)) <= 1e-11
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (5, 3), (3, 7), (1, 6),
+                                    (6, 1), (1, 1)])
+def test_random_fields_match_oracle(nx, ny):
+    g = make_grid(nx, ny)
+    rng = np.random.default_rng(nx * 10 + ny)
+    for _ in range(5):
+        logperm = ScalarField(g, 1.5 * rng.standard_normal(g.n_cells))
+        bc = BoundaryConditions(*rng.uniform(-2.0, 2.0, size=4))
+        p = solve_pressure(logperm, bc)
+        oracle = _dense_oracle_solve(np.exp(logperm.as_2d()), g.hx, g.hy, bc)
+        scale = max(1.0, np.max(np.abs(oracle)))
+        assert np.max(np.abs(p.values - oracle)) <= 1e-10 * scale
 
 
 def test_maximum_principle_random_fields():
@@ -167,6 +185,37 @@ def test_upscale_parallel_layers():
     keff_y = 2 * a * b / (a + b)
     expected = 0.5 * (np.log(keff_x) + np.log(keff_y))
     assert np.max(np.abs(up.values - expected)) <= 1e-12
+
+
+def _oracle_keff_x(kb, hx, hy):
+    """Effective x permeability of one block: inflow through the left
+    edge of the oracle solution under a unit pressure drop."""
+    by, bx = kb.shape
+    p = _dense_oracle_solve(kb, hx, hy, BC).reshape(by, bx)
+    q = np.sum(2 * hy * kb[:, 0] / hx * (1.0 - p[:, 0]))
+    return q * (bx * hx) / (by * hy)
+
+
+@pytest.mark.parametrize("fine_shape, coarse_shape", [
+    ((12, 8), (4, 4)),  # 3x2 blocks
+    ((8, 8), (8, 4)),   # blocks one cell wide
+    ((8, 8), (4, 8)),   # blocks one cell tall
+    ((6, 6), (1, 1)),   # one block
+])
+def test_upscale_random_blocks_match_oracle(fine_shape, coarse_shape):
+    fine, coarse = make_grid(*fine_shape), make_grid(*coarse_shape)
+    bx, by = fine.nx // coarse.nx, fine.ny // coarse.ny
+    rng = np.random.default_rng(fine.n_cells + coarse.n_cells)
+    logperm = ScalarField(fine, rng.standard_normal(fine.n_cells))
+    up = upscale(logperm, fine, coarse).as_2d()
+    k = np.exp(logperm.as_2d())
+    for cj in range(coarse.ny):
+        for ci in range(coarse.nx):
+            kb = k[cj * by:(cj + 1) * by, ci * bx:(ci + 1) * bx]
+            keff_x = _oracle_keff_x(kb, fine.hx, fine.hy)
+            keff_y = _oracle_keff_x(kb.T, fine.hy, fine.hx)
+            expected = 0.5 * (np.log(keff_x) + np.log(keff_y))
+            assert abs(up[cj, ci] - expected) <= 1e-10
 
 
 def test_upscale_non_divisible():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from condflow.conditioning import build_data_matrix, nullspace_basis
+from condflow import darcy
+from condflow.conditioning import (
+    build_data_matrix,
+    nullspace_basis,
+    project,
+    synthesize_conditioned,
+)
 from condflow.covariance import KernelParams, assemble_covariance
 from condflow.darcy import (
     BoundaryConditions,
@@ -9,7 +15,7 @@ from condflow.darcy import (
     solve_pressure,
     upscale,
 )
-from condflow.errors import ArgumentError
+from condflow.errors import ArgumentError, CondflowError, NumericalError
 from condflow.grid import chessboard_mask, make_grid
 from condflow.kle import solve_kle, synthesize_unconditioned
 from condflow.kriging import MeasurementSet, krige, snap_to_cells
@@ -151,8 +157,6 @@ def test_conditioned_chain_honors_measurements():
     cells = snap_to_cells(ms, bundle.fine)
     cfg = ChainConfig(iterations=150, seed=4, conditioned=True)
     trace = run_chain(cfg, bundle)
-    from condflow.conditioning import synthesize_conditioned
-
     for it in range(trace.iterations):
         fld = synthesize_conditioned(bundle.basis, bundle.kriged,
                                      trace.thetas[it], bundle.projector)
@@ -174,8 +178,6 @@ def test_store_projected_state_stays_in_nullspace():
     cfg = ChainConfig(iterations=150, seed=6, conditioned=True,
                       store_projected=True)
     trace = run_chain(cfg, bundle)
-    from condflow.conditioning import project
-
     accepted = trace.thetas[trace.fine_accepted]
     for theta in accepted:
         assert np.max(np.abs(project(theta, bundle.projector) - theta)) \
@@ -236,3 +238,100 @@ def test_single_stage_flat_likelihood_prior_preserved():
     var = trace.thetas.var(axis=0)
     assert np.all(np.abs(mean) < 0.1)
     assert np.all(np.abs(var - 1.0) < 0.1)
+
+
+def _reference_chain(cfg, bundle):
+    """The two-stage sampler written out from the public pieces. On a
+    coarse acceptance it recomputes the whole forward model of the
+    proposal, synthesis and coarse solve included."""
+
+    def forward(theta, want_fine):
+        if cfg.conditioned:
+            fld = synthesize_conditioned(bundle.basis, bundle.kriged, theta,
+                                         bundle.projector)
+        else:
+            fld = synthesize_unconditioned(bundle.basis, theta)
+        pc = solve_pressure(upscale(fld, bundle.fine, bundle.coarse), bundle.bc)
+        llc = log_likelihood(observe_pressure(pc, bundle.coarse_mask),
+                             bundle.ref_obs_coarse, bundle.likelihood.sigma_c2)
+        if not want_fine:
+            return llc, None
+        pf = solve_pressure(fld, bundle.bc)
+        return llc, log_likelihood(observe_pressure(pf, bundle.fine_mask),
+                                   bundle.ref_obs_fine,
+                                   bundle.likelihood.sigma_f2)
+
+    rng = np.random.default_rng(cfg.seed)
+    theta = rng.standard_normal(bundle.basis.n)
+    llc, llf = forward(theta, want_fine=True)
+    thetas, coarse, fine, logliks = [], [], [], []
+    for _ in range(cfg.iterations):
+        theta_p = rws_propose(theta, cfg.beta, rng, cfg.single_component)
+        llc_p, _ = forward(theta_p, want_fine=False)
+        c_acc = f_acc = False
+        if rng.random() < coarse_accept_prob(llc_p, llc):
+            c_acc = True
+            _, llf_p = forward(theta_p, want_fine=True)
+            if rng.random() < fine_accept_prob(llf_p, llf, llc_p, llc):
+                f_acc = True
+                theta = (project(theta_p, bundle.projector)
+                         if cfg.conditioned and cfg.store_projected
+                         else theta_p)
+                llc, llf = llc_p, llf_p
+        thetas.append(theta)
+        coarse.append(c_acc)
+        fine.append(f_acc)
+        logliks.append(llf)
+    return np.array(thetas), np.array(coarse), np.array(fine), np.array(logliks)
+
+
+@pytest.mark.parametrize("conditioned, single_component, store_projected", [
+    (False, True, False),
+    (False, False, False),
+    (True, True, False),
+    (True, False, False),
+    (True, True, True),
+])
+def test_run_chain_matches_reference_loop(conditioned, single_component,
+                                          store_projected):
+    bundle, _, _ = _small_bundle()
+    cfg = ChainConfig(beta=0.3, iterations=60, seed=11,
+                      conditioned=conditioned,
+                      single_component=single_component,
+                      store_projected=store_projected)
+    trace = run_chain(cfg, bundle)
+    thetas, coarse, fine, logliks = _reference_chain(cfg, bundle)
+    # both stages decide somewhere, so the fine step and its reuse run
+    assert 0 < np.sum(trace.fine_accepted) < np.sum(trace.coarse_accepted)
+    assert np.array_equal(trace.thetas, thetas)
+    assert np.array_equal(trace.coarse_accepted, coarse)
+    assert np.array_equal(trace.fine_accepted, fine)
+    assert np.array_equal(trace.loglik_fine, logliks)
+
+
+@pytest.mark.parametrize("fail_call, where", [
+    (1, "the initial state"),  # coarse solve of the initial state
+    (2, "the initial state"),  # fine solve of the initial state
+    (3, "iteration 0"),        # coarse solve of the first proposal
+    (18, "iteration 7"),       # fine solve of the eighth proposal
+])
+def test_forward_failure_names_where(monkeypatch, fail_call, where):
+    # flat likelihood: every proposal passes the coarse stage, so each
+    # iteration makes exactly two pressure solves
+    bundle, _, _ = _small_bundle(sigma_c2=1e12, sigma_f2=1e12)
+    calls = []
+    original = darcy.solve_pressure
+
+    def failing(logperm, bc):
+        calls.append(logperm.grid)
+        if len(calls) == fail_call:
+            raise NumericalError("injected", module="darcy", code="singular")
+        return original(logperm, bc)
+
+    monkeypatch.setattr(darcy, "solve_pressure", failing)
+    with pytest.raises(CondflowError) as info:
+        run_chain(ChainConfig(iterations=20, seed=1), bundle)
+    assert (info.value.module, info.value.code) == ("mcmc", "forward")
+    assert f"{where}:" in str(info.value)
+    assert isinstance(info.value.__cause__, NumericalError)
+    assert len(calls) == fail_call
