@@ -7,17 +7,18 @@ and right edges) use the half-cell distance, which makes the scheme
 exact for layered permeability and linear pressure. Top and bottom
 edges carry Neumann data (default no-flow). There are no sources.
 
-One builder, ``_tpfa``, assembles the dense operator for a stack of
-permeability fields of shape (..., ny, nx) and returns it with the
-left and right edge transmissibilities. The pressure solve calls it
-with one field; ``boundary_fluxes`` shares its edge formula.
+One builder, ``_tpfa``, assembles the SPD operator of a stack of
+permeability fields of shape (..., ny, nx) as one block-diagonal system
+in upper banded storage: only the main, +1 and +nx diagonals are
+nonzero, and no band couples two fields. ``solveh_banded`` solves it in
+one call. The pressure solve and ``boundary_fluxes`` build it for one
+field.
 
 Upscaling solves, per coarse block, two local TPFA problems with a unit
 pressure drop (in x and in y, no-flow on the lateral faces), converts
 the resulting through-flux to a directional effective permeability, and
-stores the log of the geometric mean of the two directions. The builder
-assembles all blocks of one direction at once, and one batched dense
-solve solves them.
+stores the log of the geometric mean of the two directions. All blocks
+of one direction form one stacked system and one solve.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solveh_banded
 
 from .errors import ArgumentError, NumericalError
 from .grid import ScalarField
@@ -43,52 +45,62 @@ class BoundaryConditions:
     v_bottom: float = 0.0
 
 
-def _edge_transmissibilities(k, hx, hy):
-    """Left and right Dirichlet edge transmissibilities (half-cell
-    distance) of fields k of shape (..., ny, nx)."""
-    return 2.0 * hy * k[..., :, 0] / hx, 2.0 * hy * k[..., :, -1] / hx
-
-
 def _tpfa(k, hx, hy):
-    """Dense TPFA operators of permeability fields k of shape (..., ny, nx).
-
-    Returns the operators (..., N, N) with N = nx * ny, Dirichlet edge
-    terms included, and the edge transmissibilities Tl, Tr (..., ny).
-    """
-    ny, nx = k.shape[-2:]
-    N = nx * ny
-    idx = np.arange(N).reshape(ny, nx)
-    A = np.zeros(k.shape[:-2] + (N, N))
+    """TPFA operator of fields k of shape (..., ny, nx), Dirichlet edge
+    terms included, as one block-diagonal system in upper banded storage
+    (u + 1, n), with n cells in all and u = min(nx, n - 1). Also returns
+    the Dirichlet edge transmissibilities Tl, Tr (..., ny)."""
+    nx = k.shape[-1]
     Tx = 2.0 * hy / (hx * (1.0 / k[..., :, :-1] + 1.0 / k[..., :, 1:]))
     Ty = 2.0 * hx / (hy * (1.0 / k[..., :-1, :] + 1.0 / k[..., 1:, :]))
-    for (T, a, b) in (
-        (Tx, idx[:, :-1].ravel(), idx[:, 1:].ravel()),
-        (Ty, idx[:-1, :].ravel(), idx[1:, :].ravel()),
-    ):
-        T = T.reshape(k.shape[:-2] + (-1,))
-        A[..., a, a] += T
-        A[..., b, b] += T
-        A[..., a, b] -= T
-        A[..., b, a] -= T
+    Tl = 2.0 * hy * k[..., :, 0] / hx  # half-cell distance to the edge
+    Tr = 2.0 * hy * k[..., :, -1] / hx
+    ab = np.zeros((nx + 1,) + k.shape)
+    # +1 band before +nx band: they share a row when nx = 1, where Tx is empty
+    ab[-2, ..., :, 1:] = -Tx
+    ab[0, ..., 1:, :] = -Ty
+    diag = ab[-1]
+    diag[..., :, :-1] += Tx
+    diag[..., :, 1:] += Tx
+    diag[..., :-1, :] += Ty
+    diag[..., 1:, :] += Ty
+    diag[..., :, 0] += Tl
+    diag[..., :, -1] += Tr
+    # an n x n matrix has no diagonal beyond offset n - 1
+    return ab.reshape(nx + 1, -1)[max(nx + 1 - k.size, 0):], Tl, Tr
 
-    Tl, Tr = _edge_transmissibilities(k, hx, hy)
-    A[..., idx[:, 0], idx[:, 0]] += Tl
-    A[..., idx[:, -1], idx[:, -1]] += Tr
-    return A, Tl, Tr
+
+def _matvec(ab, x):
+    """Operator times x, over its main, +1 and +u bands."""
+    u = len(ab) - 1
+    y = ab[-1] * x
+    for d in sorted({1, u}) if u else ():  # u = 0: a single cell
+        y[:-d] += ab[-1 - d, d:] * x[d:]
+        y[d:] += ab[-1 - d, d:] * x[:-d]
+    return y
+
+
+def _solve(ab, rhs):
+    """Solve the banded SPD system; a singular one raises NumericalError."""
+    try:
+        return solveh_banded(ab, rhs, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular pressure system: {exc}",
+                             module=_MOD, code="singular") from exc
 
 
 def solve_pressure(logperm, bc):
     """Solve -div(k grad p) = 0 with k = exp(logperm), cellwise.
 
     Returns the pressure as a ScalarField on the same grid. The linear
-    solve is verified to a relative residual of 1e-10.
+    solve is verified to a relative residual of 1e-10 (NaN fails).
     """
     grid = logperm.grid
     k = np.exp(logperm.as_2d())
     if not np.all(np.isfinite(k)):
         raise ArgumentError("permeability overflowed to non-finite values",
                             module=_MOD)
-    A, Tl, Tr = _tpfa(k, grid.hx, grid.hy)
+    ab, Tl, Tr = _tpfa(k, grid.hx, grid.hy)
     rhs = np.zeros(k.shape)
     rhs[:, 0] += Tl * bc.p_left
     rhs[:, -1] += Tr * bc.p_right
@@ -96,13 +108,9 @@ def solve_pressure(logperm, bc):
     rhs[0, :] -= bc.v_bottom * grid.hx
     rhs[-1, :] -= bc.v_top * grid.hx
     rhs = rhs.ravel()
-    try:
-        p = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular pressure system: {exc}",
-                             module=_MOD, code="singular") from exc
+    p = _solve(ab, rhs)
     scale = max(np.linalg.norm(rhs), 1e-300)
-    if np.linalg.norm(A @ p - rhs) > 1e-10 * scale:
+    if not np.linalg.norm(_matvec(ab, p) - rhs) <= 1e-10 * scale:
         raise NumericalError("pressure solve did not reach residual 1e-10",
                              module=_MOD, code="residual")
     return ScalarField(grid, p)
@@ -111,8 +119,7 @@ def solve_pressure(logperm, bc):
 def boundary_fluxes(logperm, pressure, bc):
     """(inflow through the left edge, outflow through the right edge)."""
     grid = logperm.grid
-    Tl, Tr = _edge_transmissibilities(np.exp(logperm.as_2d()),
-                                      grid.hx, grid.hy)
+    _, Tl, Tr = _tpfa(np.exp(logperm.as_2d()), grid.hx, grid.hy)
     p = pressure.as_2d()
     q_in = float(np.sum(Tl * (bc.p_left - p[:, 0])))
     q_out = float(np.sum(Tr * (p[:, -1] - bc.p_right)))
@@ -123,13 +130,13 @@ def _keff_x(kb, hx, hy):
     """Directional effective permeability of blocks for flow in x.
 
     kb is (nblocks, by, bx): unit pressure drop left to right, no-flow
-    top and bottom, one dense solve for all blocks.
+    top and bottom, one banded solve for all blocks.
     """
-    nb, by, bx = kb.shape
-    M, Tl, Tr = _tpfa(kb, hx, hy)
+    by, bx = kb.shape[1:]
+    ab, Tl, Tr = _tpfa(kb, hx, hy)
     rhs = np.zeros(kb.shape)
     rhs[:, :, 0] += Tl  # p = 1 on the left face, 0 on the right
-    p = np.linalg.solve(M, rhs.reshape(nb, -1, 1)).reshape(kb.shape)
+    p = _solve(ab, rhs.ravel()).reshape(kb.shape)
     q = np.sum(Tr * p[:, :, -1], axis=1)
     # q = keff * height * dp / width with dp = 1
     return q * (bx * hx) / (by * hy)

@@ -117,17 +117,10 @@ def chain_seeds(cfg):
 
 
 def post_burn_in(traces, burn_in):
-    return [
-        type(t)(
-            thetas=t.thetas[burn_in:],
-            coarse_accepted=t.coarse_accepted[burn_in:],
-            fine_accepted=t.fine_accepted[burn_in:],
-            loglik_fine=t.loglik_fine[burn_in:],
-            seed=t.seed,
-            config=getattr(t, "config", None),
-        )
-        for t in traces
-    ]
+    return [replace(t, thetas=t.thetas[burn_in:],
+                    coarse_accepted=t.coarse_accepted[burn_in:],
+                    fine_accepted=t.fine_accepted[burn_in:],
+                    loglik_fine=t.loglik_fine[burn_in:]) for t in traces]
 
 
 def checkpoints_for(length, spacing=CHECKPOINT_EVERY):

@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion. Criterion 6 runs the full reference experiment
-(two studies, 4 chains x 20000 iterations each) and takes about seven
-minutes on two cores; criterion 7 takes about a minute and a half;
+(two studies, 4 chains x 20000 iterations each) and takes about 105 s
+on two cores; criterion 7 takes about 50 s;
 everything else finishes in seconds.
 """
 

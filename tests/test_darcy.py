@@ -8,7 +8,7 @@ from condflow.darcy import (
     solve_pressure,
     upscale,
 )
-from condflow.errors import ArgumentError
+from condflow.errors import ArgumentError, NumericalError
 from condflow.grid import ScalarField, chessboard_mask, make_grid
 from condflow.kle import synthesize_unconditioned
 
@@ -86,7 +86,8 @@ def test_checkerboard_maximum_principle_and_oracle():
 
 
 @pytest.mark.parametrize("nx, ny", [(4, 4), (5, 3), (3, 7), (1, 6),
-                                    (6, 1), (1, 1)])
+                                    (6, 1), (1, 1), (16, 16), (10, 3),
+                                    (3, 10)])
 def test_random_fields_match_oracle(nx, ny):
     g = make_grid(nx, ny)
     rng = np.random.default_rng(nx * 10 + ny)
@@ -97,6 +98,29 @@ def test_random_fields_match_oracle(nx, ny):
         oracle = _dense_oracle_solve(np.exp(logperm.as_2d()), g.hx, g.hy, bc)
         scale = max(1.0, np.max(np.abs(oracle)))
         assert np.max(np.abs(p.values - oracle)) <= 1e-10 * scale
+
+
+def test_singular_field_raises_numerical_error():
+    # k = exp(-800) underflows to 0: every transmissibility vanishes
+    g, coarse = make_grid(4, 4), make_grid(2, 2)
+    logperm = ScalarField(g, np.full(16, -800.0))
+    with np.errstate(divide="ignore"):
+        for solve in (lambda: solve_pressure(logperm, BC),
+                      lambda: upscale(logperm, g, coarse)):
+            with pytest.raises(NumericalError) as info:
+                solve()
+            assert (info.value.module, info.value.code) == ("darcy",
+                                                            "singular")
+
+
+def test_overflowing_edge_transmissibility_is_not_a_solution():
+    # k = exp(709) is finite, but 2 hy k / hx overflows to inf; the exact
+    # answer would be 0.875, 0.625, 0.375, 0.125 along each row
+    g = make_grid(4, 4)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError) as info:
+        solve_pressure(ScalarField(g, np.full(16, 709.0)), BC)
+    assert info.value.module == "darcy"
 
 
 def test_maximum_principle_random_fields():
@@ -216,6 +240,31 @@ def test_upscale_random_blocks_match_oracle(fine_shape, coarse_shape):
             keff_y = _oracle_keff_x(kb.T, fine.hy, fine.hx)
             expected = 0.5 * (np.log(keff_x) + np.log(keff_y))
             assert abs(up[cj, ci] - expected) <= 1e-10
+
+
+@pytest.mark.parametrize("fine_shape, coarse_shape", [
+    ((16, 16), (8, 8)),
+    ((12, 8), (4, 4)),
+    ((8, 8), (8, 4)),
+    ((8, 8), (4, 8)),
+])
+def test_upscale_blocks_are_independent(fine_shape, coarse_shape):
+    # the stacked banded system must not couple neighbouring blocks
+    fine, coarse = make_grid(*fine_shape), make_grid(*coarse_shape)
+    bx, by = fine.nx // coarse.nx, fine.ny // coarse.ny
+    rng = np.random.default_rng(7)
+    logperm = rng.standard_normal((fine.ny, fine.nx))
+    before = upscale(ScalarField(fine, logperm.ravel()), fine, coarse).as_2d()
+    for cj, ci in ((0, 0), (coarse.ny // 2, coarse.nx // 2),
+                   (coarse.ny - 1, coarse.nx - 1), (0, coarse.nx - 1)):
+        changed = logperm.copy()
+        changed[cj * by:(cj + 1) * by, ci * bx:(ci + 1) * bx] += 2.0
+        after = upscale(ScalarField(fine, changed.ravel()), fine,
+                        coarse).as_2d()
+        others = np.ones(after.shape, dtype=bool)
+        others[cj, ci] = False
+        assert after[cj, ci] != before[cj, ci]
+        assert np.array_equal(after[others], before[others])
 
 
 def test_upscale_non_divisible():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from condflow import darcy
+from condflow import darcy, kle
 from condflow.conditioning import (
     build_data_matrix,
     nullspace_basis,
@@ -16,7 +16,7 @@ from condflow.darcy import (
     upscale,
 )
 from condflow.errors import ArgumentError, CondflowError, NumericalError
-from condflow.grid import chessboard_mask, make_grid
+from condflow.grid import ScalarField, chessboard_mask, make_grid
 from condflow.kle import solve_kle, synthesize_unconditioned
 from condflow.kriging import MeasurementSet, krige, snap_to_cells
 from condflow.mcmc import (
@@ -335,3 +335,17 @@ def test_forward_failure_names_where(monkeypatch, fail_call, where):
     assert f"{where}:" in str(info.value)
     assert isinstance(info.value.__cause__, NumericalError)
     assert len(calls) == fail_call
+
+
+def test_singular_upscaling_is_a_forward_failure(monkeypatch):
+    # k = exp(-800) underflows to 0, so the first upscaling is singular
+    bundle, _, _ = _small_bundle()
+    monkeypatch.setattr(kle, "synthesize_unconditioned",
+                        lambda basis, theta: ScalarField(
+                            bundle.fine, np.full(bundle.fine.n_cells, -800.0)))
+    with np.errstate(divide="ignore"), pytest.raises(CondflowError) as info:
+        run_chain(ChainConfig(iterations=5, seed=1), bundle)
+    assert (info.value.module, info.value.code) == ("mcmc", "forward")
+    assert "for the initial state:" in str(info.value)
+    assert isinstance(info.value.__cause__, NumericalError)
+    assert info.value.__cause__.code == "singular"
