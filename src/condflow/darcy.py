@@ -11,8 +11,11 @@ One builder, ``_tpfa``, assembles the SPD operator of a stack of
 permeability fields of shape (..., ny, nx) as one block-diagonal system
 in upper banded storage: only the main, +1 and +nx diagonals are
 nonzero, and no band couples two fields. ``solveh_banded`` solves it in
-one call. The pressure solve and ``boundary_fluxes`` build it for one
-field.
+one call. ``solve_pressure`` and ``upscale`` take one field or a stack
+of fields (see ``ScalarField``) and solve the whole stack at once. Every
+check holds for each field on its own, and each field's result is
+bitwise that of its own call (the tests check this). ``boundary_fluxes``
+takes one field.
 
 Upscaling solves, per coarse block, two local TPFA problems with a unit
 pressure drop (in x and in y, no-flow on the lateral faces), converts
@@ -66,6 +69,11 @@ def _tpfa(k, hx, hy):
     diag[..., 1:, :] += Ty
     diag[..., :, 0] += Tl
     diag[..., :, -1] += Tr
+    # every transmissibility is >= 0 and sits on the diagonal
+    if not np.isfinite(diag).all():
+        raise NumericalError(
+            "transmissibility overflowed: permeability too large for the "
+            "grid spacing", module=_MOD, code="overflow")
     # an n x n matrix has no diagonal beyond offset n - 1
     return ab.reshape(nx + 1, -1)[max(nx + 1 - k.size, 0):], Tl, Tr
 
@@ -89,31 +97,39 @@ def _solve(ab, rhs):
                              module=_MOD, code="singular") from exc
 
 
+def _permeability(logperm):
+    """k = exp(logperm) of a field or a stack, shaped (..., ny, nx)."""
+    k = np.exp(logperm.as_2d())
+    if not np.isfinite(k).all():
+        raise ArgumentError("permeability overflowed to non-finite values",
+                            module=_MOD)
+    return k
+
+
 def solve_pressure(logperm, bc):
     """Solve -div(k grad p) = 0 with k = exp(logperm), cellwise.
 
-    Returns the pressure as a ScalarField on the same grid. The linear
-    solve is verified to a relative residual of 1e-10 (NaN fails).
+    Returns the pressure as a ScalarField on the same grid, one field per
+    field of a stack. Each field's solve is verified to its own relative
+    residual of 1e-10 (NaN fails).
     """
     grid = logperm.grid
-    k = np.exp(logperm.as_2d())
-    if not np.all(np.isfinite(k)):
-        raise ArgumentError("permeability overflowed to non-finite values",
-                            module=_MOD)
+    k = _permeability(logperm)
     ab, Tl, Tr = _tpfa(k, grid.hx, grid.hy)
     rhs = np.zeros(k.shape)
-    rhs[:, 0] += Tl * bc.p_left
-    rhs[:, -1] += Tr * bc.p_right
+    rhs[..., :, 0] += Tl * bc.p_left
+    rhs[..., :, -1] += Tr * bc.p_right
     # outward Neumann flux leaves the cell, so it subtracts from the source
-    rhs[0, :] -= bc.v_bottom * grid.hx
-    rhs[-1, :] -= bc.v_top * grid.hx
+    rhs[..., 0, :] -= bc.v_bottom * grid.hx
+    rhs[..., -1, :] -= bc.v_top * grid.hx
     rhs = rhs.ravel()
     p = _solve(ab, rhs)
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    if not np.linalg.norm(_matvec(ab, p) - rhs) <= 1e-10 * scale:
+    res = (_matvec(ab, p) - rhs).reshape(-1, grid.n_cells)
+    scale = np.maximum(np.linalg.norm(rhs.reshape(res.shape), axis=1), 1e-300)
+    if not (np.linalg.norm(res, axis=1) <= 1e-10 * scale).all():
         raise NumericalError("pressure solve did not reach residual 1e-10",
                              module=_MOD, code="residual")
-    return ScalarField(grid, p)
+    return ScalarField(grid, p.reshape(logperm.values.shape))
 
 
 def boundary_fluxes(logperm, pressure, bc):
@@ -147,7 +163,8 @@ def upscale(fine_logperm, fine, coarse):
 
     The fine grid must tile the coarse grid exactly. Per block, the x
     and y directional effective permeabilities are combined as a
-    geometric mean into one isotropic coarse value.
+    geometric mean into one isotropic coarse value. A stack of fine
+    fields gives the stack of their coarse fields.
     """
     if fine_logperm.grid != fine:
         raise ArgumentError("field grid differs from fine grid", module=_MOD)
@@ -159,19 +176,22 @@ def upscale(fine_logperm, fine, coarse):
         )
     bx = fine.nx // coarse.nx
     by = fine.ny // coarse.ny
-    k = np.exp(fine_logperm.as_2d())
+    k = _permeability(fine_logperm)
     blocks = (
-        k.reshape(coarse.ny, by, coarse.nx, bx)
-        .transpose(0, 2, 1, 3)
+        k.reshape(-1, coarse.ny, by, coarse.nx, bx)
+        .transpose(0, 1, 3, 2, 4)
         .reshape(-1, by, bx)
     )
     keff_x = _keff_x(blocks, fine.hx, fine.hy)
     keff_y = _keff_x(blocks.transpose(0, 2, 1), fine.hy, fine.hx)
-    return ScalarField(coarse, 0.5 * (np.log(keff_x) + np.log(keff_y)))
+    logk = 0.5 * (np.log(keff_x) + np.log(keff_y))
+    return ScalarField(coarse, logk.reshape(
+        fine_logperm.values.shape[:-1] + (coarse.n_cells,)))
 
 
 def observe_pressure(pressure, mask):
-    """Pressure values at the masked cells, in ascending cell order."""
+    """Pressure values at the masked cells, in ascending cell order; one
+    row per field of a stack."""
     if pressure.grid != mask.grid:
         raise ArgumentError("mask grid differs from pressure grid", module=_MOD)
-    return pressure.values[mask.cells].copy()
+    return pressure.values[..., mask.cells]

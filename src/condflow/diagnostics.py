@@ -166,20 +166,21 @@ def diagnostics_series(traces, checkpoints):
     return report
 
 
+def _write_report(report, path, header, sep):
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in zip(report.checkpoints, report.max_psrf, report.mpsrf):
+            fh.write(sep.join(format(v, ".17g") for v in row) + "\n")
+
+
 def write_report_csv(report, path):
     """Checkpoint series as CSV: checkpoint, max_psrf, mpsrf."""
-    with open(path, "w") as fh:
-        fh.write("checkpoint,max_psrf,mpsrf\n")
-        for c, p, m in zip(report.checkpoints, report.max_psrf, report.mpsrf):
-            fh.write(f"{c},{format(p, '.17g')},{format(m, '.17g')}\n")
+    _write_report(report, path, "checkpoint,max_psrf,mpsrf", ",")
 
 
 def write_report_dat(report, path):
     """Whitespace-separated series for plotting (gnuplot style)."""
-    with open(path, "w") as fh:
-        fh.write("# checkpoint max_psrf mpsrf\n")
-        for c, p, m in zip(report.checkpoints, report.max_psrf, report.mpsrf):
-            fh.write(f"{c} {format(p, '.17g')} {format(m, '.17g')}\n")
+    _write_report(report, path, "# checkpoint max_psrf mpsrf", " ")
 
 
 def read_report_csv(path):

@@ -71,26 +71,34 @@ def make_grid(nx, ny):
 
 @dataclass
 class ScalarField:
-    """One real value per grid cell (log-permeability, pressure, ...)."""
+    """One real value per grid cell (log-permeability, pressure, ...).
+
+    ``values`` is (n_cells,) for one field. A 2D array whose rows hold
+    n_cells values each is a stack of fields, (m, n_cells); any other
+    shape is flattened into one field.
+    """
 
     grid: Grid2D
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if vals.size != self.grid.n_cells:
+        vals = np.asarray(self.values, dtype=float)
+        if vals.ndim != 2 or vals.shape[1] != self.grid.n_cells:
+            vals = vals.ravel()
+        if vals.shape[-1] != self.grid.n_cells:
             raise ArgumentError(
                 f"field has {vals.size} values for a grid of "
                 f"{self.grid.n_cells} cells",
                 module=_MOD,
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ArgumentError("field contains non-finite values", module=_MOD)
         self.values = vals
 
     def as_2d(self):
-        """Values reshaped to (ny, nx), row j of the grid in row j."""
-        return self.values.reshape(self.grid.ny, self.grid.nx)
+        """Values reshaped to (..., ny, nx), row j of the grid in row j."""
+        return self.values.reshape(self.values.shape[:-1]
+                                   + (self.grid.ny, self.grid.nx))
 
 
 @dataclass(frozen=True)

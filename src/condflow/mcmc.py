@@ -22,6 +22,14 @@ likelihood ratios:
 The trace records the fine-scale accepted theta per iteration, repeating
 the previous state on rejection, which is exactly what the convergence
 diagnostics consume.
+
+A study's chains advance in lockstep, one iteration at a time: each
+forward layer (upscaling, coarse solve, and the fine solve of the chains
+whose proposal passed the coarse stage) runs once per iteration on the
+stack of all chains' fields. KL synthesis and the likelihoods stay per
+chain, and each chain draws from its own generator in its own order
+(proposal, coarse uniform, fine uniform), so a chain's random stream and
+trace are exactly those of the chain run alone.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import numpy as np
 
 from . import conditioning, darcy, kle
 from .errors import ArgumentError, CondflowError
+from .grid import ScalarField
 
 _MOD = "mcmc"
 
@@ -162,102 +171,126 @@ def fine_accept_prob(loglik_f_prop, loglik_f_curr, loglik_c_prop, loglik_c_curr)
                        - (loglik_c_prop - loglik_c_curr))
 
 
-def _coarse_step(theta, cfg, bundle):
-    """Fine log-permeability field of a state and its coarse
-    log-likelihood."""
+def _logliks(pressure, mask, ref, sigma2):
+    """Log-likelihood of each field of a pressure stack, one at a time."""
+    return [log_likelihood(obs, ref, sigma2)
+            for obs in darcy.observe_pressure(pressure, mask)]
+
+
+def _coarse_step(thetas, cfg, bundle):
+    """Stack of the states' fine log-permeability fields and their coarse
+    log-likelihoods."""
     if cfg.conditioned:
-        fine_field = conditioning.synthesize_conditioned(
-            bundle.basis, bundle.kriged, theta, bundle.projector
-        )
+        fields = [conditioning.synthesize_conditioned(
+            bundle.basis, bundle.kriged, theta, bundle.projector)
+            for theta in thetas]
     else:
-        fine_field = kle.synthesize_unconditioned(bundle.basis, theta)
-    coarse_field = darcy.upscale(fine_field, bundle.fine, bundle.coarse)
-    pc = darcy.solve_pressure(coarse_field, bundle.bc)
-    llc = log_likelihood(
-        darcy.observe_pressure(pc, bundle.coarse_mask),
-        bundle.ref_obs_coarse,
-        bundle.likelihood.sigma_c2,
-    )
-    return fine_field, llc
+        fields = [kle.synthesize_unconditioned(bundle.basis, theta)
+                  for theta in thetas]
+    fine_fields = ScalarField(bundle.fine,
+                              np.stack([f.values for f in fields]))
+    coarse_fields = darcy.upscale(fine_fields, bundle.fine, bundle.coarse)
+    pc = darcy.solve_pressure(coarse_fields, bundle.bc)
+    return fine_fields, _logliks(pc, bundle.coarse_mask,
+                                 bundle.ref_obs_coarse,
+                                 bundle.likelihood.sigma_c2)
 
 
-def _fine_step(fine_field, bundle):
-    """Fine log-likelihood of a fine log-permeability field."""
-    pf = darcy.solve_pressure(fine_field, bundle.bc)
-    return log_likelihood(
-        darcy.observe_pressure(pf, bundle.fine_mask),
-        bundle.ref_obs_fine,
-        bundle.likelihood.sigma_f2,
-    )
+def _fine_step(fine_fields, bundle):
+    """Fine log-likelihoods of a stack of fine log-permeability fields."""
+    pf = darcy.solve_pressure(fine_fields, bundle.bc)
+    return _logliks(pf, bundle.fine_mask, bundle.ref_obs_fine,
+                    bundle.likelihood.sigma_f2)
 
 
 def run_chain(cfg, bundle, initial_theta=None):
-    """Run one two-stage chain and return its trace.
+    """Run one two-stage chain and return its trace: the one-seed case
+    of :func:`run_study`.
 
     The chain state is the unprojected theta unless
     ``cfg.store_projected`` is set, in which case the projected vector
-    is stored after each fine acceptance. Each proposal's forward model
-    is evaluated once: the fine step reuses the field of the coarse step.
+    is stored after each fine acceptance.
     """
-    if cfg.conditioned and (bundle.projector is None or bundle.kriged is None):
-        raise ArgumentError(
-            "conditioned sampling needs a projector and a kriged surface",
-            module=_MOD,
-        )
-    rng = np.random.default_rng(cfg.seed)
-    n = bundle.basis.n
-    theta = (np.asarray(initial_theta, dtype=float).copy()
-             if initial_theta is not None else rng.standard_normal(n))
-    if theta.size != n:
-        raise ArgumentError(f"initial theta must have {n} entries", module=_MOD)
-
-    thetas = np.empty((cfg.iterations, n))
-    coarse_acc = np.zeros(cfg.iterations, dtype=bool)
-    fine_acc = np.zeros(cfg.iterations, dtype=bool)
-    logliks = np.empty(cfg.iterations)
-
-    it = None
-    try:
-        fine_field, llc = _coarse_step(theta, cfg, bundle)
-        llf = _fine_step(fine_field, bundle)
-        for it in range(cfg.iterations):
-            theta_p = rws_propose(theta, cfg.beta, rng, cfg.single_component)
-            field_p, llc_p = _coarse_step(theta_p, cfg, bundle)
-            if rng.random() < coarse_accept_prob(llc_p, llc):
-                coarse_acc[it] = True
-                llf_p = _fine_step(field_p, bundle)
-                if rng.random() < fine_accept_prob(llf_p, llf, llc_p, llc):
-                    fine_acc[it] = True
-                    if cfg.conditioned and cfg.store_projected:
-                        theta = conditioning.project(theta_p, bundle.projector)
-                    else:
-                        theta = theta_p
-                    llc, llf = llc_p, llf_p
-            thetas[it] = theta
-            logliks[it] = llf
-    except CondflowError as exc:
-        where = "for the initial state" if it is None else f"at iteration {it}"
-        raise CondflowError(f"forward solve failed {where}: {exc}",
-                            module=_MOD, code="forward") from exc
-
-    return ChainTrace(thetas, coarse_acc, fine_acc, logliks, cfg.seed, cfg)
+    inits = None if initial_theta is None else [initial_theta]
+    return run_study(cfg, bundle, [cfg.seed], initial_thetas=inits)[0]
 
 
 def run_study(base_cfg, bundle, seeds, initial_thetas=None):
-    """Run one independent chain per seed, sequentially and
-    deterministically; returns the traces in seed order."""
+    """Run one independent chain per seed and return the traces in seed
+    order.
+
+    The chains advance in lockstep, and each forward layer runs once per
+    iteration on the stack of their fields; each proposal's forward model
+    is evaluated once, the fine step reusing the field of the coarse step.
+    Every chain has its own generator, seeded with its seed, and draws
+    from it in the order of a chain run alone, so its trace is that of
+    ``run_study`` over its seed only.
+    """
     seeds = list(seeds)
     if len(seeds) < 1:
         raise ArgumentError("need at least one seed", module=_MOD)
     if len(set(seeds)) != len(seeds):
         warnings.warn("duplicate chain seeds: chains will be identical",
                       stacklevel=2)
-    traces = []
-    for c, seed in enumerate(seeds):
-        cfg = replace(base_cfg, seed=seed)
-        init = initial_thetas[c] if initial_thetas is not None else None
-        traces.append(run_chain(cfg, bundle, initial_theta=init))
-    return traces
+    if base_cfg.conditioned and (bundle.projector is None
+                                 or bundle.kriged is None):
+        raise ArgumentError(
+            "conditioned sampling needs a projector and a kriged surface",
+            module=_MOD,
+        )
+    m, n, iters = len(seeds), bundle.basis.n, base_cfg.iterations
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    state = np.empty((m, n))
+    for c, rng in enumerate(rngs):
+        theta = (np.asarray(initial_thetas[c], dtype=float)
+                 if initial_thetas is not None else rng.standard_normal(n))
+        if theta.size != n:
+            raise ArgumentError(f"initial theta must have {n} entries",
+                                module=_MOD)
+        state[c] = theta
+
+    thetas = np.empty((m, iters, n))
+    coarse_acc = np.zeros((m, iters), dtype=bool)
+    fine_acc = np.zeros((m, iters), dtype=bool)
+    logliks = np.empty((m, iters))
+    keep_projected = base_cfg.conditioned and base_cfg.store_projected
+
+    it = None
+    try:
+        fields, llc = _coarse_step(state, base_cfg, bundle)
+        llf = _fine_step(fields, bundle)
+        for it in range(iters):
+            props = [rws_propose(theta, base_cfg.beta, rng,
+                                 base_cfg.single_component)
+                     for theta, rng in zip(state, rngs)]
+            fields_p, llc_p = _coarse_step(props, base_cfg, bundle)
+            passed = [c for c in range(m)
+                      if rngs[c].random() < coarse_accept_prob(llc_p[c],
+                                                               llc[c])]
+            coarse_acc[passed, it] = True
+            if passed:
+                if len(passed) < m:
+                    fields_p = ScalarField(bundle.fine,
+                                           fields_p.values[passed])
+                llf_p = _fine_step(fields_p, bundle)
+                for c, llf_c in zip(passed, llf_p):
+                    if rngs[c].random() < fine_accept_prob(llf_c, llf[c],
+                                                           llc_p[c], llc[c]):
+                        fine_acc[c, it] = True
+                        state[c] = (conditioning.project(props[c],
+                                                         bundle.projector)
+                                    if keep_projected else props[c])
+                        llc[c], llf[c] = llc_p[c], llf_c
+            thetas[:, it] = state
+            logliks[:, it] = llf
+    except CondflowError as exc:
+        where = "for the initial state" if it is None else f"at iteration {it}"
+        raise CondflowError(f"forward solve failed {where}: {exc}",
+                            module=_MOD, code="forward") from exc
+
+    return [ChainTrace(thetas[c], coarse_acc[c], fine_acc[c], logliks[c],
+                       seed, replace(base_cfg, seed=seed))
+            for c, seed in enumerate(seeds)]
 
 
 def write_trace_csv(trace, path):

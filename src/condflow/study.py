@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -170,19 +171,23 @@ def run_one_study(setup, conditioned, out_dir, log=print):
     traces = run_study(chain_config(cfg, conditioned), setup.bundle, seeds)
     elapsed = time.perf_counter() - t0
 
+    snapshots = [it for it in cfg.snapshots if 1 <= it <= cfg.iterations]
+    skipped = [it for it in cfg.snapshots if it not in snapshots]
+    if skipped:
+        warnings.warn(f"{label}: snapshots {skipped} lie outside iterations "
+                      f"1..{cfg.iterations} and are skipped", stacklevel=2)
     paths = {"traces": [], "snapshots": []}
     for c, trace in enumerate(traces):
         path = os.path.join(out_dir, f"trace_{label}_chain{c + 1}.csv")
         write_trace_csv(trace, path)
         paths["traces"].append(path)
-        for it in cfg.snapshots:
-            if 1 <= it <= trace.iterations:
-                snap = snapshot_field(setup, trace, it, conditioned)
-                spath = os.path.join(
-                    out_dir, f"field_{label}_chain{c + 1}_iter{it}.pgm"
-                )
-                write_field_pgm(snap, spath)
-                paths["snapshots"].append(spath)
+        for it in snapshots:
+            snap = snapshot_field(setup, trace, it, conditioned)
+            spath = os.path.join(
+                out_dir, f"field_{label}_chain{c + 1}_iter{it}.pgm"
+            )
+            write_field_pgm(snap, spath)
+            paths["snapshots"].append(spath)
 
     report = None
     if cfg.chains > 1:

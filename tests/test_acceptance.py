@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion. Criterion 6 runs the full reference experiment
-(two studies, 4 chains x 20000 iterations each) and takes about 105 s
-on two cores; criterion 7 takes about 50 s;
+(two studies, 4 chains x 20000 iterations each) and takes about 70 s
+on two cores; criterion 7 takes about 52 s;
 everything else finishes in seconds.
 """
 

@@ -121,6 +121,20 @@ def test_overflowing_edge_transmissibility_is_not_a_solution():
             pytest.raises(NumericalError) as info:
         solve_pressure(ScalarField(g, np.full(16, 709.0)), BC)
     assert info.value.module == "darcy"
+    # upscaling names the overflow rather than a non-finite coarse field,
+    # and a good field stacked before the bad one does not hide it
+    coarse = make_grid(2, 2)
+    for values in (np.full(16, 709.0),
+                   np.stack([np.zeros(16), np.full(16, 709.0)])):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError) as info:
+            upscale(ScalarField(g, values), g, coarse)
+        assert info.value.module == "darcy"
+        assert "transmissibility" in str(info.value)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError):
+        solve_pressure(ScalarField(g, np.stack([np.zeros(16),
+                                                np.full(16, 709.0)])), BC)
 
 
 def test_maximum_principle_random_fields():
@@ -265,6 +279,64 @@ def test_upscale_blocks_are_independent(fine_shape, coarse_shape):
         others[cj, ci] = False
         assert after[cj, ci] != before[cj, ci]
         assert np.array_equal(after[others], before[others])
+
+
+@pytest.mark.parametrize("fine_shape, coarse_shape", [
+    ((16, 16), (8, 8)),
+    ((12, 8), (4, 4)),
+    ((5, 3), (5, 3)),
+    ((1, 6), (1, 3)),
+])
+def test_stacked_calls_equal_single_calls(fine_shape, coarse_shape):
+    # a stack is solved as one system, but each row must be bitwise the
+    # single-field result
+    fine, coarse = make_grid(*fine_shape), make_grid(*coarse_shape)
+    rng = np.random.default_rng(fine.n_cells)
+    stack = ScalarField(fine, 1.5 * rng.standard_normal((4, fine.n_cells)))
+    assert stack.as_2d().shape == (4, fine.ny, fine.nx)
+    pressures = solve_pressure(stack, BC)
+    coarse_fields = upscale(stack, fine, coarse)
+    coarse_pressures = solve_pressure(coarse_fields, BC)
+    assert pressures.values.shape == (4, fine.n_cells)
+    assert coarse_fields.values.shape == (4, coarse.n_cells)
+    for i, row in enumerate(stack.values):
+        one = ScalarField(fine, row)
+        assert np.array_equal(pressures.values[i],
+                              solve_pressure(one, BC).values)
+        up = upscale(one, fine, coarse)
+        assert np.array_equal(coarse_fields.values[i], up.values)
+        assert np.array_equal(coarse_pressures.values[i],
+                              solve_pressure(up, BC).values)
+    mask = chessboard_mask(fine)
+    assert np.array_equal(observe_pressure(pressures, mask),
+                          pressures.values[:, mask.cells])
+
+
+def test_stacked_residual_is_checked_per_field(monkeypatch):
+    # one field that misses its own residual fails the stack, although
+    # the relative residual of the whole stack would pass
+    from condflow import darcy
+
+    g = make_grid(4, 4)
+    original = darcy._solve
+
+    def off_in_last_field(ab, rhs):
+        p = original(ab, rhs)
+        p[-g.n_cells:] += 2e-10
+        return p
+
+    k = np.ones((100, g.ny, g.nx))
+    ab, Tl, _ = darcy._tpfa(k, g.hx, g.hy)
+    rhs = np.zeros(k.shape)
+    rhs[..., :, 0] = Tl * BC.p_left
+    rhs = rhs.ravel()
+    res = darcy._matvec(ab, off_in_last_field(ab, rhs)) - rhs
+    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
+
+    monkeypatch.setattr(darcy, "_solve", off_in_last_field)
+    with pytest.raises(NumericalError) as info:
+        solve_pressure(ScalarField(g, np.log(k).reshape(100, -1)), BC)
+    assert (info.value.module, info.value.code) == ("darcy", "residual")
 
 
 def test_upscale_non_divisible():

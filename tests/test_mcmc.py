@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,55 @@ def test_run_chain_matches_reference_loop(conditioned, single_component,
     assert np.array_equal(trace.loglik_fine, logliks)
 
 
+@pytest.mark.parametrize("conditioned, single_component, store_projected", [
+    (False, True, False),
+    (False, False, False),
+    (True, True, False),
+    (True, False, False),
+    (True, True, True),
+])
+def test_run_study_matches_reference_loop(conditioned, single_component,
+                                          store_projected):
+    bundle, _, _ = _small_bundle()
+    cfg = ChainConfig(beta=0.3, iterations=60, conditioned=conditioned,
+                      single_component=single_component,
+                      store_projected=store_projected)
+    seeds = [11, 12, 13, 14]
+    traces = run_study(cfg, bundle, seeds)
+    coarse = np.array([t.coarse_accepted for t in traces])
+    # some iterations stack only part of the chains for the fine solve
+    assert np.any(coarse.any(axis=0) & ~coarse.all(axis=0))
+    for seed, trace in zip(seeds, traces):
+        want = _reference_chain(replace(cfg, seed=seed), bundle)
+        assert trace.seed == seed and trace.config.seed == seed
+        assert np.array_equal(trace.thetas, want[0])
+        assert np.array_equal(trace.coarse_accepted, want[1])
+        assert np.array_equal(trace.fine_accepted, want[2])
+        assert np.array_equal(trace.loglik_fine, want[3])
+
+
+@pytest.mark.parametrize("conditioned", [False, True])
+def test_chain_does_not_depend_on_its_companions(conditioned):
+    bundle, _, _ = _small_bundle()
+    cfg = ChainConfig(beta=0.3, iterations=40, conditioned=conditioned)
+    seeds = [21, 22, 23, 24]
+    inits = np.random.default_rng(5).standard_normal((4, bundle.basis.n))
+    together = run_study(cfg, bundle, seeds)
+    together_init = run_study(cfg, bundle, seeds, initial_thetas=inits)
+    for c, seed in enumerate(seeds):
+        for got, init in ((together[c], None), (together_init[c], inits[c])):
+            alone = run_study(cfg, bundle, [seed],
+                              initial_thetas=None if init is None else [init])
+            assert np.array_equal(got.thetas, alone[0].thetas)
+            assert np.array_equal(got.coarse_accepted,
+                                  alone[0].coarse_accepted)
+            assert np.array_equal(got.fine_accepted, alone[0].fine_accepted)
+            assert np.array_equal(got.loglik_fine, alone[0].loglik_fine)
+        # the given initial states are the ones sampled from
+        assert not np.array_equal(together_init[c].thetas,
+                                  together[c].thetas)
+
+
 @pytest.mark.parametrize("fail_call, where", [
     (1, "the initial state"),  # coarse solve of the initial state
     (2, "the initial state"),  # fine solve of the initial state
@@ -331,6 +382,16 @@ def test_forward_failure_names_where(monkeypatch, fail_call, where):
     monkeypatch.setattr(darcy, "solve_pressure", failing)
     with pytest.raises(CondflowError) as info:
         run_chain(ChainConfig(iterations=20, seed=1), bundle)
+    assert (info.value.module, info.value.code) == ("mcmc", "forward")
+    assert f"{where}:" in str(info.value)
+    assert isinstance(info.value.__cause__, NumericalError)
+    assert len(calls) == fail_call
+
+    # two chains in lockstep share each stacked solve, so the same call
+    # fails at the same place
+    calls.clear()
+    with pytest.raises(CondflowError) as info:
+        run_study(ChainConfig(iterations=20), bundle, [1, 2])
     assert (info.value.module, info.value.code) == ("mcmc", "forward")
     assert f"{where}:" in str(info.value)
     assert isinstance(info.value.__cause__, NumericalError)

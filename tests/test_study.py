@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from condflow.study import (
     build_setup,
     checkpoints_for,
     post_burn_in,
+    run_one_study,
     study_report,
 )
 
@@ -80,3 +83,29 @@ def test_unconditioned_report_is_the_stored_theta_series(setup, thetas):
     assert got.checkpoints == want.checkpoints
     assert got.max_psrf == want.max_psrf
     assert got.mpsrf == want.mpsrf
+
+
+def test_snapshots_past_the_run_warn_once_per_study(tmp_path):
+    cfg = StudyConfig(chains=2, iterations=12, burn_in=2,
+                      snapshots=(5, 12, 40, 300), verbosity=0)
+    setup = build_setup(cfg)
+    for conditioned, label in ((False, "uncond"), (True, "cond")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, _, paths, _ = run_one_study(setup, conditioned, str(tmp_path))
+        messages = [str(w.message) for w in caught
+                    if "snapshot" in str(w.message)]
+        assert messages == [f"{label}: snapshots [40, 300] lie outside "
+                            "iterations 1..12 and are skipped"]
+        assert [p.rsplit("_", 1)[1] for p in paths["snapshots"]] == [
+            "iter5.pgm", "iter12.pgm"] * 2
+
+
+def test_snapshots_within_the_run_do_not_warn(tmp_path):
+    setup = build_setup(StudyConfig(chains=2, iterations=12, burn_in=2,
+                                    snapshots=(1, 6, 12), verbosity=0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, _, paths, _ = run_one_study(setup, False, str(tmp_path))
+    assert not [w for w in caught if "snapshot" in str(w.message)]
+    assert len(paths["snapshots"]) == 6
