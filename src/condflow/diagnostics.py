@@ -13,6 +13,15 @@ Definitions, for k chains of l draws of an n-vector theta:
 No degrees-of-freedom correction is applied to the PSRF. lam is found
 through the symmetric generalized eigenproblem B x = mu W x (mu = l*lam)
 rather than by inverting W.
+
+W and B are formed from per-chain sums of y and y y^T, where y is a
+draw minus its chain's first draw (the shifted sums of Chan, Golub &
+LeVeque 1979). The shift keeps the sums free of cancellation for chains
+far from 0, and makes the deviations of a parameter that never moved in
+a chain exactly 0. A checkpoint series accumulates the sums segment by
+segment between checkpoints, so it reads every draw once. A checkpoint
+at which some chain has zero variance in every parameter, or some
+parameter has zero within-chain variance, is skipped with a notice.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .errors import ArgumentError, NumericalError
 _MOD = "diagnostics"
 
 
-def _as_chain_matrix(chains):
+def _as_chain_matrix(chains, min_draws=2):
     arr = np.asarray(chains, dtype=float)
     if arr.ndim != 3:
         raise ArgumentError(
@@ -36,7 +45,7 @@ def _as_chain_matrix(chains):
             module=_MOD,
         )
     k, l, _ = arr.shape
-    if k < 2 or l < 2:
+    if k < 2 or l < min_draws:
         raise ArgumentError(
             f"need at least 2 chains and 2 draws, got k={k}, l={l}",
             module=_MOD,
@@ -47,29 +56,49 @@ def _as_chain_matrix(chains):
     return arr
 
 
-def within_chain_cov(chains):
-    """Average per-chain sample covariance W (denominator l-1)."""
-    arr = _as_chain_matrix(chains)
-    k, l, n = arr.shape
-    dev = arr - arr.mean(axis=1, keepdims=True)
-    per_chain = dev.var(axis=1)  # (k, n)
-    constant = np.flatnonzero(np.all(per_chain == 0.0, axis=1))
+def _shifted_sums(segment, first):
+    """Per-chain sums of y and y y^T over a (k, m, n) segment of draws,
+    with y = draw - first and ``first`` the (k, 1, n) first draws."""
+    y = segment - first
+    return y.sum(axis=1), np.matmul(y.transpose(0, 2, 1), y)
+
+
+def _within(s1, s2, l):
+    """W from the per-chain sums of y and y y^T over l draws."""
+    k = s1.shape[0]
+    scatter = s2 - s1[:, :, None] * s1[:, None, :] / l  # (k, n, n)
+    variances = np.diagonal(scatter, axis1=1, axis2=2)
+    constant = np.flatnonzero(np.all(variances == 0.0, axis=1))
     if constant.size:
         raise NumericalError(
             f"chain(s) {constant.tolist()} have zero variance in every "
             "parameter",
             module=_MOD, code="degenerate",
         )
-    return np.einsum("jci,jcm->im", dev, dev) / (k * (l - 1))
+    return scatter.sum(axis=0) / (k * (l - 1))
+
+
+def _between(first, s1, l):
+    """B from the per-chain sums of y over l draws; chain means are taken
+    relative to chain 0's first draw."""
+    k = s1.shape[0]
+    means = first[:, 0, :] - first[0, 0, :] + s1 / l
+    dev = means - means.mean(axis=0)
+    return l / (k - 1) * (dev.T @ dev)
+
+
+def within_chain_cov(chains):
+    """Average per-chain sample covariance W (denominator l-1)."""
+    arr = _as_chain_matrix(chains)
+    s1, s2 = _shifted_sums(arr, arr[:, :1])
+    return _within(s1, s2, arr.shape[1])
 
 
 def between_chain_cov(chains):
     """Between-chain covariance B of the chain means."""
     arr = _as_chain_matrix(chains)
-    k, l, n = arr.shape
-    means = arr.mean(axis=1)
-    dev = means - means.mean(axis=0)
-    return l / (k - 1) * (dev.T @ dev)
+    first = arr[:, :1]
+    return _between(first, (arr - first).sum(axis=1), arr.shape[1])
 
 
 def posterior_cov(W, B, k, l):
@@ -129,9 +158,11 @@ def diagnostics_series(traces, checkpoints):
     """Evaluate max PSRF and MPSRF over growing prefixes of the traces.
 
     ``traces`` are ChainTrace objects (or anything with a ``thetas``
-    array); all must have equal length. Checkpoints needing fewer than
-    2 draws, or hitting degenerate within-chain variance (common early
-    on with single-component updates), are skipped with a notice.
+    array); all must have equal length and parameter count. The shifted
+    sums grow segment by segment between the sorted checkpoints.
+    Checkpoints needing fewer than 2 draws, beyond the trace length, or
+    hitting degenerate within-chain variance (common early on with
+    single-component updates), are skipped with a notice.
     """
     thetas = [np.asarray(t.thetas, dtype=float) for t in traces]
     if len(thetas) < 2:
@@ -140,8 +171,15 @@ def diagnostics_series(traces, checkpoints):
     if len(lengths) != 1:
         raise ArgumentError(f"trace lengths differ: {sorted(lengths)}",
                             module=_MOD)
-    full = np.stack(thetas)  # (k, L, n)
+    shapes = {t.shape for t in thetas}
+    if len(shapes) != 1:
+        raise ArgumentError(f"trace shapes differ: {sorted(shapes)}",
+                            module=_MOD)
+    full = _as_chain_matrix(np.stack(thetas), min_draws=0)  # (k, L, n)
     k, L, n = full.shape
+    first = full[:, :1]
+    s1, s2 = np.zeros((k, n)), np.zeros((k, n, n))
+    done = 0
     report = DiagnosticsReport([], [], [])
     for c in sorted(checkpoints):
         if c < 2:
@@ -150,10 +188,13 @@ def diagnostics_series(traces, checkpoints):
         if c > L:
             report.notices.append(f"checkpoint {c}: beyond trace length, skipped")
             continue
-        chains = full[:, :c, :]
+        d1, d2 = _shifted_sums(full[:, done:c], first)
+        s1 += d1
+        s2 += d2
+        done = c
         try:
-            W = within_chain_cov(chains)
-            B = between_chain_cov(chains)
+            W = _within(s1, s2, c)
+            B = _between(first, s1, c)
             V = posterior_cov(W, B, k, c)
             p = psrf(W, V)
         except NumericalError as exc:

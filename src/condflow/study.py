@@ -18,12 +18,13 @@ from .conditioning import build_data_matrix, nullspace_basis, synthesize_conditi
 from .covariance import KernelParams, assemble_covariance
 from .darcy import BoundaryConditions, observe_pressure, solve_pressure, upscale
 from .diagnostics import diagnostics_series, write_report_csv, write_report_dat
+from .errors import ArgumentError
 from .grid import chessboard_mask, make_grid, read_field_csv, write_field_pgm
 from .kle import modes_for_energy, solve_kle, synthesize_unconditioned
 from .kriging import krige, read_measurements_csv
 from .mcmc import ChainConfig, LikelihoodParams, ModelBundle, run_study, write_trace_csv
 
-_MOD = "cli"
+_MOD = "study"
 
 #: diagnostics checkpoint spacing (iterations between evaluations)
 CHECKPOINT_EVERY = 250
@@ -118,6 +119,15 @@ def chain_seeds(cfg):
 
 
 def post_burn_in(traces, burn_in):
+    """The traces without their first ``burn_in`` draws; at least 2 must
+    remain in every trace."""
+    length = min(t.thetas.shape[0] for t in traces)
+    if not 0 <= burn_in <= length - 2:
+        raise ArgumentError(
+            f"burn-in must be in [0, {length - 2}] to keep at least 2 of "
+            f"{length} draws, got {burn_in}",
+            module=_MOD,
+        )
     return [replace(t, thetas=t.thetas[burn_in:],
                     coarse_accepted=t.coarse_accepted[burn_in:],
                     fine_accepted=t.fine_accepted[burn_in:],
@@ -125,6 +135,11 @@ def post_burn_in(traces, burn_in):
 
 
 def checkpoints_for(length, spacing=CHECKPOINT_EVERY):
+    if spacing < 1:
+        raise ArgumentError(
+            f"checkpoint spacing must be at least 1, got {spacing}",
+            module=_MOD,
+        )
     pts = list(range(spacing, length + 1, spacing))
     if not pts or pts[-1] != length:
         pts.append(length)

@@ -105,6 +105,71 @@ def test_diagnose_single_trace_errors(tmp_path, fast_config, capsys):
     assert capsys.readouterr().err.startswith("error:diagnostics:")
 
 
+def _write_traces(tmp_path, shapes, nan_at=None):
+    """Random-walk trace CSVs, one per (draws, parameters) shape."""
+    from condflow.mcmc import ChainTrace, write_trace_csv
+
+    rng = np.random.default_rng(12)
+    paths = []
+    for c, (l, n) in enumerate(shapes):
+        thetas = np.cumsum(rng.standard_normal((l, n)), axis=0)
+        if c == nan_at:
+            thetas[l // 2, 0] = np.nan
+        flags = np.ones(l, dtype=bool)
+        path = tmp_path / f"trace_chain{c + 1}.csv"
+        write_trace_csv(ChainTrace(thetas, flags, flags, np.zeros(l), c),
+                        path)
+        paths.append(str(path))
+    return paths
+
+
+def _diagnose_error(tmp_path, capsys, paths, *options):
+    out = tmp_path / "d.csv"
+    rc = main(["diagnose", *paths, "--out", str(out), *options])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+    return err[0]
+
+
+@pytest.mark.parametrize("burn_in", ["-5", "19", "20", "25"])
+def test_diagnose_rejects_burn_in_outside_trace(tmp_path, capsys, burn_in):
+    paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
+    err = _diagnose_error(tmp_path, capsys, paths, "--burn-in", burn_in)
+    assert err.startswith("error:study:argument: burn-in must be in [0, 18]")
+
+
+def test_diagnose_keeps_two_draws_at_largest_burn_in(tmp_path, capsys):
+    paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
+    out = tmp_path / "d.csv"
+    rc = main(["diagnose", *paths, "--out", str(out), "--burn-in", "18"])
+    assert rc == 0
+    assert np.loadtxt(out, delimiter=",", skiprows=1)[0] == 2
+
+
+@pytest.mark.parametrize("spacing", ["0", "-3"])
+def test_diagnose_rejects_checkpoint_spacing_below_one(tmp_path, capsys,
+                                                       spacing):
+    paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
+    err = _diagnose_error(tmp_path, capsys, paths,
+                          "--checkpoint-every", spacing)
+    assert err.startswith("error:study:argument: checkpoint spacing")
+
+
+def test_diagnose_rejects_different_parameter_counts(tmp_path, capsys):
+    paths = _write_traces(tmp_path, [(20, 2), (20, 3)])
+    err = _diagnose_error(tmp_path, capsys, paths)
+    assert err.startswith("error:diagnostics:argument: trace shapes differ")
+
+
+def test_diagnose_rejects_nan_in_one_trace(tmp_path, capsys):
+    paths = _write_traces(tmp_path, [(20, 2), (20, 2), (20, 2)], nan_at=1)
+    err = _diagnose_error(tmp_path, capsys, paths)
+    assert err.startswith("error:diagnostics:argument: chain matrix "
+                          "contains non-finite values")
+
+
 def test_reference_dry_run(tmp_path, fast_config, monkeypatch):
     out = tmp_path / "out"
     monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(out))

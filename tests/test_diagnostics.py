@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,198 @@ def test_report_csv_round_trip(tmp_path):
     assert back.checkpoints == report.checkpoints
     assert back.max_psrf == report.max_psrf
     assert back.mpsrf == report.mpsrf
+
+
+# Dense per-prefix oracle: two-pass W and B over each prefix, recomputed
+# from scratch at every checkpoint. Deviations are taken from each
+# chain's first draw, as in the module, so a column that never moved in
+# a chain has exactly zero within-chain variance.
+
+
+def dense_within(chains):
+    k, l, n = chains.shape
+    y = chains - chains[:, :1]
+    dev = y - y.mean(axis=1, keepdims=True)
+    constant = np.flatnonzero(np.all(dev.var(axis=1) == 0.0, axis=1))
+    if constant.size:
+        raise NumericalError(
+            f"chain(s) {constant.tolist()} have zero variance in every "
+            "parameter", module="diagnostics", code="degenerate")
+    return np.einsum("jci,jcm->im", dev, dev) / (k * (l - 1))
+
+
+def dense_between(chains):
+    k, l, n = chains.shape
+    means = (chains - chains[0, 0]).mean(axis=1)
+    dev = means - means.mean(axis=0)
+    return l / (k - 1) * (dev.T @ dev)
+
+
+def dense_series(chains, checkpoints, mpsrf_=mpsrf):
+    k, L, n = chains.shape
+    out = dict(checkpoints=[], max_psrf=[], mpsrf=[], notices=[])
+    for c in sorted(checkpoints):
+        if c < 2:
+            out["notices"].append(f"checkpoint {c}: fewer than 2 draws, "
+                                  "skipped")
+            continue
+        if c > L:
+            out["notices"].append(f"checkpoint {c}: beyond trace length, "
+                                  "skipped")
+            continue
+        try:
+            W = dense_within(chains[:, :c])
+            B = dense_between(chains[:, :c])
+            V = posterior_cov(W, B, k, c)
+            p = psrf(W, V)
+        except NumericalError as exc:
+            out["notices"].append(f"checkpoint {c}: {exc}")
+            continue
+        out["checkpoints"].append(c)
+        out["max_psrf"].append(float(np.max(p)))
+        out["mpsrf"].append(mpsrf_(W, B, k, c))
+    return out
+
+
+def recording_mpsrf(fell_back):
+    """``mpsrf`` that appends to ``fell_back`` the draw count of every
+    call that fell back to the pseudo-inverse."""
+
+    def call(W, B, k, l):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = mpsrf(W, B, k, l)
+        if any("pseudo-inverse" in str(w.message) for w in caught):
+            fell_back.append(l)
+        return value
+
+    return call
+
+
+def assert_series_match_oracle(chains, checkpoints, monkeypatch):
+    import condflow.diagnostics as diag
+
+    fell_back, expected_fell_back = [], []
+    monkeypatch.setattr(diag, "mpsrf", recording_mpsrf(fell_back))
+    report = diagnostics_series([FakeTrace(c) for c in chains], checkpoints)
+    expected = dense_series(chains, checkpoints,
+                            recording_mpsrf(expected_fell_back))
+    assert report.notices == expected["notices"]
+    assert report.checkpoints == expected["checkpoints"]
+    assert fell_back == expected_fell_back
+    for key in ("max_psrf", "mpsrf"):
+        got, want = np.array(getattr(report, key)), np.array(expected[key])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), key
+    return report, fell_back
+
+
+def single_component_chains(rng, k, L, n, accept):
+    """Chains that move one coordinate per accepted step, as the
+    single-component sampler does."""
+    steps = np.zeros((k, L, n))
+    for j in range(k):
+        moved = np.flatnonzero(rng.random(L) < accept)
+        steps[j, moved, rng.integers(0, n, moved.size)] = \
+            rng.standard_normal(moved.size)
+    steps[:, 0] = 0.0
+    return rng.standard_normal((k, 1, n)) + np.cumsum(steps, axis=1)
+
+
+def test_public_covariances_match_dense_oracle():
+    rng = np.random.default_rng(11)
+    chains = np.cumsum(rng.standard_normal((3, 400, 5)), axis=1) + 50.0
+    W, B = within_chain_cov(chains), between_chain_cov(chains)
+    assert np.max(np.abs(W - dense_within(chains))) \
+        <= 1e-12 * np.max(np.abs(W))
+    assert np.max(np.abs(B - dense_between(chains))) \
+        <= 1e-12 * np.max(np.abs(B))
+
+
+def test_series_random_walk_matches_oracle(monkeypatch):
+    rng = np.random.default_rng(12)
+    chains = np.cumsum(rng.standard_normal((4, 3000, 6)), axis=1)
+    report, _ = assert_series_match_oracle(
+        chains, list(range(250, 3001, 250)), monkeypatch)
+    assert len(report.checkpoints) == 12
+
+
+def test_series_large_offset_matches_oracle(monkeypatch):
+    # near-constant chains far from 0: a sum of x x^T without the shift
+    # would lose every digit of the variance to cancellation
+    rng = np.random.default_rng(13)
+    chains = 1e6 + 1e-3 * rng.standard_normal((4, 2000, 3))
+    chains[1] += 2e-4
+    report, _ = assert_series_match_oracle(
+        chains, list(range(100, 2001, 100)), monkeypatch)
+    assert len(report.checkpoints) == 20
+    assert report.max_psrf[-1] > 1.0
+
+
+def test_series_single_component_skips_early_checkpoints(monkeypatch):
+    rng = np.random.default_rng(14)
+    chains = single_component_chains(rng, 4, 600, 20, accept=0.3)
+    report, _ = assert_series_match_oracle(
+        chains, list(range(5, 601, 5)), monkeypatch)
+    assert any("zero variance in every parameter" in s
+               for s in report.notices)
+    assert any("zero within-chain variance" in s for s in report.notices)
+    assert report.checkpoints[-1] == 600
+
+
+def test_series_ill_conditioned_w_falls_back_like_oracle(monkeypatch):
+    # one parameter on a 1e-7 scale: W is non-singular but cond(W) is
+    # about 1e14, above the 1e12 switch to the pseudo-inverse
+    rng = np.random.default_rng(15)
+    chains = np.cumsum(rng.standard_normal((4, 1000, 3)), axis=1)
+    chains[:, :, 2] *= 1e-7
+    report, fell_back = assert_series_match_oracle(
+        chains, [250, 500, 750, 1000], monkeypatch)
+    assert fell_back == [250, 500, 750, 1000]
+    assert report.checkpoints == fell_back
+
+
+def test_series_unsorted_duplicate_and_out_of_range_checkpoints(
+        monkeypatch):
+    rng = np.random.default_rng(16)
+    chains = np.cumsum(rng.standard_normal((3, 300, 4)), axis=1)
+    report, _ = assert_series_match_oracle(
+        chains, [300, 0, 120, 1, 120, 2, 301, 50, 1000, 300, -4],
+        monkeypatch)
+    assert report.checkpoints == [2, 50, 120, 120, 300, 300]
+    assert report.notices == [
+        "checkpoint -4: fewer than 2 draws, skipped",
+        "checkpoint 0: fewer than 2 draws, skipped",
+        "checkpoint 1: fewer than 2 draws, skipped",
+        "checkpoint 301: beyond trace length, skipped",
+        "checkpoint 1000: beyond trace length, skipped",
+    ]
+
+
+def test_series_skips_parameter_that_never_moved():
+    # column 1 is constant in each chain at values whose mean does not
+    # round back to them: its within-chain variance must be exactly 0
+    rng = np.random.default_rng(0)
+    constants = [-1.5295553718681685, -1.4501219455767214,
+                 -1.3943426718826368, -1.520136679022679]
+    traces = []
+    for value in constants:
+        thetas = np.empty((250, 2))
+        thetas[:, 0] = rng.standard_normal(250)
+        thetas[:, 1] = value
+        traces.append(FakeTrace(thetas))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = diagnostics_series(traces, [250])
+    assert report.checkpoints == []
+    assert report.notices == [
+        "checkpoint 250: parameter(s) [1] have zero within-chain variance"]
+    chains = np.stack([t.thetas for t in traces])
+    assert within_chain_cov(chains)[1, 1] == 0.0
+
+
+def test_series_non_finite_draw_beyond_every_checkpoint():
+    rng = np.random.default_rng(17)
+    a, b = rng.standard_normal((2, 100, 2))
+    a[90, 1] = np.inf
+    with pytest.raises(ArgumentError, match="non-finite"):
+        diagnostics_series([FakeTrace(a), FakeTrace(b)], [50])
