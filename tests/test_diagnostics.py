@@ -273,7 +273,7 @@ def dense_between(chains):
     return l / (k - 1) * (dev.T @ dev)
 
 
-def dense_series(chains, checkpoints, mpsrf_=mpsrf):
+def dense_series(chains, checkpoints, mpsrf_):
     k, L, n = chains.shape
     out = dict(checkpoints=[], max_psrf=[], mpsrf=[], notices=[])
     for c in sorted(checkpoints):
