@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .covariance import KernelParams
 from .errors import ArgumentError, ParseError
+from .mcmc import LikelihoodParams
+from .study import check_burn_in
 
 _MOD = "cli"
 
@@ -70,21 +73,26 @@ class StudyConfig:
                     "n_terms", "chains", "iterations"):
             if getattr(self, key) < 1:
                 raise ArgumentError(f"{key} must be positive", module=_MOD)
-        if self.sigma2 <= 0 or self.lx <= 0 or self.ly <= 0:
-            raise ArgumentError("kernel parameters must be positive",
-                                module=_MOD)
-        if self.sigma_f2 <= 0 or self.sigma_c2 <= 0:
-            raise ArgumentError("precision parameters must be positive",
-                                module=_MOD)
+        # each parameter type checks its own values
+        self.kernel, self.likelihood
         if self.energy_threshold is not None and not (
             0.0 < self.energy_threshold <= 1.0
         ):
             raise ArgumentError(
                 "kle.energy_threshold must be in (0, 1]", module=_MOD
             )
-        if self.burn_in is not None and self.burn_in < 0:
-            raise ArgumentError("mcmc.burn_in must be non-negative",
-                                module=_MOD)
+        if self.chains > 1:  # the diagnostics need 2 draws after burn-in
+            check_burn_in(self.effective_burn_in, self.iterations)
+
+    @property
+    def kernel(self):
+        """Covariance kernel parameters, checked by KernelParams."""
+        return KernelParams(self.sigma2, self.lx, self.ly)
+
+    @property
+    def likelihood(self):
+        """Likelihood precisions, checked by LikelihoodParams."""
+        return LikelihoodParams(self.sigma_c2, self.sigma_f2)
 
     @property
     def effective_burn_in(self):

@@ -59,11 +59,9 @@ def kernel_matrix(points_a, points_b, params):
 def assemble_covariance(grid, params):
     """Dense N x N covariance matrix over the grid's cell centers.
 
-    Each pair is computed once and mirrored, so the result is symmetric
-    exactly (not merely to rounding).
+    The result is symmetric exactly (not merely to rounding): the kernel
+    depends on the differences only through their squares, and
+    (a - b)^2 and (b - a)^2 are equal in floating point.
     """
     centers = grid.cell_centers()
-    R = kernel_matrix(centers, centers, params)
-    iu = np.triu_indices(grid.n_cells, k=1)
-    R[(iu[1], iu[0])] = R[iu]
-    return R
+    return kernel_matrix(centers, centers, params)

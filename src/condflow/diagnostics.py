@@ -165,17 +165,11 @@ def diagnostics_series(traces, checkpoints):
     single-component updates), are skipped with a notice.
     """
     thetas = [np.asarray(t.thetas, dtype=float) for t in traces]
-    if len(thetas) < 2:
-        raise ArgumentError("need at least 2 chains", module=_MOD)
-    lengths = {t.shape[0] for t in thetas}
-    if len(lengths) != 1:
-        raise ArgumentError(f"trace lengths differ: {sorted(lengths)}",
-                            module=_MOD)
     shapes = {t.shape for t in thetas}
-    if len(shapes) != 1:
+    if len(shapes) > 1:
         raise ArgumentError(f"trace shapes differ: {sorted(shapes)}",
                             module=_MOD)
-    full = _as_chain_matrix(np.stack(thetas), min_draws=0)  # (k, L, n)
+    full = _as_chain_matrix(thetas, min_draws=0)  # (k, L, n)
     k, L, n = full.shape
     first = full[:, :1]
     s1, s2 = np.zeros((k, n)), np.zeros((k, n, n))

@@ -94,11 +94,8 @@ def solve_kle(cov, grid, n):
 
 
 def modes_for_energy(cov, grid, threshold):
-    """Smallest n whose retained energy reaches the threshold."""
-    if not 0.0 < threshold <= 1.0:
-        raise ArgumentError(
-            f"energy threshold must be in (0, 1], got {threshold}", module=_MOD
-        )
+    """Smallest n whose retained energy reaches the threshold, a fraction
+    in (0, 1]."""
     evals, _ = full_spectrum(cov, grid)
     frac = np.cumsum(evals) / np.sum(evals)
     return int(np.searchsorted(frac, threshold) + 1)

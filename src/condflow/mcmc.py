@@ -19,6 +19,10 @@ likelihood ratios:
     alpha_c = min(1, exp(llc_p - llc))
     alpha_f = min(1, exp((llf_p - llf) - (llc_p - llc)))
 
+A chain reads beta, the iteration count, the conditioned flag, the
+single-component flag and the store-projected flag from the study's
+:class:`condflow.config.StudyConfig`, which has validated them.
+
 The trace records the fine-scale accepted theta per iteration, repeating
 the previous state on rejection, which is exactly what the convergence
 diagnostics consume.
@@ -35,13 +39,13 @@ trace are exactly those of the chain run alone.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import conditioning, darcy, kle
 from .errors import ArgumentError, CondflowError
-from .grid import ScalarField
+from .grid import Grid2D, ObservationMask, ScalarField
 
 _MOD = "mcmc"
 
@@ -60,23 +64,6 @@ class LikelihoodParams:
 
 
 @dataclass(frozen=True)
-class ChainConfig:
-    beta: float = 0.85
-    iterations: int = 10000
-    seed: int = 0
-    conditioned: bool = False
-    single_component: bool = True
-    store_projected: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ArgumentError(f"beta must be in [0, 1], got {self.beta}",
-                                module=_MOD)
-        if self.iterations < 1:
-            raise ArgumentError("iterations must be positive", module=_MOD)
-
-
-@dataclass(frozen=True)
 class ModelBundle:
     """Everything a chain needs, all immutable and shareable.
 
@@ -84,17 +71,17 @@ class ModelBundle:
     observed through the chessboard masks of the respective grids.
     """
 
-    basis: object  # kle.KLEBasis on the fine grid
-    fine: object
-    coarse: object
+    basis: kle.KLEBasis  # on the fine grid
+    fine: Grid2D
+    coarse: Grid2D
     bc: darcy.BoundaryConditions
-    fine_mask: object
-    coarse_mask: object
+    fine_mask: ObservationMask
+    coarse_mask: ObservationMask
     ref_obs_fine: np.ndarray
     ref_obs_coarse: np.ndarray
     likelihood: LikelihoodParams
-    projector: object = None  # required when sampling conditioned
-    kriged: object = None
+    projector: conditioning.Projector = None  # required when conditioned
+    kriged: ScalarField = None
 
 
 @dataclass
@@ -106,7 +93,6 @@ class ChainTrace:
     fine_accepted: np.ndarray  # (iterations,) bool
     loglik_fine: np.ndarray  # (iterations,) of the recorded state
     seed: int
-    config: ChainConfig = field(repr=False, default=None)
 
     @property
     def iterations(self):
@@ -144,9 +130,8 @@ def log_likelihood(sim, ref, sigma2):
 
 
 def rws_propose(theta, beta, rng, single_component=True):
-    """Random walk sampler step; one component or the full vector."""
-    if not 0.0 <= beta <= 1.0:
-        raise ArgumentError(f"beta must be in [0, 1], got {beta}", module=_MOD)
+    """Random walk sampler step; one component or the full vector.
+    ``beta`` must lie in [0, 1]."""
     theta = np.asarray(theta, dtype=float)
     keep = np.sqrt(1.0 - beta * beta)
     if single_component:
@@ -204,8 +189,9 @@ def _fine_step(fine_fields, bundle):
 
 
 def run_chain(cfg, bundle, initial_theta=None):
-    """Run one two-stage chain and return its trace: the one-seed case
-    of :func:`run_study`.
+    """Run one two-stage chain, seeded with ``cfg.seed``, and return its
+    trace: the one-seed case of :func:`run_study`. ``cfg`` is a
+    :class:`condflow.config.StudyConfig`.
 
     The chain state is the unprojected theta unless
     ``cfg.store_projected`` is set, in which case the projected vector
@@ -218,6 +204,11 @@ def run_chain(cfg, bundle, initial_theta=None):
 def run_study(base_cfg, bundle, seeds, initial_thetas=None):
     """Run one independent chain per seed and return the traces in seed
     order.
+
+    ``base_cfg`` is a :class:`condflow.config.StudyConfig`; the chains
+    read its beta, iterations, conditioned, single_component and
+    store_projected fields, and the seeds replace its seed and chain
+    count.
 
     The chains advance in lockstep, and each forward layer runs once per
     iteration on the stack of their fields; each proposal's forward model
@@ -289,7 +280,7 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None):
                             module=_MOD, code="forward") from exc
 
     return [ChainTrace(thetas[c], coarse_acc[c], fine_acc[c], logliks[c],
-                       seed, replace(base_cfg, seed=seed))
+                       seed)
             for c, seed in enumerate(seeds)]
 
 

@@ -15,14 +15,14 @@ import numpy as np
 
 from . import __version__
 from .conditioning import build_data_matrix, nullspace_basis, synthesize_conditioned
-from .covariance import KernelParams, assemble_covariance
+from .covariance import assemble_covariance
 from .darcy import BoundaryConditions, observe_pressure, solve_pressure, upscale
 from .diagnostics import diagnostics_series, write_report_csv, write_report_dat
 from .errors import ArgumentError
 from .grid import chessboard_mask, make_grid, read_field_csv, write_field_pgm
 from .kle import modes_for_energy, solve_kle, synthesize_unconditioned
 from .kriging import krige, read_measurements_csv
-from .mcmc import ChainConfig, LikelihoodParams, ModelBundle, run_study, write_trace_csv
+from .mcmc import ModelBundle, run_study, write_trace_csv
 
 _MOD = "study"
 
@@ -55,14 +55,13 @@ class StudySetup:
     bundle: ModelBundle
     measurements: object
     reference_field: object
-    n_modes: int
 
 
 def build_setup(cfg):
     """Assemble grids, KL basis, kriging, projector, and reference data."""
     fine = make_grid(cfg.fine_nx, cfg.fine_ny)
     coarse = make_grid(cfg.coarse_nx, cfg.coarse_ny)
-    params = KernelParams(cfg.sigma2, cfg.lx, cfg.ly)
+    params = cfg.kernel
     cov = assemble_covariance(fine, params)
     if cfg.energy_threshold is not None:
         n = modes_for_energy(cov, fine, cfg.energy_threshold)
@@ -95,22 +94,11 @@ def build_setup(cfg):
         coarse_mask=coarse_mask,
         ref_obs_fine=ref_obs_fine,
         ref_obs_coarse=ref_obs_coarse,
-        likelihood=LikelihoodParams(cfg.sigma_c2, cfg.sigma_f2),
+        likelihood=cfg.likelihood,
         projector=projector,
         kriged=kriged,
     )
-    return StudySetup(cfg, bundle, ms, ref_field, n)
-
-
-def chain_config(cfg, conditioned):
-    return ChainConfig(
-        beta=cfg.beta,
-        iterations=cfg.iterations,
-        seed=cfg.seed,
-        conditioned=conditioned,
-        single_component=cfg.single_component,
-        store_projected=cfg.store_projected,
-    )
+    return StudySetup(cfg, bundle, ms, ref_field)
 
 
 def chain_seeds(cfg):
@@ -118,16 +106,20 @@ def chain_seeds(cfg):
     return [cfg.seed + c for c in range(cfg.chains)]
 
 
-def post_burn_in(traces, burn_in):
-    """The traces without their first ``burn_in`` draws; at least 2 must
-    remain in every trace."""
-    length = min(t.thetas.shape[0] for t in traces)
+def check_burn_in(burn_in, length):
+    """Reject a burn-in that leaves fewer than 2 of ``length`` draws."""
     if not 0 <= burn_in <= length - 2:
         raise ArgumentError(
             f"burn-in must be in [0, {length - 2}] to keep at least 2 of "
             f"{length} draws, got {burn_in}",
             module=_MOD,
         )
+
+
+def post_burn_in(traces, burn_in):
+    """The traces without their first ``burn_in`` draws; at least 2 must
+    remain in every trace."""
+    check_burn_in(burn_in, min(t.thetas.shape[0] for t in traces))
     return [replace(t, thetas=t.thetas[burn_in:],
                     coarse_accepted=t.coarse_accepted[burn_in:],
                     fine_accepted=t.fine_accepted[burn_in:],
@@ -183,7 +175,8 @@ def run_one_study(setup, conditioned, out_dir, log=print):
     label = _study_label(conditioned)
     seeds = chain_seeds(cfg)
     t0 = time.perf_counter()
-    traces = run_study(chain_config(cfg, conditioned), setup.bundle, seeds)
+    traces = run_study(replace(cfg, conditioned=conditioned), setup.bundle,
+                       seeds)
     elapsed = time.perf_counter() - t0
 
     snapshots = [it for it in cfg.snapshots if 1 <= it <= cfg.iterations]

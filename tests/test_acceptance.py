@@ -9,6 +9,7 @@ everything else finishes in seconds.
 
 import filecmp
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,13 +32,8 @@ from condflow.diagnostics import (
 from condflow.grid import ScalarField, make_grid
 from condflow.kle import energy_fraction, full_spectrum
 from condflow.kriging import snap_to_cells
-from condflow.mcmc import ChainConfig, run_chain, run_study
-from condflow.study import (
-    build_setup,
-    chain_config,
-    chain_seeds,
-    study_report,
-)
+from condflow.mcmc import run_chain, run_study
+from condflow.study import build_setup, chain_seeds, study_report
 
 
 def _report(number, name, ok, detail=""):
@@ -61,8 +57,8 @@ def reference_run(setup):
     seeds = chain_seeds(cfg)
     out = {}
     for conditioned in (False, True):
-        traces = run_study(chain_config(cfg, conditioned), setup.bundle,
-                           seeds)
+        traces = run_study(replace(cfg, conditioned=conditioned),
+                           setup.bundle, seeds)
         out[conditioned] = (traces, study_report(setup, traces, conditioned))
     return out
 
@@ -217,7 +213,7 @@ def test_criterion_7_flat_likelihood_prior():
     from test_mcmc import _small_bundle
 
     bundle, _, _ = _small_bundle(sigma_c2=1e12, sigma_f2=1e12, n_modes=6)
-    cfg = ChainConfig(iterations=100_000, seed=7, single_component=False)
+    cfg = StudyConfig(iterations=100_000, seed=7, single_component=False)
     trace = run_chain(cfg, bundle)
     mean_err = float(np.max(np.abs(trace.thetas.mean(axis=0))))
     var_err = float(np.max(np.abs(trace.thetas.var(axis=0) - 1.0)))

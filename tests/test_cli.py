@@ -170,6 +170,40 @@ def test_diagnose_rejects_nan_in_one_trace(tmp_path, capsys):
                           "contains non-finite values")
 
 
+def _config_error(tmp_path, capsys, argv, edit):
+    """Run ``argv`` on the fast config changed by ``edit``; it must fail
+    with one error line. Returns that line."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(edit(FAST_CFG))
+    rc = main([*argv, "--config", str(path)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error:")
+    return err[0]
+
+
+def test_invert_rejects_burn_in_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    err = _config_error(
+        tmp_path, capsys, ["invert", "--out-dir", str(out)],
+        lambda text: text.replace("mcmc.iterations = 80\nmcmc.burn_in = 10",
+                                  "mcmc.iterations = 12\nmcmc.burn_in = 11"))
+    assert err.startswith("error:study:argument: burn-in must be in [0, 10]")
+    assert not list(out.glob("trace_*.csv"))
+
+
+@pytest.mark.parametrize("line, module", [("kernel.lx = 0", "covariance"),
+                                          ("mcmc.sigma_f2 = -1e-4", "mcmc")])
+def test_reference_dry_run_rejects_bad_parameter(tmp_path, capsys,
+                                                 monkeypatch, line, module):
+    out = tmp_path / "out"
+    monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(out))
+    err = _config_error(tmp_path, capsys, ["reference", "--dry-run"],
+                        lambda text: text + line + "\n")
+    assert err.startswith(f"error:{module}:argument:")
+    assert not (out / "manifest.json").exists()
+
+
 def test_reference_dry_run(tmp_path, fast_config, monkeypatch):
     out = tmp_path / "out"
     monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(out))

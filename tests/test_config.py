@@ -1,6 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
-from condflow.config import StudyConfig, parse_config
+from condflow.config import _KEYS, StudyConfig, parse_config
 from condflow.errors import ArgumentError, ParseError
 
 
@@ -114,18 +116,21 @@ def test_energy_threshold_out_of_range():
 
 
 def test_nonpositive_sizes_rejected():
-    with pytest.raises(ArgumentError):
-        StudyConfig(chains=0)
-    with pytest.raises(ArgumentError):
-        StudyConfig(iterations=-1)
-    with pytest.raises(ArgumentError):
-        StudyConfig(sigma2=0.0)
+    for bad in [dict(chains=0), dict(iterations=-1), dict(sigma2=0.0),
+                dict(sigma_f2=0.0), dict(sigma_c2=0.0), dict(lx=0.0)]:
+        with pytest.raises(ArgumentError):
+            StudyConfig(**bad)
 
 
 def test_effective_burn_in():
     assert StudyConfig().effective_burn_in == 2000
     assert StudyConfig(iterations=500).effective_burn_in == 50
     assert StudyConfig(burn_in=7).effective_burn_in == 7
+
+
+def test_keys_map_onto_fields_one_to_one():
+    attrs = sorted(attr for attr, _ in _KEYS.values())
+    assert attrs == sorted(f.name for f in fields(StudyConfig))
 
 
 def test_as_dict_round_trip():

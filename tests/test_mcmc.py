@@ -10,6 +10,7 @@ from condflow.conditioning import (
     project,
     synthesize_conditioned,
 )
+from condflow.config import StudyConfig
 from condflow.covariance import KernelParams, assemble_covariance
 from condflow.darcy import (
     BoundaryConditions,
@@ -22,7 +23,6 @@ from condflow.grid import ScalarField, chessboard_mask, make_grid
 from condflow.kle import solve_kle, synthesize_unconditioned
 from condflow.kriging import MeasurementSet, krige, snap_to_cells
 from condflow.mcmc import (
-    ChainConfig,
     LikelihoodParams,
     ModelBundle,
     coarse_accept_prob,
@@ -126,7 +126,7 @@ def test_fine_accept_prob():
 
 def test_flat_likelihood_accepts_everything():
     bundle, _, _ = _small_bundle(sigma_c2=1e12, sigma_f2=1e12)
-    cfg = ChainConfig(iterations=200, seed=1)
+    cfg = StudyConfig(iterations=200, seed=1)
     trace = run_chain(cfg, bundle)
     assert np.all(trace.coarse_accepted)
     assert np.sum(trace.fine_accepted) == np.sum(trace.coarse_accepted)
@@ -134,7 +134,7 @@ def test_flat_likelihood_accepts_everything():
 
 def test_reference_start_tiny_beta_high_acceptance():
     bundle, _, ref = _small_bundle()
-    cfg = ChainConfig(beta=1e-6, iterations=200, seed=2)
+    cfg = StudyConfig(beta=1e-6, iterations=200, seed=2)
     # start at the reference coefficients: proposals barely move
     basis = bundle.basis
     theta_ref = (basis.phi.T @ ref.values) * (bundle.fine.hx * bundle.fine.hy)
@@ -145,7 +145,7 @@ def test_reference_start_tiny_beta_high_acceptance():
 
 def test_trace_repetition_rule():
     bundle, _, _ = _small_bundle()
-    cfg = ChainConfig(iterations=300, seed=3)
+    cfg = StudyConfig(iterations=300, seed=3)
     trace = run_chain(cfg, bundle)
     for it in range(1, trace.iterations):
         if not trace.fine_accepted[it]:
@@ -157,7 +157,7 @@ def test_trace_repetition_rule():
 def test_conditioned_chain_honors_measurements():
     bundle, ms, _ = _small_bundle()
     cells = snap_to_cells(ms, bundle.fine)
-    cfg = ChainConfig(iterations=150, seed=4, conditioned=True)
+    cfg = StudyConfig(iterations=150, seed=4, conditioned=True)
     trace = run_chain(cfg, bundle)
     for it in range(trace.iterations):
         fld = synthesize_conditioned(bundle.basis, bundle.kriged,
@@ -167,7 +167,7 @@ def test_conditioned_chain_honors_measurements():
 
 def test_reproducibility():
     bundle, _, _ = _small_bundle()
-    cfg = ChainConfig(iterations=200, seed=5)
+    cfg = StudyConfig(iterations=200, seed=5)
     t1 = run_chain(cfg, bundle)
     t2 = run_chain(cfg, bundle)
     assert np.array_equal(t1.thetas, t2.thetas)
@@ -177,7 +177,7 @@ def test_reproducibility():
 
 def test_store_projected_state_stays_in_nullspace():
     bundle, _, _ = _small_bundle()
-    cfg = ChainConfig(iterations=150, seed=6, conditioned=True,
+    cfg = StudyConfig(iterations=150, seed=6, conditioned=True,
                       store_projected=True)
     trace = run_chain(cfg, bundle)
     accepted = trace.thetas[trace.fine_accepted]
@@ -188,7 +188,7 @@ def test_store_projected_state_stays_in_nullspace():
 
 def test_run_study_duplicate_seed_warns():
     bundle, _, _ = _small_bundle()
-    cfg = ChainConfig(iterations=20, seed=0)
+    cfg = StudyConfig(iterations=20, seed=0)
     with pytest.warns(UserWarning, match="duplicate"):
         traces = run_study(cfg, bundle, [7, 7])
     assert np.array_equal(traces[0].thetas, traces[1].thetas)
@@ -196,7 +196,7 @@ def test_run_study_duplicate_seed_warns():
 
 def test_run_study_single_and_multi():
     bundle, _, _ = _small_bundle()
-    cfg = ChainConfig(iterations=20, seed=0)
+    cfg = StudyConfig(iterations=20, seed=0)
     assert len(run_study(cfg, bundle, [1])) == 1
     traces = run_study(cfg, bundle, [1, 2, 3, 4])
     assert len(traces) == 4
@@ -204,7 +204,7 @@ def test_run_study_single_and_multi():
 
 def test_trace_csv_round_trip(tmp_path):
     bundle, _, _ = _small_bundle()
-    cfg = ChainConfig(iterations=50, seed=8)
+    cfg = StudyConfig(iterations=50, seed=8)
     trace = run_chain(cfg, bundle)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
@@ -221,20 +221,20 @@ def test_conditioned_requires_projector():
 
     stripped = replace(bundle, projector=None, kriged=None)
     with pytest.raises(ArgumentError):
-        run_chain(ChainConfig(iterations=5, conditioned=True), stripped)
+        run_chain(StudyConfig(iterations=5, conditioned=True), stripped)
 
 
 def test_chain_config_validation():
     with pytest.raises(ArgumentError):
-        ChainConfig(beta=1.5)
+        StudyConfig(beta=1.5)
     with pytest.raises(ArgumentError):
-        ChainConfig(iterations=0)
+        StudyConfig(iterations=0)
 
 
 def test_single_stage_flat_likelihood_prior_preserved():
     # flat likelihood + full-vector RWS: the sampler preserves N(0, I)
     bundle, _, _ = _small_bundle(sigma_c2=1e12, sigma_f2=1e12, n_modes=4)
-    cfg = ChainConfig(iterations=20_000, seed=10, single_component=False)
+    cfg = StudyConfig(iterations=20_000, seed=10, single_component=False)
     trace = run_chain(cfg, bundle)
     mean = trace.thetas.mean(axis=0)
     var = trace.thetas.var(axis=0)
@@ -297,7 +297,7 @@ def _reference_chain(cfg, bundle):
 def test_run_chain_matches_reference_loop(conditioned, single_component,
                                           store_projected):
     bundle, _, _ = _small_bundle()
-    cfg = ChainConfig(beta=0.3, iterations=60, seed=11,
+    cfg = StudyConfig(beta=0.3, iterations=60, seed=11,
                       conditioned=conditioned,
                       single_component=single_component,
                       store_projected=store_projected)
@@ -321,7 +321,7 @@ def test_run_chain_matches_reference_loop(conditioned, single_component,
 def test_run_study_matches_reference_loop(conditioned, single_component,
                                           store_projected):
     bundle, _, _ = _small_bundle()
-    cfg = ChainConfig(beta=0.3, iterations=60, conditioned=conditioned,
+    cfg = StudyConfig(beta=0.3, iterations=60, conditioned=conditioned,
                       single_component=single_component,
                       store_projected=store_projected)
     seeds = [11, 12, 13, 14]
@@ -331,7 +331,7 @@ def test_run_study_matches_reference_loop(conditioned, single_component,
     assert np.any(coarse.any(axis=0) & ~coarse.all(axis=0))
     for seed, trace in zip(seeds, traces):
         want = _reference_chain(replace(cfg, seed=seed), bundle)
-        assert trace.seed == seed and trace.config.seed == seed
+        assert trace.seed == seed
         assert np.array_equal(trace.thetas, want[0])
         assert np.array_equal(trace.coarse_accepted, want[1])
         assert np.array_equal(trace.fine_accepted, want[2])
@@ -341,7 +341,7 @@ def test_run_study_matches_reference_loop(conditioned, single_component,
 @pytest.mark.parametrize("conditioned", [False, True])
 def test_chain_does_not_depend_on_its_companions(conditioned):
     bundle, _, _ = _small_bundle()
-    cfg = ChainConfig(beta=0.3, iterations=40, conditioned=conditioned)
+    cfg = StudyConfig(beta=0.3, iterations=40, conditioned=conditioned)
     seeds = [21, 22, 23, 24]
     inits = np.random.default_rng(5).standard_normal((4, bundle.basis.n))
     together = run_study(cfg, bundle, seeds)
@@ -381,7 +381,7 @@ def test_forward_failure_names_where(monkeypatch, fail_call, where):
 
     monkeypatch.setattr(darcy, "solve_pressure", failing)
     with pytest.raises(CondflowError) as info:
-        run_chain(ChainConfig(iterations=20, seed=1), bundle)
+        run_chain(StudyConfig(iterations=20, seed=1), bundle)
     assert (info.value.module, info.value.code) == ("mcmc", "forward")
     assert f"{where}:" in str(info.value)
     assert isinstance(info.value.__cause__, NumericalError)
@@ -391,7 +391,7 @@ def test_forward_failure_names_where(monkeypatch, fail_call, where):
     # fails at the same place
     calls.clear()
     with pytest.raises(CondflowError) as info:
-        run_study(ChainConfig(iterations=20), bundle, [1, 2])
+        run_study(StudyConfig(iterations=20), bundle, [1, 2])
     assert (info.value.module, info.value.code) == ("mcmc", "forward")
     assert f"{where}:" in str(info.value)
     assert isinstance(info.value.__cause__, NumericalError)
@@ -405,7 +405,7 @@ def test_singular_upscaling_is_a_forward_failure(monkeypatch):
                         lambda basis, theta: ScalarField(
                             bundle.fine, np.full(bundle.fine.n_cells, -800.0)))
     with np.errstate(divide="ignore"), pytest.raises(CondflowError) as info:
-        run_chain(ChainConfig(iterations=5, seed=1), bundle)
+        run_chain(StudyConfig(iterations=5, seed=1), bundle)
     assert (info.value.module, info.value.code) == ("mcmc", "forward")
     assert "for the initial state:" in str(info.value)
     assert isinstance(info.value.__cause__, NumericalError)
