@@ -23,35 +23,28 @@ import numpy as np
 
 from . import study
 from .conditioning import synthesize_conditioned
-from .config import StudyConfig, parse_config
+from .config import parse_config
+from .darcy import solve_pressure
 from .diagnostics import diagnostics_series, write_report_csv, write_report_dat
 from .errors import CondflowError, ParseError
 from .grid import read_field_csv, write_field_csv, write_field_pgm
 from .kriging import snap_to_cells
 from .mcmc import read_trace_csv
-from .study import build_setup, resolve_output_dir, run_reference_experiment
+from .study import build_setup, run_reference_experiment
 
 
-def _load_config(path):
-    if path is None:
-        return StudyConfig()
-    return parse_config(path)
-
-
-def _out_dir(cfg, override):
-    out = override or resolve_output_dir(cfg)
-    os.makedirs(out, exist_ok=True)
-    return out
+def _setup(args):
+    """Model setup of the ``--config`` study and its output directory."""
+    cfg = parse_config(args.config)
+    setup = build_setup(cfg)
+    return setup, study.output_dir(cfg, args.out_dir)
 
 
 def cmd_kle(args):
-    cfg = _load_config(args.config)
-    setup = build_setup(cfg)
-    out = _out_dir(cfg, args.out_dir)
+    setup, out = _setup(args)
     basis = setup.bundle.basis
-    with open(os.path.join(out, "eigenvalues.csv"), "w") as fh:
-        for lam in basis.lambdas:
-            fh.write(format(lam, ".17g") + "\n")
+    np.savetxt(os.path.join(out, "eigenvalues.csv"), basis.lambdas,
+               fmt="%.17g")
     for i in range(basis.n):
         write_field_csv(basis.eigenfield(i),
                         os.path.join(out, f"phi_{i + 1:03d}.csv"))
@@ -60,9 +53,7 @@ def cmd_kle(args):
 
 
 def cmd_krige(args):
-    cfg = _load_config(args.config)
-    setup = build_setup(cfg)
-    out = _out_dir(cfg, args.out_dir)
+    setup, out = _setup(args)
     write_field_csv(setup.bundle.kriged, os.path.join(out, "kriged.csv"))
     write_field_pgm(setup.bundle.kriged, os.path.join(out, "kriged.pgm"))
     print(f"kriged surface written to {out}")
@@ -70,9 +61,7 @@ def cmd_krige(args):
 
 
 def cmd_condition(args):
-    cfg = _load_config(args.config)
-    setup = build_setup(cfg)
-    out = _out_dir(cfg, args.out_dir)
+    setup, out = _setup(args)
     theta = _read_theta(args.theta, setup.bundle.basis.n)
     fld = synthesize_conditioned(
         setup.bundle.basis, setup.bundle.kriged, theta, setup.bundle.projector
@@ -99,13 +88,9 @@ def _read_theta(path, n):
 
 
 def cmd_solve(args):
-    cfg = _load_config(args.config)
-    setup = build_setup(cfg)
-    out = _out_dir(cfg, args.out_dir)
+    setup, out = _setup(args)
     field = (read_field_csv(args.field, setup.bundle.fine)
              if args.field else setup.reference_field)
-    from .darcy import solve_pressure
-
     pressure = solve_pressure(field, setup.bundle.bc)
     write_field_csv(pressure, os.path.join(out, "pressure.csv"))
     write_field_pgm(pressure, os.path.join(out, "pressure.pgm"))
@@ -114,10 +99,8 @@ def cmd_solve(args):
 
 
 def cmd_invert(args):
-    cfg = _load_config(args.config)
-    setup = build_setup(cfg)
-    out = _out_dir(cfg, args.out_dir)
-    study.run_one_study(setup, cfg.conditioned, out)
+    setup, out = _setup(args)
+    study.run_one_study(setup, setup.cfg.conditioned, out)
     return 0
 
 
@@ -140,7 +123,7 @@ def cmd_diagnose(args):
 
 
 def cmd_reference(args):
-    cfg = _load_config(args.config)
+    cfg = parse_config(args.config)
     return run_reference_experiment(cfg, dry_run=args.dry_run,
                                     out_dir=args.out_dir)
 

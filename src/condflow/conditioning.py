@@ -39,10 +39,6 @@ class DataMatrix:
     cells: np.ndarray  # (m,) fine-grid cell index per measurement
 
     @property
-    def m(self):
-        return self.A.shape[0]
-
-    @property
     def n(self):
         return self.A.shape[1]
 
@@ -92,18 +88,20 @@ def nullspace_basis(dm):
 
 
 def project(theta, proj):
-    """Orthogonal projection theta_hat = Q (Q^T theta) onto N(A)."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != proj.n:
+    """Orthogonal projection theta_hat = Q (Q^T theta) onto N(A), of one
+    theta or, row by row and bitwise as one at a time, of a stack."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1:] != (proj.n,):
         raise ArgumentError(
-            f"theta has {theta.size} entries, projector expects {proj.n}",
+            f"theta has shape {theta.shape}, projector expects {proj.n}",
             module=_MOD,
         )
-    return proj.Q @ (proj.Q.T @ theta)
+    return (proj.Q @ (proj.Q.T @ theta[..., None]))[..., 0]
 
 
 def synthesize_conditioned(basis, kriged, theta, proj):
-    """Kriged surface plus the KL synthesis of the projected theta.
+    """Kriged surface plus the KL synthesis of the projected theta, or
+    the stack of these fields for a stack of thetas.
 
     The result matches every measured value exactly (to rounding) at the
     measurement cells, for any input theta.

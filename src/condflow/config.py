@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .covariance import KernelParams
+from .darcy import check_refinement
 from .errors import ArgumentError, ParseError
+from .grid import make_grid
 from .mcmc import LikelihoodParams
 from .study import check_burn_in
 
@@ -73,6 +75,8 @@ class StudyConfig:
                     "n_terms", "chains", "iterations"):
             if getattr(self, key) < 1:
                 raise ArgumentError(f"{key} must be positive", module=_MOD)
+        check_refinement(make_grid(self.fine_nx, self.fine_ny),
+                         make_grid(self.coarse_nx, self.coarse_ny))
         # each parameter type checks its own values
         self.kernel, self.likelihood
         if self.energy_threshold is not None and not (
@@ -134,7 +138,10 @@ _KEYS = {
 
 
 def parse_config(path):
-    """Read and validate a config file, applying defaults."""
+    """Read and validate a config file, applying defaults; no file (a
+    path of None) gives the defaults."""
+    if path is None:
+        return StudyConfig()
     overrides = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

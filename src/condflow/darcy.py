@@ -158,6 +158,18 @@ def _keff_x(kb, hx, hy):
     return q * (bx * hx) / (by * hy)
 
 
+def check_refinement(fine, coarse):
+    """Cells per coarse block in x and y; the fine grid must tile the
+    coarse grid exactly."""
+    if fine.nx % coarse.nx or fine.ny % coarse.ny:
+        raise ArgumentError(
+            f"fine grid {fine.nx}x{fine.ny} is not an integer refinement "
+            f"of coarse grid {coarse.nx}x{coarse.ny}",
+            module=_MOD,
+        )
+    return fine.nx // coarse.nx, fine.ny // coarse.ny
+
+
 def upscale(fine_logperm, fine, coarse):
     """Effective coarse log-permeability from local flow problems.
 
@@ -168,14 +180,7 @@ def upscale(fine_logperm, fine, coarse):
     """
     if fine_logperm.grid != fine:
         raise ArgumentError("field grid differs from fine grid", module=_MOD)
-    if fine.nx % coarse.nx or fine.ny % coarse.ny:
-        raise ArgumentError(
-            f"fine grid {fine.nx}x{fine.ny} is not an integer refinement "
-            f"of coarse grid {coarse.nx}x{coarse.ny}",
-            module=_MOD,
-        )
-    bx = fine.nx // coarse.nx
-    by = fine.ny // coarse.ny
+    bx, by = check_refinement(fine, coarse)
     k = _permeability(fine_logperm)
     blocks = (
         k.reshape(-1, coarse.ny, by, coarse.nx, bx)

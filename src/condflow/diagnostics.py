@@ -141,16 +141,12 @@ def mpsrf(W, B, k, l):
 
 @dataclass
 class DiagnosticsReport:
-    """Checkpoint series of (draw count, max PSRF, MPSRF) plus the final
-    W, B, V matrices; checkpoints skipped as degenerate are listed in
-    ``notices``."""
+    """Checkpoint series of (draw count, max PSRF, MPSRF); checkpoints
+    skipped as degenerate are listed in ``notices``."""
 
     checkpoints: list
     max_psrf: list
     mpsrf: list
-    W: np.ndarray = field(repr=False, default=None)
-    B: np.ndarray = field(repr=False, default=None)
-    V: np.ndarray = field(repr=False, default=None)
     notices: list = field(default_factory=list)
 
 
@@ -197,25 +193,21 @@ def diagnostics_series(traces, checkpoints):
         report.checkpoints.append(c)
         report.max_psrf.append(float(np.max(p)))
         report.mpsrf.append(mpsrf(W, B, k, c))
-        report.W, report.B, report.V = W, B, V
     return report
-
-
-def _write_report(report, path, header, sep):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(report.checkpoints, report.max_psrf, report.mpsrf):
-            fh.write(sep.join(format(v, ".17g") for v in row) + "\n")
 
 
 def write_report_csv(report, path):
     """Checkpoint series as CSV: checkpoint, max_psrf, mpsrf."""
-    _write_report(report, path, "checkpoint,max_psrf,mpsrf", ",")
+    np.savetxt(path, np.transpose([report.checkpoints, report.max_psrf,
+                                   report.mpsrf]), fmt=["%d", "%.17g", "%.17g"],
+               delimiter=",", header="checkpoint,max_psrf,mpsrf", comments="")
 
 
 def write_report_dat(report, path):
     """Whitespace-separated series for plotting (gnuplot style)."""
-    _write_report(report, path, "# checkpoint max_psrf mpsrf", " ")
+    np.savetxt(path, np.transpose([report.checkpoints, report.max_psrf,
+                                   report.mpsrf]), fmt=["%d", "%.17g", "%.17g"],
+               header="checkpoint max_psrf mpsrf")
 
 
 def read_report_csv(path):

@@ -124,17 +124,9 @@ def chessboard_mask(grid):
     return ObservationMask(grid, np.flatnonzero(sel))
 
 
-def _fmt(v):
-    return format(v, ".17g")
-
-
 def write_field_csv(fld, path):
     """Write a field as ny rows x nx columns, bottom row first."""
-    arr = fld.as_2d()
-    with open(path, "w") as fh:
-        for j in range(fld.grid.ny):
-            fh.write(",".join(_fmt(v) for v in arr[j]))
-            fh.write("\n")
+    np.savetxt(path, fld.as_2d(), fmt="%.17g", delimiter=",")
 
 
 def read_field_csv(path, grid):
@@ -169,12 +161,7 @@ def write_field_pgm(fld, path):
     """Render a field as an ASCII PGM image, one pixel per cell."""
     arr = fld.as_2d()
     lo, hi = arr.min(), arr.max()
-    if hi > lo:
-        pix = np.rint((arr - lo) / (hi - lo) * 255.0).astype(int)
-    else:
-        pix = np.full(arr.shape, 128, dtype=int)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{fld.grid.nx} {fld.grid.ny}\n255\n")
-        for j in range(fld.grid.ny - 1, -1, -1):
-            fh.write(" ".join(str(v) for v in pix[j]))
-            fh.write("\n")
+    pix = (np.rint((arr - lo) / (hi - lo) * 255.0) if hi > lo
+           else np.full(arr.shape, 128))
+    np.savetxt(path, pix[::-1], fmt="%d", comments="",
+               header=f"P2\n{fld.grid.nx} {fld.grid.ny}\n255")

@@ -116,12 +116,14 @@ def energy_fraction(lambdas, n):
 
 
 def synthesize_unconditioned(basis, theta):
-    """Zero-mean field sum_i sqrt(lambda_i) theta_i phi_i as a ScalarField."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != basis.n:
+    """Zero-mean field sum_i sqrt(lambda_i) theta_i phi_i as a ScalarField;
+    a stack of thetas gives the stack of their fields, each bitwise its
+    own call's (the trailing unit axis makes one gemv per theta)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape[-1:] != (basis.n,):
         raise ArgumentError(
-            f"theta has {theta.size} entries, basis has {basis.n} modes",
+            f"theta has shape {theta.shape}, basis has {basis.n} modes",
             module=_MOD,
         )
-    values = basis.phi @ (basis.sqrt_lambdas * theta)
-    return ScalarField(basis.grid, values)
+    values = basis.phi @ (basis.sqrt_lambdas * theta)[..., None]
+    return ScalarField(basis.grid, values[..., 0])

@@ -122,7 +122,5 @@ def read_measurements_csv(path):
 
 
 def write_measurements_csv(ms, path):
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for (x, y), v in zip(ms.locations, ms.values):
-            fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
+    np.savetxt(path, np.column_stack([ms.locations, ms.values]), fmt="%.17g",
+               delimiter=",", header="x,y,value", comments="")

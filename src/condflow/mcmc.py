@@ -28,12 +28,12 @@ the previous state on rejection, which is exactly what the convergence
 diagnostics consume.
 
 A study's chains advance in lockstep, one iteration at a time: each
-forward layer (upscaling, coarse solve, and the fine solve of the chains
-whose proposal passed the coarse stage) runs once per iteration on the
-stack of all chains' fields. KL synthesis and the likelihoods stay per
-chain, and each chain draws from its own generator in its own order
-(proposal, coarse uniform, fine uniform), so a chain's random stream and
-trace are exactly those of the chain run alone.
+forward layer (KL synthesis, upscaling, coarse solve, and the fine solve
+of the chains whose proposal passed the coarse stage) runs once per
+iteration on the stack of all chains' states or fields. The likelihoods
+stay per chain, and each chain draws from its own generator in its own
+order (proposal, coarse uniform, fine uniform), so a chain's random
+stream and trace are exactly those of the chain run alone.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conditioning, darcy, kle
-from .errors import ArgumentError, CondflowError
+from .errors import ArgumentError, CondflowError, ParseError
 from .grid import Grid2D, ObservationMask, ScalarField
 
 _MOD = "mcmc"
@@ -166,14 +166,10 @@ def _coarse_step(thetas, cfg, bundle):
     """Stack of the states' fine log-permeability fields and their coarse
     log-likelihoods."""
     if cfg.conditioned:
-        fields = [conditioning.synthesize_conditioned(
-            bundle.basis, bundle.kriged, theta, bundle.projector)
-            for theta in thetas]
+        fine_fields = conditioning.synthesize_conditioned(
+            bundle.basis, bundle.kriged, thetas, bundle.projector)
     else:
-        fields = [kle.synthesize_unconditioned(bundle.basis, theta)
-                  for theta in thetas]
-    fine_fields = ScalarField(bundle.fine,
-                              np.stack([f.values for f in fields]))
+        fine_fields = kle.synthesize_unconditioned(bundle.basis, thetas)
     coarse_fields = darcy.upscale(fine_fields, bundle.fine, bundle.coarse)
     pc = darcy.solve_pressure(coarse_fields, bundle.bc)
     return fine_fields, _logliks(pc, bundle.coarse_mask,
@@ -287,29 +283,31 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None):
 def write_trace_csv(trace, path):
     """Persist a trace: iteration, theta_1..theta_n, flags, loglik."""
     n = trace.thetas.shape[1]
-    with open(path, "w") as fh:
-        cols = ["iteration"] + [f"theta_{i + 1}" for i in range(n)]
-        cols += ["coarse_accept", "fine_accept", "loglik"]
-        fh.write(",".join(cols) + "\n")
-        for it in range(trace.iterations):
-            row = [str(it)]
-            row += [format(v, ".17g") for v in trace.thetas[it]]
-            row += [
-                str(int(trace.coarse_accepted[it])),
-                str(int(trace.fine_accepted[it])),
-                format(trace.loglik_fine[it], ".17g"),
-            ]
-            fh.write(",".join(row) + "\n")
+    cols = (["iteration"] + [f"theta_{i + 1}" for i in range(n)]
+            + ["coarse_accept", "fine_accept", "loglik"])
+    data = np.column_stack([np.arange(trace.iterations), trace.thetas,
+                            trace.coarse_accepted, trace.fine_accepted,
+                            trace.loglik_fine])
+    np.savetxt(path, data, fmt=["%d"] + ["%.17g"] * n + ["%d", "%d", "%.17g"],
+               delimiter=",", header=",".join(cols), comments="")
 
 
 def read_trace_csv(path):
     """Load a trace written by :func:`write_trace_csv`."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        n = len(header) - 4
-        if n < 1 or header[0] != "iteration" or header[-1] != "loglik":
-            raise ArgumentError(f"{path}: not a trace CSV", module=_MOD)
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    n = len(header) - 4
+    if n < 1 or header[0] != "iteration" or header[-1] != "loglik":
+        raise ArgumentError(f"{path}: not a trace CSV", module=_MOD)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns on no rows
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (ValueError, UserWarning) as exc:
+        raise ParseError(f"{path}: {exc}", module=_MOD) from exc
+    if data.shape[1] != len(header):
+        raise ParseError(f"{path}: rows have {data.shape[1]} values, the "
+                         f"header {len(header)}", module=_MOD)
     return ChainTrace(
         thetas=data[:, 1:1 + n],
         coarse_accepted=data[:, 1 + n].astype(bool),

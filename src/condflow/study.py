@@ -42,9 +42,13 @@ def default_reference_field_path():
     return str(_packaged("reference_field.csv"))
 
 
-def resolve_output_dir(cfg):
-    """Config value, overridable by the CONDFLOW_OUTPUT_DIR variable."""
-    return os.environ.get("CONDFLOW_OUTPUT_DIR", cfg.output_dir)
+def output_dir(cfg, override=None):
+    """The output directory, created if missing: ``override`` (the
+    ``--out-dir`` option), else the CONDFLOW_OUTPUT_DIR variable, else
+    the config's ``paths.output_dir``."""
+    out = override or os.environ.get("CONDFLOW_OUTPUT_DIR", cfg.output_dir)
+    os.makedirs(out, exist_ok=True)
+    return out
 
 
 @dataclass
@@ -169,7 +173,7 @@ def _study_label(conditioned):
     return "cond" if conditioned else "uncond"
 
 
-def run_one_study(setup, conditioned, out_dir, log=print):
+def run_one_study(setup, conditioned, out_dir):
     """Run one k-chain study and write traces, diagnostics, snapshots."""
     cfg = setup.cfg
     label = _study_label(conditioned)
@@ -207,8 +211,8 @@ def run_one_study(setup, conditioned, out_dir, log=print):
         paths["diagnostics"] = rpath
     if cfg.verbosity:
         rates = ", ".join(f"{t.fine_rate:.3f}" for t in traces)
-        log(f"{label}: {cfg.chains} chains x {cfg.iterations} iterations "
-            f"in {elapsed:.1f}s; fine acceptance rates [{rates}]")
+        print(f"{label}: {cfg.chains} chains x {cfg.iterations} iterations "
+              f"in {elapsed:.1f}s; fine acceptance rates [{rates}]")
     return traces, report, paths, elapsed
 
 
@@ -237,18 +241,17 @@ def write_manifest(path, cfg, seeds, artifact_paths, timings=None):
         fh.write("\n")
 
 
-def run_reference_experiment(cfg, dry_run=False, log=print, out_dir=None):
+def run_reference_experiment(cfg, dry_run=False, out_dir=None):
     """Both studies (unconditioned, then conditioned with paired seeds),
     plus diagnostics, snapshots, and the acceptance-rate table, written
-    to ``out_dir`` or, when it is None, to :func:`resolve_output_dir`."""
-    out_dir = out_dir or resolve_output_dir(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    to :func:`output_dir` with ``out_dir`` as its override."""
+    out_dir = output_dir(cfg, out_dir)
     seeds = chain_seeds(cfg)
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_manifest(manifest_path, cfg, seeds, {})
     if dry_run:
         if cfg.verbosity:
-            log(f"dry run: manifest written to {manifest_path}")
+            print(f"dry run: manifest written to {manifest_path}")
         return 0
 
     setup = build_setup(cfg)
@@ -257,9 +260,7 @@ def run_reference_experiment(cfg, dry_run=False, log=print, out_dir=None):
     traces_by_label = {}
     for conditioned in (False, True):
         label = _study_label(conditioned)
-        traces, _, paths, elapsed = run_one_study(
-            setup, conditioned, out_dir, log=log
-        )
+        traces, _, paths, elapsed = run_one_study(setup, conditioned, out_dir)
         traces_by_label[label] = traces
         all_paths[label] = paths
         timings[label] = elapsed
@@ -269,5 +270,5 @@ def run_reference_experiment(cfg, dry_run=False, log=print, out_dir=None):
     all_paths["acceptance_table"] = table_path
     write_manifest(manifest_path, cfg, seeds, all_paths, timings)
     if cfg.verbosity:
-        log(f"reference experiment complete; artifacts in {out_dir}")
+        print(f"reference experiment complete; artifacts in {out_dir}")
     return 0

@@ -231,7 +231,7 @@ def test_criterion_8_determinism(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         cfg = StudyConfig(output_dir=str(out), **cfg_text)
-        run_reference_experiment(cfg, log=lambda *_: None)
+        run_reference_experiment(cfg)
         dirs.append(out)
     files = ("trace_uncond_chain1.csv", "trace_uncond_chain2.csv",
              "trace_cond_chain1.csv", "trace_cond_chain2.csv",

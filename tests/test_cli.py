@@ -170,6 +170,23 @@ def test_diagnose_rejects_nan_in_one_trace(tmp_path, capsys):
                           "contains non-finite values")
 
 
+@pytest.mark.parametrize("body, message", [
+    ("0,1.5,abc,1,1,0\n", "could not convert string 'abc'"),
+    ("0,1.5,2.5,1,1,0\n1,1.5,2.5,1,1\n", "number of columns changed"),
+    ("", "input contained no data"),
+    ("0,1.5,1,1,0\n1,2.5,1,1,0\n", "rows have 5 values, the header 6"),
+], ids=["bad_token", "ragged_row", "header_only", "short_rows"])
+def test_diagnose_rejects_malformed_trace(tmp_path, capsys, body, message):
+    paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
+    with open(paths[1]) as fh:
+        header = fh.readline()
+    with open(paths[1], "w") as fh:
+        fh.write(header + body)
+    err = _diagnose_error(tmp_path, capsys, paths)
+    assert err.startswith(f"error:mcmc:parse: {paths[1]}: ")
+    assert message in err
+
+
 def _config_error(tmp_path, capsys, argv, edit):
     """Run ``argv`` on the fast config changed by ``edit``; it must fail
     with one error line. Returns that line."""
@@ -193,7 +210,8 @@ def test_invert_rejects_burn_in_before_running(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, module", [("kernel.lx = 0", "covariance"),
-                                          ("mcmc.sigma_f2 = -1e-4", "mcmc")])
+                                          ("mcmc.sigma_f2 = -1e-4", "mcmc"),
+                                          ("grid.coarse_nx = 5", "darcy")])
 def test_reference_dry_run_rejects_bad_parameter(tmp_path, capsys,
                                                  monkeypatch, line, module):
     out = tmp_path / "out"

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from condflow.conditioning import (
+    build_data_matrix,
+    nullspace_basis,
+    project,
+    synthesize_conditioned,
+)
+from condflow.covariance import KernelParams, assemble_covariance
 from condflow.darcy import (
     BoundaryConditions,
     boundary_fluxes,
@@ -10,7 +17,8 @@ from condflow.darcy import (
 )
 from condflow.errors import ArgumentError, NumericalError
 from condflow.grid import ScalarField, chessboard_mask, make_grid
-from condflow.kle import synthesize_unconditioned
+from condflow.kle import solve_kle, synthesize_unconditioned
+from condflow.kriging import MeasurementSet, krige
 
 BC = BoundaryConditions(p_left=1.0, p_right=0.0)
 
@@ -310,6 +318,25 @@ def test_stacked_calls_equal_single_calls(fine_shape, coarse_shape):
     mask = chessboard_mask(fine)
     assert np.array_equal(observe_pressure(pressures, mask),
                           pressures.values[:, mask.cells])
+
+    # so is the KL synthesis of a stack of thetas, and their projection
+    params = KernelParams()
+    basis = solve_kle(assemble_covariance(fine, params), fine, 3)
+    ms = MeasurementSet([[0.5, 0.5]], [0.7])
+    kriged = krige(ms, params, fine)
+    proj = nullspace_basis(build_data_matrix(basis, ms, fine))
+    thetas = rng.standard_normal((4, basis.n))
+    unconditioned = synthesize_unconditioned(basis, thetas)
+    conditioned = synthesize_conditioned(basis, kriged, thetas, proj)
+    projected = project(thetas, proj)
+    assert conditioned.values.shape == (4, fine.n_cells)
+    for i, theta in enumerate(thetas):
+        assert np.array_equal(unconditioned.values[i],
+                              synthesize_unconditioned(basis, theta).values)
+        assert np.array_equal(
+            conditioned.values[i],
+            synthesize_conditioned(basis, kriged, theta, proj).values)
+        assert np.array_equal(projected[i], project(theta, proj))
 
 
 def test_stacked_residual_is_checked_per_field(monkeypatch):
