@@ -55,16 +55,19 @@ class Projector:
         return self.Q.shape[0]
 
 
+def check_measurement_count(m, n):
+    """Conditioning needs fewer measurements m than KL modes n."""
+    if m >= n:
+        raise ArgumentError(f"{m} measurements with only {n} KL modes leave "
+                            "no nontrivial nullspace; retain more modes",
+                            module=_MOD)
+
+
 def build_data_matrix(basis, ms, grid):
     """Assemble A_ij = sqrt(lambda_j) phi_j(x_hat_i) on snapped cells."""
     if basis.grid != grid:
         raise ArgumentError("basis and measurement grid differ", module=_MOD)
-    if ms.m >= basis.n:
-        raise ArgumentError(
-            f"{ms.m} measurements with only {basis.n} KL modes leave no "
-            "nontrivial nullspace; retain more modes",
-            module=_MOD,
-        )
+    check_measurement_count(ms.m, basis.n)
     cells = snap_to_cells(ms, grid)
     A = basis.phi[cells] * basis.sqrt_lambdas[None, :]
     return DataMatrix(A, cells)

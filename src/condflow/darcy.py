@@ -10,18 +10,19 @@ edges carry Neumann data (default no-flow). There are no sources.
 One builder, ``_tpfa``, assembles the SPD operator of a stack of
 permeability fields of shape (..., ny, nx) as one block-diagonal system
 in upper banded storage: only the main, +1 and +nx diagonals are
-nonzero, and no band couples two fields. ``solveh_banded`` solves it in
-one call. ``solve_pressure`` and ``upscale`` take one field or a stack
-of fields (see ``ScalarField``) and solve the whole stack at once. Every
-check holds for each field on its own, and each field's result is
-bitwise that of its own call (the tests check this). ``boundary_fluxes``
-takes one field.
+nonzero, and no band couples two fields. ``solve_pressure`` solves it
+with one ``solveh_banded`` call. ``solve_pressure`` and ``upscale`` take
+one field or a stack of fields (see ``ScalarField``) and solve the whole
+stack at once. Every check holds for each field on its own, and each
+field's result is bitwise that of its own call (the tests check this).
+``boundary_fluxes`` takes one field.
 
 Upscaling solves, per coarse block, two local TPFA problems with a unit
 pressure drop (in x and in y, no-flow on the lateral faces), converts
 the resulting through-flux to a directional effective permeability, and
-stores the log of the geometric mean of the two directions. All blocks
-of one direction form one stacked system and one solve.
+stores the log of the geometric mean of the two directions. The local
+problems of a call form one stack (one per direction unless blocks and
+cells are square), solved by one band Cholesky over all blocks.
 """
 
 from __future__ import annotations
@@ -142,17 +143,41 @@ def boundary_fluxes(logperm, pressure, bc):
     return q_in, q_out
 
 
+def _solve_blocks(ab, rhs):
+    """Solve each block of a ``_tpfa`` operator against its row of rhs
+    (nb, N) by root-free band Cholesky, A = L D L^T, each step one array
+    operation over all blocks. A pivot not > 0 (or NaN) is singular."""
+    u, (nb, n) = len(ab) - 1, rhs.shape
+    a = np.zeros((n + u, u + 1, nb))  # a[i, d] = A[i, i + d], zero padded
+    for d in range(u + 1):
+        a[:n - d, d] = ab[u - d].reshape(nb, n)[:, d:].T
+    x = np.concatenate([rhs.T, np.zeros((u, nb))])
+    for j in range(n):
+        if not a[j, 0].min() > 0:
+            raise NumericalError("singular upscaling system", module=_MOD,
+                                 code="singular")
+        lj = a[j, 1:] / a[j, 0]  # column j of L below the diagonal
+        x[j + 1:j + 1 + u] -= lj * x[j]
+        for p in range(1, u + 1):
+            a[j + p, :u + 1 - p] -= a[j, p] * lj[p - 1:]
+        a[j, 1:] = lj
+    x[:n] /= a[:n, 0]
+    for j in reversed(range(n)):
+        x[j] -= (a[j, 1:] * x[j + 1:j + 1 + u]).sum(0)
+    return x[:n].T
+
+
 def _keff_x(kb, hx, hy):
     """Directional effective permeability of blocks for flow in x.
 
     kb is (nblocks, by, bx): unit pressure drop left to right, no-flow
-    top and bottom, one banded solve for all blocks.
+    top and bottom, one elimination over all blocks.
     """
     by, bx = kb.shape[1:]
     ab, Tl, Tr = _tpfa(kb, hx, hy)
     rhs = np.zeros(kb.shape)
     rhs[:, :, 0] += Tl  # p = 1 on the left face, 0 on the right
-    p = _solve(ab, rhs.ravel()).reshape(kb.shape)
+    p = _solve_blocks(ab, rhs.reshape(len(kb), -1)).reshape(kb.shape)
     q = np.sum(Tr * p[:, :, -1], axis=1)
     # q = keff * height * dp / width with dp = 1
     return q * (bx * hx) / (by * hy)
@@ -182,13 +207,14 @@ def upscale(fine_logperm, fine, coarse):
         raise ArgumentError("field grid differs from fine grid", module=_MOD)
     bx, by = check_refinement(fine, coarse)
     k = _permeability(fine_logperm)
-    blocks = (
-        k.reshape(-1, coarse.ny, by, coarse.nx, bx)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(-1, by, bx)
-    )
-    keff_x = _keff_x(blocks, fine.hx, fine.hy)
-    keff_y = _keff_x(blocks.transpose(0, 2, 1), fine.hy, fine.hx)
+    blocks = k.reshape(-1, coarse.ny, by, coarse.nx, bx).transpose(
+        0, 1, 3, 2, 4).reshape(-1, by, bx)
+    if bx == by and fine.hx == fine.hy:  # y problems are transposed blocks
+        keff_x, keff_y = np.split(_keff_x(np.concatenate(
+            [blocks, blocks.transpose(0, 2, 1)]), fine.hx, fine.hy), 2)
+    else:
+        keff_x = _keff_x(blocks, fine.hx, fine.hy)
+        keff_y = _keff_x(blocks.transpose(0, 2, 1), fine.hy, fine.hx)
     logk = 0.5 * (np.log(keff_x) + np.log(keff_y))
     return ScalarField(coarse, logk.reshape(
         fine_logperm.values.shape[:-1] + (coarse.n_cells,)))

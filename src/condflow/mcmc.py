@@ -115,6 +115,13 @@ class ChainTrace:
             return 0.0
         return float(np.sum(self.fine_accepted)) / n_coarse
 
+    def after_burn_in(self, burn_in):
+        """The trace without its first ``burn_in`` draws."""
+        d = slice(burn_in, None)
+        return ChainTrace(self.thetas[d], self.coarse_accepted[d],
+                          self.fine_accepted[d], self.loglik_fine[d],
+                          self.seed)
+
 
 def log_likelihood(sim, ref, sigma2):
     """Gaussian log-likelihood -||ref - sim||^2 / (2 sigma2)."""
@@ -298,7 +305,7 @@ def read_trace_csv(path):
         header = fh.readline().strip().split(",")
     n = len(header) - 4
     if n < 1 or header[0] != "iteration" or header[-1] != "loglik":
-        raise ArgumentError(f"{path}: not a trace CSV", module=_MOD)
+        raise ParseError(f"{path}: not a trace CSV", module=_MOD)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt only warns on no rows

@@ -14,7 +14,8 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .conditioning import build_data_matrix, nullspace_basis, synthesize_conditioned
+from .conditioning import (build_data_matrix, check_measurement_count,
+                           nullspace_basis, synthesize_conditioned)
 from .covariance import assemble_covariance
 from .darcy import BoundaryConditions, observe_pressure, solve_pressure, upscale
 from .diagnostics import diagnostics_series, write_report_csv, write_report_dat
@@ -36,6 +37,11 @@ def _packaged(name):
 
 def default_measurements_path():
     return str(_packaged("measurements.csv"))
+
+
+def read_measurements(cfg):
+    return read_measurements_csv(cfg.measurements
+                                 or default_measurements_path())
 
 
 def default_reference_field_path():
@@ -73,8 +79,7 @@ def build_setup(cfg):
         n = cfg.n_terms
     basis = solve_kle(cov, fine, n)
 
-    ms_path = cfg.measurements or default_measurements_path()
-    ms = read_measurements_csv(ms_path)
+    ms = read_measurements(cfg)
     kriged = krige(ms, params, fine)
     projector = nullspace_basis(build_data_matrix(basis, ms, fine))
 
@@ -124,10 +129,7 @@ def post_burn_in(traces, burn_in):
     """The traces without their first ``burn_in`` draws; at least 2 must
     remain in every trace."""
     check_burn_in(burn_in, min(t.thetas.shape[0] for t in traces))
-    return [replace(t, thetas=t.thetas[burn_in:],
-                    coarse_accepted=t.coarse_accepted[burn_in:],
-                    fine_accepted=t.fine_accepted[burn_in:],
-                    loglik_fine=t.loglik_fine[burn_in:]) for t in traces]
+    return [t.after_burn_in(burn_in) for t in traces]
 
 
 def checkpoints_for(length, spacing=CHECKPOINT_EVERY):
@@ -247,6 +249,8 @@ def run_reference_experiment(cfg, dry_run=False, out_dir=None):
     to :func:`output_dir` with ``out_dir`` as its override."""
     out_dir = output_dir(cfg, out_dir)
     seeds = chain_seeds(cfg)
+    if dry_run and cfg.energy_threshold is None:  # n is known without a KLE
+        check_measurement_count(read_measurements(cfg).m, cfg.n_terms)
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_manifest(manifest_path, cfg, seeds, {})
     if dry_run:

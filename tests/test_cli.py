@@ -170,16 +170,18 @@ def test_diagnose_rejects_nan_in_one_trace(tmp_path, capsys):
                           "contains non-finite values")
 
 
-@pytest.mark.parametrize("body, message", [
-    ("0,1.5,abc,1,1,0\n", "could not convert string 'abc'"),
-    ("0,1.5,2.5,1,1,0\n1,1.5,2.5,1,1\n", "number of columns changed"),
-    ("", "input contained no data"),
-    ("0,1.5,1,1,0\n1,2.5,1,1,0\n", "rows have 5 values, the header 6"),
-], ids=["bad_token", "ragged_row", "header_only", "short_rows"])
-def test_diagnose_rejects_malformed_trace(tmp_path, capsys, body, message):
+@pytest.mark.parametrize("header, body, message", [
+    (None, "0,1.5,abc,1,1,0\n", "could not convert string 'abc'"),
+    (None, "0,1.5,2.5,1,1,0\n1,1.5,2.5,1,1\n", "number of columns changed"),
+    (None, "", "input contained no data"),
+    (None, "0,1.5,1,1,0\n1,2.5,1,1,0\n", "rows have 5 values, the header 6"),
+    ("a,b\n", "0,1\n", "not a trace CSV"),
+], ids=["bad_token", "ragged_row", "header_only", "short_rows", "bad_header"])
+def test_diagnose_rejects_malformed_trace(tmp_path, capsys, header, body,
+                                          message):
     paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
     with open(paths[1]) as fh:
-        header = fh.readline()
+        header = header or fh.readline()
     with open(paths[1], "w") as fh:
         fh.write(header + body)
     err = _diagnose_error(tmp_path, capsys, paths)
@@ -219,6 +221,20 @@ def test_reference_dry_run_rejects_bad_parameter(tmp_path, capsys,
     err = _config_error(tmp_path, capsys, ["reference", "--dry-run"],
                         lambda text: text + line + "\n")
     assert err.startswith(f"error:{module}:argument:")
+    assert not (out / "manifest.json").exists()
+
+
+def test_reference_dry_run_rejects_fewer_modes_than_measurements(
+        tmp_path, capsys, monkeypatch):
+    # the 9 packaged measurements need more than 5 modes; n_terms fixes n
+    # before any KLE, so the dry run fails before writing the manifest
+    out = tmp_path / "out"
+    monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(out))
+    err = _config_error(tmp_path, capsys, ["reference", "--dry-run"],
+                        lambda text: text.replace("kle.n_terms = 12",
+                                                  "kle.n_terms = 5"))
+    assert err.startswith("error:conditioning:argument: 9 measurements "
+                          "with only 5 KL modes")
     assert not (out / "manifest.json").exists()
 
 

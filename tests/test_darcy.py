@@ -121,6 +121,17 @@ def test_singular_field_raises_numerical_error():
                                                             "singular")
 
 
+def test_upscale_singular_block_in_stack():
+    # one 2x2 block of the second field underflows to k = 0; the other
+    # blocks and the first field are regular
+    fine, coarse = make_grid(16, 16), make_grid(8, 8)
+    values = np.zeros((3, fine.ny, fine.nx))
+    values[1, 4:6, 10:12] = -800.0
+    with np.errstate(divide="ignore"), pytest.raises(NumericalError) as info:
+        upscale(ScalarField(fine, values.reshape(3, -1)), fine, coarse)
+    assert (info.value.module, info.value.code) == ("darcy", "singular")
+
+
 def test_overflowing_edge_transmissibility_is_not_a_solution():
     # k = exp(709) is finite, but 2 hy k / hx overflows to inf; the exact
     # answer would be 0.875, 0.625, 0.375, 0.125 along each row
@@ -247,21 +258,26 @@ def _oracle_keff_x(kb, hx, hy):
     ((8, 8), (8, 4)),   # blocks one cell wide
     ((8, 8), (4, 8)),   # blocks one cell tall
     ((6, 6), (1, 1)),   # one block
+    ((16, 16), (8, 8)),  # 2x2 blocks, as the sampler runs
 ])
 def test_upscale_random_blocks_match_oracle(fine_shape, coarse_shape):
+    # one field, then a stack of 4 fields whose first row is that field
     fine, coarse = make_grid(*fine_shape), make_grid(*coarse_shape)
     bx, by = fine.nx // coarse.nx, fine.ny // coarse.ny
     rng = np.random.default_rng(fine.n_cells + coarse.n_cells)
-    logperm = ScalarField(fine, rng.standard_normal(fine.n_cells))
-    up = upscale(logperm, fine, coarse).as_2d()
-    k = np.exp(logperm.as_2d())
-    for cj in range(coarse.ny):
-        for ci in range(coarse.nx):
-            kb = k[cj * by:(cj + 1) * by, ci * bx:(ci + 1) * bx]
-            keff_x = _oracle_keff_x(kb, fine.hx, fine.hy)
-            keff_y = _oracle_keff_x(kb.T, fine.hy, fine.hx)
-            expected = 0.5 * (np.log(keff_x) + np.log(keff_y))
-            assert abs(up[cj, ci] - expected) <= 1e-10
+    values = rng.standard_normal((4, fine.n_cells))
+    for logperm in (ScalarField(fine, values[0]), ScalarField(fine, values)):
+        ups = upscale(logperm, fine, coarse).values.reshape(
+            -1, coarse.ny, coarse.nx)
+        for up, k in zip(ups, np.exp(logperm.values.reshape(
+                -1, fine.ny, fine.nx))):
+            for cj in range(coarse.ny):
+                for ci in range(coarse.nx):
+                    kb = k[cj * by:(cj + 1) * by, ci * bx:(ci + 1) * bx]
+                    keff_x = _oracle_keff_x(kb, fine.hx, fine.hy)
+                    keff_y = _oracle_keff_x(kb.T, fine.hy, fine.hx)
+                    expected = 0.5 * (np.log(keff_x) + np.log(keff_y))
+                    assert abs(up[cj, ci] - expected) <= 1e-10
 
 
 @pytest.mark.parametrize("fine_shape, coarse_shape", [
