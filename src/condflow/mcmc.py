@@ -30,10 +30,11 @@ diagnostics consume.
 A study's chains advance in lockstep, one iteration at a time: each
 forward layer (KL synthesis, upscaling, coarse solve, and the fine solve
 of the chains whose proposal passed the coarse stage) runs once per
-iteration on the stack of all chains' states or fields. The likelihoods
-stay per chain, and each chain draws from its own generator in its own
-order (proposal, coarse uniform, fine uniform), so a chain's random
-stream and trace are exactly those of the chain run alone.
+iteration on the stack of all chains' states or fields, of both studies
+when run together (each study synthesizes its own rows). The
+likelihoods stay per chain, and each chain draws from its own generator
+in its own order (proposal, coarse uniform, fine uniform), so a chain's
+random stream and trace are exactly those of the chain run alone.
 """
 
 from __future__ import annotations
@@ -169,14 +170,20 @@ def _logliks(pressure, mask, ref, sigma2):
             for obs in darcy.observe_pressure(pressure, mask)]
 
 
-def _coarse_step(thetas, cfg, bundle):
+def _coarse_step(thetas, studies, bundle):
     """Stack of the states' fine log-permeability fields and their coarse
-    log-likelihoods."""
-    if cfg.conditioned:
-        fine_fields = conditioning.synthesize_conditioned(
-            bundle.basis, bundle.kriged, thetas, bundle.projector)
-    else:
-        fine_fields = kle.synthesize_unconditioned(bundle.basis, thetas)
+    log-likelihoods; ``studies`` holds (conditioned flag, rows) pairs."""
+    values = np.empty((len(thetas), bundle.fine.n_cells))
+    for conditioned, rows in studies:
+        if conditioned:
+            fine_fields = conditioning.synthesize_conditioned(
+                bundle.basis, bundle.kriged, thetas[rows], bundle.projector)
+        else:
+            fine_fields = kle.synthesize_unconditioned(bundle.basis,
+                                                       thetas[rows])
+        values[rows] = fine_fields.values
+    if len(studies) > 1:  # one study's fields are the whole stack already
+        fine_fields = ScalarField(bundle.fine, values)
     coarse_fields = darcy.upscale(fine_fields, bundle.fine, bundle.coarse)
     pc = darcy.solve_pressure(coarse_fields, bundle.bc)
     return fine_fields, _logliks(pc, bundle.coarse_mask,
@@ -204,35 +211,43 @@ def run_chain(cfg, bundle, initial_theta=None):
     return run_study(cfg, bundle, [cfg.seed], initial_thetas=inits)[0]
 
 
-def run_study(base_cfg, bundle, seeds, initial_thetas=None):
+def run_study(base_cfg, bundle, seeds, initial_thetas=None,
+              conditioned=None):
     """Run one independent chain per seed and return the traces in seed
     order.
 
     ``base_cfg`` is a :class:`condflow.config.StudyConfig`; the chains
     read its beta, iterations, conditioned, single_component and
     store_projected fields, and the seeds replace its seed and chain
-    count.
+    count. ``conditioned``, one flag per seed, replaces the config's flag
+    chain by chain, so both studies' chains share one stack;
+    store_projected applies to the conditioned chains only.
 
     The chains advance in lockstep, and each forward layer runs once per
     iteration on the stack of their fields; each proposal's forward model
     is evaluated once, the fine step reusing the field of the coarse step.
     Every chain has its own generator, seeded with its seed, and draws
     from it in the order of a chain run alone, so its trace is that of
-    ``run_study`` over its seed only.
+    ``run_study`` over its seed and flag only.
     """
     seeds = list(seeds)
-    if len(seeds) < 1:
+    m, n, iters = len(seeds), bundle.basis.n, base_cfg.iterations
+    if m < 1:
         raise ArgumentError("need at least one seed", module=_MOD)
-    if len(set(seeds)) != len(seeds):
+    flags = ([base_cfg.conditioned] * m if conditioned is None
+             else [bool(f) for f in conditioned])
+    if len(flags) != m:
+        raise ArgumentError("need one conditioned flag per seed",
+                            module=_MOD)
+    if len(set(zip(seeds, flags))) != m:
         warnings.warn("duplicate chain seeds: chains will be identical",
                       stacklevel=2)
-    if base_cfg.conditioned and (bundle.projector is None
-                                 or bundle.kriged is None):
+    if any(flags) and (bundle.projector is None or bundle.kriged is None):
         raise ArgumentError(
             "conditioned sampling needs a projector and a kriged surface",
             module=_MOD,
         )
-    m, n, iters = len(seeds), bundle.basis.n, base_cfg.iterations
+    studies = [(f, np.flatnonzero(np.equal(flags, f))) for f in set(flags)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     state = np.empty((m, n))
     for c, rng in enumerate(rngs):
@@ -247,17 +262,17 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None):
     coarse_acc = np.zeros((m, iters), dtype=bool)
     fine_acc = np.zeros((m, iters), dtype=bool)
     logliks = np.empty((m, iters))
-    keep_projected = base_cfg.conditioned and base_cfg.store_projected
+    keep_projected = [flag and base_cfg.store_projected for flag in flags]
 
     it = None
     try:
-        fields, llc = _coarse_step(state, base_cfg, bundle)
+        fields, llc = _coarse_step(state, studies, bundle)
         llf = _fine_step(fields, bundle)
         for it in range(iters):
-            props = [rws_propose(theta, base_cfg.beta, rng,
-                                 base_cfg.single_component)
-                     for theta, rng in zip(state, rngs)]
-            fields_p, llc_p = _coarse_step(props, base_cfg, bundle)
+            props = np.array([rws_propose(theta, base_cfg.beta, rng,
+                                          base_cfg.single_component)
+                              for theta, rng in zip(state, rngs)])
+            fields_p, llc_p = _coarse_step(props, studies, bundle)
             passed = [c for c in range(m)
                       if rngs[c].random() < coarse_accept_prob(llc_p[c],
                                                                llc[c])]
@@ -273,7 +288,7 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None):
                         fine_acc[c, it] = True
                         state[c] = (conditioning.project(props[c],
                                                          bundle.projector)
-                                    if keep_projected else props[c])
+                                    if keep_projected[c] else props[c])
                         llc[c], llf[c] = llc_p[c], llf_c
             thetas[:, it] = state
             logliks[:, it] = llf

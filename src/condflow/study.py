@@ -175,16 +175,27 @@ def _study_label(conditioned):
     return "cond" if conditioned else "uncond"
 
 
-def run_one_study(setup, conditioned, out_dir):
-    """Run one k-chain study and write traces, diagnostics, snapshots."""
+def sample_studies(setup, studies):
+    """Sample the chains of the studies, one conditioned flag each, in one
+    lockstep stack with shared seeds: (traces per study, seconds)."""
     cfg = setup.cfg
-    label = _study_label(conditioned)
     seeds = chain_seeds(cfg)
     t0 = time.perf_counter()
-    traces = run_study(replace(cfg, conditioned=conditioned), setup.bundle,
-                       seeds)
+    traces = run_study(cfg, setup.bundle, seeds * len(studies),
+                       conditioned=[flag for flag in studies for _ in seeds])
     elapsed = time.perf_counter() - t0
+    if cfg.verbosity:
+        print(f"{len(traces)} chains x {cfg.iterations} iterations in "
+              f"{elapsed:.1f}s")
+    k = len(seeds)
+    return [traces[i * k:(i + 1) * k] for i in range(len(studies))], elapsed
 
+
+def write_study(setup, traces, conditioned, out_dir):
+    """Write one study's traces, snapshots and diagnostics; returns its
+    diagnostics report (None for one chain) and artifact paths."""
+    cfg = setup.cfg
+    label = _study_label(conditioned)
     snapshots = [it for it in cfg.snapshots if 1 <= it <= cfg.iterations]
     skipped = [it for it in cfg.snapshots if it not in snapshots]
     if skipped:
@@ -213,8 +224,14 @@ def run_one_study(setup, conditioned, out_dir):
         paths["diagnostics"] = rpath
     if cfg.verbosity:
         rates = ", ".join(f"{t.fine_rate:.3f}" for t in traces)
-        print(f"{label}: {cfg.chains} chains x {cfg.iterations} iterations "
-              f"in {elapsed:.1f}s; fine acceptance rates [{rates}]")
+        print(f"{label}: fine acceptance rates [{rates}]")
+    return report, paths
+
+
+def run_one_study(setup, conditioned, out_dir):
+    """Run one k-chain study and write traces, diagnostics, snapshots."""
+    (traces,), elapsed = sample_studies(setup, [conditioned])
+    report, paths = write_study(setup, traces, conditioned, out_dir)
     return traces, report, paths, elapsed
 
 
@@ -244,13 +261,13 @@ def write_manifest(path, cfg, seeds, artifact_paths, timings=None):
 
 
 def run_reference_experiment(cfg, dry_run=False, out_dir=None):
-    """Both studies (unconditioned, then conditioned with paired seeds),
-    plus diagnostics, snapshots, and the acceptance-rate table, written
-    to :func:`output_dir` with ``out_dir`` as its override."""
+    """Both studies (unconditioned and conditioned, paired seeds, one stack
+    of chains), plus diagnostics, snapshots, and the acceptance-rate table,
+    written to :func:`output_dir` with ``out_dir`` as its override."""
+    if cfg.energy_threshold is None:  # n is known without a KLE
+        check_measurement_count(read_measurements(cfg).m, cfg.n_terms)
     out_dir = output_dir(cfg, out_dir)
     seeds = chain_seeds(cfg)
-    if dry_run and cfg.energy_threshold is None:  # n is known without a KLE
-        check_measurement_count(read_measurements(cfg).m, cfg.n_terms)
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_manifest(manifest_path, cfg, seeds, {})
     if dry_run:
@@ -259,20 +276,18 @@ def run_reference_experiment(cfg, dry_run=False, out_dir=None):
         return 0
 
     setup = build_setup(cfg)
+    traces, elapsed = sample_studies(setup, (False, True))
     all_paths = {"manifest": manifest_path}
-    timings = {}
     traces_by_label = {}
-    for conditioned in (False, True):
+    for conditioned, trs in zip((False, True), traces):
         label = _study_label(conditioned)
-        traces, _, paths, elapsed = run_one_study(setup, conditioned, out_dir)
-        traces_by_label[label] = traces
-        all_paths[label] = paths
-        timings[label] = elapsed
+        _, all_paths[label] = write_study(setup, trs, conditioned, out_dir)
+        traces_by_label[label] = trs
 
     table_path = os.path.join(out_dir, "acceptance_rates.csv")
     write_acceptance_table(table_path, traces_by_label)
     all_paths["acceptance_table"] = table_path
-    write_manifest(manifest_path, cfg, seeds, all_paths, timings)
+    write_manifest(manifest_path, cfg, seeds, all_paths, {"sampling": elapsed})
     if cfg.verbosity:
         print(f"reference experiment complete; artifacts in {out_dir}")
     return 0

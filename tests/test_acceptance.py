@@ -2,14 +2,13 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion. Criterion 6 runs the full reference experiment
-(two studies, 4 chains x 20000 iterations each) and takes about 70 s
-on two cores; criterion 7 takes about 52 s;
-everything else finishes in seconds.
+(two studies, 4 chains x 20000 iterations each, sampled as one stack of
+8 chains) and takes 25 to 45 s on two cores; criterion 7 takes 33 to
+75 s; everything else finishes in seconds.
 """
 
 import filecmp
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +31,8 @@ from condflow.diagnostics import (
 from condflow.grid import ScalarField, make_grid
 from condflow.kle import energy_fraction, full_spectrum
 from condflow.kriging import snap_to_cells
-from condflow.mcmc import run_chain, run_study
-from condflow.study import build_setup, chain_seeds, study_report
+from condflow.mcmc import run_chain
+from condflow.study import build_setup, sample_studies, study_report
 
 
 def _report(number, name, ok, detail=""):
@@ -52,15 +51,11 @@ def setup():
 
 @pytest.fixture(scope="module")
 def reference_run(setup):
-    """Both studies of the reference experiment at the default config."""
-    cfg = setup.cfg
-    seeds = chain_seeds(cfg)
-    out = {}
-    for conditioned in (False, True):
-        traces = run_study(replace(cfg, conditioned=conditioned),
-                           setup.bundle, seeds)
-        out[conditioned] = (traces, study_report(setup, traces, conditioned))
-    return out
+    """Both studies of the reference experiment at the default config,
+    sampled as run_reference_experiment samples them."""
+    traces, _ = sample_studies(setup, (False, True))
+    return {conditioned: (trs, study_report(setup, trs, conditioned))
+            for conditioned, trs in zip((False, True), traces)}
 
 
 def test_criterion_1_data_honoring(setup):

@@ -227,7 +227,8 @@ def test_reference_dry_run_rejects_bad_parameter(tmp_path, capsys,
 def test_reference_dry_run_rejects_fewer_modes_than_measurements(
         tmp_path, capsys, monkeypatch):
     # the 9 packaged measurements need more than 5 modes; n_terms fixes n
-    # before any KLE, so the dry run fails before writing the manifest
+    # before any KLE, so the dry run fails before creating the output
+    # directory
     out = tmp_path / "out"
     monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(out))
     err = _config_error(tmp_path, capsys, ["reference", "--dry-run"],
@@ -236,6 +237,21 @@ def test_reference_dry_run_rejects_fewer_modes_than_measurements(
     assert err.startswith("error:conditioning:argument: 9 measurements "
                           "with only 5 KL modes")
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+def test_reference_full_run_rejects_fewer_modes_than_measurements(
+        tmp_path, capsys, monkeypatch):
+    # the full run checks the count before it writes the manifest too
+    out = tmp_path / "out"
+    monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(out))
+    err = _config_error(tmp_path, capsys, ["reference"],
+                        lambda text: text.replace("kle.n_terms = 12",
+                                                  "kle.n_terms = 5"))
+    assert err.startswith("error:conditioning:argument: 9 measurements "
+                          "with only 5 KL modes")
+    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_reference_dry_run(tmp_path, fast_config, monkeypatch):
@@ -273,7 +289,7 @@ def test_reference_full_run(tmp_path, fast_config, monkeypatch):
     assert table[0] == "study,chain,coarse_rate,fine_rate,fine_rate_conditional"
     assert len(table) == 5
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest["timings_seconds"]) == {"uncond", "cond"}
+    assert set(manifest["timings_seconds"]) == {"sampling"}
 
 
 def test_determinism_across_runs(tmp_path, fast_config, monkeypatch):

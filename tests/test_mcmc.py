@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,18 @@ def test_run_study_duplicate_seed_warns():
     with pytest.warns(UserWarning, match="duplicate"):
         traces = run_study(cfg, bundle, [7, 7])
     assert np.array_equal(traces[0].thetas, traces[1].thetas)
+    # one seed twice in the same study of a joint stack still warns
+    with pytest.warns(UserWarning, match="duplicate"):
+        run_study(cfg, bundle, [7, 7, 7], conditioned=[False, False, True])
+
+
+def test_run_study_paired_seeds_across_studies_do_not_warn():
+    bundle, _, _ = _small_bundle()
+    cfg = StudyConfig(iterations=20, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_study(cfg, bundle, [7, 8, 7, 8],
+                  conditioned=[False, False, True, True])
 
 
 def test_run_study_single_and_multi():
@@ -236,6 +249,17 @@ def test_conditioned_requires_projector():
     stripped = replace(bundle, projector=None, kriged=None)
     with pytest.raises(ArgumentError):
         run_chain(StudyConfig(iterations=5, conditioned=True), stripped)
+    # one conditioned chain in a joint stack needs them too
+    with pytest.raises(ArgumentError, match="projector"):
+        run_study(StudyConfig(iterations=5), stripped, [1, 2],
+                  conditioned=[False, True])
+
+
+def test_run_study_needs_one_flag_per_seed():
+    bundle, _, _ = _small_bundle()
+    with pytest.raises(ArgumentError, match="one conditioned flag per seed"):
+        run_study(StudyConfig(iterations=5), bundle, [1, 2],
+                  conditioned=[True])
 
 
 def test_chain_config_validation():
@@ -350,6 +374,37 @@ def test_run_study_matches_reference_loop(conditioned, single_component,
         assert np.array_equal(trace.coarse_accepted, want[1])
         assert np.array_equal(trace.fine_accepted, want[2])
         assert np.array_equal(trace.loglik_fine, want[3])
+
+
+@pytest.mark.parametrize("store_projected", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_joint_studies_equal_separate_studies(store_projected, k,
+                                               interleaved):
+    # the chains of both studies in one stack sample exactly what each
+    # study samples on its own, whatever the order of the flags
+    bundle, _, _ = _small_bundle()
+    cfg = StudyConfig(beta=0.3, iterations=60, store_projected=store_projected)
+    seeds = [31 + c for c in range(k)]
+    if interleaved:
+        joint_seeds = [s for s in seeds for _ in (False, True)]
+        flags = [f for _ in seeds for f in (False, True)]
+    else:
+        joint_seeds, flags = seeds + seeds, [False] * k + [True] * k
+    joint = run_study(cfg, bundle, joint_seeds, conditioned=flags)
+    coarse = np.array([t.coarse_accepted for t in joint])
+    # some fine stacks hold only the chains that passed the coarse stage
+    assert np.any(coarse.any(axis=0) & ~coarse.all(axis=0))
+    assert all(t.fine_accepted.any() for t in joint)
+    for flag in (False, True):
+        alone = run_study(replace(cfg, conditioned=flag), bundle, seeds)
+        got = [t for t, f in zip(joint, flags) if f == flag]
+        for g, w in zip(got, alone):
+            assert g.seed == w.seed
+            assert np.array_equal(g.thetas, w.thetas)
+            assert np.array_equal(g.coarse_accepted, w.coarse_accepted)
+            assert np.array_equal(g.fine_accepted, w.fine_accepted)
+            assert np.array_equal(g.loglik_fine, w.loglik_fine)
 
 
 @pytest.mark.parametrize("conditioned", [False, True])

@@ -7,11 +7,13 @@ from condflow.conditioning import build_data_matrix, project
 from condflow.config import StudyConfig
 from condflow.diagnostics import diagnostics_series
 from condflow.mcmc import ChainTrace
+from condflow import study
 from condflow.study import (
     build_setup,
     checkpoints_for,
     post_burn_in,
     run_one_study,
+    run_reference_experiment,
     study_report,
 )
 
@@ -109,3 +111,20 @@ def test_snapshots_within_the_run_do_not_warn(tmp_path):
         _, _, paths, _ = run_one_study(setup, False, str(tmp_path))
     assert not [w for w in caught if "snapshot" in str(w.message)]
     assert len(paths["snapshots"]) == 6
+
+
+def test_reference_experiment_samples_both_studies_in_one_call(
+        tmp_path, monkeypatch):
+    calls = []
+    original = study.run_study
+
+    def counting(cfg, bundle, seeds, **kwargs):
+        calls.append((list(seeds), kwargs["conditioned"]))
+        return original(cfg, bundle, seeds, **kwargs)
+
+    monkeypatch.setattr(study, "run_study", counting)
+    cfg = StudyConfig(chains=2, iterations=30, burn_in=5, snapshots=(12,),
+                      verbosity=0, output_dir=str(tmp_path))
+    run_reference_experiment(cfg)
+    seeds = [cfg.seed, cfg.seed + 1]
+    assert calls == [(seeds + seeds, [False, False, True, True])]
