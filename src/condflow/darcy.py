@@ -11,9 +11,9 @@ One builder, ``_tpfa``, assembles the SPD operator of a stack of
 permeability fields of shape (..., ny, nx) as one block-diagonal system
 in upper banded storage: only the main, +1 and +nx diagonals are
 nonzero, and no band couples two fields. ``solve_pressure`` solves it
-with one ``solveh_banded`` call. ``solve_pressure`` and ``upscale`` take
-one field or a stack of fields (see ``ScalarField``) and solve the whole
-stack at once. Every check holds for each field on its own, and each
+with one call of LAPACK's ``dpbsv``. ``solve_pressure`` and ``upscale``
+take one field or a stack of fields (see ``ScalarField``) and solve the
+whole stack at once. Every check holds for each field on its own, and each
 field's result is bitwise that of its own call (the tests check this).
 ``boundary_fluxes`` takes one field.
 
@@ -22,7 +22,11 @@ pressure drop (in x and in y, no-flow on the lateral faces), converts
 the resulting through-flux to a directional effective permeability, and
 stores the log of the geometric mean of the two directions. The local
 problems of a call form one stack (one per direction unless blocks and
-cells are square), solved by one band Cholesky over all blocks.
+cells are square). 2x2 blocks, the shape every shipped config uses, are
+solved in closed form (``_keff_x_2x2``); any other shape is assembled by
+``_tpfa`` and solved by one band Cholesky over all blocks
+(``_solve_blocks``). Each step of either path is one array operation
+over all blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpbsv
 
 from .errors import ArgumentError, NumericalError
 from .grid import ScalarField
@@ -91,11 +95,15 @@ def _matvec(ab, x):
 
 def _solve(ab, rhs):
     """Solve the banded SPD system; a singular one raises NumericalError."""
-    try:
-        return solveh_banded(ab, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular pressure system: {exc}",
-                             module=_MOD, code="singular") from exc
+    _, x, info = dpbsv(ab, rhs)
+    if info > 0:
+        raise NumericalError(f"singular pressure system: leading minor "
+                             f"{info} not positive definite", module=_MOD,
+                             code="singular")
+    if info < 0:
+        raise ArgumentError(f"dpbsv rejected its argument {-info}",
+                            module=_MOD)
+    return x
 
 
 def _permeability(logperm):
@@ -143,6 +151,14 @@ def boundary_fluxes(logperm, pressure, bc):
     return q_in, q_out
 
 
+def _check_pivots(*pivots):
+    """A pivot not > 0 (or NaN) makes the upscaling system singular."""
+    for pivot in pivots:
+        if not pivot.min() > 0:
+            raise NumericalError("singular upscaling system", module=_MOD,
+                                 code="singular")
+
+
 def _solve_blocks(ab, rhs):
     """Solve each block of a ``_tpfa`` operator against its row of rhs
     (nb, N) by root-free band Cholesky, A = L D L^T, each step one array
@@ -153,9 +169,7 @@ def _solve_blocks(ab, rhs):
         a[:n - d, d] = ab[u - d].reshape(nb, n)[:, d:].T
     x = np.concatenate([rhs.T, np.zeros((u, nb))])
     for j in range(n):
-        if not a[j, 0].min() > 0:
-            raise NumericalError("singular upscaling system", module=_MOD,
-                                 code="singular")
+        _check_pivots(a[j, 0])
         lj = a[j, 1:] / a[j, 0]  # column j of L below the diagonal
         x[j + 1:j + 1 + u] -= lj * x[j]
         for p in range(1, u + 1):
@@ -181,6 +195,48 @@ def _keff_x(kb, hx, hy):
     q = np.sum(Tr * p[:, :, -1], axis=1)
     # q = keff * height * dp / width with dp = 1
     return q * (bx * hx) / (by * hy)
+
+
+def _keff_x_2x2(kb, hx, hy):
+    """``_keff_x`` of 2x2 blocks kb (nblocks, 2, 2) in closed form.
+
+    The corner cells (0,0) and (1,1) do not couple to each other and are
+    eliminated first. The remaining 2x2 system of cells (0,1) and (1,0)
+    is solved by its LDL^T factors, which cannot overflow where a
+    determinant would. Every transmissibility is >= 0, so the Schur
+    complements are sums of nonnegative terms. As in the generic path, a
+    diagonal entry that is not finite overflows, and a pivot not > 0
+    (or NaN) is singular; each is checked before it divides.
+    """
+    k = np.ascontiguousarray(kb.transpose(1, 2, 0))  # k[j, i] per block
+    inv = 1.0 / k
+    Tx = 2.0 * hy / hx / (inv[:, 0] + inv[:, 1])  # per row j
+    Ty = 2.0 * hx / hy / (inv[0] + inv[1])  # per column i
+    Te = 2.0 * hy / hx * k  # edge terms: Tl = Te[:, 0], Tr = Te[:, 1]
+    diag = Tx[:, None] + Ty[None, :] + Te
+    if not np.isfinite(diag).all():
+        raise NumericalError(
+            "transmissibility overflowed: permeability too large for the "
+            "grid spacing", module=_MOD, code="overflow")
+    (Tx0, Tx1), (Ty0, Ty1), ((Tl0, Tr0), (Tl1, Tr1)) = Tx, Ty, Te
+    d00, d11 = diag[0, 0], diag[1, 1]
+    _check_pivots(d00, d11)
+    x0, y0, l0 = Tx0 / d00, Ty0 / d00, Tl0 / d00  # eliminating (0,0)
+    x1, y1, r1 = Tx1 / d11, Ty1 / d11, Tr1 / d11  # and (1,1)
+    # Schur complement [[a, -e], [-e, c]] of cells (0,1) and (1,0)
+    a = Tx0 * (y0 + l0) + Ty1 * (x1 + r1) + Tr0
+    c = Ty0 * (x0 + l0) + Tx1 * (y1 + r1) + Tl1
+    e = Tx0 * y0 + Tx1 * y1
+    _check_pivots(a)
+    m = e / a
+    c2 = c - e * m  # det / a
+    _check_pivots(c2)
+    # p = 1 on the left face, 0 on the right
+    p10 = (Tl1 + Tl0 * (y0 + x0 * m)) / c2
+    p01 = (Tl0 * x0 + e * p10) / a
+    p11 = x1 * p10 + y1 * p01
+    # q = keff * height * dp / width with dp = 1
+    return (Tr0 * p01 + Tr1 * p11) * (hx / hy)
 
 
 def check_refinement(fine, coarse):
@@ -209,12 +265,13 @@ def upscale(fine_logperm, fine, coarse):
     k = _permeability(fine_logperm)
     blocks = k.reshape(-1, coarse.ny, by, coarse.nx, bx).transpose(
         0, 1, 3, 2, 4).reshape(-1, by, bx)
+    keff = _keff_x_2x2 if bx == by == 2 else _keff_x
     if bx == by and fine.hx == fine.hy:  # y problems are transposed blocks
-        keff_x, keff_y = np.split(_keff_x(np.concatenate(
+        keff_x, keff_y = np.split(keff(np.concatenate(
             [blocks, blocks.transpose(0, 2, 1)]), fine.hx, fine.hy), 2)
     else:
-        keff_x = _keff_x(blocks, fine.hx, fine.hy)
-        keff_y = _keff_x(blocks.transpose(0, 2, 1), fine.hy, fine.hx)
+        keff_x = keff(blocks, fine.hx, fine.hy)
+        keff_y = keff(blocks.transpose(0, 2, 1), fine.hy, fine.hx)
     logk = 0.5 * (np.log(keff_x) + np.log(keff_y))
     return ScalarField(coarse, logk.reshape(
         fine_logperm.values.shape[:-1] + (coarse.n_cells,)))

@@ -120,7 +120,3 @@ def read_measurements_csv(path):
         raise ParseError(f"{path}: no measurements", module=_MOD)
     return MeasurementSet(np.array(locs), np.array(vals))
 
-
-def write_measurements_csv(ms, path):
-    np.savetxt(path, np.column_stack([ms.locations, ms.values]), fmt="%.17g",
-               delimiter=",", header="x,y,value", comments="")

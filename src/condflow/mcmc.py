@@ -93,7 +93,7 @@ class ChainTrace:
     coarse_accepted: np.ndarray  # (iterations,) bool
     fine_accepted: np.ndarray  # (iterations,) bool
     loglik_fine: np.ndarray  # (iterations,) of the recorded state
-    seed: int
+    seed: int | None  # None when read back from a trace CSV
 
     @property
     def iterations(self):
@@ -335,5 +335,5 @@ def read_trace_csv(path):
         coarse_accepted=data[:, 1 + n].astype(bool),
         fine_accepted=data[:, 2 + n].astype(bool),
         loglik_fine=data[:, 3 + n],
-        seed=-1,
+        seed=None,
     )

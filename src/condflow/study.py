@@ -57,6 +57,16 @@ def output_dir(cfg, override=None):
     return out
 
 
+def mode_count(cfg, fine, cov=None):
+    """KL modes to keep: ``kle.n_terms``, or with ``kle.energy_threshold``
+    the fewest that reach it, from ``cov`` (assembled when not given)."""
+    if cfg.energy_threshold is None:
+        return cfg.n_terms
+    if cov is None:
+        cov = assemble_covariance(fine, cfg.kernel)
+    return modes_for_energy(cov, fine, cfg.energy_threshold)
+
+
 @dataclass
 class StudySetup:
     """Model bundle plus the pieces the CLI reuses for artifact output."""
@@ -73,11 +83,7 @@ def build_setup(cfg):
     coarse = make_grid(cfg.coarse_nx, cfg.coarse_ny)
     params = cfg.kernel
     cov = assemble_covariance(fine, params)
-    if cfg.energy_threshold is not None:
-        n = modes_for_energy(cov, fine, cfg.energy_threshold)
-    else:
-        n = cfg.n_terms
-    basis = solve_kle(cov, fine, n)
+    basis = solve_kle(cov, fine, mode_count(cfg, fine, cov))
 
     ms = read_measurements(cfg)
     kriged = krige(ms, params, fine)
@@ -264,8 +270,8 @@ def run_reference_experiment(cfg, dry_run=False, out_dir=None):
     """Both studies (unconditioned and conditioned, paired seeds, one stack
     of chains), plus diagnostics, snapshots, and the acceptance-rate table,
     written to :func:`output_dir` with ``out_dir`` as its override."""
-    if cfg.energy_threshold is None:  # n is known without a KLE
-        check_measurement_count(read_measurements(cfg).m, cfg.n_terms)
+    fine = make_grid(cfg.fine_nx, cfg.fine_ny)
+    check_measurement_count(read_measurements(cfg).m, mode_count(cfg, fine))
     out_dir = output_dir(cfg, out_dir)
     seeds = chain_seeds(cfg)
     manifest_path = os.path.join(out_dir, "manifest.json")

@@ -10,7 +10,6 @@ import numpy as np
 from condflow.cli import main
 from condflow.diagnostics import DiagnosticsReport, write_report_csv, write_report_dat
 from condflow.grid import ScalarField, make_grid, write_field_csv, write_field_pgm
-from condflow.kriging import MeasurementSet, write_measurements_csv
 from condflow.mcmc import ChainTrace, write_trace_csv
 
 
@@ -68,17 +67,6 @@ def test_report_bytes(tmp_path):
     write_report_dat(empty, tmp_path / "e.dat")
     assert (tmp_path / "e.csv").read_text() == "checkpoint,max_psrf,mpsrf\n"
     assert (tmp_path / "e.dat").read_text() == "# checkpoint max_psrf mpsrf\n"
-
-
-def test_measurements_csv_bytes(tmp_path):
-    path = tmp_path / "m.csv"
-    write_measurements_csv(MeasurementSet([[0.125, 0.1], [0.9, 1 / 3]],
-                                          [0.5, -1e-7]), path)
-    assert path.read_text() == (
-        "x,y,value\n"
-        "0.125,0.10000000000000001,0.5\n"
-        "0.90000000000000002,0.33333333333333331,-9.9999999999999995e-08\n"
-    )
 
 
 def test_eigenvalues_csv_bytes(tmp_path):

@@ -254,6 +254,21 @@ def test_reference_full_run_rejects_fewer_modes_than_measurements(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["reference", "--dry-run"],
+                                  ["reference"]])
+def test_reference_energy_threshold_rejects_fewer_modes_than_measurements(
+        tmp_path, capsys, monkeypatch, argv):
+    # with kle.energy_threshold, n comes from the covariance spectrum; it
+    # is still counted before the output directory is created
+    out = tmp_path / "out"
+    monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(out))
+    err = _config_error(tmp_path, capsys, argv,
+                        lambda text: text + "kle.energy_threshold = 0.5\n")
+    assert err.startswith("error:conditioning:argument: 9 measurements "
+                          "with only ")
+    assert not out.exists()
+
+
 def test_reference_dry_run(tmp_path, fast_config, monkeypatch):
     out = tmp_path / "out"
     monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(out))

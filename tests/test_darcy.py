@@ -259,6 +259,7 @@ def _oracle_keff_x(kb, hx, hy):
     ((8, 8), (4, 8)),   # blocks one cell tall
     ((6, 6), (1, 1)),   # one block
     ((16, 16), (8, 8)),  # 2x2 blocks, as the sampler runs
+    ((16, 8), (8, 4)),  # 2x2 blocks of cells twice as tall as wide
 ])
 def test_upscale_random_blocks_match_oracle(fine_shape, coarse_shape):
     # one field, then a stack of 4 fields whose first row is that field
@@ -285,6 +286,7 @@ def test_upscale_random_blocks_match_oracle(fine_shape, coarse_shape):
     ((12, 8), (4, 4)),
     ((8, 8), (8, 4)),
     ((8, 8), (4, 8)),
+    ((16, 8), (8, 4)),
 ])
 def test_upscale_blocks_are_independent(fine_shape, coarse_shape):
     # the stacked banded system must not couple neighbouring blocks
@@ -303,6 +305,54 @@ def test_upscale_blocks_are_independent(fine_shape, coarse_shape):
         others[cj, ci] = False
         assert after[cj, ci] != before[cj, ci]
         assert np.array_equal(after[others], before[others])
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 4.0])
+@pytest.mark.parametrize("hx, hy", [(1 / 16, 1 / 16), (1 / 16, 1 / 8),
+                                    (0.3, 0.1)])
+def test_closed_form_2x2_matches_band_cholesky_and_oracle(sigma, hx, hy):
+    # the closed form against the generic _tpfa + _solve_blocks path and
+    # the dense oracle, on lognormal blocks of growing contrast
+    from condflow import darcy
+
+    rng = np.random.default_rng(int(10 * sigma))
+    kb = np.exp(sigma * rng.standard_normal((200, 2, 2)))
+    closed = darcy._keff_x_2x2(kb, hx, hy)
+    generic = darcy._keff_x(kb, hx, hy)
+    assert np.max(np.abs(closed - generic) / generic) <= 1e-13
+    oracle = np.array([_oracle_keff_x(b, hx, hy) for b in kb])
+    assert np.max(np.abs(np.log(closed) - np.log(oracle))) <= 1e-10
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_closed_form_2x2_singular_cell(cell):
+    # one impermeable cell zeroes a different pivot in each position; both
+    # paths name it singular
+    from condflow import darcy
+
+    kb = np.ones((3, 2, 2))
+    kb[1][cell] = 0.0
+    for keff in (darcy._keff_x_2x2, darcy._keff_x):
+        with np.errstate(divide="ignore"), \
+                pytest.raises(NumericalError) as info:
+            keff(kb, 0.5, 0.25)
+        assert (info.value.module, info.value.code) == ("darcy", "singular")
+
+
+def test_upscale_takes_closed_form_for_2x2_blocks_only(monkeypatch):
+    from condflow import darcy
+
+    def fail(*args):
+        raise AssertionError("wrong upscaling path")
+
+    fine = make_grid(8, 8)
+    field = ScalarField(fine, np.zeros(64))
+    with monkeypatch.context() as m:
+        m.setattr(darcy, "_solve_blocks", fail)
+        upscale(field, fine, make_grid(4, 4))
+    monkeypatch.setattr(darcy, "_keff_x_2x2", fail)
+    for coarse in (make_grid(2, 2), make_grid(4, 8), make_grid(8, 4)):
+        upscale(field, fine, coarse)
 
 
 @pytest.mark.parametrize("fine_shape, coarse_shape", [

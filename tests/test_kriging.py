@@ -9,7 +9,6 @@ from condflow.kriging import (
     krige,
     read_measurements_csv,
     snap_to_cells,
-    write_measurements_csv,
 )
 
 
@@ -117,12 +116,18 @@ def test_snap_collision(fine_grid):
         snap_to_cells(ms, fine_grid)
 
 
-def test_measurements_csv_round_trip(tmp_path, measurements):
+def test_measurements_csv_round_trip(tmp_path):
+    # 17 significant digits read back to the exact doubles; spaces in the
+    # header and blank lines are tolerated
     path = tmp_path / "ms.csv"
-    write_measurements_csv(measurements, path)
+    path.write_text("x, y, value\n"
+                    "0.125,0.10000000000000001,0.5\n"
+                    "\n"
+                    "0.90000000000000002,0.33333333333333331,"
+                    "-9.9999999999999995e-08\n")
     back = read_measurements_csv(path)
-    assert np.array_equal(back.locations, measurements.locations)
-    assert np.array_equal(back.values, measurements.values)
+    assert np.array_equal(back.locations, [[0.125, 0.1], [0.9, 1 / 3]])
+    assert np.array_equal(back.values, [0.5, -1e-7])
 
 
 def test_measurements_csv_bad_header(tmp_path):

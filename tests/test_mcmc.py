@@ -227,6 +227,7 @@ def test_trace_csv_round_trip(tmp_path):
     assert np.array_equal(back.coarse_accepted, trace.coarse_accepted)
     assert np.array_equal(back.fine_accepted, trace.fine_accepted)
     assert np.array_equal(back.loglik_fine, trace.loglik_fine)
+    assert back.seed is None  # a trace CSV does not record its seed
 
 
 def test_trace_after_burn_in():
