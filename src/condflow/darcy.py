@@ -53,11 +53,16 @@ class BoundaryConditions:
     v_bottom: float = 0.0
 
 
+@np.errstate(divide="ignore", over="ignore")
 def _tpfa(k, hx, hy):
     """TPFA operator of fields k of shape (..., ny, nx), Dirichlet edge
     terms included, as one block-diagonal system in upper banded storage
     (u + 1, n), with n cells in all and u = min(nx, n - 1). Also returns
-    the Dirichlet edge transmissibilities Tl, Tr (..., ny)."""
+    the Dirichlet edge transmissibilities Tl, Tr (..., ny).
+
+    A k that underflowed to 0 gives zero transmissibilities, which the
+    solver reports as singular; one too large overflows a diagonal entry,
+    which is checked here. Neither prints a numpy warning."""
     nx = k.shape[-1]
     Tx = 2.0 * hy / (hx * (1.0 / k[..., :, :-1] + 1.0 / k[..., :, 1:]))
     Ty = 2.0 * hx / (hy * (1.0 / k[..., :-1, :] + 1.0 / k[..., 1:, :]))
@@ -108,7 +113,8 @@ def _solve(ab, rhs):
 
 def _permeability(logperm):
     """k = exp(logperm) of a field or a stack, shaped (..., ny, nx)."""
-    k = np.exp(logperm.as_2d())
+    with np.errstate(over="ignore"):
+        k = np.exp(logperm.as_2d())
     if not np.isfinite(k).all():
         raise ArgumentError("permeability overflowed to non-finite values",
                             module=_MOD)
@@ -209,11 +215,12 @@ def _keff_x_2x2(kb, hx, hy):
     (or NaN) is singular; each is checked before it divides.
     """
     k = np.ascontiguousarray(kb.transpose(1, 2, 0))  # k[j, i] per block
-    inv = 1.0 / k
-    Tx = 2.0 * hy / hx / (inv[:, 0] + inv[:, 1])  # per row j
-    Ty = 2.0 * hx / hy / (inv[0] + inv[1])  # per column i
-    Te = 2.0 * hy / hx * k  # edge terms: Tl = Te[:, 0], Tr = Te[:, 1]
-    diag = Tx[:, None] + Ty[None, :] + Te
+    with np.errstate(divide="ignore", over="ignore"):  # checked below
+        inv = 1.0 / k
+        Tx = 2.0 * hy / hx / (inv[:, 0] + inv[:, 1])  # per row j
+        Ty = 2.0 * hx / hy / (inv[0] + inv[1])  # per column i
+        Te = 2.0 * hy / hx * k  # edge terms: Tl = Te[:, 0], Tr = Te[:, 1]
+        diag = Tx[:, None] + Ty[None, :] + Te
     if not np.isfinite(diag).all():
         raise NumericalError(
             "transmissibility overflowed: permeability too large for the "

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ArgumentError, NumericalError
+from .errors import ArgumentError, NumericalError, ParseError
+from .grid import _read_csv
 
 _MOD = "diagnostics"
 
@@ -211,17 +212,14 @@ def write_report_dat(report, path):
 
 
 def read_report_csv(path):
-    report = DiagnosticsReport([], [], [])
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "checkpoint,max_psrf,mpsrf":
-            raise ArgumentError(f"{path}: not a diagnostics CSV", module=_MOD)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            c, p, m = line.split(",")
-            report.checkpoints.append(int(c))
-            report.max_psrf.append(float(p))
-            report.mpsrf.append(float(m))
-    return report
+    """Load a series written by :func:`write_report_csv`; a report with
+    no checkpoints reads back empty."""
+    header, data = _read_csv(path, _MOD, header=True, empty=True)
+    if header != "checkpoint,max_psrf,mpsrf":
+        raise ParseError(f"{path}: not a diagnostics CSV", module=_MOD)
+    if data.size and data.shape[1] != 3:
+        raise ParseError(f"{path}: rows have {data.shape[1]} values, the "
+                         "header 3", module=_MOD)
+    checkpoints, max_psrf, mpsrf = data.reshape(-1, 3).T
+    return DiagnosticsReport(checkpoints.astype(int).tolist(),
+                             max_psrf.tolist(), mpsrf.tolist())

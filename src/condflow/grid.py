@@ -8,11 +8,20 @@ Conventions (fixed, documented here once):
     bottom row (j = 0) on the first line, printed to 17 significant
     digits so a write/read round trip is bit exact;
   * PGM images are ASCII P2, min-max scaled to 0..255, top row first;
-    a constant field renders mid-gray (128).
+    a constant field renders mid-gray (128);
+  * every numeric artifact is written by one ``np.savetxt`` call, and
+    every CSV (fields, measurements, traces, diagnostics) is read back by
+    ``_read_csv``: an optional header line, then one ``np.loadtxt`` pass
+    over the rows with comma delimiters and no comment character.
+    Empty lines are skipped. Any malformed body (a bad token, a ragged
+    row, no data rows) is a ``ParseError`` of the calling module that
+    names the file and loadtxt's row and column; each reader then checks
+    its header and shape.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,10 +60,6 @@ class Grid2D:
     def cell_index(self, i, j):
         """Flat index of cell column i, row j (row-major, j outer)."""
         return j * self.nx + i
-
-    def cell_ij(self, index):
-        """Inverse of :meth:`cell_index`."""
-        return index % self.nx, index // self.nx
 
     def cell_centers(self):
         """(n_cells, 2) array of cell-center coordinates, flat order."""
@@ -129,32 +134,41 @@ def write_field_csv(fld, path):
     np.savetxt(path, fld.as_2d(), fmt="%.17g", delimiter=",")
 
 
+def _read_csv(path, module, header=False, empty=False):
+    """(header line or None, 2-D float array) of a CSV artifact.
+
+    One ``np.loadtxt`` pass over the rows after the header; a malformed
+    body raises ``ParseError(module)`` naming the path. A file without
+    data rows is malformed unless ``empty`` (a report with no
+    checkpoints), in which case the array has no rows.
+    """
+    head = None
+    if header:
+        with open(path) as fh:
+            head = fh.readline().strip()
+    try:
+        with warnings.catch_warnings():
+            # loadtxt only warns on a file without data rows
+            warnings.simplefilter("ignore" if empty else "error", UserWarning)
+            # given a path, loadtxt reads the file in chunks; an open file
+            # it reads line by line, several percent slower on a trace
+            data = np.loadtxt(path, delimiter=",", skiprows=int(header),
+                              ndmin=2, comments=None)
+    except (ValueError, UserWarning) as exc:
+        raise ParseError(f"{path}: {exc}", module=module) from exc
+    return head, data
+
+
 def read_field_csv(path, grid):
     """Read a field CSV written by :func:`write_field_csv`."""
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split(",")
-            if len(tokens) != grid.nx:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {grid.nx} values, "
-                    f"got {len(tokens)}",
-                    module=_MOD,
-                )
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}:{lineno}: non-numeric token ({exc})", module=_MOD
-                ) from exc
-    if len(rows) != grid.ny:
-        raise ParseError(
-            f"{path}: expected {grid.ny} rows, got {len(rows)}", module=_MOD
-        )
-    return ScalarField(grid, np.array(rows).ravel())
+    _, data = _read_csv(path, _MOD)
+    if data.shape[1] != grid.nx:
+        raise ParseError(f"{path}: expected {grid.nx} values per row, got "
+                         f"{data.shape[1]}", module=_MOD)
+    if data.shape[0] != grid.ny:
+        raise ParseError(f"{path}: expected {grid.ny} rows, got "
+                         f"{data.shape[0]}", module=_MOD)
+    return ScalarField(grid, data.ravel())
 
 
 def write_field_pgm(fld, path):

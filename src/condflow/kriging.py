@@ -20,7 +20,7 @@ import numpy as np
 
 from .covariance import kernel_matrix
 from .errors import ArgumentError, NumericalError, ParseError
-from .grid import ScalarField
+from .grid import ScalarField, _read_csv
 
 _MOD = "kriging"
 
@@ -89,34 +89,13 @@ def krige(ms, params, grid):
 
 
 def read_measurements_csv(path):
-    """Load a measurement set from a CSV with header ``x,y,value``."""
-    locs, vals = [], []
-    with open(path) as fh:
-        header = fh.readline().strip().lower().replace(" ", "")
-        if header != "x,y,value":
-            raise ParseError(
-                f"{path}:1: expected header 'x,y,value', got '{header}'",
-                module=_MOD,
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split(",")
-            if len(tokens) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 fields, got {len(tokens)}",
-                    module=_MOD,
-                )
-            try:
-                x, y, v = (float(t) for t in tokens)
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}:{lineno}: non-numeric token ({exc})", module=_MOD
-                ) from exc
-            locs.append((x, y))
-            vals.append(v)
-    if not locs:
-        raise ParseError(f"{path}: no measurements", module=_MOD)
-    return MeasurementSet(np.array(locs), np.array(vals))
-
+    """Load a measurement set from a CSV with header ``x,y,value`` (case
+    and spaces ignored)."""
+    header, data = _read_csv(path, _MOD, header=True)
+    if header.lower().replace(" ", "") != "x,y,value":
+        raise ParseError(f"{path}:1: expected header 'x,y,value', got "
+                         f"'{header}'", module=_MOD)
+    if data.shape[1] != 3:
+        raise ParseError(f"{path}: rows have {data.shape[1]} values, the "
+                         "header 3", module=_MOD)
+    return MeasurementSet(data[:, :2], data[:, 2])

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import conditioning, darcy, kle
 from .errors import ArgumentError, CondflowError, ParseError
-from .grid import Grid2D, ObservationMask, ScalarField
+from .grid import Grid2D, ObservationMask, ScalarField, _read_csv
 
 _MOD = "mcmc"
 
@@ -316,20 +316,14 @@ def write_trace_csv(trace, path):
 
 def read_trace_csv(path):
     """Load a trace written by :func:`write_trace_csv`."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    n = len(header) - 4
-    if n < 1 or header[0] != "iteration" or header[-1] != "loglik":
+    header, data = _read_csv(path, _MOD, header=True)
+    cols = header.split(",")
+    n = len(cols) - 4
+    if n < 1 or cols[0] != "iteration" or cols[-1] != "loglik":
         raise ParseError(f"{path}: not a trace CSV", module=_MOD)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt only warns on no rows
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (ValueError, UserWarning) as exc:
-        raise ParseError(f"{path}: {exc}", module=_MOD) from exc
-    if data.shape[1] != len(header):
+    if data.shape[1] != len(cols):
         raise ParseError(f"{path}: rows have {data.shape[1]} values, the "
-                         f"header {len(header)}", module=_MOD)
+                         f"header {len(cols)}", module=_MOD)
     return ChainTrace(
         thetas=data[:, 1:1 + n],
         coarse_accepted=data[:, 1 + n].astype(bool),

@@ -78,6 +78,24 @@ def test_solve_subcommand(tmp_path, fast_config):
     assert pressure.values.max() <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("logperm, code", [(800.0, "argument"),
+                                           (709.5, "overflow"),
+                                           (-800.0, "singular")],
+                         ids=["exp_overflows", "transmissibility_overflows",
+                              "exp_underflows"])
+def test_solve_extreme_permeability_fails_with_one_line(tmp_path, fast_config,
+                                                         capsys, logperm,
+                                                         code):
+    # numpy must not print an overflow or divide warning before the error
+    field = tmp_path / "field.csv"
+    np.savetxt(field, np.full((16, 16), logperm), fmt="%.17g", delimiter=",")
+    rc = main(["solve", "--config", fast_config, "--out-dir",
+               str(tmp_path / "out"), "--field", str(field)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith(f"error:darcy:{code}:")
+
+
 def test_invert_and_diagnose(tmp_path, fast_config, capsys):
     out = tmp_path / "out"
     rc = main(["invert", "--config", fast_config, "--out-dir", str(out)])
@@ -199,6 +217,41 @@ def _config_error(tmp_path, capsys, argv, edit):
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error:")
     return err[0]
+
+
+@pytest.mark.parametrize("argv", [["kle"], ["krige"],
+                                  ["condition", "--theta", "theta.csv"],
+                                  ["solve"], ["invert"]],
+                         ids=lambda argv: argv[0])
+def test_subcommand_rejects_fewer_modes_before_output(tmp_path, capsys,
+                                                      monkeypatch, argv):
+    # the 9 packaged measurements need more than 5 modes; the setup is
+    # built before the output directory is created
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    err = _config_error(tmp_path, capsys, [*argv, "--out-dir", str(out)],
+                        lambda text: text.replace("kle.n_terms = 12",
+                                                  "kle.n_terms = 5"))
+    assert err.startswith("error:conditioning:argument: 9 measurements "
+                          "with only 5 KL modes")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config_line, text, module", [
+    (["solve", "--field", "bad.csv"], "", "1,2\n3,4,5\n", "grid"),
+    (["krige"], "paths.measurements = bad.csv\n",
+     "x,y,value\n0.5,0.5,1.0 # note\n", "kriging"),
+    (["invert"], "paths.reference_field = bad.csv\n", "", "grid"),
+], ids=["field", "measurements", "reference_field"])
+def test_malformed_input_csv_fails_with_parse_line(tmp_path, capsys,
+                                                   monkeypatch, argv,
+                                                   config_line, text, module):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text(text)
+    err = _config_error(tmp_path, capsys,
+                        [*argv, "--out-dir", str(tmp_path / "out")],
+                        lambda cfg: cfg + config_line)
+    assert err.startswith(f"error:{module}:parse: bad.csv: ")
 
 
 def test_invert_rejects_burn_in_before_running(tmp_path, capsys):

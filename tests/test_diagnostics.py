@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from condflow.diagnostics import (
+    DiagnosticsReport,
     between_chain_cov,
     diagnostics_series,
     mpsrf,
@@ -13,7 +14,7 @@ from condflow.diagnostics import (
     within_chain_cov,
     write_report_csv,
 )
-from condflow.errors import ArgumentError, NumericalError
+from condflow.errors import ArgumentError, NumericalError, ParseError
 
 
 class FakeTrace:
@@ -246,6 +247,33 @@ def test_report_csv_round_trip(tmp_path):
     assert back.checkpoints == report.checkpoints
     assert back.max_psrf == report.max_psrf
     assert back.mpsrf == report.mpsrf
+
+
+def test_report_csv_without_checkpoints_round_trip(tmp_path):
+    # a series whose every checkpoint was skipped is written header-only
+    path = tmp_path / "diag.csv"
+    write_report_csv(DiagnosticsReport([], [], []), path)
+    back = read_report_csv(path)
+    assert (back.checkpoints, back.max_psrf, back.mpsrf) == ([], [], [])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("checkpoint,max_psrf,mpsrf\n50,1.1,1.2\n100,1.05\n",
+     "number of columns changed"),
+    ("checkpoint,max_psrf,mpsrf\n50,1.1\n100,1.05\n",
+     "rows have 2 values, the header 3"),
+    ("checkpoint,max_psrf,mpsrf\n50,1.1,abc\n",
+     "could not convert string 'abc'"),
+    ("checkpoint,psrf,mpsrf\n50,1.1,1.2\n", "not a diagnostics CSV"),
+], ids=["short_row", "short_rows", "bad_token", "bad_header"])
+def test_report_csv_malformed(tmp_path, text, message):
+    path = tmp_path / "diag.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        read_report_csv(path)
+    assert exc.value.module == "diagnostics"
+    assert str(exc.value).startswith(f"{path}: ")
+    assert message in str(exc.value)
 
 
 # Dense per-prefix oracle: two-pass W and B over each prefix, recomputed

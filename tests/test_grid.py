@@ -44,7 +44,7 @@ def test_index_bijection_exhaustive():
         for ny in range(1, 65):
             g = make_grid(nx, ny)
             idx = np.arange(g.n_cells)
-            i, j = g.cell_ij(idx)
+            j, i = divmod(idx, g.nx)
             assert np.array_equal(g.cell_index(i, j), idx)
             assert np.all((0 <= i) & (i < nx))
             assert np.all((0 <= j) & (j < ny))
@@ -91,7 +91,30 @@ def test_csv_shape_mismatch(tmp_path):
 def test_csv_bad_token(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("1.0,abc\n2.0,3.0\n")
-    with pytest.raises(ParseError, match=":1"):
+    with pytest.raises(ParseError, match="'abc' .* at row 0, column 2"):
+        read_field_csv(path, make_grid(2, 2))
+
+
+def test_csv_ragged_row(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("1.0,2.0\n3.0,4.0,5.0\n")
+    with pytest.raises(ParseError, match="number of columns changed") as exc:
+        read_field_csv(path, make_grid(2, 2))
+    assert exc.value.module == "grid"
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_csv_wrong_row_count(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+    with pytest.raises(ParseError, match="expected 2 rows, got 3"):
+        read_field_csv(path, make_grid(2, 2))
+
+
+def test_csv_empty_file(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("")
+    with pytest.raises(ParseError, match="input contained no data"):
         read_field_csv(path, make_grid(2, 2))
 
 

@@ -135,3 +135,20 @@ def test_measurements_csv_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ParseError):
         read_measurements_csv(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0.5,0.5,1.0 # note\n", "could not convert string '1.0 # note'"),
+    ("# note\n0.5,0.5,1.0\n", "could not convert string '# note'"),
+    ("0.5,0.5\n0.25,0.25\n", "rows have 2 values, the header 3"),
+    ("", "input contained no data"),
+], ids=["comment_after_value", "comment_line", "short_rows", "header_only"])
+def test_measurements_csv_malformed_body(tmp_path, body, message):
+    # there is no comment character: a '#' in a data row is a bad token
+    path = tmp_path / "ms.csv"
+    path.write_text("x,y,value\n" + body)
+    with pytest.raises(ParseError) as exc:
+        read_measurements_csv(path)
+    assert exc.value.module == "kriging"
+    assert str(exc.value).startswith(f"{path}: ")
+    assert message in str(exc.value)
