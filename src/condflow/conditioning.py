@@ -32,18 +32,6 @@ RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class DataMatrix:
-    """KL basis scaled by sqrt-eigenvalues, evaluated at measurement cells."""
-
-    A: np.ndarray  # (m, n)
-    cells: np.ndarray  # (m,) fine-grid cell index per measurement
-
-    @property
-    def n(self):
-        return self.A.shape[1]
-
-
-@dataclass(frozen=True)
 class Projector:
     """Orthonormal nullspace basis Q (n x (n-r)) and the rank r of A."""
 
@@ -64,27 +52,24 @@ def check_measurement_count(m, n):
 
 
 def build_data_matrix(basis, ms, grid):
-    """Assemble A_ij = sqrt(lambda_j) phi_j(x_hat_i) on snapped cells."""
+    """The (m, n) data matrix A_ij = sqrt(lambda_j) phi_j(x_hat_i) on
+    snapped cells."""
     if basis.grid != grid:
         raise ArgumentError("basis and measurement grid differ", module=_MOD)
     check_measurement_count(ms.m, basis.n)
-    cells = snap_to_cells(ms, grid)
-    A = basis.phi[cells] * basis.sqrt_lambdas[None, :]
-    return DataMatrix(A, cells)
+    return basis.phi[snap_to_cells(ms, grid)] * basis.sqrt_lambdas[None, :]
 
 
-def nullspace_basis(dm):
-    """Orthonormal basis of N(A) from the right singular vectors.
+def nullspace_basis(A):
+    """Orthonormal basis of N(A), for a data matrix A (m, n), from the
+    right singular vectors.
 
     Rank is the count of singular values above RANK_RTOL times the
     largest; signs are fixed (largest-magnitude entry positive) for
     reproducibility. An all-zero A yields the identity basis.
     """
-    A = dm.A
-    n = dm.n
-    s_max = np.abs(A).max()
-    if s_max == 0.0:
-        return Projector(np.eye(n), 0)
+    if np.abs(A).max() == 0.0:
+        return Projector(np.eye(A.shape[1]), 0)
     _, svals, Vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(svals > RANK_RTOL * svals[0]))
     return Projector(_fix_signs(Vt[rank:].T), rank)

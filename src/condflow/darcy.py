@@ -10,11 +10,13 @@ edges carry Neumann data (default no-flow). There are no sources.
 One builder, ``_tpfa``, assembles the SPD operator of a stack of
 permeability fields of shape (..., ny, nx) as one block-diagonal system
 in upper banded storage: only the main, +1 and +nx diagonals are
-nonzero, and no band couples two fields. ``solve_pressure`` solves it
-with one call of LAPACK's ``dpbsv``. ``solve_pressure`` and ``upscale``
-take one field or a stack of fields (see ``ScalarField``) and solve the
-whole stack at once. Every check holds for each field on its own, and each
-field's result is bitwise that of its own call (the tests check this).
+nonzero, and no band couples two fields. One solver, ``_solve``, solves
+it with one call of LAPACK's ``dpbsv``, for a pressure solve and for
+the generic upscaling cell problems alike. ``solve_pressure`` and
+``upscale`` take one field or a stack of fields (see ``ScalarField``)
+and solve the whole stack at once. Every check holds for each field on
+its own, and each field's result is bitwise that of its own call (the
+tests check this).
 ``boundary_fluxes`` takes one field.
 
 Upscaling solves, per coarse block, two local TPFA problems with a unit
@@ -23,10 +25,10 @@ the resulting through-flux to a directional effective permeability, and
 stores the log of the geometric mean of the two directions. The local
 problems of a call form one stack (one per direction unless blocks and
 cells are square). 2x2 blocks, the shape every shipped config uses, are
-solved in closed form (``_keff_x_2x2``); any other shape is assembled by
-``_tpfa`` and solved by one band Cholesky over all blocks
-(``_solve_blocks``). Each step of either path is one array operation
-over all blocks.
+solved in closed form (``_keff_x_2x2``), each step one array operation
+over all blocks; any other shape is assembled by ``_tpfa`` and solved
+by ``_solve``, all blocks in one call. A block whose effective
+permeability is not > 0 is singular.
 """
 
 from __future__ import annotations
@@ -51,6 +53,15 @@ class BoundaryConditions:
     p_right: float = 0.0
     v_top: float = 0.0
     v_bottom: float = 0.0
+
+
+def _check_diagonal(diag):
+    """Every transmissibility is >= 0 and sits on the diagonal, so a
+    diagonal entry that is not finite is one that overflowed."""
+    if not np.isfinite(diag).all():
+        raise NumericalError(
+            "transmissibility overflowed: permeability too large for the "
+            "grid spacing", module=_MOD, code="overflow")
 
 
 @np.errstate(divide="ignore", over="ignore")
@@ -79,11 +90,7 @@ def _tpfa(k, hx, hy):
     diag[..., 1:, :] += Ty
     diag[..., :, 0] += Tl
     diag[..., :, -1] += Tr
-    # every transmissibility is >= 0 and sits on the diagonal
-    if not np.isfinite(diag).all():
-        raise NumericalError(
-            "transmissibility overflowed: permeability too large for the "
-            "grid spacing", module=_MOD, code="overflow")
+    _check_diagonal(diag)
     # an n x n matrix has no diagonal beyond offset n - 1
     return ab.reshape(nx + 1, -1)[max(nx + 1 - k.size, 0):], Tl, Tr
 
@@ -102,7 +109,7 @@ def _solve(ab, rhs):
     """Solve the banded SPD system; a singular one raises NumericalError."""
     _, x, info = dpbsv(ab, rhs)
     if info > 0:
-        raise NumericalError(f"singular pressure system: leading minor "
+        raise NumericalError(f"singular TPFA system: leading minor "
                              f"{info} not positive definite", module=_MOD,
                              code="singular")
     if info < 0:
@@ -150,7 +157,7 @@ def solve_pressure(logperm, bc):
 def boundary_fluxes(logperm, pressure, bc):
     """(inflow through the left edge, outflow through the right edge)."""
     grid = logperm.grid
-    _, Tl, Tr = _tpfa(np.exp(logperm.as_2d()), grid.hx, grid.hy)
+    _, Tl, Tr = _tpfa(_permeability(logperm), grid.hx, grid.hy)
     p = pressure.as_2d()
     q_in = float(np.sum(Tl * (bc.p_left - p[:, 0])))
     q_out = float(np.sum(Tr * (p[:, -1] - bc.p_right)))
@@ -158,46 +165,25 @@ def boundary_fluxes(logperm, pressure, bc):
 
 
 def _check_pivots(*pivots):
-    """A pivot not > 0 (or NaN) makes the upscaling system singular."""
+    """A pivot or an effective permeability not > 0 (or NaN) makes the
+    upscaling system singular."""
     for pivot in pivots:
         if not pivot.min() > 0:
             raise NumericalError("singular upscaling system", module=_MOD,
                                  code="singular")
 
 
-def _solve_blocks(ab, rhs):
-    """Solve each block of a ``_tpfa`` operator against its row of rhs
-    (nb, N) by root-free band Cholesky, A = L D L^T, each step one array
-    operation over all blocks. A pivot not > 0 (or NaN) is singular."""
-    u, (nb, n) = len(ab) - 1, rhs.shape
-    a = np.zeros((n + u, u + 1, nb))  # a[i, d] = A[i, i + d], zero padded
-    for d in range(u + 1):
-        a[:n - d, d] = ab[u - d].reshape(nb, n)[:, d:].T
-    x = np.concatenate([rhs.T, np.zeros((u, nb))])
-    for j in range(n):
-        _check_pivots(a[j, 0])
-        lj = a[j, 1:] / a[j, 0]  # column j of L below the diagonal
-        x[j + 1:j + 1 + u] -= lj * x[j]
-        for p in range(1, u + 1):
-            a[j + p, :u + 1 - p] -= a[j, p] * lj[p - 1:]
-        a[j, 1:] = lj
-    x[:n] /= a[:n, 0]
-    for j in reversed(range(n)):
-        x[j] -= (a[j, 1:] * x[j + 1:j + 1 + u]).sum(0)
-    return x[:n].T
-
-
 def _keff_x(kb, hx, hy):
     """Directional effective permeability of blocks for flow in x.
 
     kb is (nblocks, by, bx): unit pressure drop left to right, no-flow
-    top and bottom, one elimination over all blocks.
+    top and bottom, one banded solve over all blocks.
     """
     by, bx = kb.shape[1:]
     ab, Tl, Tr = _tpfa(kb, hx, hy)
     rhs = np.zeros(kb.shape)
     rhs[:, :, 0] += Tl  # p = 1 on the left face, 0 on the right
-    p = _solve_blocks(ab, rhs.reshape(len(kb), -1)).reshape(kb.shape)
+    p = _solve(ab, rhs.ravel()).reshape(kb.shape)
     q = np.sum(Tr * p[:, :, -1], axis=1)
     # q = keff * height * dp / width with dp = 1
     return q * (bx * hx) / (by * hy)
@@ -221,10 +207,7 @@ def _keff_x_2x2(kb, hx, hy):
         Ty = 2.0 * hx / hy / (inv[0] + inv[1])  # per column i
         Te = 2.0 * hy / hx * k  # edge terms: Tl = Te[:, 0], Tr = Te[:, 1]
         diag = Tx[:, None] + Ty[None, :] + Te
-    if not np.isfinite(diag).all():
-        raise NumericalError(
-            "transmissibility overflowed: permeability too large for the "
-            "grid spacing", module=_MOD, code="overflow")
+    _check_diagonal(diag)
     (Tx0, Tx1), (Ty0, Ty1), ((Tl0, Tr0), (Tl1, Tr1)) = Tx, Ty, Te
     d00, d11 = diag[0, 0], diag[1, 1]
     _check_pivots(d00, d11)
@@ -279,6 +262,7 @@ def upscale(fine_logperm, fine, coarse):
     else:
         keff_x = keff(blocks, fine.hx, fine.hy)
         keff_y = keff(blocks.transpose(0, 2, 1), fine.hy, fine.hx)
+    _check_pivots(keff_x, keff_y)  # a keff that underflowed to 0
     logk = 0.5 * (np.log(keff_x) + np.log(keff_y))
     return ScalarField(coarse, logk.reshape(
         fine_logperm.values.shape[:-1] + (coarse.n_cells,)))

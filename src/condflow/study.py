@@ -14,8 +14,8 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .conditioning import (build_data_matrix, check_measurement_count,
-                           nullspace_basis, synthesize_conditioned)
+from .conditioning import (build_data_matrix, nullspace_basis,
+                           synthesize_conditioned)
 from .covariance import assemble_covariance
 from .darcy import BoundaryConditions, observe_pressure, solve_pressure, upscale
 from .diagnostics import diagnostics_series, write_report_csv, write_report_dat
@@ -39,11 +39,6 @@ def default_measurements_path():
     return str(_packaged("measurements.csv"))
 
 
-def read_measurements(cfg):
-    return read_measurements_csv(cfg.measurements
-                                 or default_measurements_path())
-
-
 def default_reference_field_path():
     return str(_packaged("reference_field.csv"))
 
@@ -57,16 +52,6 @@ def output_dir(cfg, override=None):
     return out
 
 
-def mode_count(cfg, fine, cov=None):
-    """KL modes to keep: ``kle.n_terms``, or with ``kle.energy_threshold``
-    the fewest that reach it, from ``cov`` (assembled when not given)."""
-    if cfg.energy_threshold is None:
-        return cfg.n_terms
-    if cov is None:
-        cov = assemble_covariance(fine, cfg.kernel)
-    return modes_for_energy(cov, fine, cfg.energy_threshold)
-
-
 @dataclass
 class StudySetup:
     """Model bundle plus the pieces the CLI reuses for artifact output."""
@@ -78,14 +63,20 @@ class StudySetup:
 
 
 def build_setup(cfg):
-    """Assemble grids, KL basis, kriging, projector, and reference data."""
+    """Assemble grids, KL basis, kriging, projector, and reference data.
+
+    The KL basis keeps ``kle.n_terms`` modes, or with
+    ``kle.energy_threshold`` the fewest that reach it."""
     fine = make_grid(cfg.fine_nx, cfg.fine_ny)
     coarse = make_grid(cfg.coarse_nx, cfg.coarse_ny)
     params = cfg.kernel
     cov = assemble_covariance(fine, params)
-    basis = solve_kle(cov, fine, mode_count(cfg, fine, cov))
+    n_modes = (cfg.n_terms if cfg.energy_threshold is None
+               else modes_for_energy(cov, fine, cfg.energy_threshold))
+    basis = solve_kle(cov, fine, n_modes)
 
-    ms = read_measurements(cfg)
+    ms = read_measurements_csv(cfg.measurements
+                               or default_measurements_path())
     kriged = krige(ms, params, fine)
     projector = nullspace_basis(build_data_matrix(basis, ms, fine))
 
@@ -269,9 +260,10 @@ def write_manifest(path, cfg, seeds, artifact_paths, timings=None):
 def run_reference_experiment(cfg, dry_run=False, out_dir=None):
     """Both studies (unconditioned and conditioned, paired seeds, one stack
     of chains), plus diagnostics, snapshots, and the acceptance-rate table,
-    written to :func:`output_dir` with ``out_dir`` as its override."""
-    fine = make_grid(cfg.fine_nx, cfg.fine_ny)
-    check_measurement_count(read_measurements(cfg).m, mode_count(cfg, fine))
+    written to :func:`output_dir` with ``out_dir`` as its override. The
+    setup is built first, so a config it rejects fails before the output
+    directory exists, in a dry run too."""
+    setup = build_setup(cfg)
     out_dir = output_dir(cfg, out_dir)
     seeds = chain_seeds(cfg)
     manifest_path = os.path.join(out_dir, "manifest.json")
@@ -281,7 +273,6 @@ def run_reference_experiment(cfg, dry_run=False, out_dir=None):
             print(f"dry run: manifest written to {manifest_path}")
         return 0
 
-    setup = build_setup(cfg)
     traces, elapsed = sample_studies(setup, (False, True))
     all_paths = {"manifest": manifest_path}
     traces_by_label = {}

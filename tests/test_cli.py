@@ -279,9 +279,9 @@ def test_reference_dry_run_rejects_bad_parameter(tmp_path, capsys,
 
 def test_reference_dry_run_rejects_fewer_modes_than_measurements(
         tmp_path, capsys, monkeypatch):
-    # the 9 packaged measurements need more than 5 modes; n_terms fixes n
-    # before any KLE, so the dry run fails before creating the output
-    # directory
+    # the 9 packaged measurements need more than 5 modes; the setup is
+    # built before the output directory, so the dry run fails before
+    # creating it
     out = tmp_path / "out"
     monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(out))
     err = _config_error(tmp_path, capsys, ["reference", "--dry-run"],
@@ -290,6 +290,19 @@ def test_reference_dry_run_rejects_fewer_modes_than_measurements(
     assert err.startswith("error:conditioning:argument: 9 measurements "
                           "with only 5 KL modes")
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+def test_reference_dry_run_rejects_malformed_reference_field(
+        tmp_path, capsys, monkeypatch):
+    # the dry run builds the setup, which reads the reference field
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("1,2\n3,4,5\n")
+    out = tmp_path / "out"
+    monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(out))
+    err = _config_error(tmp_path, capsys, ["reference", "--dry-run"],
+                        lambda text: text + "paths.reference_field = bad.csv\n")
+    assert err.startswith("error:grid:parse: bad.csv: ")
     assert not out.exists()
 
 

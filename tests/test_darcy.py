@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,27 @@ def test_upscale_singular_block_in_stack():
     with np.errstate(divide="ignore"), pytest.raises(NumericalError) as info:
         upscale(ScalarField(fine, values.reshape(3, -1)), fine, coarse)
     assert (info.value.module, info.value.code) == ("darcy", "singular")
+
+
+@pytest.mark.parametrize("coarse_shape", [(8, 8), (4, 4)])
+def test_upscale_underflowed_keff_is_singular(coarse_shape):
+    # k = exp(-740) is subnormal, not 0: the 2x2 closed form keeps its
+    # pivots > 0 but its keff underflows to 0; 4x4 blocks have a zero
+    # interior pivot. Both name the block singular, with no numpy warning.
+    fine = make_grid(16, 16)
+    with pytest.raises(NumericalError) as info:
+        upscale(ScalarField(fine, np.full(256, -740.0)), fine,
+                make_grid(*coarse_shape))
+    assert (info.value.module, info.value.code) == ("darcy", "singular")
+
+
+def test_boundary_fluxes_overflowing_permeability():
+    # exp(710) overflows; the flux check names it as solve_pressure does
+    g = make_grid(4, 4)
+    logperm = ScalarField(g, np.full(16, 710.0))
+    with pytest.raises(ArgumentError) as info:
+        boundary_fluxes(logperm, ScalarField(g, np.zeros(16)), BC)
+    assert (info.value.module, info.value.code) == ("darcy", "argument")
 
 
 def test_overflowing_edge_transmissibility_is_not_a_solution():
@@ -287,6 +310,7 @@ def test_upscale_random_blocks_match_oracle(fine_shape, coarse_shape):
     ((8, 8), (8, 4)),
     ((8, 8), (4, 8)),
     ((16, 8), (8, 4)),
+    ((16, 16), (4, 4)),  # 4x4 blocks: x and y in one dpbsv stack
 ])
 def test_upscale_blocks_are_independent(fine_shape, coarse_shape):
     # the stacked banded system must not couple neighbouring blocks
@@ -311,7 +335,7 @@ def test_upscale_blocks_are_independent(fine_shape, coarse_shape):
 @pytest.mark.parametrize("hx, hy", [(1 / 16, 1 / 16), (1 / 16, 1 / 8),
                                     (0.3, 0.1)])
 def test_closed_form_2x2_matches_band_cholesky_and_oracle(sigma, hx, hy):
-    # the closed form against the generic _tpfa + _solve_blocks path and
+    # the closed form against the generic _tpfa + _solve path and
     # the dense oracle, on lognormal blocks of growing contrast
     from condflow import darcy
 
@@ -322,6 +346,67 @@ def test_closed_form_2x2_matches_band_cholesky_and_oracle(sigma, hx, hy):
     assert np.max(np.abs(closed - generic) / generic) <= 1e-13
     oracle = np.array([_oracle_keff_x(b, hx, hy) for b in kb])
     assert np.max(np.abs(np.log(closed) - np.log(oracle))) <= 1e-10
+
+
+def _exact_keff_x(kb, hx, hy):
+    """``_oracle_keff_x`` in exact rational arithmetic on the float
+    inputs: dense TPFA assembly, Gaussian elimination without pivoting
+    (the matrix is SPD), and the outflow through the right edge."""
+    by, bx = kb.shape
+    hx, hy = Fraction(hx), Fraction(hy)
+    k = [[Fraction(float(v)) for v in row] for row in kb]
+    n = bx * by
+    A = [[Fraction(0)] * n for _ in range(n)]
+    b = [Fraction(0)] * n
+
+    def couple(c, o, T):
+        A[c][c] += T
+        A[o][o] += T
+        A[c][o] -= T
+        A[o][c] -= T
+
+    for j in range(by):
+        for i in range(bx):
+            c = j * bx + i
+            if i + 1 < bx:
+                couple(c, c + 1,
+                       2 * hy / (hx * (1 / k[j][i] + 1 / k[j][i + 1])))
+            if j + 1 < by:
+                couple(c, c + bx,
+                       2 * hx / (hy * (1 / k[j][i] + 1 / k[j + 1][i])))
+            if i == 0:  # p = 1 on the left face
+                A[c][c] += 2 * hy * k[j][i] / hx
+                b[c] += 2 * hy * k[j][i] / hx
+            if i == bx - 1:  # p = 0 on the right face
+                A[c][c] += 2 * hy * k[j][i] / hx
+    for col in range(n):
+        for r in range(col + 1, n):
+            f = A[r][col] / A[col][col]
+            for cc in range(col, n):
+                A[r][cc] -= f * A[col][cc]
+            b[r] -= f * b[col]
+    p = [Fraction(0)] * n
+    for r in reversed(range(n)):
+        p[r] = (b[r] - sum(A[r][cc] * p[cc] for cc in range(r + 1, n))) \
+            / A[r][r]
+    q = sum(2 * hy * k[j][-1] / hx * p[j * bx + bx - 1] for j in range(by))
+    return float(q * (bx * hx) / (by * hy))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 2), (2, 3), (1, 4)])
+@pytest.mark.parametrize("hx, hy", [(1 / 16, 1 / 16), (30 / 16, 1 / 16),
+                                    (1 / 16, 30 / 16)])
+def test_generic_keff_matches_exact_elimination(shape, hx, hy):
+    # the dpbsv path of any block shape against exact rational
+    # elimination, on lognormal blocks with sigma = 4 and stretched
+    # cells, where the float dense oracle loses digits of its own
+    from condflow import darcy
+
+    rng = np.random.default_rng(sum(shape))
+    kb = np.exp(4.0 * rng.standard_normal((10,) + shape))
+    generic = darcy._keff_x(kb, hx, hy)
+    exact = np.array([_exact_keff_x(b, hx, hy) for b in kb])
+    assert np.max(np.abs(generic - exact) / exact) <= 1e-10
 
 
 @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -348,7 +433,7 @@ def test_upscale_takes_closed_form_for_2x2_blocks_only(monkeypatch):
     fine = make_grid(8, 8)
     field = ScalarField(fine, np.zeros(64))
     with monkeypatch.context() as m:
-        m.setattr(darcy, "_solve_blocks", fail)
+        m.setattr(darcy, "_keff_x", fail)
         upscale(field, fine, make_grid(4, 4))
     monkeypatch.setattr(darcy, "_keff_x_2x2", fail)
     for coarse in (make_grid(2, 2), make_grid(4, 8), make_grid(8, 4)):
@@ -360,6 +445,7 @@ def test_upscale_takes_closed_form_for_2x2_blocks_only(monkeypatch):
     ((12, 8), (4, 4)),
     ((5, 3), (5, 3)),
     ((1, 6), (1, 3)),
+    ((16, 16), (4, 4)),
 ])
 def test_stacked_calls_equal_single_calls(fine_shape, coarse_shape):
     # a stack is solved as one system, but each row must be bitwise the
