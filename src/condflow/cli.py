@@ -22,26 +22,25 @@ import sys
 import numpy as np
 
 from . import study
-from .conditioning import synthesize_conditioned
 from .config import parse_config
 from .darcy import solve_pressure
 from .diagnostics import diagnostics_series, write_report_csv, write_report_dat
 from .errors import CondflowError, ParseError
-from .grid import read_field_csv, write_field_csv, write_field_pgm
+from .grid import _read_csv, read_field_csv, write_field_csv, write_field_pgm
 from .kriging import snap_to_cells
-from .mcmc import read_trace_csv
+from .mcmc import read_trace_csv, synthesize
 from .study import build_setup, run_reference_experiment
 
 
 def _setup(args):
-    """Model setup of the ``--config`` study and its output directory."""
-    cfg = parse_config(args.config)
-    setup = build_setup(cfg)
-    return setup, study.output_dir(cfg, args.out_dir)
+    """Model setup of the ``--config`` study. A command reads its inputs
+    before it creates its output directory, so bad input leaves none."""
+    return build_setup(parse_config(args.config))
 
 
 def cmd_kle(args):
-    setup, out = _setup(args)
+    setup = _setup(args)
+    out = study.output_dir(setup.cfg, args.out_dir)
     basis = setup.bundle.basis
     np.savetxt(os.path.join(out, "eigenvalues.csv"), basis.lambdas,
                fmt="%.17g")
@@ -53,7 +52,8 @@ def cmd_kle(args):
 
 
 def cmd_krige(args):
-    setup, out = _setup(args)
+    setup = _setup(args)
+    out = study.output_dir(setup.cfg, args.out_dir)
     write_field_csv(setup.bundle.kriged, os.path.join(out, "kriged.csv"))
     write_field_pgm(setup.bundle.kriged, os.path.join(out, "kriged.pgm"))
     print(f"kriged surface written to {out}")
@@ -61,11 +61,10 @@ def cmd_krige(args):
 
 
 def cmd_condition(args):
-    setup, out = _setup(args)
+    setup = _setup(args)
     theta = _read_theta(args.theta, setup.bundle.basis.n)
-    fld = synthesize_conditioned(
-        setup.bundle.basis, setup.bundle.kriged, theta, setup.bundle.projector
-    )
+    out = study.output_dir(setup.cfg, args.out_dir)
+    fld = synthesize(setup.bundle, theta, conditioned=True)
     write_field_csv(fld, os.path.join(out, "conditioned.csv"))
     write_field_pgm(fld, os.path.join(out, "conditioned.pgm"))
     cells = snap_to_cells(setup.measurements, setup.bundle.fine)
@@ -75,22 +74,24 @@ def cmd_condition(args):
 
 
 def _read_theta(path, n):
-    try:
-        theta = np.loadtxt(path, ndmin=1)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}", module="cli") from exc
-    if theta.size != n:
+    """The n theta values of a CSV with one value per row."""
+    _, data = _read_csv(path, "cli")
+    if data.shape[1] != 1:
+        raise ParseError(f"{path}: expected one theta value per row, got "
+                         f"{data.shape[1]}", module="cli")
+    if data.size != n:
         raise ParseError(
-            f"{path}: expected {n} theta values, got {theta.size}",
+            f"{path}: expected {n} theta values, got {data.size}",
             module="cli",
         )
-    return theta
+    return data[:, 0]
 
 
 def cmd_solve(args):
-    setup, out = _setup(args)
+    setup = _setup(args)
     field = (read_field_csv(args.field, setup.bundle.fine)
              if args.field else setup.reference_field)
+    out = study.output_dir(setup.cfg, args.out_dir)
     pressure = solve_pressure(field, setup.bundle.bc)
     write_field_csv(pressure, os.path.join(out, "pressure.csv"))
     write_field_pgm(pressure, os.path.join(out, "pressure.pgm"))
@@ -99,7 +100,8 @@ def cmd_solve(args):
 
 
 def cmd_invert(args):
-    setup, out = _setup(args)
+    setup = _setup(args)
+    out = study.output_dir(setup.cfg, args.out_dir)
     study.run_one_study(setup, setup.cfg.conditioned, out)
     return 0
 

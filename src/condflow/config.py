@@ -6,6 +6,10 @@ around key and value is stripped; blank lines and lines starting with
 Booleans are ``true``/``false`` (case-insensitive); the snapshot list is
 comma-separated integers. Unknown keys are rejected.
 
+Each key is one :class:`StudyConfig` field, ``<section>.<field>`` with
+the section the field declares (``seed`` has none); ``_KEYS`` derives
+from the fields, each value parsed by its field's annotation.
+
 An empty file yields the defaults, which reproduce the reference
 experimental setup: 16x16 fine / 8x8 coarse grids, sigma2 = 1,
 lx = 0.4, ly = 0.8, 20 KL modes, beta = 0.85, sigma_f2 = 1e-4,
@@ -14,14 +18,13 @@ sigma_c2 = 5e-3, 4 chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .covariance import KernelParams
 from .darcy import check_refinement
 from .errors import ArgumentError, ParseError
 from .grid import make_grid
 from .mcmc import LikelihoodParams
-from .study import check_burn_in
 
 _MOD = "cli"
 
@@ -39,32 +42,51 @@ def _parse_int_list(s):
     return tuple(int(t) for t in s.split(",") if t.strip())
 
 
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str,
+            "tuple": _parse_int_list}
+
+
+def _key(section, default):
+    """A field read from the file key ``<section>.<field name>``."""
+    return field(default=default, metadata={"section": section})
+
+
+def check_burn_in(burn_in, length):
+    """Reject a burn-in that leaves fewer than 2 of ``length`` draws."""
+    if not 0 <= burn_in <= length - 2:
+        raise ArgumentError(
+            f"burn-in must be in [0, {length - 2}] to keep at least 2 of "
+            f"{length} draws, got {burn_in}",
+            module="study",  # named after study, which cuts the traces
+        )
+
+
 @dataclass
 class StudyConfig:
-    fine_nx: int = 16
-    fine_ny: int = 16
-    coarse_nx: int = 8
-    coarse_ny: int = 8
-    sigma2: float = 1.0
-    lx: float = 0.4
-    ly: float = 0.8
-    n_terms: int = 20
-    energy_threshold: float = None  # overrides n_terms when set
-    beta: float = 0.85
-    sigma_f2: float = 1e-4
-    sigma_c2: float = 5e-3
-    chains: int = 4
-    iterations: int = 20000
-    burn_in: int = None  # default: 10% of iterations
-    conditioned: bool = False
-    single_component: bool = True
-    store_projected: bool = False
+    fine_nx: int = _key("grid", 16)
+    fine_ny: int = _key("grid", 16)
+    coarse_nx: int = _key("grid", 8)
+    coarse_ny: int = _key("grid", 8)
+    sigma2: float = _key("kernel", 1.0)
+    lx: float = _key("kernel", 0.4)
+    ly: float = _key("kernel", 0.8)
+    n_terms: int = _key("kle", 20)
+    energy_threshold: float = _key("kle", None)  # overrides n_terms when set
+    beta: float = _key("mcmc", 0.85)
+    sigma_f2: float = _key("mcmc", 1e-4)
+    sigma_c2: float = _key("mcmc", 5e-3)
+    chains: int = _key("mcmc", 4)
+    iterations: int = _key("mcmc", 20000)
+    burn_in: int = _key("mcmc", None)  # default: 10% of iterations
+    conditioned: bool = _key("mcmc", False)
+    single_component: bool = _key("mcmc", True)
+    store_projected: bool = _key("mcmc", False)
     seed: int = 2023
-    measurements: str = None  # packaged defaults when unset
-    reference_field: str = None
-    output_dir: str = "out"
-    snapshots: tuple = (40, 5000, 20000)
-    verbosity: int = 1
+    measurements: str = _key("paths", None)  # packaged defaults when unset
+    reference_field: str = _key("paths", None)
+    output_dir: str = _key("paths", "out")
+    snapshots: tuple = _key("output", (40, 5000, 20000))
+    verbosity: int = _key("output", 1)
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -100,41 +122,15 @@ class StudyConfig:
 
     @property
     def effective_burn_in(self):
-        if self.burn_in is not None:
-            return self.burn_in
-        return self.iterations // 10
+        return self.iterations // 10 if self.burn_in is None else self.burn_in
 
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# config-file key -> (attribute, parser)
-_KEYS = {
-    "grid.fine_nx": ("fine_nx", int),
-    "grid.fine_ny": ("fine_ny", int),
-    "grid.coarse_nx": ("coarse_nx", int),
-    "grid.coarse_ny": ("coarse_ny", int),
-    "kernel.sigma2": ("sigma2", float),
-    "kernel.lx": ("lx", float),
-    "kernel.ly": ("ly", float),
-    "kle.n_terms": ("n_terms", int),
-    "kle.energy_threshold": ("energy_threshold", float),
-    "mcmc.beta": ("beta", float),
-    "mcmc.sigma_f2": ("sigma_f2", float),
-    "mcmc.sigma_c2": ("sigma_c2", float),
-    "mcmc.chains": ("chains", int),
-    "mcmc.iterations": ("iterations", int),
-    "mcmc.burn_in": ("burn_in", int),
-    "mcmc.conditioned": ("conditioned", _parse_bool),
-    "mcmc.single_component": ("single_component", _parse_bool),
-    "mcmc.store_projected": ("store_projected", _parse_bool),
-    "seed": ("seed", int),
-    "paths.measurements": ("measurements", str),
-    "paths.reference_field": ("reference_field", str),
-    "paths.output_dir": ("output_dir", str),
-    "output.snapshots": ("snapshots", _parse_int_list),
-    "output.verbosity": ("verbosity", int),
-}
+# config-file key -> (attribute, parser), one per StudyConfig field
+_KEYS = {".".join(filter(None, (f.metadata.get("section"), f.name))):
+         (f.name, _PARSERS[f.type]) for f in fields(StudyConfig)}
 
 
 def parse_config(path):

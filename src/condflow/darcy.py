@@ -241,16 +241,15 @@ def check_refinement(fine, coarse):
     return fine.nx // coarse.nx, fine.ny // coarse.ny
 
 
-def upscale(fine_logperm, fine, coarse):
+def upscale(fine_logperm, coarse):
     """Effective coarse log-permeability from local flow problems.
 
-    The fine grid must tile the coarse grid exactly. Per block, the x
+    The field's grid must tile the coarse grid exactly. Per block, the x
     and y directional effective permeabilities are combined as a
     geometric mean into one isotropic coarse value. A stack of fine
     fields gives the stack of their coarse fields.
     """
-    if fine_logperm.grid != fine:
-        raise ArgumentError("field grid differs from fine grid", module=_MOD)
+    fine = fine_logperm.grid
     bx, by = check_refinement(fine, coarse)
     k = _permeability(fine_logperm)
     blocks = k.reshape(-1, coarse.ny, by, coarse.nx, bx).transpose(

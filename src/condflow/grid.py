@@ -10,7 +10,7 @@ Conventions (fixed, documented here once):
   * PGM images are ASCII P2, min-max scaled to 0..255, top row first;
     a constant field renders mid-gray (128);
   * every numeric artifact is written by one ``np.savetxt`` call, and
-    every CSV (fields, measurements, traces, diagnostics) is read back by
+    every CSV (fields, measurements, thetas, traces, reports) is read by
     ``_read_csv``: an optional header line, then one ``np.loadtxt`` pass
     over the rows with comma delimiters and no comment character.
     Empty lines are skipped. Any malformed body (a bad token, a ragged

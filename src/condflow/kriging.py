@@ -59,7 +59,7 @@ def snap_to_cells(ms, grid):
     """
     i = np.clip((ms.locations[:, 0] * grid.nx).astype(int), 0, grid.nx - 1)
     j = np.clip((ms.locations[:, 1] * grid.ny).astype(int), 0, grid.ny - 1)
-    cells = j * grid.nx + i
+    cells = grid.cell_index(i, j)
     uniq, counts = np.unique(cells, return_counts=True)
     if np.any(counts > 1):
         dup = uniq[counts > 1].tolist()

@@ -31,7 +31,7 @@ A study's chains advance in lockstep, one iteration at a time: each
 forward layer (KL synthesis, upscaling, coarse solve, and the fine solve
 of the chains whose proposal passed the coarse stage) runs once per
 iteration on the stack of all chains' states or fields, of both studies
-when run together (each study synthesizes its own rows). The
+when run together (:func:`synthesize` makes each study's rows). The
 likelihoods stay per chain, and each chain draws from its own generator
 in its own order (proposal, coarse uniform, fine uniform), so a chain's
 random stream and trace are exactly those of the chain run alone.
@@ -81,8 +81,8 @@ class ModelBundle:
     ref_obs_fine: np.ndarray
     ref_obs_coarse: np.ndarray
     likelihood: LikelihoodParams
-    projector: conditioning.Projector = None  # required when conditioned
-    kriged: ScalarField = None
+    projector: conditioning.Projector
+    kriged: ScalarField
 
 
 @dataclass
@@ -170,21 +170,26 @@ def _logliks(pressure, mask, ref, sigma2):
             for obs in darcy.observe_pressure(pressure, mask)]
 
 
+def synthesize(bundle, thetas, conditioned):
+    """Fine log-permeability field of a theta, or fields of a stack of
+    thetas: their KL synthesis, or when ``conditioned`` the kriged
+    surface plus that of their nullspace projections."""
+    if conditioned:
+        return conditioning.synthesize_conditioned(
+            bundle.basis, bundle.kriged, thetas, bundle.projector)
+    return kle.synthesize_unconditioned(bundle.basis, thetas)
+
+
 def _coarse_step(thetas, studies, bundle):
     """Stack of the states' fine log-permeability fields and their coarse
     log-likelihoods; ``studies`` holds (conditioned flag, rows) pairs."""
     values = np.empty((len(thetas), bundle.fine.n_cells))
     for conditioned, rows in studies:
-        if conditioned:
-            fine_fields = conditioning.synthesize_conditioned(
-                bundle.basis, bundle.kriged, thetas[rows], bundle.projector)
-        else:
-            fine_fields = kle.synthesize_unconditioned(bundle.basis,
-                                                       thetas[rows])
+        fine_fields = synthesize(bundle, thetas[rows], conditioned)
         values[rows] = fine_fields.values
     if len(studies) > 1:  # one study's fields are the whole stack already
         fine_fields = ScalarField(bundle.fine, values)
-    coarse_fields = darcy.upscale(fine_fields, bundle.fine, bundle.coarse)
+    coarse_fields = darcy.upscale(fine_fields, bundle.coarse)
     pc = darcy.solve_pressure(coarse_fields, bundle.bc)
     return fine_fields, _logliks(pc, bundle.coarse_mask,
                                  bundle.ref_obs_coarse,
@@ -242,11 +247,6 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None,
     if len(set(zip(seeds, flags))) != m:
         warnings.warn("duplicate chain seeds: chains will be identical",
                       stacklevel=2)
-    if any(flags) and (bundle.projector is None or bundle.kriged is None):
-        raise ArgumentError(
-            "conditioned sampling needs a projector and a kriged surface",
-            module=_MOD,
-        )
     studies = [(f, np.flatnonzero(np.equal(flags, f))) for f in set(flags)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     state = np.empty((m, n))

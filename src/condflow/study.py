@@ -14,16 +14,16 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .conditioning import (build_data_matrix, nullspace_basis,
-                           synthesize_conditioned)
+from .conditioning import build_data_matrix, nullspace_basis
+from .config import check_burn_in
 from .covariance import assemble_covariance
 from .darcy import BoundaryConditions, observe_pressure, solve_pressure, upscale
 from .diagnostics import diagnostics_series, write_report_csv, write_report_dat
 from .errors import ArgumentError
 from .grid import chessboard_mask, make_grid, read_field_csv, write_field_pgm
-from .kle import modes_for_energy, solve_kle, synthesize_unconditioned
+from .kle import modes_for_energy, solve_kle
 from .kriging import krige, read_measurements_csv
-from .mcmc import ModelBundle, run_study, write_trace_csv
+from .mcmc import ModelBundle, run_study, synthesize, write_trace_csv
 
 _MOD = "study"
 
@@ -87,7 +87,7 @@ def build_setup(cfg):
     fine_mask = chessboard_mask(fine)
     coarse_mask = chessboard_mask(coarse)
     ref_obs_fine = observe_pressure(solve_pressure(ref_field, bc), fine_mask)
-    ref_coarse = upscale(ref_field, fine, coarse)
+    ref_coarse = upscale(ref_field, coarse)
     ref_obs_coarse = observe_pressure(solve_pressure(ref_coarse, bc),
                                       coarse_mask)
 
@@ -110,16 +110,6 @@ def build_setup(cfg):
 def chain_seeds(cfg):
     """Distinct per-chain seeds; both studies reuse the same list."""
     return [cfg.seed + c for c in range(cfg.chains)]
-
-
-def check_burn_in(burn_in, length):
-    """Reject a burn-in that leaves fewer than 2 of ``length`` draws."""
-    if not 0 <= burn_in <= length - 2:
-        raise ArgumentError(
-            f"burn-in must be in [0, {length - 2}] to keep at least 2 of "
-            f"{length} draws, got {burn_in}",
-            module=_MOD,
-        )
 
 
 def post_burn_in(traces, burn_in):
@@ -155,17 +145,6 @@ def study_report(setup, traces, conditioned):
         Q = setup.bundle.projector.Q
         kept = [replace(t, thetas=t.thetas @ Q) for t in kept]
     return diagnostics_series(kept, checkpoints_for(kept[0].thetas.shape[0]))
-
-
-def snapshot_field(setup, trace, iteration, conditioned):
-    """The fine-scale accepted log-permeability at a 1-based iteration."""
-    theta = trace.thetas[iteration - 1]
-    if conditioned:
-        return synthesize_conditioned(
-            setup.bundle.basis, setup.bundle.kriged, theta,
-            setup.bundle.projector,
-        )
-    return synthesize_unconditioned(setup.bundle.basis, theta)
 
 
 def _study_label(conditioned):
@@ -204,7 +183,8 @@ def write_study(setup, traces, conditioned, out_dir):
         write_trace_csv(trace, path)
         paths["traces"].append(path)
         for it in snapshots:
-            snap = snapshot_field(setup, trace, it, conditioned)
+            snap = synthesize(setup.bundle, trace.thetas[it - 1],
+                              conditioned)
             spath = os.path.join(
                 out_dir, f"field_{label}_chain{c + 1}_iter{it}.pgm"
             )

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,24 @@ def test_condition_wrong_theta_length(tmp_path, fast_config, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:cli:parse:")
+
+
+@pytest.mark.parametrize("text", ["", "# theta\n" + "0.5\n" * 12],
+                         ids=["empty", "comment_line"])
+def test_condition_theta_file_fails_with_one_parse_line(tmp_path, fast_config,
+                                                        capsys, text):
+    # read like every other CSV: no comment character, and numpy's
+    # empty-file warning is not printed before the error line
+    theta = tmp_path / "theta.csv"
+    theta.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["condition", "--config", fast_config, "--out-dir",
+                   str(tmp_path / "out"), "--theta", str(theta)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error:cli:parse:")
+    assert [str(w.message) for w in caught] == []
 
 
 def test_solve_subcommand(tmp_path, fast_config):
@@ -242,16 +261,19 @@ def test_subcommand_rejects_fewer_modes_before_output(tmp_path, capsys,
     (["krige"], "paths.measurements = bad.csv\n",
      "x,y,value\n0.5,0.5,1.0 # note\n", "kriging"),
     (["invert"], "paths.reference_field = bad.csv\n", "", "grid"),
-], ids=["field", "measurements", "reference_field"])
+    (["condition", "--theta", "bad.csv"], "", "", "cli"),
+], ids=["field", "measurements", "reference_field", "theta"])
 def test_malformed_input_csv_fails_with_parse_line(tmp_path, capsys,
                                                    monkeypatch, argv,
                                                    config_line, text, module):
+    # every input is read before the output directory is created
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.csv").write_text(text)
     err = _config_error(tmp_path, capsys,
                         [*argv, "--out-dir", str(tmp_path / "out")],
                         lambda cfg: cfg + config_line)
     assert err.startswith(f"error:{module}:parse: bad.csv: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_invert_rejects_burn_in_before_running(tmp_path, capsys):

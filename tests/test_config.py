@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +133,14 @@ def test_effective_burn_in():
 def test_keys_map_onto_fields_one_to_one():
     attrs = sorted(attr for attr, _ in _KEYS.values())
     assert attrs == sorted(f.name for f in fields(StudyConfig))
+
+
+def test_readme_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = re.findall(r"([a-z_][a-z_0-9.]*) = ", block)
+    assert sorted(keys) == sorted(_KEYS)
 
 
 def test_as_dict_round_trip():

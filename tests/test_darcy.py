@@ -116,7 +116,7 @@ def test_singular_field_raises_numerical_error():
     logperm = ScalarField(g, np.full(16, -800.0))
     with np.errstate(divide="ignore"):
         for solve in (lambda: solve_pressure(logperm, BC),
-                      lambda: upscale(logperm, g, coarse)):
+                      lambda: upscale(logperm, coarse)):
             with pytest.raises(NumericalError) as info:
                 solve()
             assert (info.value.module, info.value.code) == ("darcy",
@@ -130,7 +130,7 @@ def test_upscale_singular_block_in_stack():
     values = np.zeros((3, fine.ny, fine.nx))
     values[1, 4:6, 10:12] = -800.0
     with np.errstate(divide="ignore"), pytest.raises(NumericalError) as info:
-        upscale(ScalarField(fine, values.reshape(3, -1)), fine, coarse)
+        upscale(ScalarField(fine, values.reshape(3, -1)), coarse)
     assert (info.value.module, info.value.code) == ("darcy", "singular")
 
 
@@ -141,7 +141,7 @@ def test_upscale_underflowed_keff_is_singular(coarse_shape):
     # interior pivot. Both name the block singular, with no numpy warning.
     fine = make_grid(16, 16)
     with pytest.raises(NumericalError) as info:
-        upscale(ScalarField(fine, np.full(256, -740.0)), fine,
+        upscale(ScalarField(fine, np.full(256, -740.0)),
                 make_grid(*coarse_shape))
     assert (info.value.module, info.value.code) == ("darcy", "singular")
 
@@ -170,7 +170,7 @@ def test_overflowing_edge_transmissibility_is_not_a_solution():
                    np.stack([np.zeros(16), np.full(16, 709.0)])):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalError) as info:
-            upscale(ScalarField(g, values), g, coarse)
+            upscale(ScalarField(g, values), coarse)
         assert info.value.module == "darcy"
         assert "transmissibility" in str(info.value)
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -235,7 +235,7 @@ def test_permeability_scaling_invariance():
 
 def test_upscale_constant():
     fine, coarse = make_grid(16, 16), make_grid(8, 8)
-    up = upscale(ScalarField(fine, np.full(256, 0.7)), fine, coarse)
+    up = upscale(ScalarField(fine, np.full(256, 0.7)), coarse)
     assert np.max(np.abs(up.values - 0.7)) <= 1e-12
 
 
@@ -246,7 +246,7 @@ def test_upscale_serial_layers():
     k = np.empty((4, 4))
     k[:, 0::2] = a
     k[:, 1::2] = b
-    up = upscale(ScalarField(fine, np.log(k).ravel()), fine, coarse)
+    up = upscale(ScalarField(fine, np.log(k).ravel()), coarse)
     keff_x = 2 * a * b / (a + b)
     keff_y = (a + b) / 2  # parallel in y
     expected = 0.5 * (np.log(keff_x) + np.log(keff_y))
@@ -260,7 +260,7 @@ def test_upscale_parallel_layers():
     k = np.empty((4, 4))
     k[0::2, :] = a
     k[1::2, :] = b
-    up = upscale(ScalarField(fine, np.log(k).ravel()), fine, coarse)
+    up = upscale(ScalarField(fine, np.log(k).ravel()), coarse)
     keff_x = (a + b) / 2
     keff_y = 2 * a * b / (a + b)
     expected = 0.5 * (np.log(keff_x) + np.log(keff_y))
@@ -291,7 +291,7 @@ def test_upscale_random_blocks_match_oracle(fine_shape, coarse_shape):
     rng = np.random.default_rng(fine.n_cells + coarse.n_cells)
     values = rng.standard_normal((4, fine.n_cells))
     for logperm in (ScalarField(fine, values[0]), ScalarField(fine, values)):
-        ups = upscale(logperm, fine, coarse).values.reshape(
+        ups = upscale(logperm, coarse).values.reshape(
             -1, coarse.ny, coarse.nx)
         for up, k in zip(ups, np.exp(logperm.values.reshape(
                 -1, fine.ny, fine.nx))):
@@ -318,13 +318,12 @@ def test_upscale_blocks_are_independent(fine_shape, coarse_shape):
     bx, by = fine.nx // coarse.nx, fine.ny // coarse.ny
     rng = np.random.default_rng(7)
     logperm = rng.standard_normal((fine.ny, fine.nx))
-    before = upscale(ScalarField(fine, logperm.ravel()), fine, coarse).as_2d()
+    before = upscale(ScalarField(fine, logperm.ravel()), coarse).as_2d()
     for cj, ci in ((0, 0), (coarse.ny // 2, coarse.nx // 2),
                    (coarse.ny - 1, coarse.nx - 1), (0, coarse.nx - 1)):
         changed = logperm.copy()
         changed[cj * by:(cj + 1) * by, ci * bx:(ci + 1) * bx] += 2.0
-        after = upscale(ScalarField(fine, changed.ravel()), fine,
-                        coarse).as_2d()
+        after = upscale(ScalarField(fine, changed.ravel()), coarse).as_2d()
         others = np.ones(after.shape, dtype=bool)
         others[cj, ci] = False
         assert after[cj, ci] != before[cj, ci]
@@ -434,10 +433,10 @@ def test_upscale_takes_closed_form_for_2x2_blocks_only(monkeypatch):
     field = ScalarField(fine, np.zeros(64))
     with monkeypatch.context() as m:
         m.setattr(darcy, "_keff_x", fail)
-        upscale(field, fine, make_grid(4, 4))
+        upscale(field, make_grid(4, 4))
     monkeypatch.setattr(darcy, "_keff_x_2x2", fail)
     for coarse in (make_grid(2, 2), make_grid(4, 8), make_grid(8, 4)):
-        upscale(field, fine, coarse)
+        upscale(field, coarse)
 
 
 @pytest.mark.parametrize("fine_shape, coarse_shape", [
@@ -455,7 +454,7 @@ def test_stacked_calls_equal_single_calls(fine_shape, coarse_shape):
     stack = ScalarField(fine, 1.5 * rng.standard_normal((4, fine.n_cells)))
     assert stack.as_2d().shape == (4, fine.ny, fine.nx)
     pressures = solve_pressure(stack, BC)
-    coarse_fields = upscale(stack, fine, coarse)
+    coarse_fields = upscale(stack, coarse)
     coarse_pressures = solve_pressure(coarse_fields, BC)
     assert pressures.values.shape == (4, fine.n_cells)
     assert coarse_fields.values.shape == (4, coarse.n_cells)
@@ -463,7 +462,7 @@ def test_stacked_calls_equal_single_calls(fine_shape, coarse_shape):
         one = ScalarField(fine, row)
         assert np.array_equal(pressures.values[i],
                               solve_pressure(one, BC).values)
-        up = upscale(one, fine, coarse)
+        up = upscale(one, coarse)
         assert np.array_equal(coarse_fields.values[i], up.values)
         assert np.array_equal(coarse_pressures.values[i],
                               solve_pressure(up, BC).values)
@@ -521,7 +520,7 @@ def test_stacked_residual_is_checked_per_field(monkeypatch):
 def test_upscale_non_divisible():
     fine, coarse = make_grid(16, 16), make_grid(7, 8)
     with pytest.raises(ArgumentError):
-        upscale(ScalarField(fine, np.zeros(256)), fine, coarse)
+        upscale(ScalarField(fine, np.zeros(256)), coarse)
 
 
 def test_observe_pressure_chessboard(fine_grid):
@@ -556,7 +555,7 @@ def test_coarse_fine_coherence(basis20, fine_grid, coarse_grid):
         theta[mode] = 1.5
         fld = synthesize_unconditioned(basis20, theta)
         pf = solve_pressure(fld, BC)
-        pc = solve_pressure(upscale(fld, fine_grid, coarse_grid), BC)
+        pc = solve_pressure(upscale(fld, coarse_grid), BC)
         # prolong coarse pressure to the fine grid by injection
         prolonged = np.repeat(np.repeat(pc.as_2d(), by, axis=0), bx, axis=1)
         r = np.corrcoef(prolonged.ravel(), pf.values)[0, 1]

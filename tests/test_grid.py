@@ -1,4 +1,6 @@
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from condflow.errors import ArgumentError, ParseError
 from condflow.grid import (
     ScalarField,
+    _read_csv,
     chessboard_mask,
     make_grid,
     read_field_csv,
@@ -157,3 +160,14 @@ def test_field_validation():
         ScalarField(g, np.zeros(3))
     with pytest.raises(ArgumentError):
         ScalarField(g, np.array([0.0, np.nan, 0.0, 0.0]))
+
+
+def test_every_csv_is_read_by_one_loader():
+    # np.loadtxt appears in src/condflow only inside grid._read_csv
+    lines, start = inspect.getsourcelines(_read_csv)
+    loader = {("grid", n) for n in range(start, start + len(lines))}
+    src = Path(inspect.getfile(_read_csv)).parent
+    calls = {(path.stem, n) for path in src.glob("*.py")
+             for n, line in enumerate(path.read_text().splitlines(), start=1)
+             if "np.loadtxt(" in line}
+    assert calls and calls <= loader, sorted(calls - loader)

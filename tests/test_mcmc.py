@@ -56,7 +56,7 @@ def _small_bundle(sigma_c2=5e-3, sigma_f2=1e-4, n_modes=6, ref_seed=9):
     fm, cm = chessboard_mask(fine), chessboard_mask(coarse)
     rof = observe_pressure(solve_pressure(ref, bc), fm)
     roc = observe_pressure(
-        solve_pressure(upscale(ref, fine, coarse), bc), cm)
+        solve_pressure(upscale(ref, coarse), bc), cm)
     bundle = ModelBundle(basis, fine, coarse, bc, fm, cm, rof, roc,
                          LikelihoodParams(sigma_c2, sigma_f2),
                          projector, kriged)
@@ -243,19 +243,6 @@ def test_trace_after_burn_in():
     assert trace.iterations == 6
 
 
-def test_conditioned_requires_projector():
-    bundle, _, _ = _small_bundle()
-    from dataclasses import replace
-
-    stripped = replace(bundle, projector=None, kriged=None)
-    with pytest.raises(ArgumentError):
-        run_chain(StudyConfig(iterations=5, conditioned=True), stripped)
-    # one conditioned chain in a joint stack needs them too
-    with pytest.raises(ArgumentError, match="projector"):
-        run_study(StudyConfig(iterations=5), stripped, [1, 2],
-                  conditioned=[False, True])
-
-
 def test_run_study_needs_one_flag_per_seed():
     bundle, _, _ = _small_bundle()
     with pytest.raises(ArgumentError, match="one conditioned flag per seed"):
@@ -292,7 +279,7 @@ def _reference_chain(cfg, bundle):
                                          bundle.projector)
         else:
             fld = synthesize_unconditioned(bundle.basis, theta)
-        pc = solve_pressure(upscale(fld, bundle.fine, bundle.coarse), bundle.bc)
+        pc = solve_pressure(upscale(fld, bundle.coarse), bundle.bc)
         llc = log_likelihood(observe_pressure(pc, bundle.coarse_mask),
                              bundle.ref_obs_coarse, bundle.likelihood.sigma_c2)
         if not want_fine:
