@@ -1,0 +1,7 @@
+"""``python -m condflow``: the command-line interface."""
+
+import sys
+
+from .cli import main
+
+sys.exit(main())

@@ -10,7 +10,8 @@ Subcommands:
   reference  the full conditioned-vs-unconditioned comparative study
 
 Every failure exits nonzero after printing one line starting with
-``error:<module>:<code>``.
+``error:<module>:<code>``. The console script ``condflow`` and
+``python -m condflow`` both run :func:`main`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,14 @@ import sys
 import numpy as np
 
 from . import study
-from .config import parse_config
+from .config import check_burn_in, parse_config
 from .darcy import solve_pressure
-from .diagnostics import diagnostics_series, write_report_csv, write_report_dat
+from .diagnostics import (
+    check_chain_count,
+    diagnostics_series,
+    write_report_csv,
+    write_report_dat,
+)
 from .errors import CondflowError, ParseError
 from .grid import _read_csv, read_field_csv, write_field_csv, write_field_pgm
 from .kriging import snap_to_cells
@@ -107,6 +113,10 @@ def cmd_invert(args):
 
 
 def cmd_diagnose(args):
+    # the arguments are checked before any trace is parsed
+    check_burn_in(args.burn_in)
+    study.check_checkpoint_spacing(args.checkpoint_every)
+    check_chain_count(len(args.traces))
     traces = [read_trace_csv(p) for p in args.traces]
     kept = study.post_burn_in(traces, args.burn_in)
     length = kept[0].thetas.shape[0]
@@ -180,7 +190,3 @@ def main(argv=None):
     except OSError as exc:
         print(f"error:cli:io: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

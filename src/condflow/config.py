@@ -51,12 +51,14 @@ def _key(section, default):
     return field(default=default, metadata={"section": section})
 
 
-def check_burn_in(burn_in, length):
-    """Reject a burn-in that leaves fewer than 2 of ``length`` draws."""
-    if not 0 <= burn_in <= length - 2:
+def check_burn_in(burn_in, length=None):
+    """Reject a negative burn-in and, when ``length`` is given, one that
+    leaves fewer than 2 of ``length`` draws."""
+    if burn_in < 0 or length is not None and burn_in > length - 2:
+        bound = ("at least 0" if length is None else
+                 f"in [0, {length - 2}] to keep at least 2 of {length} draws")
         raise ArgumentError(
-            f"burn-in must be in [0, {length - 2}] to keep at least 2 of "
-            f"{length} draws, got {burn_in}",
+            f"burn-in must be {bound}, got {burn_in}",
             module="study",  # named after study, which cuts the traces
         )
 

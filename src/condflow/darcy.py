@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv
 
 from .errors import ArgumentError, NumericalError
 from .grid import ScalarField
@@ -106,7 +105,11 @@ def _matvec(ab, x):
 
 
 def _solve(ab, rhs):
-    """Solve the banded SPD system; a singular one raises NumericalError."""
+    """Solve the banded SPD system; a singular one raises NumericalError.
+    scipy is imported here, at the first solve, so that a command that
+    solves no pressure never loads it."""
+    from scipy.linalg.lapack import dpbsv
+
     _, x, info = dpbsv(ab, rhs)
     if info > 0:
         raise NumericalError(f"singular TPFA system: leading minor "

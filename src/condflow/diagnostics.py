@@ -10,9 +10,12 @@ Definitions, for k chains of l draws of an n-vector theta:
     PSRF_i = sqrt(V_ii / W_ii)
     MPSRF  = sqrt((l-1)/l + ((k+1)/k) lam),  lam = max eig of W^-1 B / l
 
-No degrees-of-freedom correction is applied to the PSRF. lam is found
-through the symmetric generalized eigenproblem B x = mu W x (mu = l*lam)
-rather than by inverting W.
+No degrees-of-freedom correction is applied to the PSRF. lam comes from
+the symmetric generalized eigenproblem B x = mu W x (mu = l*lam), not
+from W^-1 B: the Cholesky factor W = L L^T reduces it to the standard
+symmetric eigenproblem of L^-1 B L^-T, whose largest eigenvalue is mu.
+A W with condition number above 1e12, or one that is not positive
+definite, falls back to the eigenvalues of pinv(W) B with a warning.
 
 W and B are formed from per-chain sums of y and y y^T, where y is a
 draw minus its chain's first draw (the shifted sums of Chan, Golub &
@@ -30,12 +33,17 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ArgumentError, NumericalError, ParseError
 from .grid import _read_csv
 
 _MOD = "diagnostics"
+
+
+def check_chain_count(k):
+    """Reject fewer than the 2 chains that the diagnostics compare."""
+    if k < 2:
+        raise ArgumentError(f"need at least 2 chains, got k={k}", module=_MOD)
 
 
 def _as_chain_matrix(chains, min_draws=2):
@@ -46,11 +54,10 @@ def _as_chain_matrix(chains, min_draws=2):
             module=_MOD,
         )
     k, l, _ = arr.shape
-    if k < 2 or l < min_draws:
-        raise ArgumentError(
-            f"need at least 2 chains and 2 draws, got k={k}, l={l}",
-            module=_MOD,
-        )
+    check_chain_count(k)
+    if l < min_draws:
+        raise ArgumentError(f"need at least {min_draws} draws, got l={l}",
+                            module=_MOD)
     if not np.all(np.isfinite(arr)):
         raise ArgumentError("chain matrix contains non-finite values",
                             module=_MOD)
@@ -127,8 +134,9 @@ def mpsrf(W, B, k, l):
     try:
         if np.linalg.cond(W) > 1e12:
             raise np.linalg.LinAlgError("ill-conditioned W")
-        mu = scipy.linalg.eigh(B, W, eigvals_only=True)[-1]
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        Li = np.linalg.inv(np.linalg.cholesky(W))
+        mu = np.linalg.eigvalsh(Li @ B @ Li.T)[-1]
+    except np.linalg.LinAlgError:
         warnings.warn(
             "within-chain covariance is ill-conditioned; "
             "falling back to a pseudo-inverse for the MPSRF",

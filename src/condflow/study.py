@@ -119,12 +119,16 @@ def post_burn_in(traces, burn_in):
     return [t.after_burn_in(burn_in) for t in traces]
 
 
-def checkpoints_for(length, spacing=CHECKPOINT_EVERY):
+def check_checkpoint_spacing(spacing):
     if spacing < 1:
         raise ArgumentError(
             f"checkpoint spacing must be at least 1, got {spacing}",
             module=_MOD,
         )
+
+
+def checkpoints_for(length, spacing=CHECKPOINT_EVERY):
+    check_checkpoint_spacing(spacing)
     pts = list(range(spacing, length + 1, spacing))
     if not pts or pts[-1] != length:
         pts.append(length)

@@ -1,11 +1,15 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condflow
 from condflow.cli import main
 
 FAST_CFG = """\
@@ -174,7 +178,9 @@ def _diagnose_error(tmp_path, capsys, paths, *options):
 def test_diagnose_rejects_burn_in_outside_trace(tmp_path, capsys, burn_in):
     paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
     err = _diagnose_error(tmp_path, capsys, paths, "--burn-in", burn_in)
-    assert err.startswith("error:study:argument: burn-in must be in [0, 18]")
+    # a negative burn-in is rejected before the trace length is known
+    bound = "at least 0" if burn_in == "-5" else "in [0, 18]"
+    assert err.startswith(f"error:study:argument: burn-in must be {bound}")
 
 
 def test_diagnose_keeps_two_draws_at_largest_burn_in(tmp_path, capsys):
@@ -192,6 +198,59 @@ def test_diagnose_rejects_checkpoint_spacing_below_one(tmp_path, capsys,
     err = _diagnose_error(tmp_path, capsys, paths,
                           "--checkpoint-every", spacing)
     assert err.startswith("error:study:argument: checkpoint spacing")
+
+
+@pytest.mark.parametrize("options, n_traces, message", [
+    (["--checkpoint-every", "0"], 2,
+     "error:study:argument: checkpoint spacing must be at least 1, got 0"),
+    (["--burn-in", "-1"], 2,
+     "error:study:argument: burn-in must be at least 0, got -1"),
+    ([], 1, "error:diagnostics:argument: need at least 2 chains, got k=1"),
+], ids=["spacing", "burn_in", "one_trace"])
+def test_diagnose_rejects_arguments_before_reading_traces(
+        tmp_path, capsys, options, n_traces, message):
+    # the last path does not exist: reading it would fail with cli:io
+    paths = _write_traces(tmp_path, [(20, 2)] * (n_traces - 1))
+    paths.append(str(tmp_path / "missing.csv"))
+    assert _diagnose_error(tmp_path, capsys, paths, *options) == message
+
+
+def _run_python(*args):
+    """Run a fresh interpreter with this checkout's condflow on the path."""
+    src = str(Path(condflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_diagnose_loads_no_scipy(tmp_path):
+    paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
+    code = (
+        "import sys\n"
+        "import condflow.cli\n"
+        "assert condflow.cli.main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    run = _run_python("-c", code, "diagnose", *paths,
+                      "--out", str(tmp_path / "d.csv"))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_python_m_condflow_runs_the_cli(tmp_path):
+    paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
+    out = tmp_path / "d.csv"
+    run = _run_python("-m", "condflow", "diagnose", *paths, "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    assert "final max PSRF" in run.stdout
+    assert out.exists()
+    run = _run_python("-m", "condflow", "diagnose", paths[0],
+                      "--out", str(out))
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [
+        "error:diagnostics:argument: need at least 2 chains, got k=1"]
 
 
 def test_diagnose_rejects_different_parameter_counts(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import inspect
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,3 +562,18 @@ def test_coarse_fine_coherence(basis20, fine_grid, coarse_grid):
         prolonged = np.repeat(np.repeat(pc.as_2d(), by, axis=0), bx, axis=1)
         r = np.corrcoef(prolonged.ravel(), pf.values)[0, 1]
         assert r >= 0.95
+
+
+def test_scipy_is_named_only_inside_solve():
+    # scipy is loaded at the first pressure solve and nowhere else, so a
+    # command that solves no pressure (diagnose) never imports it
+    from condflow import darcy
+
+    lines, start = inspect.getsourcelines(darcy._solve)
+    solve = {("darcy.py", n) for n in range(start, start + len(lines))}
+    src = Path(darcy.__file__).parent
+    named = {(path.name, n) for path in src.rglob("*")
+             if path.is_file() and "__pycache__" not in path.parts
+             for n, line in enumerate(path.read_bytes().splitlines(), start=1)
+             if b"scipy" in line}
+    assert named and named <= solve, sorted(named - solve)

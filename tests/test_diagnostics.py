@@ -469,3 +469,69 @@ def test_series_non_finite_draw_beyond_every_checkpoint():
     a[90, 1] = np.inf
     with pytest.raises(ArgumentError, match="non-finite"):
         diagnostics_series([FakeTrace(a), FakeTrace(b)], [50])
+
+
+# The numpy Cholesky reduction in mpsrf against scipy's generalized
+# symmetric eigensolver (LAPACK dsygvd), imported here only.
+
+
+def _spd(rng, n, low=0.1, high=3.0):
+    """Random SPD matrix with eigenvalues in [low, high]."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (Q * rng.uniform(low, high, n)) @ Q.T
+
+
+def _mpsrf_by_scipy(W, B, k, l):
+    import scipy.linalg
+
+    mu = scipy.linalg.eigh(B, W, eigvals_only=True)[-1]
+    return np.sqrt((l - 1) / l + (k + 1) / k * max(mu, 0.0) / l)
+
+
+def _differential_cases():
+    rng = np.random.default_rng(18)
+    for n in range(2, 21):
+        W = _spd(rng, n)
+        X = rng.standard_normal((n, n))
+        yield f"random_n{n}", W, X @ X.T
+        yield f"zero_n{n}", W, np.zeros((n, n))
+        x = rng.standard_normal((n, 1))
+        yield f"rank1_n{n}", W, x @ x.T
+        # cond(W) near 1e11 from one parameter on a small scale, as a
+        # trace gives it. Ill-conditioning from a rotation instead makes
+        # the largest eigenvalue itself sensitive to rounding in W: both
+        # solvers then agree with a 60-digit reference only to about
+        # eps * cond(W).
+        d = np.ones(n)
+        d[n // 2] = 10.0 ** -5.5
+        Wd = _spd(rng, n, 1.0, 2.0) * np.outer(d, d)
+        X = rng.standard_normal((n, n)) * d[:, None]
+        yield f"scaled_n{n}", Wd, X @ X.T
+
+
+DIFFERENTIAL_CASES = list(_differential_cases())
+
+
+@pytest.mark.parametrize("name, W, B", DIFFERENTIAL_CASES,
+                         ids=[case[0] for case in DIFFERENTIAL_CASES])
+def test_mpsrf_matches_scipy_generalized_eigh(name, W, B):
+    # every W is below the 1e12 switch to the pseudo-inverse
+    low = 5e10 if name.startswith("scaled") else 1.0
+    assert low <= np.linalg.cond(W) < 1e12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, l in ((2, 2), (4, 1000)):
+            assert mpsrf(W, B, k, l) == pytest.approx(
+                _mpsrf_by_scipy(W, B, k, l), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("W", [
+    np.diag([1.0, 1e-13]),  # cond(W) 1e13 > 1e12
+    np.array([[1.0, 2.0], [2.0, 1.0]]),  # symmetric, eigenvalues 3 and -1
+], ids=["ill_conditioned", "indefinite"])
+def test_mpsrf_falls_back_to_pseudo_inverse(W):
+    B = np.array([[2.0, 1.0], [1.0, 1.0]])
+    with pytest.warns(UserWarning, match="pseudo-inverse"):
+        value = mpsrf(W, B, 4, 100)
+    mu = np.max(np.real(np.linalg.eigvals(np.linalg.pinv(W) @ B)))
+    assert value == np.sqrt(0.99 + 1.25 * max(mu, 0.0) / 100)
