@@ -82,7 +82,6 @@ class StudyConfig:
     burn_in: int = _key("mcmc", None)  # default: 10% of iterations
     conditioned: bool = _key("mcmc", False)
     single_component: bool = _key("mcmc", True)
-    store_projected: bool = _key("mcmc", False)
     seed: int = 2023
     measurements: str = _key("paths", None)  # packaged defaults when unset
     reference_field: str = _key("paths", None)
@@ -99,6 +98,9 @@ class StudyConfig:
                     "n_terms", "chains", "iterations"):
             if getattr(self, key) < 1:
                 raise ArgumentError(f"{key} must be positive", module=_MOD)
+        if self.seed < 0:  # numpy seeds its generators from n >= 0 only
+            raise ArgumentError(f"seed must be at least 0, got {self.seed}",
+                                module=_MOD)
         check_refinement(make_grid(self.fine_nx, self.fine_ny),
                          make_grid(self.coarse_nx, self.coarse_ny))
         # each parameter type checks its own values
@@ -109,8 +111,9 @@ class StudyConfig:
             raise ArgumentError(
                 "kle.energy_threshold must be in (0, 1]", module=_MOD
             )
-        if self.chains > 1:  # the diagnostics need 2 draws after burn-in
-            check_burn_in(self.effective_burn_in, self.iterations)
+        # the diagnostics of several chains need 2 draws after burn-in
+        check_burn_in(self.effective_burn_in,
+                      self.iterations if self.chains > 1 else None)
 
     @property
     def kernel(self):

@@ -19,9 +19,11 @@ likelihood ratios:
     alpha_c = min(1, exp(llc_p - llc))
     alpha_f = min(1, exp((llf_p - llf) - (llc_p - llc)))
 
-A chain reads beta, the iteration count, the conditioned flag, the
-single-component flag and the store-projected flag from the study's
-:class:`condflow.config.StudyConfig`, which has validated them.
+A chain reads beta, the iteration count, the conditioned flag and the
+single-component flag from the study's
+:class:`condflow.config.StudyConfig`, which has validated them. Its
+state is the unprojected theta; a conditioned chain projects it only to
+synthesize its field.
 
 The trace records the fine-scale accepted theta per iteration, repeating
 the previous state on rejection, which is exactly what the convergence
@@ -155,15 +157,6 @@ def _metropolis(log_ratio):
     return 1.0 if log_ratio >= 0.0 else float(np.exp(log_ratio))
 
 
-def coarse_accept_prob(loglik_c_prop, loglik_c_curr):
-    return _metropolis(loglik_c_prop - loglik_c_curr)
-
-
-def fine_accept_prob(loglik_f_prop, loglik_f_curr, loglik_c_prop, loglik_c_curr):
-    return _metropolis((loglik_f_prop - loglik_f_curr)
-                       - (loglik_c_prop - loglik_c_curr))
-
-
 def _logliks(pressure, mask, ref, sigma2):
     """Log-likelihood of each field of a pressure stack, one at a time."""
     return [log_likelihood(obs, ref, sigma2)
@@ -207,10 +200,6 @@ def run_chain(cfg, bundle, initial_theta=None):
     """Run one two-stage chain, seeded with ``cfg.seed``, and return its
     trace: the one-seed case of :func:`run_study`. ``cfg`` is a
     :class:`condflow.config.StudyConfig`.
-
-    The chain state is the unprojected theta unless
-    ``cfg.store_projected`` is set, in which case the projected vector
-    is stored after each fine acceptance.
     """
     inits = None if initial_theta is None else [initial_theta]
     return run_study(cfg, bundle, [cfg.seed], initial_thetas=inits)[0]
@@ -222,11 +211,10 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None,
     order.
 
     ``base_cfg`` is a :class:`condflow.config.StudyConfig`; the chains
-    read its beta, iterations, conditioned, single_component and
-    store_projected fields, and the seeds replace its seed and chain
-    count. ``conditioned``, one flag per seed, replaces the config's flag
-    chain by chain, so both studies' chains share one stack;
-    store_projected applies to the conditioned chains only.
+    read its beta, iterations, conditioned and single_component fields,
+    and the seeds replace its seed and chain count. ``conditioned``, one
+    flag per seed, replaces the config's flag chain by chain, so both
+    studies' chains share one stack.
 
     The chains advance in lockstep, and each forward layer runs once per
     iteration on the stack of their fields; each proposal's forward model
@@ -262,7 +250,6 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None,
     coarse_acc = np.zeros((m, iters), dtype=bool)
     fine_acc = np.zeros((m, iters), dtype=bool)
     logliks = np.empty((m, iters))
-    keep_projected = [flag and base_cfg.store_projected for flag in flags]
 
     it = None
     try:
@@ -274,8 +261,7 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None,
                               for theta, rng in zip(state, rngs)])
             fields_p, llc_p = _coarse_step(props, studies, bundle)
             passed = [c for c in range(m)
-                      if rngs[c].random() < coarse_accept_prob(llc_p[c],
-                                                               llc[c])]
+                      if rngs[c].random() < _metropolis(llc_p[c] - llc[c])]
             coarse_acc[passed, it] = True
             if passed:
                 if len(passed) < m:
@@ -283,12 +269,10 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None,
                                            fields_p.values[passed])
                 llf_p = _fine_step(fields_p, bundle)
                 for c, llf_c in zip(passed, llf_p):
-                    if rngs[c].random() < fine_accept_prob(llf_c, llf[c],
-                                                           llc_p[c], llc[c]):
+                    if rngs[c].random() < _metropolis(
+                            (llf_c - llf[c]) - (llc_p[c] - llc[c])):
                         fine_acc[c, it] = True
-                        state[c] = (conditioning.project(props[c],
-                                                         bundle.projector)
-                                    if keep_projected[c] else props[c])
+                        state[c] = props[c]
                         llc[c], llf[c] = llc_p[c], llf_c
             thetas[:, it] = state
             logliks[:, it] = llf

@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion. Criterion 6 runs the full reference experiment
 (two studies, 4 chains x 20000 iterations each, sampled as one stack of
-8 chains) and takes 25 to 45 s on two cores; criterion 7 takes 33 to
-75 s; everything else finishes in seconds.
+8 chains); criterion 9 runs once per proposal kind. README's "Tests"
+section gives what each criterion costs.
 """
 
 import filecmp
@@ -31,7 +31,7 @@ from condflow.diagnostics import (
 from condflow.grid import ScalarField, make_grid
 from condflow.kle import energy_fraction, full_spectrum
 from condflow.kriging import snap_to_cells
-from condflow.mcmc import run_chain
+from condflow.mcmc import run_chain, run_study
 from condflow.study import build_setup, sample_studies, study_report
 
 
@@ -237,3 +237,26 @@ def test_criterion_8_determinism(tmp_path):
     _report(8, "determinism", not mismatched,
             "bitwise-identical traces and diagnostics" if not mismatched
             else f"differs: {mismatched}")
+
+
+@pytest.mark.parametrize("single_component", [True, False],
+                         ids=["single_component", "full_vector"])
+def test_criterion_9_conditioned_flat_likelihood_prior(single_component):
+    # a conditioned chain samples theta whose nullspace coordinates
+    # z = Q^T theta are the i.i.d. N(0, I) coefficients the projection
+    # conditions; a flat likelihood must keep them so
+    from test_mcmc import _small_bundle
+
+    bundle, _, _ = _small_bundle(sigma_c2=1e12, sigma_f2=1e12, n_modes=6)
+    cfg = StudyConfig(iterations=3000, burn_in=500, conditioned=True,
+                      single_component=single_component)
+    traces = run_study(cfg, bundle, [90 + c for c in range(32)])
+    z = (np.concatenate([t.thetas[cfg.burn_in:] for t in traces])
+         @ bundle.projector.Q)
+    mean_err = float(np.max(np.abs(z.mean(axis=0))))
+    var_err = float(np.max(np.abs(z.var(axis=0) - 1.0)))
+    ok = mean_err <= 0.05 and var_err <= 0.05
+    kind = "single-component" if single_component else "full-vector"
+    _report(9, f"conditioned flat-likelihood prior, {kind}", ok,
+            f"{z.shape[1]} nullspace coordinates, max |mean| "
+            f"{mean_err:.4f}, max |var - 1| {var_err:.4f}")

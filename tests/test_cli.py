@@ -345,6 +345,24 @@ def test_invert_rejects_burn_in_before_running(tmp_path, capsys):
     assert not list(out.glob("trace_*.csv"))
 
 
+@pytest.mark.parametrize("argv, lines, message", [
+    (["reference"], "seed = -3",
+     "error:cli:argument: seed must be at least 0, got -3"),
+    (["invert"], "seed = -3",
+     "error:cli:argument: seed must be at least 0, got -3"),
+    (["invert"], "mcmc.chains = 1\nmcmc.burn_in = -5",
+     "error:study:argument: burn-in must be at least 0, got -5"),
+], ids=["seed_reference", "seed_invert", "burn_in_invert"])
+def test_negative_seed_or_burn_in_fails_before_output(tmp_path, capsys, argv,
+                                                      lines, message):
+    # later lines override the fast config's chains and burn-in
+    out = tmp_path / "out"
+    err = _config_error(tmp_path, capsys, [*argv, "--out-dir", str(out)],
+                        lambda text: text + lines + "\n")
+    assert err == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, module", [("kernel.lx = 0", "covariance"),
                                           ("mcmc.sigma_f2 = -1e-4", "mcmc"),
                                           ("grid.coarse_nx = 5", "darcy")])

@@ -60,7 +60,6 @@ mcmc.iterations = 500
 mcmc.burn_in = 100
 mcmc.conditioned = true
 mcmc.single_component = false
-mcmc.store_projected = true
 seed = 99
 paths.measurements = ms.csv
 paths.reference_field = ref.csv
@@ -77,7 +76,7 @@ output.verbosity = 0
     assert cfg.beta == 0.7
     assert (cfg.sigma_f2, cfg.sigma_c2) == (1e-3, 1e-2)
     assert (cfg.chains, cfg.iterations, cfg.burn_in) == (2, 500, 100)
-    assert cfg.conditioned and cfg.store_projected
+    assert cfg.conditioned
     assert not cfg.single_component
     assert cfg.seed == 99
     assert cfg.measurements == "ms.csv"
@@ -90,6 +89,14 @@ output.verbosity = 0
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ParseError, match="mcmc.betta"):
         parse_config(_write(tmp_path, "mcmc.betta = 0.85\n"))
+
+
+def test_store_projected_key_rejected(tmp_path):
+    # the key of the removed stored-projection option is now unknown
+    with pytest.raises(ParseError, match="unknown key 'mcmc.store_projected'"
+                       ) as info:
+        parse_config(_write(tmp_path, "mcmc.store_projected = false\n"))
+    assert (info.value.module, info.value.code) == ("cli", "parse")
 
 
 def test_missing_equals_reports_line(tmp_path):
@@ -122,6 +129,21 @@ def test_nonpositive_sizes_rejected():
                 dict(sigma_f2=0.0), dict(sigma_c2=0.0), dict(lx=0.0)]:
         with pytest.raises(ArgumentError):
             StudyConfig(**bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(seed=-3), "seed must be at least 0, got -3"),
+    (dict(chains=1, burn_in=-5), "burn-in must be at least 0, got -5"),
+    (dict(chains=4, burn_in=-5), r"burn-in must be in \[0, 19998\]"),
+], ids=["seed", "burn_in_one_chain", "burn_in_four_chains"])
+def test_negative_seed_and_burn_in_rejected(bad, message):
+    with pytest.raises(ArgumentError, match=message):
+        StudyConfig(**bad)
+
+
+def test_one_chain_burn_in_has_no_length_bound():
+    # only the diagnostics of several chains need draws after burn-in
+    assert StudyConfig(chains=1, iterations=12, burn_in=20).burn_in == 20
 
 
 def test_effective_burn_in():

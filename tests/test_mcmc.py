@@ -8,7 +8,6 @@ from condflow import darcy, kle
 from condflow.conditioning import (
     build_data_matrix,
     nullspace_basis,
-    project,
     synthesize_conditioned,
 )
 from condflow.config import StudyConfig
@@ -27,8 +26,7 @@ from condflow.mcmc import (
     ChainTrace,
     LikelihoodParams,
     ModelBundle,
-    coarse_accept_prob,
-    fine_accept_prob,
+    _metropolis,
     log_likelihood,
     read_trace_csv,
     run_chain,
@@ -113,17 +111,15 @@ def test_rws_stationarity():
     assert abs(prop.var() - 1.0) < 0.03
 
 
-def test_coarse_accept_prob():
-    assert coarse_accept_prob(-1.0, -1.0) == 1.0
-    assert coarse_accept_prob(0.0, -np.log(2.0)) == 1.0
-    assert coarse_accept_prob(-np.log(4.0), 0.0) == pytest.approx(0.25)
-
-
-def test_fine_accept_prob():
-    assert fine_accept_prob(-1.0, -2.0, -3.0, -4.0) == 1.0
-    assert fine_accept_prob(
-        -0.0, -np.log(2.0), 0.0, -np.log(8.0)) == pytest.approx(0.25)
-    assert fine_accept_prob(-1.0, -1.0, -1.0, -1.0) == 1.0
+def test_metropolis():
+    # a log-ratio of at least 0 is capped at 1; below 0 it is exponentiated
+    assert _metropolis(0.0) == 1.0
+    assert _metropolis(np.log(2.0)) == 1.0
+    assert _metropolis(-np.log(4.0)) == pytest.approx(0.25)
+    assert _metropolis(-1e4) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp(1e4) would overflow
+        assert _metropolis(1e4) == 1.0
 
 
 def test_flat_likelihood_accepts_everything():
@@ -175,17 +171,6 @@ def test_reproducibility():
     assert np.array_equal(t1.thetas, t2.thetas)
     assert np.array_equal(t1.fine_accepted, t2.fine_accepted)
     assert np.array_equal(t1.loglik_fine, t2.loglik_fine)
-
-
-def test_store_projected_state_stays_in_nullspace():
-    bundle, _, _ = _small_bundle()
-    cfg = StudyConfig(iterations=150, seed=6, conditioned=True,
-                      store_projected=True)
-    trace = run_chain(cfg, bundle)
-    accepted = trace.thetas[trace.fine_accepted]
-    for theta in accepted:
-        assert np.max(np.abs(project(theta, bundle.projector) - theta)) \
-            <= 1e-10
 
 
 def test_run_study_duplicate_seed_warns():
@@ -268,7 +253,7 @@ def test_single_stage_flat_likelihood_prior_preserved():
     assert np.all(np.abs(var - 1.0) < 0.1)
 
 
-def _reference_chain(cfg, bundle):
+def _reference_chain(cfg, bundle, initial_theta=None):
     """The two-stage sampler written out from the public pieces. On a
     coarse acceptance it recomputes the whole forward model of the
     proposal, synthesis and coarse solve included."""
@@ -289,22 +274,26 @@ def _reference_chain(cfg, bundle):
                                    bundle.ref_obs_fine,
                                    bundle.likelihood.sigma_f2)
 
+    def accept(log_ratio):
+        # min(1, exp(log_ratio)), capped before exp so it cannot overflow
+        return rng.random() < (1.0 if log_ratio >= 0.0
+                               else np.exp(log_ratio))
+
     rng = np.random.default_rng(cfg.seed)
-    theta = rng.standard_normal(bundle.basis.n)
+    theta = (rng.standard_normal(bundle.basis.n) if initial_theta is None
+             else np.asarray(initial_theta, dtype=float))
     llc, llf = forward(theta, want_fine=True)
     thetas, coarse, fine, logliks = [], [], [], []
     for _ in range(cfg.iterations):
         theta_p = rws_propose(theta, cfg.beta, rng, cfg.single_component)
         llc_p, _ = forward(theta_p, want_fine=False)
         c_acc = f_acc = False
-        if rng.random() < coarse_accept_prob(llc_p, llc):
+        if accept(llc_p - llc):
             c_acc = True
             _, llf_p = forward(theta_p, want_fine=True)
-            if rng.random() < fine_accept_prob(llf_p, llf, llc_p, llc):
+            if accept((llf_p - llf) - (llc_p - llc)):
                 f_acc = True
-                theta = (project(theta_p, bundle.projector)
-                         if cfg.conditioned and cfg.store_projected
-                         else theta_p)
+                theta = theta_p
                 llc, llf = llc_p, llf_p
         thetas.append(theta)
         coarse.append(c_acc)
@@ -313,7 +302,9 @@ def _reference_chain(cfg, bundle):
     return np.array(thetas), np.array(coarse), np.array(fine), np.array(logliks)
 
 
-@pytest.mark.parametrize("conditioned, single_component, store_projected", [
+# the third flag starts the chains from given states, not from their
+# generators' first draws
+@pytest.mark.parametrize("conditioned, single_component, given_init", [
     (False, True, False),
     (False, False, False),
     (True, True, False),
@@ -321,14 +312,15 @@ def _reference_chain(cfg, bundle):
     (True, True, True),
 ])
 def test_run_chain_matches_reference_loop(conditioned, single_component,
-                                          store_projected):
+                                          given_init):
     bundle, _, _ = _small_bundle()
     cfg = StudyConfig(beta=0.3, iterations=60, seed=11,
                       conditioned=conditioned,
-                      single_component=single_component,
-                      store_projected=store_projected)
-    trace = run_chain(cfg, bundle)
-    thetas, coarse, fine, logliks = _reference_chain(cfg, bundle)
+                      single_component=single_component)
+    init = (np.random.default_rng(17).standard_normal(bundle.basis.n)
+            if given_init else None)
+    trace = run_chain(cfg, bundle, initial_theta=init)
+    thetas, coarse, fine, logliks = _reference_chain(cfg, bundle, init)
     # both stages decide somewhere, so the fine step and its reuse run
     assert 0 < np.sum(trace.fine_accepted) < np.sum(trace.coarse_accepted)
     assert np.array_equal(trace.thetas, thetas)
@@ -337,7 +329,7 @@ def test_run_chain_matches_reference_loop(conditioned, single_component,
     assert np.array_equal(trace.loglik_fine, logliks)
 
 
-@pytest.mark.parametrize("conditioned, single_component, store_projected", [
+@pytest.mark.parametrize("conditioned, single_component, given_init", [
     (False, True, False),
     (False, False, False),
     (True, True, False),
@@ -345,18 +337,20 @@ def test_run_chain_matches_reference_loop(conditioned, single_component,
     (True, True, True),
 ])
 def test_run_study_matches_reference_loop(conditioned, single_component,
-                                          store_projected):
+                                          given_init):
     bundle, _, _ = _small_bundle()
     cfg = StudyConfig(beta=0.3, iterations=60, conditioned=conditioned,
-                      single_component=single_component,
-                      store_projected=store_projected)
+                      single_component=single_component)
     seeds = [11, 12, 13, 14]
-    traces = run_study(cfg, bundle, seeds)
+    inits = (np.random.default_rng(17).standard_normal((4, bundle.basis.n))
+             if given_init else None)
+    traces = run_study(cfg, bundle, seeds, initial_thetas=inits)
     coarse = np.array([t.coarse_accepted for t in traces])
     # some iterations stack only part of the chains for the fine solve
     assert np.any(coarse.any(axis=0) & ~coarse.all(axis=0))
-    for seed, trace in zip(seeds, traces):
-        want = _reference_chain(replace(cfg, seed=seed), bundle)
+    for c, (seed, trace) in enumerate(zip(seeds, traces)):
+        want = _reference_chain(replace(cfg, seed=seed), bundle,
+                                None if inits is None else inits[c])
         assert trace.seed == seed
         assert np.array_equal(trace.thetas, want[0])
         assert np.array_equal(trace.coarse_accepted, want[1])
@@ -364,15 +358,16 @@ def test_run_study_matches_reference_loop(conditioned, single_component,
         assert np.array_equal(trace.loglik_fine, want[3])
 
 
-@pytest.mark.parametrize("store_projected", [False, True])
+@pytest.mark.parametrize("single_component", [False, True])
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("interleaved", [False, True])
-def test_joint_studies_equal_separate_studies(store_projected, k,
+def test_joint_studies_equal_separate_studies(single_component, k,
                                                interleaved):
     # the chains of both studies in one stack sample exactly what each
     # study samples on its own, whatever the order of the flags
     bundle, _, _ = _small_bundle()
-    cfg = StudyConfig(beta=0.3, iterations=60, store_projected=store_projected)
+    cfg = StudyConfig(beta=0.3, iterations=60,
+                      single_component=single_component)
     seeds = [31 + c for c in range(k)]
     if interleaved:
         joint_seeds = [s for s in seeds for _ in (False, True)]
