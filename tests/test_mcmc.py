@@ -111,15 +111,25 @@ def test_rws_stationarity():
     assert abs(prop.var() - 1.0) < 0.03
 
 
-def test_metropolis():
-    # a log-ratio of at least 0 is capped at 1; below 0 it is exponentiated
-    assert _metropolis(0.0) == 1.0
-    assert _metropolis(np.log(2.0)) == 1.0
-    assert _metropolis(-np.log(4.0)) == pytest.approx(0.25)
+def test_coarse_accept_prob():
+    # coarse stage: min(1, exp(llc' - llc)); a log-ratio of at least 0 is
+    # capped at 1 before exponentiating
+    assert _metropolis(-1.0 - (-1.0)) == 1.0
+    assert _metropolis(0.0 - (-np.log(2.0))) == 1.0
+    assert _metropolis(-np.log(4.0) - 0.0) == pytest.approx(0.25)
     assert _metropolis(-1e4) == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # exp(1e4) would overflow
         assert _metropolis(1e4) == 1.0
+
+
+def test_fine_accept_prob():
+    # fine stage: min(1, exp((llf' - llf) - (llc' - llc))), the coarse
+    # ratio divided out, in the order the sampler subtracts
+    assert _metropolis((-1.0 - (-2.0)) - (-3.0 - (-4.0))) == 1.0
+    assert _metropolis((-0.0 - (-np.log(2.0)))
+                       - (0.0 - (-np.log(8.0)))) == pytest.approx(0.25)
+    assert _metropolis((-1.0 - (-1.0)) - (-1.0 - (-1.0))) == 1.0
 
 
 def test_flat_likelihood_accepts_everything():
