@@ -1,5 +1,7 @@
-"""Discrete Karhunen-Loeve eigenproblem, energy-based truncation, and
-synthesis of unconditioned Gaussian log-permeability fields.
+"""Discrete Karhunen-Loeve eigenproblem, its truncation, and synthesis
+of unconditioned Gaussian log-permeability fields. :func:`solve_kle`
+decides the truncation, a fixed mode count or an energy threshold, from
+the one factorization of the covariance it makes.
 
 The continuous eigenproblem is discretized by Nystrom collocation with
 uniform quadrature weights hx*hy: the symmetric matrix (hx*hy) * R is
@@ -74,31 +76,27 @@ def full_spectrum(cov, grid):
     return evals, phi
 
 
-def solve_kle(cov, grid, n):
-    """Solve the discrete KL eigenproblem and retain the n leading modes."""
+def solve_kle(cov, grid, n, energy_threshold=None):
+    """Solve the discrete KL eigenproblem and retain the n leading modes,
+    or with ``energy_threshold`` the fewest whose energy fraction reaches
+    it. One factorization gives both the count and the basis."""
     N = grid.n_cells
-    if n < 1 or n > N:
-        raise ArgumentError(
-            f"mode count n={n} must be in [1, {N}]", module=_MOD
-        )
+    if energy_threshold is None and not 1 <= n <= N:
+        raise ArgumentError(f"mode count n={n} must be in [1, {N}]",
+                            module=_MOD)
     evals, phi = full_spectrum(cov, grid)
-    if evals[n - 1] <= 1e-12 * evals[0]:
+    if energy_threshold is not None:
+        frac = np.cumsum(evals) / np.sum(evals)
+        n = int(np.searchsorted(frac, energy_threshold) + 1)
+    if n > N or evals[n - 1] <= 1e-12 * evals[0]:
         raise NumericalError(
-            f"eigenvalue {n} is <= 1e-12 of the leading one; "
-            "reduce the number of retained modes",
-            module=_MOD,
-            code="truncation",
-        )
+            f"eigenvalue {n} is <= 1e-12 of the leading one; reduce the "
+            "number of retained modes" if energy_threshold is None else
+            f"kle.energy_threshold = {energy_threshold} is reached by no "
+            "mode count above the 1e-12 eigenvalue floor; lower it",
+            module=_MOD, code="truncation")
     energy = energy_fraction(evals, n)
     return KLEBasis(grid, evals[:n].copy(), phi[:, :n].copy(), energy)
-
-
-def modes_for_energy(cov, grid, threshold):
-    """Smallest n whose retained energy reaches the threshold, a fraction
-    in (0, 1]."""
-    evals, _ = full_spectrum(cov, grid)
-    frac = np.cumsum(evals) / np.sum(evals)
-    return int(np.searchsorted(frac, threshold) + 1)
 
 
 def energy_fraction(lambdas, n):
@@ -110,8 +108,6 @@ def energy_fraction(lambdas, n):
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ArgumentError("empty spectrum", module=_MOD)
-    if n == 0:
-        return 0.0
     return float(np.sum(lambdas[:n]) / np.sum(lambdas))
 
 

@@ -43,6 +43,10 @@ class MeasurementSet:
             )
         if not (np.all(np.isfinite(locs)) and np.all(np.isfinite(vals))):
             raise ArgumentError("non-finite measurement data", module=_MOD)
+        outside = np.any((locs < 0.0) | (locs > 1.0), axis=1)
+        if np.any(outside):
+            raise ArgumentError(f"measurement {np.argmax(outside) + 1} lies "
+                                "outside the unit square [0, 1]^2", module=_MOD)
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "values", vals)
 
@@ -52,13 +56,14 @@ class MeasurementSet:
 
 
 def snap_to_cells(ms, grid):
-    """Nearest-cell index per measurement location.
+    """Index of the cell holding each measurement location; a location
+    on x = 1 or y = 1 is in the last cell.
 
     Raises if two measurements land in the same cell; downstream math
     assumes one datum per cell.
     """
-    i = np.clip((ms.locations[:, 0] * grid.nx).astype(int), 0, grid.nx - 1)
-    j = np.clip((ms.locations[:, 1] * grid.ny).astype(int), 0, grid.ny - 1)
+    i = np.minimum((ms.locations[:, 0] * grid.nx).astype(int), grid.nx - 1)
+    j = np.minimum((ms.locations[:, 1] * grid.ny).astype(int), grid.ny - 1)
     cells = grid.cell_index(i, j)
     uniq, counts = np.unique(cells, return_counts=True)
     if np.any(counts > 1):

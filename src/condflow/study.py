@@ -21,7 +21,7 @@ from .darcy import BoundaryConditions, observe_pressure, solve_pressure, upscale
 from .diagnostics import diagnostics_series, write_report_csv, write_report_dat
 from .errors import ArgumentError
 from .grid import chessboard_mask, make_grid, read_field_csv, write_field_pgm
-from .kle import modes_for_energy, solve_kle
+from .kle import solve_kle
 from .kriging import krige, read_measurements_csv
 from .mcmc import ModelBundle, run_study, synthesize, write_trace_csv
 
@@ -65,23 +65,19 @@ class StudySetup:
 def build_setup(cfg):
     """Assemble grids, KL basis, kriging, projector, and reference data.
 
-    The KL basis keeps ``kle.n_terms`` modes, or with
-    ``kle.energy_threshold`` the fewest that reach it."""
+    Both input CSVs are read before the covariance is factored, so bad
+    input fails before the O(N^3) work."""
     fine = make_grid(cfg.fine_nx, cfg.fine_ny)
     coarse = make_grid(cfg.coarse_nx, cfg.coarse_ny)
-    params = cfg.kernel
-    cov = assemble_covariance(fine, params)
-    n_modes = (cfg.n_terms if cfg.energy_threshold is None
-               else modes_for_energy(cov, fine, cfg.energy_threshold))
-    basis = solve_kle(cov, fine, n_modes)
-
     ms = read_measurements_csv(cfg.measurements
                                or default_measurements_path())
-    kriged = krige(ms, params, fine)
-    projector = nullspace_basis(build_data_matrix(basis, ms, fine))
-
     ref_path = cfg.reference_field or default_reference_field_path()
     ref_field = read_field_csv(ref_path, fine)
+
+    cov = assemble_covariance(fine, cfg.kernel)
+    basis = solve_kle(cov, fine, cfg.n_terms, cfg.energy_threshold)
+    kriged = krige(ms, cfg.kernel, fine)
+    projector = nullspace_basis(build_data_matrix(basis, ms, fine))
 
     bc = BoundaryConditions()
     fine_mask = chessboard_mask(fine)

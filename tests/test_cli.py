@@ -183,6 +183,13 @@ def test_diagnose_rejects_burn_in_outside_trace(tmp_path, capsys, burn_in):
     assert err.startswith(f"error:study:argument: burn-in must be {bound}")
 
 
+def test_diagnose_rejects_one_draw_traces(tmp_path, capsys):
+    # no burn-in keeps 2 draws of a one-draw trace; the error says so
+    paths = _write_traces(tmp_path, [(1, 2), (1, 2)])
+    assert _diagnose_error(tmp_path, capsys, paths) == (
+        "error:study:argument: at least 2 draws are needed, got traces of 1")
+
+
 def test_diagnose_keeps_two_draws_at_largest_burn_in(tmp_path, capsys):
     paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
     out = tmp_path / "d.csv"
@@ -416,6 +423,33 @@ def test_reference_full_run_rejects_fewer_modes_than_measurements(
     assert err.startswith("error:conditioning:argument: 9 measurements "
                           "with only 5 KL modes")
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["1.0", "0.999999999999"])
+def test_kle_rejects_unreachable_energy_threshold(tmp_path, capsys,
+                                                  threshold):
+    # the cumulative fraction stops short of 1.0 by rounding, and the last
+    # modes it needs for the second value are rounding noise
+    out = tmp_path / "out"
+    err = _config_error(tmp_path, capsys, ["kle", "--out-dir", str(out)],
+                        lambda text: text + f"kle.energy_threshold = "
+                                            f"{threshold}\n")
+    assert err.startswith(f"error:kle:truncation: kle.energy_threshold = "
+                          f"{threshold} is reached by no mode count")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["5.0,-2.0,0.5", "0.5,1.0001,0.5"])
+def test_krige_rejects_measurement_outside_unit_square(tmp_path, capsys,
+                                                       monkeypatch, row):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ms.csv").write_text(f"x,y,value\n0.5,0.5,1.0\n{row}\n")
+    out = tmp_path / "out"
+    err = _config_error(tmp_path, capsys, ["krige", "--out-dir", str(out)],
+                        lambda text: text + "paths.measurements = ms.csv\n")
+    assert err == ("error:kriging:argument: measurement 2 lies outside the "
+                   "unit square [0, 1]^2")
     assert not out.exists()
 
 

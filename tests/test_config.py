@@ -135,7 +135,9 @@ def test_nonpositive_sizes_rejected():
     (dict(seed=-3), "seed must be at least 0, got -3"),
     (dict(chains=1, burn_in=-5), "burn-in must be at least 0, got -5"),
     (dict(chains=4, burn_in=-5), r"burn-in must be in \[0, 19998\]"),
-], ids=["seed", "burn_in_one_chain", "burn_in_four_chains"])
+    (dict(chains=4, iterations=1),
+     "at least 2 draws are needed, got traces of 1"),
+], ids=["seed", "burn_in_one_chain", "burn_in_four_chains", "one_iteration"])
 def test_negative_seed_and_burn_in_rejected(bad, message):
     with pytest.raises(ArgumentError, match=message):
         StudyConfig(**bad)

@@ -7,7 +7,6 @@ from condflow.grid import make_grid
 from condflow.kle import (
     energy_fraction,
     full_spectrum,
-    modes_for_energy,
     solve_kle,
     synthesize_unconditioned,
 )
@@ -90,10 +89,18 @@ def test_energy_fraction_basics():
 
 
 def test_energy_threshold_mode(fine_cov, fine_grid):
-    n = modes_for_energy(fine_cov, fine_grid, 0.95)
-    assert 1 <= n <= 20
-    basis = solve_kle(fine_cov, fine_grid, n)
-    assert basis.energy >= 0.95
+    # the threshold keeps the fewest modes whose cumulative fraction of the
+    # full spectrum reaches it, the basis of that fixed count bit for bit
+    evals, _ = full_spectrum(fine_cov, fine_grid)
+    frac = np.cumsum(evals) / np.sum(evals)
+    for threshold, n in ((0.95, 4), (0.999, 11), (0.9999999, 30)):
+        assert int(np.searchsorted(frac, threshold) + 1) == n
+        basis = solve_kle(fine_cov, fine_grid, 1, threshold)
+        fixed = solve_kle(fine_cov, fine_grid, n)
+        assert basis.n == n
+        assert np.array_equal(basis.lambdas, fixed.lambdas)
+        assert np.array_equal(basis.phi, fixed.phi)
+        assert basis.energy == fixed.energy >= threshold
 
 
 def test_synthesize_zero(basis20):

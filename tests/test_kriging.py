@@ -109,6 +109,20 @@ def test_snap_corner(fine_grid):
     assert snap_to_cells(ms, fine_grid).tolist() == [0]
 
 
+def test_snap_far_edges_to_last_cells(fine_grid):
+    ms = MeasurementSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                        np.ones(3))
+    assert snap_to_cells(ms, fine_grid).tolist() == [
+        fine_grid.cell_index(15, 0), fine_grid.cell_index(0, 15),
+        fine_grid.cell_index(15, 15)]
+
+
+@pytest.mark.parametrize("loc", [[-0.01, 0.5], [0.5, 1.01], [5.0, -2.0]])
+def test_location_outside_unit_square_rejected(loc):
+    with pytest.raises(ArgumentError, match="outside the unit square"):
+        MeasurementSet(np.array([[0.5, 0.5], loc]), np.ones(2))
+
+
 def test_snap_collision(fine_grid):
     ms = MeasurementSet(np.array([[0.5, 0.5], [0.51, 0.51]]),
                         np.array([1.0, 2.0]))

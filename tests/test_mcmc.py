@@ -252,17 +252,6 @@ def test_chain_config_validation():
         StudyConfig(iterations=0)
 
 
-def test_single_stage_flat_likelihood_prior_preserved():
-    # flat likelihood + full-vector RWS: the sampler preserves N(0, I)
-    bundle, _, _ = _small_bundle(sigma_c2=1e12, sigma_f2=1e12, n_modes=4)
-    cfg = StudyConfig(iterations=20_000, seed=10, single_component=False)
-    trace = run_chain(cfg, bundle)
-    mean = trace.thetas.mean(axis=0)
-    var = trace.thetas.var(axis=0)
-    assert np.all(np.abs(mean) < 0.1)
-    assert np.all(np.abs(var - 1.0) < 0.1)
-
-
 def _reference_chain(cfg, bundle, initial_theta=None):
     """The two-stage sampler written out from the public pieces. On a
     coarse acceptance it recomputes the whole forward model of the

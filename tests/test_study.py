@@ -6,8 +6,9 @@ import pytest
 from condflow.conditioning import build_data_matrix, project
 from condflow.config import StudyConfig
 from condflow.diagnostics import diagnostics_series
+from condflow.errors import ParseError
 from condflow.mcmc import ChainTrace
-from condflow import study
+from condflow import kle, study
 from condflow.study import (
     build_setup,
     checkpoints_for,
@@ -128,3 +129,31 @@ def test_reference_experiment_samples_both_studies_in_one_call(
     run_reference_experiment(cfg)
     seeds = [cfg.seed, cfg.seed + 1]
     assert calls == [(seeds + seeds, [False, False, True, True])]
+
+
+
+@pytest.mark.parametrize("threshold", [None, 0.9999])
+def test_build_setup_factors_the_covariance_once(monkeypatch, threshold):
+    # the mode count and the basis come from one spectrum
+    calls = []
+    original = kle.full_spectrum
+
+    def counting(cov, grid):
+        calls.append(grid.n_cells)
+        return original(cov, grid)
+
+    monkeypatch.setattr(kle, "full_spectrum", counting)
+    setup = build_setup(StudyConfig(energy_threshold=threshold, verbosity=0))
+    assert calls == [256]
+    assert setup.bundle.basis.n == (20 if threshold is None else 16)
+
+
+def test_build_setup_reads_inputs_before_factoring(tmp_path, monkeypatch):
+    def fail(cov, grid):
+        pytest.fail("the covariance was factored before the inputs were read")
+
+    monkeypatch.setattr(kle, "full_spectrum", fail)
+    bad = tmp_path / "ms.csv"
+    bad.write_text("x,y,value\n0.5,0.5,oops\n")
+    with pytest.raises(ParseError, match="ms.csv"):
+        build_setup(StudyConfig(measurements=str(bad), verbosity=0))
