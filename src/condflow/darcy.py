@@ -8,31 +8,47 @@ exact for layered permeability and linear pressure. Top and bottom
 edges carry Neumann data (default no-flow). There are no sources.
 
 One builder, ``_tpfa``, assembles the SPD operator of a stack of
-permeability fields of shape (..., ny, nx) as one block-diagonal system
-in upper banded storage: only the main, +1 and +nx diagonals are
-nonzero, and no band couples two fields. One solver, ``_solve``, solves
-it with one call of LAPACK's ``dpbsv``, for a pressure solve and for
-the generic upscaling cell problems alike. ``solve_pressure`` and
+permeability fields of shape (..., ny, nx) as one block-diagonal
+system: its main diagonal and its +1 and +nx bands, each a flat array
+over the whole stack laid end to end, with no band coupling two
+fields. One solver, ``_solve``, hands it to one call of LAPACK's
+``dpbsv`` in upper banded storage, for a pressure solve and for the
+generic upscaling cell problems alike. ``solve_pressure`` and
 ``upscale`` take one field or a stack of fields (see ``ScalarField``)
 and solve the whole stack at once. Every check holds for each field on
-its own, and each field's result is bitwise that of its own call (the
-tests check this).
+its own: finite permeability, transmissibility overflow, singular
+pivots, and each pressure field's own residual. Each field's result is
+bitwise that of its own call (the tests check this).
 ``boundary_fluxes`` takes one field.
+
+What does not depend on the permeability is built once: the Neumann
+part of the right-hand side (``_neumann``, per grid and boundary
+conditions) and the gather of the 2x2 upscaling problems
+(``_closed_form``, per pair of fine and coarse grids), memoized on
+their arguments and frozen (read-only arrays, a frozen dataclass). The
+operator needs nothing stored: with its bands flat over the stack, the
+layout costs one assignment per band. A call computes 1/k once per
+stack, shared by all faces, and enters one
+``np.errstate(divide="ignore", over="ignore")``, inside which the
+private helpers run; every overflow or division by zero they can meet
+is checked and reported as an error of its own.
 
 Upscaling solves, per coarse block, two local TPFA problems with a unit
 pressure drop (in x and in y, no-flow on the lateral faces), converts
 the resulting through-flux to a directional effective permeability, and
-stores the log of the geometric mean of the two directions. The local
-problems of a call form one stack (one per direction unless blocks and
-cells are square). 2x2 blocks, the shape every shipped config uses, are
-solved in closed form (``_keff_x_2x2``), each step one array operation
-over all blocks; any other shape is assembled by ``_tpfa`` and solved
-by ``_solve``, all blocks in one call. A block whose effective
-permeability is not > 0 is singular.
+stores the log of the geometric mean of the two directions. 2x2 blocks,
+the shape every shipped config uses, are solved in closed form
+(``_keff_x_2x2``), each step one array operation over all blocks of the
+stack; one gather puts every x problem and every y problem (a
+transposed block) straight into its layout. Any other shape is
+assembled by ``_tpfa`` and solved by ``_solve``, the blocks of one
+direction in one call. A block whose effective permeability is not > 0
+is singular.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,63 +70,102 @@ class BoundaryConditions:
     v_bottom: float = 0.0
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=16)
+def _neumann(grid, bc):
+    """The Neumann part of the right-hand side of a pressure solve, (N,)
+    and read-only: outward flux leaves the cell, so it subtracts from
+    the source."""
+    neumann = np.zeros((grid.ny, grid.nx))
+    neumann[0] -= bc.v_bottom * grid.hx
+    neumann[-1] -= bc.v_top * grid.hx
+    return _frozen(neumann.ravel())
+
+
 def _check_diagonal(diag):
     """Every transmissibility is >= 0 and sits on the diagonal, so a
     diagonal entry that is not finite is one that overflowed."""
-    if not np.isfinite(diag).all():
+    if not diag.max() < np.inf:  # NaN fails too
         raise NumericalError(
             "transmissibility overflowed: permeability too large for the "
             "grid spacing", module=_MOD, code="overflow")
 
 
-@np.errstate(divide="ignore", over="ignore")
 def _tpfa(k, hx, hy):
-    """TPFA operator of fields k of shape (..., ny, nx), Dirichlet edge
-    terms included, as one block-diagonal system in upper banded storage
-    (u + 1, n), with n cells in all and u = min(nx, n - 1). Also returns
-    the Dirichlet edge transmissibilities Tl, Tr (..., ny).
+    """TPFA operator of fields k of shape (..., ny, nx), n cells in all
+    laid end to end, Dirichlet edge terms included:
+    ``(diag, tx, ty), Tl, Tr``. diag (n,) is the main diagonal. tx
+    (n + 1,) holds at c the transmissibility between cells c - 1 and c,
+    0 where c starts a row; the +1 band is -tx[:n]. ty (n + nx,) holds at
+    c that between cells c - nx and c, 0 in the first row of a field and
+    past the end; the +nx band is -ty[:n]. No band couples two fields.
+    Tl and Tr (n / nx,) are the Dirichlet edge transmissibilities, row
+    by row.
 
-    A k that underflowed to 0 gives zero transmissibilities, which the
-    solver reports as singular; one too large overflows a diagonal entry,
-    which is checked here. Neither prints a numpy warning."""
-    nx = k.shape[-1]
-    Tx = 2.0 * hy / (hx * (1.0 / k[..., :, :-1] + 1.0 / k[..., :, 1:]))
-    Ty = 2.0 * hx / (hy * (1.0 / k[..., :-1, :] + 1.0 / k[..., 1:, :]))
-    Tl = 2.0 * hy * k[..., :, 0] / hx  # half-cell distance to the edge
-    Tr = 2.0 * hy * k[..., :, -1] / hx
-    ab = np.zeros((nx + 1,) + k.shape)
-    # +1 band before +nx band: they share a row when nx = 1, where Tx is empty
-    ab[-2, ..., :, 1:] = -Tx
-    ab[0, ..., 1:, :] = -Ty
-    diag = ab[-1]
-    diag[..., :, :-1] += Tx
-    diag[..., :, 1:] += Tx
-    diag[..., :-1, :] += Ty
-    diag[..., 1:, :] += Ty
-    diag[..., :, 0] += Tl
-    diag[..., :, -1] += Tr
+    Every face reads the one 1/k of the stack. A k that underflowed to 0
+    gives zero transmissibilities, which the solver reports as singular;
+    one too large overflows a diagonal entry, which is checked here."""
+    ny, nx = k.shape[-2:]
+    k = k.ravel()
+    n = k.size
+    inv = 1.0 / k
+    tx = np.empty(n + 1)
+    np.add(inv[:-1], inv[1:], out=tx[1:n])
+    np.divide(2.0 * hy, hx * tx[1:n], out=tx[1:n])
+    tx[::nx] = 0.0  # cells c - 1 and c in two rows share no x face
+    ty = np.zeros(n + nx)
+    np.add(inv[:-nx], inv[nx:], out=ty[nx:n])
+    np.divide(2.0 * hx, hy * ty[nx:n], out=ty[nx:n])
+    ty[:n].reshape(-1, ny * nx)[:, :nx] = 0.0  # nor two fields a y face
+    k_rows = k.reshape(-1, nx)
+    Tl = 2.0 * hy * k_rows[:, 0] / hx  # half-cell distance to the edge
+    Tr = 2.0 * hy * k_rows[:, -1] / hx
+    # right, left, upper and lower face, then the edges: the order in
+    # which the terms of each diagonal entry are summed
+    diag = tx[1:] + tx[:-1]
+    diag += ty[nx:]
+    diag += ty[:n]
+    diag_rows = diag.reshape(-1, nx)
+    diag_rows[:, 0] += Tl
+    diag_rows[:, -1] += Tr
     _check_diagonal(diag)
-    # an n x n matrix has no diagonal beyond offset n - 1
-    return ab.reshape(nx + 1, -1)[max(nx + 1 - k.size, 0):], Tl, Tr
+    return (diag, tx, ty), Tl, Tr
 
 
-def _matvec(ab, x):
-    """Operator times x, over its main, +1 and +u bands."""
-    u = len(ab) - 1
-    y = ab[-1] * x
-    for d in sorted({1, u}) if u else ():  # u = 0: a single cell
-        y[:-d] += ab[-1 - d, d:] * x[d:]
-        y[d:] += ab[-1 - d, d:] * x[:-d]
+def _matvec(bands, x):
+    """Operator times x (n,), band by band."""
+    diag, tx, ty = bands
+    n = diag.size
+    y = diag * x
+    for t, d in ((tx, 1), (ty, ty.size - n)):
+        y[:-d] -= t[d:n] * x[d:]
+        y[d:] -= t[d:n] * x[:-d]
     return y
 
 
-def _solve(ab, rhs):
-    """Solve the banded SPD system; a singular one raises NumericalError.
-    scipy is imported here, at the first solve, so that a command that
-    solves no pressure never loads it."""
+def _solve(bands, rhs):
+    """Solve the SPD system of the bands of ``_tpfa``; a singular one
+    raises NumericalError. scipy is imported here, at the first solve, so
+    that a command that solves no pressure never loads it."""
     from scipy.linalg.lapack import dpbsv
 
-    _, x, info = dpbsv(ab, rhs)
+    diag, tx, ty = bands
+    n = diag.size
+    nx = ty.size - n
+    # LAPACK's upper banded storage, (u + 1, n) in Fortran order with
+    # u = min(nx, n - 1): row c of ab holds column c of the bands
+    ab = np.zeros((n, nx + 1))
+    # +1 band before +nx band: they share a column when nx = 1; 0 - t
+    # leaves +0 where there is no face
+    np.subtract(0.0, tx[:n], out=ab[:, -2])
+    np.subtract(0.0, ty[:n], out=ab[:, 0])
+    ab[:, -1] = diag
+    # an n x n matrix has no diagonal beyond offset n - 1
+    _, x, info = dpbsv(ab[:, max(nx + 1 - n, 0):].T, rhs, overwrite_ab=1)
     if info > 0:
         raise NumericalError(f"singular TPFA system: leading minor "
                              f"{info} not positive definite", module=_MOD,
@@ -123,12 +178,17 @@ def _solve(ab, rhs):
 
 def _permeability(logperm):
     """k = exp(logperm) of a field or a stack, shaped (..., ny, nx)."""
-    with np.errstate(over="ignore"):
-        k = np.exp(logperm.as_2d())
-    if not np.isfinite(k).all():
+    k = np.exp(logperm.as_2d())
+    if not k.max() < np.inf:
         raise ArgumentError("permeability overflowed to non-finite values",
                             module=_MOD)
     return k
+
+
+def _field_norms(values, n_cells):
+    """2-norm of each field of a stack laid end to end."""
+    a = values.reshape(-1, n_cells)
+    return np.sqrt(np.vecdot(a, a))
 
 
 def solve_pressure(logperm, bc):
@@ -139,28 +199,29 @@ def solve_pressure(logperm, bc):
     residual of 1e-10 (NaN fails).
     """
     grid = logperm.grid
-    k = _permeability(logperm)
-    ab, Tl, Tr = _tpfa(k, grid.hx, grid.hy)
-    rhs = np.zeros(k.shape)
-    rhs[..., :, 0] += Tl * bc.p_left
-    rhs[..., :, -1] += Tr * bc.p_right
-    # outward Neumann flux leaves the cell, so it subtracts from the source
-    rhs[..., 0, :] -= bc.v_bottom * grid.hx
-    rhs[..., -1, :] -= bc.v_top * grid.hx
-    rhs = rhs.ravel()
-    p = _solve(ab, rhs)
-    res = (_matvec(ab, p) - rhs).reshape(-1, grid.n_cells)
-    scale = np.maximum(np.linalg.norm(rhs.reshape(res.shape), axis=1), 1e-300)
-    if not (np.linalg.norm(res, axis=1) <= 1e-10 * scale).all():
-        raise NumericalError("pressure solve did not reach residual 1e-10",
-                             module=_MOD, code="residual")
-    return ScalarField(grid, p.reshape(logperm.values.shape))
+    with np.errstate(divide="ignore", over="ignore"):
+        bands, Tl, Tr = _tpfa(_permeability(logperm), grid.hx, grid.hy)
+        rhs = np.zeros((Tl.size // grid.ny, grid.n_cells))
+        rhs_rows = rhs.reshape(-1, grid.nx)
+        rhs_rows[:, 0] += Tl * bc.p_left
+        rhs_rows[:, -1] += Tr * bc.p_right
+        rhs += _neumann(grid, bc)
+        rhs = rhs.ravel()
+        p = _solve(bands, rhs)
+        res = _matvec(bands, p) - rhs
+        scale = np.maximum(_field_norms(rhs, grid.n_cells), 1e-300)
+        if not (_field_norms(res, grid.n_cells) <= 1e-10 * scale).all():
+            raise NumericalError("pressure solve did not reach residual "
+                                 "1e-10", module=_MOD, code="residual")
+    # the residual check has passed, so every value is finite
+    return ScalarField.of_checked(grid, p.reshape(logperm.values.shape))
 
 
 def boundary_fluxes(logperm, pressure, bc):
     """(inflow through the left edge, outflow through the right edge)."""
     grid = logperm.grid
-    _, Tl, Tr = _tpfa(_permeability(logperm), grid.hx, grid.hy)
+    with np.errstate(divide="ignore", over="ignore"):
+        _, Tl, Tr = _tpfa(_permeability(logperm), grid.hx, grid.hy)
     p = pressure.as_2d()
     q_in = float(np.sum(Tl * (bc.p_left - p[:, 0])))
     q_out = float(np.sum(Tr * (p[:, -1] - bc.p_right)))
@@ -182,18 +243,20 @@ def _keff_x(kb, hx, hy):
     kb is (nblocks, by, bx): unit pressure drop left to right, no-flow
     top and bottom, one banded solve over all blocks.
     """
-    by, bx = kb.shape[1:]
-    ab, Tl, Tr = _tpfa(kb, hx, hy)
-    rhs = np.zeros(kb.shape)
-    rhs[:, :, 0] += Tl  # p = 1 on the left face, 0 on the right
-    p = _solve(ab, rhs.ravel()).reshape(kb.shape)
-    q = np.sum(Tr * p[:, :, -1], axis=1)
+    nb, by, bx = kb.shape
+    bands, Tl, Tr = _tpfa(kb, hx, hy)
+    rhs = np.zeros((nb * by, bx))
+    rhs[:, 0] += Tl  # p = 1 on the left face, 0 on the right
+    p = _solve(bands, rhs.ravel()).reshape(-1, bx)
+    q = np.sum((Tr * p[:, -1]).reshape(nb, by), axis=1)
     # q = keff * height * dp / width with dp = 1
     return q * (bx * hx) / (by * hy)
 
 
-def _keff_x_2x2(kb, hx, hy):
-    """``_keff_x`` of 2x2 blocks kb (nblocks, 2, 2) in closed form.
+def _keff_x_2x2(k, hx, hy):
+    """``_keff_x`` of 2x2 blocks in closed form. k is (2, 2, ...): k[j, i]
+    is cell (i, j) of every block, the blocks along the trailing axes,
+    which hx and hy broadcast against.
 
     The corner cells (0,0) and (1,1) do not couple to each other and are
     eliminated first. The remaining 2x2 system of cells (0,1) and (1,0)
@@ -203,13 +266,12 @@ def _keff_x_2x2(kb, hx, hy):
     diagonal entry that is not finite overflows, and a pivot not > 0
     (or NaN) is singular; each is checked before it divides.
     """
-    k = np.ascontiguousarray(kb.transpose(1, 2, 0))  # k[j, i] per block
-    with np.errstate(divide="ignore", over="ignore"):  # checked below
-        inv = 1.0 / k
-        Tx = 2.0 * hy / hx / (inv[:, 0] + inv[:, 1])  # per row j
-        Ty = 2.0 * hx / hy / (inv[0] + inv[1])  # per column i
-        Te = 2.0 * hy / hx * k  # edge terms: Tl = Te[:, 0], Tr = Te[:, 1]
-        diag = Tx[:, None] + Ty[None, :] + Te
+    inv = 1.0 / k
+    cx = 2.0 * hy / hx
+    Tx = cx / (inv[:, 0] + inv[:, 1])  # per row j
+    Ty = 2.0 * hx / hy / (inv[0] + inv[1])  # per column i
+    Te = cx * k  # edge terms: Tl = Te[:, 0], Tr = Te[:, 1]
+    diag = Tx[:, None] + Ty[None, :] + Te
     _check_diagonal(diag)
     (Tx0, Tx1), (Ty0, Ty1), ((Tl0, Tr0), (Tl1, Tr1)) = Tx, Ty, Te
     d00, d11 = diag[0, 0], diag[1, 1]
@@ -244,6 +306,35 @@ def check_refinement(fine, coarse):
     return fine.nx // coarse.nx, fine.ny // coarse.ny
 
 
+@dataclass(frozen=True, eq=False)
+class _ClosedForm:
+    """What upscaling 2x2 blocks of one fine grid to one coarse grid needs
+    that does not depend on the permeability: the x problem of block b
+    sits at b, its y problem (the transposed block, flow along y) at
+    nb + b."""
+
+    #: (2, 2, 1, 2 nb) the fine cell at (i, j) of each problem, in the
+    #: layout of ``_keff_x_2x2``
+    gather: np.ndarray
+    #: the cell size along and across the flow of each problem: (2 nb,)
+    #: arrays, or one number each on square cells
+    hx: np.ndarray | float
+    hy: np.ndarray | float
+
+
+@functools.lru_cache(maxsize=16)
+def _closed_form(fine, coarse):
+    nb = coarse.n_cells
+    cells = np.arange(fine.n_cells).reshape(coarse.ny, 2, coarse.nx, 2)
+    x_problems = cells.transpose(1, 3, 0, 2).reshape(2, 2, 1, nb)
+    gather = np.concatenate([x_problems, x_problems.transpose(1, 0, 2, 3)],
+                            axis=-1)
+    hx, hy = fine.hx, fine.hy
+    if hx != hy:
+        hx, hy = (_frozen(np.repeat(h, nb)) for h in ([hx, hy], [hy, hx]))
+    return _ClosedForm(_frozen(gather), hx, hy)
+
+
 def upscale(fine_logperm, coarse):
     """Effective coarse log-permeability from local flow problems.
 
@@ -254,20 +345,26 @@ def upscale(fine_logperm, coarse):
     """
     fine = fine_logperm.grid
     bx, by = check_refinement(fine, coarse)
-    k = _permeability(fine_logperm)
-    blocks = k.reshape(-1, coarse.ny, by, coarse.nx, bx).transpose(
-        0, 1, 3, 2, 4).reshape(-1, by, bx)
-    keff = _keff_x_2x2 if bx == by == 2 else _keff_x
-    if bx == by and fine.hx == fine.hy:  # y problems are transposed blocks
-        keff_x, keff_y = np.split(keff(np.concatenate(
-            [blocks, blocks.transpose(0, 2, 1)]), fine.hx, fine.hy), 2)
-    else:
-        keff_x = keff(blocks, fine.hx, fine.hy)
-        keff_y = keff(blocks.transpose(0, 2, 1), fine.hy, fine.hx)
-    _check_pivots(keff_x, keff_y)  # a keff that underflowed to 0
-    logk = 0.5 * (np.log(keff_x) + np.log(keff_y))
+    nb = coarse.n_cells
+    with np.errstate(divide="ignore", over="ignore"):
+        k = _permeability(fine_logperm)
+        if bx == by == 2:
+            plan = _closed_form(fine, coarse)
+            offsets = np.arange(0, k.size, fine.n_cells)[:, None]
+            keff = _keff_x_2x2(k.ravel()[plan.gather + offsets], plan.hx,
+                               plan.hy)
+        else:
+            blocks = k.reshape(-1, coarse.ny, by, coarse.nx, bx).transpose(
+                0, 1, 3, 2, 4).reshape(-1, by, bx)
+            keff = np.concatenate([
+                _keff_x(blocks, fine.hx, fine.hy).reshape(-1, nb),
+                _keff_x(blocks.transpose(0, 2, 1), fine.hy,
+                        fine.hx).reshape(-1, nb)], axis=1)
+    _check_pivots(keff)  # a keff that underflowed to 0
+    log_keff = np.log(keff)  # x problems, then y problems
+    logk = 0.5 * (log_keff[:, :nb] + log_keff[:, nb:])
     return ScalarField(coarse, logk.reshape(
-        fine_logperm.values.shape[:-1] + (coarse.n_cells,)))
+        fine_logperm.values.shape[:-1] + (nb,)))
 
 
 def observe_pressure(pressure, mask):

@@ -100,6 +100,15 @@ class ScalarField:
             raise ArgumentError("field contains non-finite values", module=_MOD)
         self.values = vals
 
+    @classmethod
+    def of_checked(cls, grid, values):
+        """A field or stack of values that already has the shape of one
+        and is known to be finite (the rows of a checked field, a solve
+        that passed its residual check): no copy and no second pass."""
+        fld = object.__new__(cls)
+        fld.grid, fld.values = grid, values
+        return fld
+
     def as_2d(self):
         """Values reshaped to (..., ny, nx), row j of the grid in row j."""
         return self.values.reshape(self.values.shape[:-1]

@@ -34,9 +34,11 @@ forward layer (KL synthesis, upscaling, coarse solve, and the fine solve
 of the chains whose proposal passed the coarse stage) runs once per
 iteration on the stack of all chains' states or fields, of both studies
 when run together (:func:`synthesize` makes each study's rows). The
-likelihoods stay per chain, and each chain draws from its own generator
-in its own order (proposal, coarse uniform, fine uniform), so a chain's
-random stream and trace are exactly those of the chain run alone.
+log-likelihoods of a stack are one batched product, each row bitwise
+what :func:`log_likelihood` gives its chain. Each chain draws from its
+own generator in its own order (proposal, coarse uniform, fine uniform),
+so a chain's random stream and trace are exactly those of the chain run
+alone.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ class ModelBundle:
     """Everything a chain needs, all immutable and shareable.
 
     ref_obs_fine / ref_obs_coarse are the reference pressure data,
-    observed through the chessboard masks of the respective grids.
+    observed through the chessboard masks of the respective grids; each
+    must have one value per cell of its mask.
     """
 
     basis: kle.KLEBasis  # on the fine grid
@@ -85,6 +88,14 @@ class ModelBundle:
     likelihood: LikelihoodParams
     projector: conditioning.Projector
     kriged: ScalarField
+
+    def __post_init__(self):
+        for mask, ref in ((self.fine_mask, self.ref_obs_fine),
+                          (self.coarse_mask, self.ref_obs_coarse)):
+            if np.shape(ref) != mask.cells.shape:
+                raise ArgumentError(
+                    f"observation length mismatch: {np.shape(ref)} vs "
+                    f"{mask.cells.shape}", module=_MOD)
 
 
 @dataclass
@@ -158,9 +169,12 @@ def _metropolis(log_ratio):
 
 
 def _logliks(pressure, mask, ref, sigma2):
-    """Log-likelihood of each field of a pressure stack, one at a time."""
-    return [log_likelihood(obs, ref, sigma2)
-            for obs in darcy.observe_pressure(pressure, mask)]
+    """Log-likelihood of each field of a pressure stack, bitwise that of
+    :func:`log_likelihood` on its row: one vector dot product per row,
+    as ``r @ r`` makes it. The residual is made C-contiguous first,
+    because a strided row is summed in another order."""
+    r = np.ascontiguousarray(ref - darcy.observe_pressure(pressure, mask))
+    return -np.vecdot(r, r) / (2.0 * sigma2)
 
 
 def synthesize(bundle, thetas, conditioned):
@@ -181,7 +195,7 @@ def _coarse_step(thetas, studies, bundle):
         fine_fields = synthesize(bundle, thetas[rows], conditioned)
         values[rows] = fine_fields.values
     if len(studies) > 1:  # one study's fields are the whole stack already
-        fine_fields = ScalarField(bundle.fine, values)
+        fine_fields = ScalarField.of_checked(bundle.fine, values)
     coarse_fields = darcy.upscale(fine_fields, bundle.coarse)
     pc = darcy.solve_pressure(coarse_fields, bundle.bc)
     return fine_fields, _logliks(pc, bundle.coarse_mask,
@@ -232,6 +246,8 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None,
     if len(flags) != m:
         raise ArgumentError("need one conditioned flag per seed",
                             module=_MOD)
+    if initial_thetas is not None and len(initial_thetas) != m:
+        raise ArgumentError("need one initial theta per seed", module=_MOD)
     if len(set(zip(seeds, flags))) != m:
         warnings.warn("duplicate chain seeds: chains will be identical",
                       stacklevel=2)
@@ -265,8 +281,8 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None,
             coarse_acc[passed, it] = True
             if passed:
                 if len(passed) < m:
-                    fields_p = ScalarField(bundle.fine,
-                                           fields_p.values[passed])
+                    fields_p = ScalarField.of_checked(
+                        bundle.fine, fields_p.values[passed])
                 llf_p = _fine_step(fields_p, bundle)
                 for c, llf_c in zip(passed, llf_p):
                     if rngs[c].random() < _metropolis(

@@ -342,7 +342,7 @@ def test_closed_form_2x2_matches_band_cholesky_and_oracle(sigma, hx, hy):
 
     rng = np.random.default_rng(int(10 * sigma))
     kb = np.exp(sigma * rng.standard_normal((200, 2, 2)))
-    closed = darcy._keff_x_2x2(kb, hx, hy)
+    closed = darcy._keff_x_2x2(kb.transpose(1, 2, 0), hx, hy)
     generic = darcy._keff_x(kb, hx, hy)
     assert np.max(np.abs(closed - generic) / generic) <= 1e-13
     oracle = np.array([_oracle_keff_x(b, hx, hy) for b in kb])
@@ -418,10 +418,11 @@ def test_closed_form_2x2_singular_cell(cell):
 
     kb = np.ones((3, 2, 2))
     kb[1][cell] = 0.0
-    for keff in (darcy._keff_x_2x2, darcy._keff_x):
+    for keff, blocks in ((darcy._keff_x_2x2, kb.transpose(1, 2, 0)),
+                         (darcy._keff_x, kb)):
         with np.errstate(divide="ignore"), \
                 pytest.raises(NumericalError) as info:
-            keff(kb, 0.5, 0.25)
+            keff(blocks, 0.5, 0.25)
         assert (info.value.module, info.value.code) == ("darcy", "singular")
 
 
@@ -500,17 +501,17 @@ def test_stacked_residual_is_checked_per_field(monkeypatch):
     g = make_grid(4, 4)
     original = darcy._solve
 
-    def off_in_last_field(ab, rhs):
-        p = original(ab, rhs)
+    def off_in_last_field(bands, rhs):
+        p = original(bands, rhs)
         p[-g.n_cells:] += 2e-10
         return p
 
     k = np.ones((100, g.ny, g.nx))
-    ab, Tl, _ = darcy._tpfa(k, g.hx, g.hy)
+    bands, Tl, _ = darcy._tpfa(k, g.hx, g.hy)
     rhs = np.zeros(k.shape)
-    rhs[..., :, 0] = Tl * BC.p_left
+    rhs[..., :, 0] = Tl.reshape(100, g.ny) * BC.p_left
     rhs = rhs.ravel()
-    res = darcy._matvec(ab, off_in_last_field(ab, rhs)) - rhs
+    res = darcy._matvec(bands, off_in_last_field(bands, rhs)) - rhs
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
 
     monkeypatch.setattr(darcy, "_solve", off_in_last_field)
@@ -518,6 +519,55 @@ def test_stacked_residual_is_checked_per_field(monkeypatch):
         solve_pressure(ScalarField(g, np.log(k).reshape(100, -1)), BC)
     assert (info.value.module, info.value.code) == ("darcy", "residual")
 
+
+
+def test_plans_are_frozen_and_read_only():
+    from dataclasses import FrozenInstanceError
+
+    from condflow import darcy
+
+    bc = BoundaryConditions(v_top=0.5, v_bottom=-0.25)
+    fine = make_grid(16, 8)  # cells twice as tall as wide
+    plan = darcy._closed_form(fine, make_grid(8, 4))
+    neumann = darcy._neumann(fine, bc)
+    for a in (neumann, plan.gather, plan.hx, plan.hy):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        plan.gather = None
+    # the Neumann part is the flux through the bottom and top rows
+    neumann = neumann.reshape(fine.ny, fine.nx)
+    assert np.array_equal(neumann[0], np.full(fine.nx, 0.25 * fine.hx))
+    assert np.array_equal(neumann[-1], np.full(fine.nx, -0.5 * fine.hx))
+    assert not neumann[1:-1].any()
+
+
+def test_alternating_grids_equal_fresh_calls():
+    # the plans are built once per grid (pair) and reused: calls on grid
+    # pairs A, B, A give bitwise what calls with no plan built yet give
+    from condflow import darcy
+
+    pairs = [(make_grid(16, 16), make_grid(8, 8)),
+             (make_grid(8, 16), make_grid(4, 8)),
+             (make_grid(16, 16), make_grid(8, 8))]
+    bcs = [BC, BoundaryConditions(0.2, 0.9, 0.3, -0.1), BC]
+    rng = np.random.default_rng(11)
+    fields = [ScalarField(fine, rng.standard_normal((3, fine.n_cells)))
+              for fine, _ in pairs]
+
+    def forward(field, coarse, bc):
+        up = upscale(field, coarse)
+        return (solve_pressure(field, bc).values, up.values,
+                solve_pressure(up, bc).values)
+
+    warm = [forward(f, coarse, bc)
+            for f, (_, coarse), bc in zip(fields, pairs, bcs)]
+    for f, (_, coarse), bc, got in zip(fields, pairs, bcs, warm):
+        darcy._neumann.cache_clear()
+        darcy._closed_form.cache_clear()
+        for a, b in zip(got, forward(f, coarse, bc)):
+            assert np.array_equal(a, b)
 
 def test_upscale_non_divisible():
     fine, coarse = make_grid(16, 16), make_grid(7, 8)

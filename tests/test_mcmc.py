@@ -461,3 +461,116 @@ def test_singular_upscaling_is_a_forward_failure(monkeypatch):
     assert "for the initial state:" in str(info.value)
     assert isinstance(info.value.__cause__, NumericalError)
     assert info.value.__cause__.code == "singular"
+
+
+def test_run_study_needs_one_initial_theta_per_seed():
+    # one row for two seeds, and three rows for two seeds, are both
+    # rejected before any chain runs
+    bundle, _, _ = _small_bundle()
+    rows = np.random.default_rng(3).standard_normal((3, bundle.basis.n))
+    for inits in (rows[:1], rows):
+        with pytest.raises(ArgumentError,
+                           match="one initial theta per seed") as info:
+            run_study(StudyConfig(iterations=5), bundle, [1, 2],
+                      initial_thetas=inits)
+        assert info.value.module == "mcmc"
+
+
+def test_bundle_rejects_reference_data_of_the_wrong_length():
+    bundle, _, _ = _small_bundle()
+    for field in ("ref_obs_fine", "ref_obs_coarse"):
+        short = getattr(bundle, field)[:-1]
+        with pytest.raises(ArgumentError, match="observation length"):
+            replace(bundle, **{field: short})
+
+
+def test_stacked_logliks_equal_single_logliks():
+    # one batched product per stack, each row bitwise log_likelihood of
+    # that row; a pressure stack in Fortran order gives a strided residual,
+    # which the batch makes contiguous before summing
+    from condflow.mcmc import _logliks
+
+    fine = make_grid(16, 16)
+    mask = chessboard_mask(fine)
+    rng = np.random.default_rng(4)
+    ref = rng.random(mask.cells.size)
+    values = ref.mean() + 0.01 * rng.standard_normal((8, fine.n_cells))
+    for stack in (values, np.asfortranarray(values), values[:1]):
+        got = _logliks(ScalarField(fine, stack), mask, ref, 1e-4)
+        want = [log_likelihood(obs, ref, 1e-4) for obs in stack[:, mask.cells]]
+        assert got.shape == (len(stack),)
+        assert np.array_equal(got, want)
+
+
+def test_each_layer_runs_once_per_iteration(monkeypatch):
+    # the chains of both studies in one stack: per iteration one
+    # upscaling and one coarse solve of every chain, and one fine solve
+    # of exactly the chains whose proposal passed the coarse stage
+    bundle, _, _ = _small_bundle(sigma_c2=1e-4)
+    cfg = StudyConfig(beta=0.9, iterations=60)
+    upscaled, coarse_solves, fine_solves = [], [], []
+    upscale_original = darcy.upscale
+    solve_original = darcy.solve_pressure
+
+    def counting_upscale(fields, coarse):
+        upscaled.append(fields.values.copy())
+        return upscale_original(fields, coarse)
+
+    def counting_solve(fields, bc):
+        calls = fine_solves if fields.grid == bundle.fine else coarse_solves
+        calls.append(fields.values.copy())
+        return solve_original(fields, bc)
+
+    monkeypatch.setattr(darcy, "upscale", counting_upscale)
+    monkeypatch.setattr(darcy, "solve_pressure", counting_solve)
+    traces = run_study(cfg, bundle, [41, 42, 41, 42],
+                       conditioned=[False, False, True, True])
+    coarse = np.array([t.coarse_accepted for t in traces])
+    passed_any = coarse.any(axis=0)
+    # every chain, some of them, and none pass in one iteration or another
+    assert coarse.all(axis=0).any() and not passed_any.all()
+    assert np.any(passed_any & ~coarse.all(axis=0))
+    assert len(upscaled) == len(coarse_solves) == cfg.iterations + 1
+    assert len(fine_solves) == 1 + int(np.sum(passed_any))
+    assert np.array_equal(fine_solves[0], upscaled[0])
+    for stack, it in zip(fine_solves[1:], np.flatnonzero(passed_any)):
+        assert np.array_equal(stack, upscaled[it + 1][coarse[:, it]])
+
+
+@pytest.mark.parametrize("cause", ["overflow", "residual"])
+def test_forward_failures_name_their_darcy_cause(monkeypatch, cause):
+    # a proposal whose transmissibility overflows fails in the upscaling;
+    # a fine solve whose solution is not finite fails its residual check
+    bundle, _, _ = _small_bundle(sigma_c2=1e12, sigma_f2=1e12)
+    if cause == "overflow":
+        # k = exp(709) is finite, but 2 hy k / hx is not
+        original = kle.synthesize_unconditioned
+        calls = []
+
+        def synthesize(basis, theta):
+            calls.append(1)
+            if len(calls) == 1:  # the initial state
+                return original(basis, theta)
+            return ScalarField(bundle.fine,
+                               np.full(bundle.fine.n_cells, 709.0))
+
+        monkeypatch.setattr(kle, "synthesize_unconditioned", synthesize)
+        where = "iteration 0"
+    else:
+        original = darcy._solve
+
+        def solve(bands, rhs):
+            x = original(bands, rhs)
+            if rhs.size == bundle.fine.n_cells:
+                x[0] = np.nan
+            return x
+
+        monkeypatch.setattr(darcy, "_solve", solve)
+        where = "the initial state"
+    with pytest.raises(CondflowError) as info:
+        run_chain(StudyConfig(iterations=5, seed=1), bundle)
+    assert (info.value.module, info.value.code) == ("mcmc", "forward")
+    assert f"{where}:" in str(info.value)
+    assert isinstance(info.value.__cause__, NumericalError)
+    assert (info.value.__cause__.module,
+            info.value.__cause__.code) == ("darcy", cause)
