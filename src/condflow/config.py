@@ -3,8 +3,9 @@
 Grammar (bit-exact): one ``key = value`` pair per line; whitespace
 around key and value is stripped; blank lines and lines starting with
 ``#`` are ignored; ``#`` does not start a comment elsewhere on a line.
-Booleans are ``true``/``false`` (case-insensitive); the snapshot list is
-comma-separated integers. Unknown keys are rejected.
+Booleans are ``true``/``1``/``yes`` or ``false``/``0``/``no``
+(case-insensitive); the snapshot list is comma-separated integers.
+Unknown keys, and a key given twice, are rejected.
 
 Each key is one :class:`StudyConfig` field, ``<section>.<field>`` with
 the section the field declares (``seed`` has none); ``_KEYS`` derives
@@ -145,7 +146,7 @@ def parse_config(path):
     path of None) gives the defaults."""
     if path is None:
         return StudyConfig()
-    overrides = {}
+    overrides, seen = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -162,6 +163,10 @@ def parse_config(path):
                 raise ParseError(
                     f"{path}:{lineno}: unknown key '{key}'", module=_MOD
                 )
+            if key in seen:
+                raise ParseError(f"{path}:{lineno}: key '{key}' repeats "
+                                 f"line {seen[key]}", module=_MOD)
+            seen[key] = lineno
             attr, parser = _KEYS[key]
             try:
                 overrides[attr] = parser(value)

@@ -25,14 +25,14 @@ _MOD = "covariance"
 class KernelParams:
     """Marginal variance and correlation lengths of the kernel."""
 
-    sigma2: float = 1.0
-    lx: float = 0.4
-    ly: float = 0.8
+    sigma2: float
+    lx: float
+    ly: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0 or self.lx <= 0 or self.ly <= 0:
+        if not all(0 < v < np.inf for v in (self.sigma2, self.lx, self.ly)):
             raise ArgumentError(
-                "kernel parameters must be positive "
+                "kernel parameters must be positive and finite "
                 f"(sigma2={self.sigma2}, lx={self.lx}, ly={self.ly})",
                 module=_MOD,
             )

@@ -5,7 +5,7 @@ Discretization: two-point flux approximation with harmonic averaging of
 the cell permeabilities at interior faces. Dirichlet boundaries (left
 and right edges) use the half-cell distance, which makes the scheme
 exact for layered permeability and linear pressure. Top and bottom
-edges carry Neumann data (default no-flow). There are no sources.
+edges are no-flow. There are no sources.
 
 One builder, ``_tpfa``, assembles the SPD operator of a stack of
 permeability fields of shape (..., ny, nx) as one block-diagonal
@@ -21,11 +21,10 @@ pivots, and each pressure field's own residual. Each field's result is
 bitwise that of its own call (the tests check this).
 ``boundary_fluxes`` takes one field.
 
-What does not depend on the permeability is built once: the Neumann
-part of the right-hand side (``_neumann``, per grid and boundary
-conditions) and the gather of the 2x2 upscaling problems
-(``_closed_form``, per pair of fine and coarse grids), memoized on
-their arguments and frozen (read-only arrays, a frozen dataclass). The
+The only per-grid plan is the gather of the 2x2 upscaling problems
+(``_closed_form``, per pair of fine and coarse grids): it does not
+depend on the permeability, so it is built once, memoized on its
+arguments and frozen (read-only arrays, a frozen dataclass). The
 operator needs nothing stored: with its bands flat over the stack, the
 layout costs one assignment per band. A call computes 1/k once per
 stack, shared by all faces, and enters one
@@ -61,29 +60,16 @@ _MOD = "darcy"
 
 @dataclass(frozen=True)
 class BoundaryConditions:
-    """Dirichlet pressure on the left/right edges, Neumann normal
-    velocity (outward positive) on the top/bottom edges."""
+    """Dirichlet pressure on the left/right edges; the top/bottom edges
+    are no-flow."""
 
     p_left: float = 1.0
     p_right: float = 0.0
-    v_top: float = 0.0
-    v_bottom: float = 0.0
 
 
 def _frozen(a):
     a.flags.writeable = False
     return a
-
-
-@functools.lru_cache(maxsize=16)
-def _neumann(grid, bc):
-    """The Neumann part of the right-hand side of a pressure solve, (N,)
-    and read-only: outward flux leaves the cell, so it subtracts from
-    the source."""
-    neumann = np.zeros((grid.ny, grid.nx))
-    neumann[0] -= bc.v_bottom * grid.hx
-    neumann[-1] -= bc.v_top * grid.hx
-    return _frozen(neumann.ravel())
 
 
 def _check_diagonal(diag):
@@ -205,7 +191,6 @@ def solve_pressure(logperm, bc):
         rhs_rows = rhs.reshape(-1, grid.nx)
         rhs_rows[:, 0] += Tl * bc.p_left
         rhs_rows[:, -1] += Tr * bc.p_right
-        rhs += _neumann(grid, bc)
         rhs = rhs.ravel()
         p = _solve(bands, rhs)
         res = _matvec(bands, p) - rhs

@@ -59,13 +59,14 @@ _MOD = "mcmc"
 class LikelihoodParams:
     """Precision parameters of the coarse and fine Gaussian likelihoods."""
 
-    sigma_c2: float = 5e-3
-    sigma_f2: float = 1e-4
+    sigma_c2: float
+    sigma_f2: float
 
     def __post_init__(self):
-        if self.sigma_c2 <= 0 or self.sigma_f2 <= 0:
-            raise ArgumentError("precision parameters must be positive",
-                                module=_MOD)
+        if not all(0 < v < np.inf for v in (self.sigma_c2, self.sigma_f2)):
+            raise ArgumentError("precision parameters must be positive and "
+                                f"finite (sigma_c2={self.sigma_c2}, "
+                                f"sigma_f2={self.sigma_f2})", module=_MOD)
 
 
 @dataclass(frozen=True)
@@ -210,17 +211,15 @@ def _fine_step(fine_fields, bundle):
                     bundle.likelihood.sigma_f2)
 
 
-def run_chain(cfg, bundle, initial_theta=None):
+def run_chain(cfg, bundle):
     """Run one two-stage chain, seeded with ``cfg.seed``, and return its
     trace: the one-seed case of :func:`run_study`. ``cfg`` is a
     :class:`condflow.config.StudyConfig`.
     """
-    inits = None if initial_theta is None else [initial_theta]
-    return run_study(cfg, bundle, [cfg.seed], initial_thetas=inits)[0]
+    return run_study(cfg, bundle, [cfg.seed])[0]
 
 
-def run_study(base_cfg, bundle, seeds, initial_thetas=None,
-              conditioned=None):
+def run_study(base_cfg, bundle, seeds, conditioned=None):
     """Run one independent chain per seed and return the traces in seed
     order.
 
@@ -234,8 +233,8 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None,
     iteration on the stack of their fields; each proposal's forward model
     is evaluated once, the fine step reusing the field of the coarse step.
     Every chain has its own generator, seeded with its seed, and draws
-    from it in the order of a chain run alone, so its trace is that of
-    ``run_study`` over its seed and flag only.
+    from it in the order of a chain run alone, its initial state first,
+    so its trace is that of ``run_study`` over its seed and flag only.
     """
     seeds = list(seeds)
     m, n, iters = len(seeds), bundle.basis.n, base_cfg.iterations
@@ -246,21 +245,12 @@ def run_study(base_cfg, bundle, seeds, initial_thetas=None,
     if len(flags) != m:
         raise ArgumentError("need one conditioned flag per seed",
                             module=_MOD)
-    if initial_thetas is not None and len(initial_thetas) != m:
-        raise ArgumentError("need one initial theta per seed", module=_MOD)
     if len(set(zip(seeds, flags))) != m:
         warnings.warn("duplicate chain seeds: chains will be identical",
                       stacklevel=2)
     studies = [(f, np.flatnonzero(np.equal(flags, f))) for f in set(flags)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    state = np.empty((m, n))
-    for c, rng in enumerate(rngs):
-        theta = (np.asarray(initial_thetas[c], dtype=float)
-                 if initial_thetas is not None else rng.standard_normal(n))
-        if theta.size != n:
-            raise ArgumentError(f"initial theta must have {n} entries",
-                                module=_MOD)
-        state[c] = theta
+    state = np.array([rng.standard_normal(n) for rng in rngs])
 
     thetas = np.empty((m, iters, n))
     coarse_acc = np.zeros((m, iters), dtype=bool)

@@ -120,9 +120,9 @@ def test_criterion_3_elliptic_solver():
 
 def test_criterion_4_kle_energy(setup):
     g = setup.bundle.fine
-    from condflow.covariance import KernelParams, assemble_covariance
+    from condflow.covariance import assemble_covariance
 
-    cov = assemble_covariance(g, KernelParams())
+    cov = assemble_covariance(g, StudyConfig().kernel)
     evals, _ = full_spectrum(cov, g)
     energy20 = energy_fraction(evals, 20)
     monotone = bool(np.all(np.diff(evals) <= 0))

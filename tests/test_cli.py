@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -292,6 +293,19 @@ def test_diagnose_rejects_malformed_trace(tmp_path, capsys, header, body,
     assert message in err
 
 
+def _set(text, lines):
+    """``text`` with each ``key = value`` line of ``lines`` set: in place
+    of the key's line where it has one (a key may appear only once),
+    else appended."""
+    for line in lines.splitlines():
+        key = line.partition("=")[0].strip()
+        text, n = re.subn(rf"^{re.escape(key)} =.*$", line, text,
+                          flags=re.M)
+        if not n:
+            text += line + "\n"
+    return text
+
+
 def _config_error(tmp_path, capsys, argv, edit):
     """Run ``argv`` on the fast config changed by ``edit``; it must fail
     with one error line. Returns that line."""
@@ -362,11 +376,29 @@ def test_invert_rejects_burn_in_before_running(tmp_path, capsys):
 ], ids=["seed_reference", "seed_invert", "burn_in_invert"])
 def test_negative_seed_or_burn_in_fails_before_output(tmp_path, capsys, argv,
                                                       lines, message):
-    # later lines override the fast config's chains and burn-in
+    # the lines replace the fast config's chains and burn-in
     out = tmp_path / "out"
     err = _config_error(tmp_path, capsys, [*argv, "--out-dir", str(out)],
-                        lambda text: text + lines + "\n")
+                        lambda text: _set(text, lines))
     assert err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, module", [
+    ("kernel.sigma2 = nan", "covariance"), ("kernel.lx = nan", "covariance"),
+    ("kernel.ly = nan", "covariance"), ("kernel.sigma2 = inf", "covariance"),
+    ("mcmc.sigma_f2 = nan", "mcmc"), ("mcmc.sigma_c2 = nan", "mcmc"),
+])
+@pytest.mark.parametrize("argv", [["invert"], ["reference"]],
+                         ids=lambda argv: argv[0])
+def test_non_finite_parameter_fails_before_output(tmp_path, capsys, argv,
+                                                  line, module):
+    # NaN and inf are rejected with the other bad values, before the
+    # kernel reaches LAPACK or a precision reaches the sampler
+    out = tmp_path / "out"
+    err = _config_error(tmp_path, capsys, [*argv, "--out-dir", str(out)],
+                        lambda text: _set(text, line))
+    assert err.startswith(f"error:{module}:argument:")
     assert not out.exists()
 
 

@@ -99,6 +99,14 @@ def test_store_projected_key_rejected(tmp_path):
     assert (info.value.module, info.value.code) == ("cli", "parse")
 
 
+def test_repeated_key_rejected_with_both_lines(tmp_path):
+    with pytest.raises(ParseError, match=r":3: key 'mcmc.beta' repeats "
+                       r"line 1$") as info:
+        parse_config(_write(tmp_path, "mcmc.beta = 0.5\n# again\n"
+                            "mcmc.beta = 0.9\n"))
+    assert (info.value.module, info.value.code) == ("cli", "parse")
+
+
 def test_missing_equals_reports_line(tmp_path):
     with pytest.raises(ParseError, match=":2:"):
         parse_config(_write(tmp_path, "# ok\nmcmc.beta 0.85\n"))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,10 +25,12 @@ def test_symmetry_random(kernel_params):
         assert kernel(a, b, kernel_params) == kernel(b, a, kernel_params)
 
 
-def test_param_validation():
-    for bad in [dict(sigma2=0), dict(lx=-1.0), dict(ly=0.0)]:
+def test_param_validation(kernel_params):
+    for bad in [dict(sigma2=0), dict(lx=-1.0), dict(ly=0.0),
+                dict(sigma2=np.nan), dict(lx=np.nan), dict(ly=np.nan),
+                dict(sigma2=np.inf), dict(ly=np.inf)]:
         with pytest.raises(ArgumentError):
-            KernelParams(**bad)
+            replace(kernel_params, **bad)
 
 
 def test_assemble_1x1(kernel_params):

@@ -11,7 +11,8 @@ from condflow.conditioning import (
     project,
     synthesize_conditioned,
 )
-from condflow.covariance import KernelParams, assemble_covariance
+from condflow.config import StudyConfig
+from condflow.covariance import assemble_covariance
 from condflow.darcy import (
     BoundaryConditions,
     boundary_fluxes,
@@ -79,10 +80,6 @@ def _dense_oracle_solve(k2d, hx, hy, bc):
                 T = 2 * hy * k2d[j, i] / hx
                 A[c, c] += T
                 b[c] += T * bc.p_right
-            if j == 0:
-                b[c] -= bc.v_bottom * hx
-            if j == ny - 1:
-                b[c] -= bc.v_top * hx
     return np.linalg.solve(A, b)
 
 
@@ -105,7 +102,8 @@ def test_random_fields_match_oracle(nx, ny):
     rng = np.random.default_rng(nx * 10 + ny)
     for _ in range(5):
         logperm = ScalarField(g, 1.5 * rng.standard_normal(g.n_cells))
-        bc = BoundaryConditions(*rng.uniform(-2.0, 2.0, size=4))
+        # four draws, two of them unused: each case's fields stay fixed
+        bc = BoundaryConditions(*rng.uniform(-2.0, 2.0, size=4)[:2])
         p = solve_pressure(logperm, bc)
         oracle = _dense_oracle_solve(np.exp(logperm.as_2d()), g.hx, g.hy, bc)
         scale = max(1.0, np.max(np.abs(oracle)))
@@ -474,7 +472,7 @@ def test_stacked_calls_equal_single_calls(fine_shape, coarse_shape):
                           pressures.values[:, mask.cells])
 
     # so is the KL synthesis of a stack of thetas, and their projection
-    params = KernelParams()
+    params = StudyConfig().kernel
     basis = solve_kle(assemble_covariance(fine, params), fine, 3)
     ms = MeasurementSet([[0.5, 0.5]], [0.7])
     kriged = krige(ms, params, fine)
@@ -526,32 +524,25 @@ def test_plans_are_frozen_and_read_only():
 
     from condflow import darcy
 
-    bc = BoundaryConditions(v_top=0.5, v_bottom=-0.25)
     fine = make_grid(16, 8)  # cells twice as tall as wide
     plan = darcy._closed_form(fine, make_grid(8, 4))
-    neumann = darcy._neumann(fine, bc)
-    for a in (neumann, plan.gather, plan.hx, plan.hy):
+    for a in (plan.gather, plan.hx, plan.hy):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0.0
     with pytest.raises(FrozenInstanceError):
         plan.gather = None
-    # the Neumann part is the flux through the bottom and top rows
-    neumann = neumann.reshape(fine.ny, fine.nx)
-    assert np.array_equal(neumann[0], np.full(fine.nx, 0.25 * fine.hx))
-    assert np.array_equal(neumann[-1], np.full(fine.nx, -0.5 * fine.hx))
-    assert not neumann[1:-1].any()
 
 
 def test_alternating_grids_equal_fresh_calls():
-    # the plans are built once per grid (pair) and reused: calls on grid
+    # the plan is built once per grid pair and reused: calls on grid
     # pairs A, B, A give bitwise what calls with no plan built yet give
     from condflow import darcy
 
     pairs = [(make_grid(16, 16), make_grid(8, 8)),
              (make_grid(8, 16), make_grid(4, 8)),
              (make_grid(16, 16), make_grid(8, 8))]
-    bcs = [BC, BoundaryConditions(0.2, 0.9, 0.3, -0.1), BC]
+    bcs = [BC, BoundaryConditions(0.2, 0.9), BC]
     rng = np.random.default_rng(11)
     fields = [ScalarField(fine, rng.standard_normal((3, fine.n_cells)))
               for fine, _ in pairs]
@@ -564,7 +555,6 @@ def test_alternating_grids_equal_fresh_calls():
     warm = [forward(f, coarse, bc)
             for f, (_, coarse), bc in zip(fields, pairs, bcs)]
     for f, (_, coarse), bc, got in zip(fields, pairs, bcs, warm):
-        darcy._neumann.cache_clear()
         darcy._closed_form.cache_clear()
         for a, b in zip(got, forward(f, coarse, bc)):
             assert np.array_equal(a, b)

@@ -14,7 +14,7 @@ from condflow.kle import (
 
 def test_single_cell_problem():
     g = make_grid(1, 1)
-    cov = assemble_covariance(g, KernelParams(sigma2=1.0))
+    cov = assemble_covariance(g, KernelParams(sigma2=1.0, lx=0.4, ly=0.8))
     basis = solve_kle(cov, g, 1)
     # hx * hy * sigma2 = 1 on the unit cell; constant unit eigenfunction
     assert basis.lambdas[0] == pytest.approx(1.0, rel=1e-14)

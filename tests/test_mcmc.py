@@ -11,7 +11,7 @@ from condflow.conditioning import (
     synthesize_conditioned,
 )
 from condflow.config import StudyConfig
-from condflow.covariance import KernelParams, assemble_covariance
+from condflow.covariance import assemble_covariance
 from condflow.darcy import (
     BoundaryConditions,
     observe_pressure,
@@ -40,7 +40,7 @@ def _small_bundle(sigma_c2=5e-3, sigma_f2=1e-4, n_modes=6, ref_seed=9):
     """Cheap 4x4 fine / 2x2 coarse inversion problem."""
     fine = make_grid(4, 4)
     coarse = make_grid(2, 2)
-    params = KernelParams()
+    params = StudyConfig().kernel
     basis = solve_kle(assemble_covariance(fine, params), fine, n_modes)
     rng = np.random.default_rng(ref_seed)
     ref = synthesize_unconditioned(basis, rng.standard_normal(n_modes))
@@ -141,13 +141,10 @@ def test_flat_likelihood_accepts_everything():
 
 
 def test_reference_start_tiny_beta_high_acceptance():
-    bundle, _, ref = _small_bundle()
+    bundle, _, _ = _small_bundle()
     cfg = StudyConfig(beta=1e-6, iterations=200, seed=2)
-    # start at the reference coefficients: proposals barely move
-    basis = bundle.basis
-    theta_ref = (basis.phi.T @ ref.values) * (bundle.fine.hx * bundle.fine.hy)
-    theta_ref /= basis.sqrt_lambdas
-    trace = run_chain(cfg, bundle, initial_theta=theta_ref)
+    # from the generator's first draw, proposals barely move
+    trace = run_chain(cfg, bundle)
     assert trace.fine_rate > 0.95
 
 
@@ -252,7 +249,7 @@ def test_chain_config_validation():
         StudyConfig(iterations=0)
 
 
-def _reference_chain(cfg, bundle, initial_theta=None):
+def _reference_chain(cfg, bundle):
     """The two-stage sampler written out from the public pieces. On a
     coarse acceptance it recomputes the whole forward model of the
     proposal, synthesis and coarse solve included."""
@@ -279,8 +276,7 @@ def _reference_chain(cfg, bundle, initial_theta=None):
                                else np.exp(log_ratio))
 
     rng = np.random.default_rng(cfg.seed)
-    theta = (rng.standard_normal(bundle.basis.n) if initial_theta is None
-             else np.asarray(initial_theta, dtype=float))
+    theta = rng.standard_normal(bundle.basis.n)
     llc, llf = forward(theta, want_fine=True)
     thetas, coarse, fine, logliks = [], [], [], []
     for _ in range(cfg.iterations):
@@ -301,25 +297,21 @@ def _reference_chain(cfg, bundle, initial_theta=None):
     return np.array(thetas), np.array(coarse), np.array(fine), np.array(logliks)
 
 
-# the third flag starts the chains from given states, not from their
-# generators' first draws
-@pytest.mark.parametrize("conditioned, single_component, given_init", [
-    (False, True, False),
-    (False, False, False),
-    (True, True, False),
-    (True, False, False),
-    (True, True, True),
-])
-def test_run_chain_matches_reference_loop(conditioned, single_component,
-                                          given_init):
+# (conditioned, single_component), with ids that keep each case's name in
+# test reports stable
+CHAIN_KINDS = [pytest.param(c, s, id=f"{c}-{s}-False")
+               for c, s in [(False, True), (False, False), (True, True),
+                            (True, False)]]
+
+
+@pytest.mark.parametrize("conditioned, single_component", CHAIN_KINDS)
+def test_run_chain_matches_reference_loop(conditioned, single_component):
     bundle, _, _ = _small_bundle()
     cfg = StudyConfig(beta=0.3, iterations=60, seed=11,
                       conditioned=conditioned,
                       single_component=single_component)
-    init = (np.random.default_rng(17).standard_normal(bundle.basis.n)
-            if given_init else None)
-    trace = run_chain(cfg, bundle, initial_theta=init)
-    thetas, coarse, fine, logliks = _reference_chain(cfg, bundle, init)
+    trace = run_chain(cfg, bundle)
+    thetas, coarse, fine, logliks = _reference_chain(cfg, bundle)
     # both stages decide somewhere, so the fine step and its reuse run
     assert 0 < np.sum(trace.fine_accepted) < np.sum(trace.coarse_accepted)
     assert np.array_equal(trace.thetas, thetas)
@@ -328,28 +320,18 @@ def test_run_chain_matches_reference_loop(conditioned, single_component,
     assert np.array_equal(trace.loglik_fine, logliks)
 
 
-@pytest.mark.parametrize("conditioned, single_component, given_init", [
-    (False, True, False),
-    (False, False, False),
-    (True, True, False),
-    (True, False, False),
-    (True, True, True),
-])
-def test_run_study_matches_reference_loop(conditioned, single_component,
-                                          given_init):
+@pytest.mark.parametrize("conditioned, single_component", CHAIN_KINDS)
+def test_run_study_matches_reference_loop(conditioned, single_component):
     bundle, _, _ = _small_bundle()
     cfg = StudyConfig(beta=0.3, iterations=60, conditioned=conditioned,
                       single_component=single_component)
     seeds = [11, 12, 13, 14]
-    inits = (np.random.default_rng(17).standard_normal((4, bundle.basis.n))
-             if given_init else None)
-    traces = run_study(cfg, bundle, seeds, initial_thetas=inits)
+    traces = run_study(cfg, bundle, seeds)
     coarse = np.array([t.coarse_accepted for t in traces])
     # some iterations stack only part of the chains for the fine solve
     assert np.any(coarse.any(axis=0) & ~coarse.all(axis=0))
-    for c, (seed, trace) in enumerate(zip(seeds, traces)):
-        want = _reference_chain(replace(cfg, seed=seed), bundle,
-                                None if inits is None else inits[c])
+    for seed, trace in zip(seeds, traces):
+        want = _reference_chain(replace(cfg, seed=seed), bundle)
         assert trace.seed == seed
         assert np.array_equal(trace.thetas, want[0])
         assert np.array_equal(trace.coarse_accepted, want[1])
@@ -394,21 +376,13 @@ def test_chain_does_not_depend_on_its_companions(conditioned):
     bundle, _, _ = _small_bundle()
     cfg = StudyConfig(beta=0.3, iterations=40, conditioned=conditioned)
     seeds = [21, 22, 23, 24]
-    inits = np.random.default_rng(5).standard_normal((4, bundle.basis.n))
     together = run_study(cfg, bundle, seeds)
-    together_init = run_study(cfg, bundle, seeds, initial_thetas=inits)
-    for c, seed in enumerate(seeds):
-        for got, init in ((together[c], None), (together_init[c], inits[c])):
-            alone = run_study(cfg, bundle, [seed],
-                              initial_thetas=None if init is None else [init])
-            assert np.array_equal(got.thetas, alone[0].thetas)
-            assert np.array_equal(got.coarse_accepted,
-                                  alone[0].coarse_accepted)
-            assert np.array_equal(got.fine_accepted, alone[0].fine_accepted)
-            assert np.array_equal(got.loglik_fine, alone[0].loglik_fine)
-        # the given initial states are the ones sampled from
-        assert not np.array_equal(together_init[c].thetas,
-                                  together[c].thetas)
+    for got, seed in zip(together, seeds):
+        alone = run_study(cfg, bundle, [seed])[0]
+        assert np.array_equal(got.thetas, alone.thetas)
+        assert np.array_equal(got.coarse_accepted, alone.coarse_accepted)
+        assert np.array_equal(got.fine_accepted, alone.fine_accepted)
+        assert np.array_equal(got.loglik_fine, alone.loglik_fine)
 
 
 @pytest.mark.parametrize("fail_call, where", [
@@ -461,19 +435,6 @@ def test_singular_upscaling_is_a_forward_failure(monkeypatch):
     assert "for the initial state:" in str(info.value)
     assert isinstance(info.value.__cause__, NumericalError)
     assert info.value.__cause__.code == "singular"
-
-
-def test_run_study_needs_one_initial_theta_per_seed():
-    # one row for two seeds, and three rows for two seeds, are both
-    # rejected before any chain runs
-    bundle, _, _ = _small_bundle()
-    rows = np.random.default_rng(3).standard_normal((3, bundle.basis.n))
-    for inits in (rows[:1], rows):
-        with pytest.raises(ArgumentError,
-                           match="one initial theta per seed") as info:
-            run_study(StudyConfig(iterations=5), bundle, [1, 2],
-                      initial_thetas=inits)
-        assert info.value.module == "mcmc"
 
 
 def test_bundle_rejects_reference_data_of_the_wrong_length():
