@@ -12,14 +12,25 @@ permeability fields of shape (..., ny, nx) as one block-diagonal
 system: its main diagonal and its +1 and +nx bands, each a flat array
 over the whole stack laid end to end, with no band coupling two
 fields. One solver, ``_solve``, hands it to one call of LAPACK's
-``dpbsv`` in upper banded storage, for a pressure solve and for the
-generic upscaling cell problems alike. ``solve_pressure`` and
-``upscale`` take one field or a stack of fields (see ``ScalarField``)
-and solve the whole stack at once. Every check holds for each field on
-its own: finite permeability, transmissibility overflow, singular
-pivots, and each pressure field's own residual. Each field's result is
-bitwise that of its own call (the tests check this).
-``boundary_fluxes`` takes one field.
+``dpbsv`` in lower banded storage, for a pressure solve and for the
+generic upscaling cell problems alike. In lower storage the
+factorization hands each column's rank-1 update to BLAS ``dsyr`` as a
+stride-1 vector; in upper storage its stride is the bandwidth, and
+OpenBLAS runs that several times slower, most of all on two threads.
+The stack is followed by u = min(nx, cells - 1) decoupled unit rows,
+so that every cell of every field has u rows below it, in a stack as
+alone. The backward solve's dot products then have the same length for
+every field, and their terms from another field's rows or the unit rows
+are exact zeros, as no band couples two fields; without the unit rows,
+a field's last cells would sum shorter dot products alone than in a
+stack, and the two results would differ in the last bit.
+
+``solve_pressure`` and ``upscale`` take one field or a stack of fields
+(see ``ScalarField``) and solve the whole stack at once. Every check
+holds for each field on its own: finite permeability, transmissibility
+overflow, singular pivots (named by field and cell), and each pressure
+field's own residual. Each field's result is bitwise that of its own
+call (the tests check this). ``boundary_fluxes`` takes one field.
 
 The only per-grid plan is the gather of the 2x2 upscaling problems
 (``_closed_form``, per pair of fine and coarse grids): it does not
@@ -133,33 +144,44 @@ def _matvec(bands, x):
     return y
 
 
-def _solve(bands, rhs):
-    """Solve the SPD system of the bands of ``_tpfa``; a singular one
-    raises NumericalError. scipy is imported here, at the first solve, so
-    that a command that solves no pressure never loads it."""
+def _solve(bands, rhs, cells):
+    """Solve the SPD system of the bands of ``_tpfa``, a stack of fields
+    of ``cells`` cells each; a singular one raises NumericalError that
+    names the field and its cell. scipy is imported here, at the first
+    solve, so that a command that solves no pressure never loads it."""
     from scipy.linalg.lapack import dpbsv
 
     diag, tx, ty = bands
     n = diag.size
     nx = ty.size - n
-    # LAPACK's upper banded storage, (u + 1, n) in Fortran order with
-    # u = min(nx, n - 1): row c of ab holds column c of the bands
-    ab = np.zeros((n, nx + 1))
-    # +1 band before +nx band: they share a column when nx = 1; 0 - t
-    # leaves +0 where there is no face
-    np.subtract(0.0, tx[:n], out=ab[:, -2])
-    np.subtract(0.0, ty[:n], out=ab[:, 0])
-    ab[:, -1] = diag
-    # an n x n matrix has no diagonal beyond offset n - 1
-    _, x, info = dpbsv(ab[:, max(nx + 1 - n, 0):].T, rhs, overwrite_ab=1)
-    if info > 0:
-        raise NumericalError(f"singular TPFA system: leading minor "
-                             f"{info} not positive definite", module=_MOD,
-                             code="singular")
+    u = min(nx, cells - 1)  # no band reaches past a field's last cell
+    # LAPACK's lower banded storage, (u + 1, n + u) in Fortran order: row
+    # c of ab holds column c of the matrix from the diagonal down. The u
+    # unit rows after the stack give the last field's cells u rows below
+    # them, as every other field has
+    ab = np.zeros((n + u, u + 1))
+    ab[n:, 0] = 1.0
+    ab[:n, 0] = diag
+    # the -1 band before the -nx band: they share a column when nx = 1.
+    # Where there is no face the entry is -0, which changes no bit of the
+    # result: the factorization and the solves only scale it and subtract
+    # its products
+    if u:
+        np.negative(tx[1:], out=ab[:n, 1])
+    if nx <= u:
+        np.negative(ty[nx:], out=ab[:n, nx])
+    b = np.zeros(n + u)
+    b[:n] = rhs
+    _, x, info = dpbsv(ab.T, b, lower=1, overwrite_ab=1, overwrite_b=1)
+    if info > 0:  # a unit row cannot fail
+        field, cell = divmod(info - 1, cells)
+        raise NumericalError(f"singular TPFA system: the pivot of cell "
+                             f"{cell} of field {field} is not > 0",
+                             module=_MOD, code="singular")
     if info < 0:
         raise ArgumentError(f"dpbsv rejected its argument {-info}",
                             module=_MOD)
-    return x
+    return x[:n]
 
 
 def _permeability(logperm):
@@ -192,7 +214,7 @@ def solve_pressure(logperm, bc):
         rhs_rows[:, 0] += Tl * bc.p_left
         rhs_rows[:, -1] += Tr * bc.p_right
         rhs = rhs.ravel()
-        p = _solve(bands, rhs)
+        p = _solve(bands, rhs, grid.n_cells)
         res = _matvec(bands, p) - rhs
         scale = np.maximum(_field_norms(rhs, grid.n_cells), 1e-300)
         if not (_field_norms(res, grid.n_cells) <= 1e-10 * scale).all():
@@ -232,7 +254,7 @@ def _keff_x(kb, hx, hy):
     bands, Tl, Tr = _tpfa(kb, hx, hy)
     rhs = np.zeros((nb * by, bx))
     rhs[:, 0] += Tl  # p = 1 on the left face, 0 on the right
-    p = _solve(bands, rhs.ravel()).reshape(-1, bx)
+    p = _solve(bands, rhs.ravel(), by * bx).reshape(-1, bx)
     q = np.sum((Tr * p[:, -1]).reshape(nb, by), axis=1)
     # q = keff * height * dp / width with dp = 1
     return q * (bx * hx) / (by * hy)

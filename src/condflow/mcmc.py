@@ -305,7 +305,10 @@ def write_trace_csv(trace, path):
 
 
 def read_trace_csv(path):
-    """Load a trace written by :func:`write_trace_csv`."""
+    """Load a trace written by :func:`write_trace_csv`. Its iterations
+    must count 0, 1, 2, ..., its flags be 0 or 1, and no fine acceptance
+    come without a coarse one; the first row that breaks a rule is a
+    ParseError that names it."""
     header, data = _read_csv(path, _MOD, header=True)
     cols = header.split(",")
     n = len(cols) - 4
@@ -314,10 +317,27 @@ def read_trace_csv(path):
     if data.shape[1] != len(cols):
         raise ParseError(f"{path}: rows have {data.shape[1]} values, the "
                          f"header {len(cols)}", module=_MOD)
+    iteration, coarse, fine = data[:, 0], data[:, 1 + n], data[:, 2 + n]
+    rules = (
+        (iteration != np.arange(len(data)), "iterations must count 0, 1, "
+         "2, ..."),
+        ((coarse != 0) & (coarse != 1), "coarse_accept must be 0 or 1"),
+        ((fine != 0) & (fine != 1), "fine_accept must be 0 or 1"),
+        (fine > coarse, "fine_accept 1 needs coarse_accept 1"),
+    )
+    bad = np.logical_or.reduce([broken for broken, _ in rules])
+    if bad.any():
+        # rows counted from 0 after the header, as the loader counts them
+        row = int(np.argmax(bad))
+        what = next(what for broken, what in rules if broken[row])
+        raise ParseError(
+            f"{path}: row {row}: iteration {iteration[row]:g}, "
+            f"coarse_accept {coarse[row]:g}, fine_accept {fine[row]:g}: "
+            f"{what}", module=_MOD)
     return ChainTrace(
         thetas=data[:, 1:1 + n],
-        coarse_accepted=data[:, 1 + n].astype(bool),
-        fine_accepted=data[:, 2 + n].astype(bool),
+        coarse_accepted=coarse.astype(bool),
+        fine_accepted=fine.astype(bool),
         loglik_fine=data[:, 3 + n],
         seed=None,
     )

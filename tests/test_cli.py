@@ -191,6 +191,51 @@ def test_diagnose_rejects_one_draw_traces(tmp_path, capsys):
         "error:study:argument: at least 2 draws are needed, got traces of 1")
 
 
+def _corrupt_trace(path, edits):
+    """Set (row, column, value) cells of a trace CSV, rows counted from 0
+    after the header."""
+    lines = Path(path).read_text().splitlines()
+    for row, col, value in edits:
+        cells = lines[1 + row].split(",")
+        cells[col] = value
+        lines[1 + row] = ",".join(cells)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def test_diagnose_rejects_a_flag_other_than_0_or_1(tmp_path, capsys):
+    # columns: iteration, theta_1, theta_2, coarse_accept, fine_accept
+    paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
+    _corrupt_trace(paths[1], [(2, 3, "2"), (7, 4, "-1")])
+    assert _diagnose_error(tmp_path, capsys, paths) == (
+        f"error:mcmc:parse: {paths[1]}: row 2: iteration 2, "
+        "coarse_accept 2, fine_accept 1: coarse_accept must be 0 or 1")
+
+
+def test_diagnose_rejects_a_fine_acceptance_without_a_coarse_one(tmp_path,
+                                                                capsys):
+    paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
+    _corrupt_trace(paths[0], [(4, 3, "0"), (9, 3, "0")])
+    assert _diagnose_error(tmp_path, capsys, paths) == (
+        f"error:mcmc:parse: {paths[0]}: row 4: iteration 4, "
+        "coarse_accept 0, fine_accept 1: fine_accept 1 needs "
+        "coarse_accept 1")
+
+
+@pytest.mark.parametrize("edits, row, iteration", [
+    ([(2, 0, "77")], 2, 77),
+    ([(0, 0, "1"), (1, 0, "0")], 0, 1),  # two rows swapped
+    ([(19, 0, "20")], 19, 20),
+], ids=["jump", "swap", "last"])
+def test_diagnose_rejects_iterations_that_do_not_count_rows(
+        tmp_path, capsys, edits, row, iteration):
+    paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
+    _corrupt_trace(paths[1], edits)
+    assert _diagnose_error(tmp_path, capsys, paths) == (
+        f"error:mcmc:parse: {paths[1]}: row {row}: iteration {iteration}, "
+        "coarse_accept 1, fine_accept 1: iterations must count 0, 1, 2, "
+        "...")
+
+
 def test_diagnose_keeps_two_draws_at_largest_burn_in(tmp_path, capsys):
     paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
     out = tmp_path / "d.csv"

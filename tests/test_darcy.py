@@ -1,4 +1,7 @@
 import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,6 +113,82 @@ def test_random_fields_match_oracle(nx, ny):
         assert np.max(np.abs(p.values - oracle)) <= 1e-10 * scale
 
 
+def _upper_band_solve(bands, rhs):
+    """The stack's system solved as one unpadded matrix in LAPACK's upper
+    banded storage: the reference for ``darcy._solve``."""
+    from scipy.linalg.lapack import dpbsv
+
+    diag, tx, ty = bands
+    n = diag.size
+    nx = ty.size - n
+    # row c of ab holds column c of the +nx, +1 and main diagonals; the
+    # +1 band first, as the two share a column when nx = 1
+    ab = np.zeros((n, nx + 1))
+    np.subtract(0.0, tx[:n], out=ab[:, -2])
+    np.subtract(0.0, ty[:n], out=ab[:, 0])
+    ab[:, -1] = diag
+    _, x, info = dpbsv(ab[:, max(nx + 1 - n, 0):].T, rhs, overwrite_ab=1)
+    assert info == 0
+    return x
+
+
+@pytest.mark.parametrize("nx, ny, count, hx, hy", [
+    (8, 8, 8, 1 / 8, 1 / 8),
+    (16, 16, 8, 1 / 16, 1 / 16),
+    (32, 32, 8, 1 / 32, 1 / 32),
+    (1, 6, 3, 1.0, 1 / 6),  # nx = 1
+    (6, 1, 3, 1 / 6, 1.0),  # one row: u = cells - 1 < nx
+    (1, 1, 3, 1.0, 1.0),
+    (4, 4, 20, 1 / 16, 1 / 8),  # generic upscaling blocks of 4x4 cells
+    (2, 1, 20, 1 / 16, 1 / 8),  # and of 2x1 cells
+], ids=["8x8", "16x16", "32x32", "1x6", "6x1", "1x1", "blocks4x4",
+        "blocks2x1"])
+def test_solve_matches_upper_band_reference(nx, ny, count, hx, hy):
+    # the padded lower-storage solve against the unpadded upper-storage
+    # one, on a stack of lognormal fields with p = 1 on the left edge and
+    # 0 on the right, as solve_pressure and _keff_x pose it
+    from condflow import darcy
+
+    rng = np.random.default_rng(nx * 100 + ny)
+    k = np.exp(1.5 * rng.standard_normal((count, ny, nx)))
+    bands, Tl, _ = darcy._tpfa(k, hx, hy)
+    rhs = np.zeros((count * ny, nx))
+    rhs[:, 0] = Tl
+    rhs = rhs.ravel()
+    expected = _upper_band_solve(bands, rhs)
+    got = darcy._solve(bands, rhs, nx * ny)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_solve_does_not_depend_on_blas_threads(tmp_path):
+    # one fixed 32x32 stack of 8 fields solved under one and two OpenBLAS
+    # threads gives bitwise the same pressures
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from condflow.darcy import BoundaryConditions, solve_pressure\n"
+        "from condflow.grid import ScalarField, make_grid\n"
+        "g = make_grid(32, 32)\n"
+        "rng = np.random.default_rng(2024)\n"
+        "field = ScalarField(g, 1.5 * rng.standard_normal((8, g.n_cells)))\n"
+        "p = solve_pressure(field, BoundaryConditions()).values\n"
+        "print(hashlib.sha256(p.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(inspect.getfile(solve_pressure)).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             cwd=tmp_path)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.split()[-1])
+    assert digests[0] == digests[1]
+
+
 def test_singular_field_raises_numerical_error():
     # k = exp(-800) underflows to 0: every transmissibility vanishes
     g, coarse = make_grid(4, 4), make_grid(2, 2)
@@ -121,6 +200,15 @@ def test_singular_field_raises_numerical_error():
                 solve()
             assert (info.value.module, info.value.code) == ("darcy",
                                                             "singular")
+    # one impermeable cell, cell 6 of the second field of a stack, zeroes
+    # its own pivot: the message names that field and cell, not a row of
+    # the padded system
+    values = np.zeros((3, g.n_cells))
+    values[1, 6] = -800.0
+    with np.errstate(divide="ignore"), pytest.raises(NumericalError) as info:
+        solve_pressure(ScalarField(g, values), BC)
+    assert (info.value.module, info.value.code) == ("darcy", "singular")
+    assert "cell 6 of field 1 " in str(info.value)
 
 
 def test_upscale_singular_block_in_stack():
@@ -446,6 +534,8 @@ def test_upscale_takes_closed_form_for_2x2_blocks_only(monkeypatch):
     ((5, 3), (5, 3)),
     ((1, 6), (1, 3)),
     ((16, 16), (4, 4)),
+    ((6, 1), (3, 1)),
+    ((32, 32), (16, 16)),
 ])
 def test_stacked_calls_equal_single_calls(fine_shape, coarse_shape):
     # a stack is solved as one system, but each row must be bitwise the
@@ -499,8 +589,8 @@ def test_stacked_residual_is_checked_per_field(monkeypatch):
     g = make_grid(4, 4)
     original = darcy._solve
 
-    def off_in_last_field(bands, rhs):
-        p = original(bands, rhs)
+    def off_in_last_field(bands, rhs, cells):
+        p = original(bands, rhs, cells)
         p[-g.n_cells:] += 2e-10
         return p
 
@@ -509,7 +599,8 @@ def test_stacked_residual_is_checked_per_field(monkeypatch):
     rhs = np.zeros(k.shape)
     rhs[..., :, 0] = Tl.reshape(100, g.ny) * BC.p_left
     rhs = rhs.ravel()
-    res = darcy._matvec(bands, off_in_last_field(bands, rhs)) - rhs
+    res = darcy._matvec(bands, off_in_last_field(bands, rhs,
+                                                  g.n_cells)) - rhs
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
 
     monkeypatch.setattr(darcy, "_solve", off_in_last_field)

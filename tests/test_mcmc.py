@@ -520,8 +520,8 @@ def test_forward_failures_name_their_darcy_cause(monkeypatch, cause):
     else:
         original = darcy._solve
 
-        def solve(bands, rhs):
-            x = original(bands, rhs)
+        def solve(bands, rhs, cells):
+            x = original(bands, rhs, cells)
             if rhs.size == bundle.fine.n_cells:
                 x[0] = np.nan
             return x
