@@ -65,7 +65,8 @@ def nullspace_basis(A):
     right singular vectors.
 
     Rank is the count of singular values above RANK_RTOL times the
-    largest; signs are fixed (largest-magnitude entry positive) for
+    largest; signs follow the KL basis's rule (the first entry within a
+    relative 1e-8 of the column's largest magnitude is positive) for
     reproducibility. An all-zero A yields the identity basis.
     """
     if np.abs(A).max() == 0.0:

@@ -1,13 +1,17 @@
-"""Anisotropic squared-exponential covariance kernel and the dense
-covariance matrix collocated at grid cell centers.
+"""Anisotropic squared-exponential covariance kernel and its Kronecker
+factors on a grid's cell centers.
 
 The kernel uses per-coordinate differences with separate correlation
 lengths:
 
     R(x1, x2) = sigma2 * exp(-(dx)^2 / (2 lx^2) - (dy)^2 / (2 ly^2))
 
-Quadrature weights are NOT applied here; the KLE module multiplies by
-hx*hy when it discretizes the eigenproblem.
+It factors into an x and a y part, so with cells row-major, j outer, the
+covariance over the cell centers is sigma2 * (Ry kron Rx), Rx and Ry the
+unit-variance 1-D kernels on the nx cell-center abscissae and the ny
+ordinates. :func:`assemble_covariance` returns these factors; no N x N
+matrix is formed. Quadrature weights are NOT applied here: the KLE
+module weights Rx by hx and Ry by hy, the per-axis Nystrom weights.
 """
 
 from __future__ import annotations
@@ -56,12 +60,28 @@ def kernel_matrix(points_a, points_b, params):
     return kernel(a[:, None, :], b[None, :, :], params)
 
 
-def assemble_covariance(grid, params):
-    """Dense N x N covariance matrix over the grid's cell centers.
+@dataclass(frozen=True)
+class KroneckerCovariance:
+    """The covariance over a grid's cell centers, sigma2 * (ry kron rx):
+    entry (j*nx + i, j'*nx + i') is sigma2 * ry[j, j'] * rx[i, i']."""
 
-    The result is symmetric exactly (not merely to rounding): the kernel
-    depends on the differences only through their squares, and
-    (a - b)^2 and (b - a)^2 are equal in floating point.
-    """
-    centers = grid.cell_centers()
-    return kernel_matrix(centers, centers, params)
+    sigma2: float
+    rx: np.ndarray
+    ry: np.ndarray
+
+
+def _kernel_1d(n, h, length):
+    """Unit-variance 1-D kernel on the n cell centers (k + 1/2) h. It is
+    symmetric exactly: (a - b)^2 and (b - a)^2 are equal in floating
+    point."""
+    t = (np.arange(n) + 0.5) * h
+    d = t[:, None] - t[None, :]
+    return np.exp(-(d**2) / (2.0 * length**2))
+
+
+def assemble_covariance(grid, params):
+    """The Kronecker factors of the covariance over the grid's cell
+    centers; see :class:`KroneckerCovariance`."""
+    return KroneckerCovariance(params.sigma2,
+                               _kernel_1d(grid.nx, grid.hx, params.lx),
+                               _kernel_1d(grid.ny, grid.hy, params.ly))

@@ -95,20 +95,6 @@ def _between(first, s1, l):
     return l / (k - 1) * (dev.T @ dev)
 
 
-def within_chain_cov(chains):
-    """Average per-chain sample covariance W (denominator l-1)."""
-    arr = _as_chain_matrix(chains)
-    s1, s2 = _shifted_sums(arr, arr[:, :1])
-    return _within(s1, s2, arr.shape[1])
-
-
-def between_chain_cov(chains):
-    """Between-chain covariance B of the chain means."""
-    arr = _as_chain_matrix(chains)
-    first = arr[:, :1]
-    return _between(first, (arr - first).sum(axis=1), arr.shape[1])
-
-
 def posterior_cov(W, B, k, l):
     """Pooled posterior covariance estimate V."""
     return (l - 1) / l * np.asarray(W) + (1.0 + 1.0 / k) * np.asarray(B) / l

@@ -1,17 +1,26 @@
 """Discrete Karhunen-Loeve eigenproblem, its truncation, and synthesis
-of unconditioned Gaussian log-permeability fields. :func:`solve_kle`
-decides the truncation, a fixed mode count or an energy threshold, from
-the one factorization of the covariance it makes.
+of unconditioned Gaussian log-permeability fields.
 
-The continuous eigenproblem is discretized by Nystrom collocation with
-uniform quadrature weights hx*hy: the symmetric matrix (hx*hy) * R is
-eigendecomposed, eigenvalues sorted descending, and eigenvectors scaled
-so each eigenfunction has unit quadrature norm
+Nystrom collocation at the cell centers, with the separable kernel of
+:mod:`condflow.covariance`, makes the weighted covariance (hx*hy) * R
+equal to sigma2 * (hy*Ry) kron (hx*Rx): each axis has its own uniform
+quadrature weight. :func:`solve_kle` eigendecomposes hx*Rx (values nu_b,
+vectors ux) and hy*Ry (mu_a, uy), each descending. Mode (a, b) has
+eigenvalue sigma2 * mu_a * nu_b and the value uy[j, a] * ux[i, b] /
+sqrt(hx*hy) at cell j*nx + i, so that hx * hy * sum_cells phi^2 = 1.
+The count, the 1e-12 floor and the energy are read from these products,
+the full spectrum; only the retained columns are formed.
 
-    hx * hy * sum_cells phi_i(x)^2 = 1.
+Modes are ranked by a stable descending sort of the products, so equal
+eigenvalues keep the order of the flat index a*nx + b. An isotropic
+kernel on a square grid ties (a, b) exactly with (b, a); a truncation
+that cuts through such a pair keeps the member with the lower a, the
+one smoother along y, itself an exact eigenfunction.
 
-Signs follow a fixed convention (the entry of largest magnitude is made
-positive) so repeated runs produce bit-identical bases.
+Signs: the first entry whose magnitude is within a relative 1e-8 of the
+column's largest is made positive. Every mode on a centered uniform
+grid is mirror symmetric or antisymmetric, so its largest magnitude is
+shared by mirror cells up to rounding, which must not pick the sign.
 """
 
 from __future__ import annotations
@@ -56,35 +65,35 @@ class KLEBasis:
 
 
 def _fix_signs(vecs):
-    """Flip column signs so the largest-magnitude entry is positive."""
-    idx = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return vecs * signs
+    """Flip column signs so the first entry within a relative 1e-8 of the
+    column's largest magnitude is positive."""
+    mags = np.abs(vecs)
+    idx = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=0), axis=0)
+    return np.where(vecs[idx, np.arange(vecs.shape[1])] < 0.0, -vecs, vecs)
 
 
-def full_spectrum(cov, grid):
-    """All N eigenvalues (descending) and quadrature-normalized
-    eigenfunctions of the weighted covariance matrix."""
-    w = grid.hx * grid.hy
-    evals, evecs = np.linalg.eigh(w * cov)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    # unit l2 eigenvectors -> unit quadrature norm eigenfunctions
-    phi = _fix_signs(evecs) / np.sqrt(w)
-    return evals, phi
+def _axis_spectrum(weighted):
+    """Eigenvalues, descending, and orthonormal eigenvectors of a
+    weighted 1-D kernel matrix."""
+    evals, evecs = np.linalg.eigh(weighted)
+    return evals[::-1], evecs[:, ::-1]
 
 
 def solve_kle(cov, grid, n, energy_threshold=None):
-    """Solve the discrete KL eigenproblem and retain the n leading modes,
-    or with ``energy_threshold`` the fewest whose energy fraction reaches
-    it. One factorization gives both the count and the basis."""
+    """Solve the discrete KL eigenproblem of the Kronecker covariance
+    ``cov`` (:func:`condflow.covariance.assemble_covariance`) and retain
+    the n leading modes, or with ``energy_threshold`` the fewest whose
+    energy fraction reaches it. One pair of 1-D factorizations gives
+    both the count and the basis."""
     N = grid.n_cells
     if energy_threshold is None and not 1 <= n <= N:
         raise ArgumentError(f"mode count n={n} must be in [1, {N}]",
                             module=_MOD)
-    evals, phi = full_spectrum(cov, grid)
+    nu, ux = _axis_spectrum(grid.hx * cov.rx)
+    mu, uy = _axis_spectrum(grid.hy * cov.ry)
+    products = cov.sigma2 * np.outer(mu, nu).ravel()  # flat a*nx + b
+    order = np.argsort(-products, kind="stable")
+    evals = products[order]
     if energy_threshold is not None:
         frac = np.cumsum(evals) / np.sum(evals)
         n = int(np.searchsorted(frac, energy_threshold) + 1)
@@ -95,8 +104,10 @@ def solve_kle(cov, grid, n, energy_threshold=None):
             f"kle.energy_threshold = {energy_threshold} is reached by no "
             "mode count above the 1e-12 eigenvalue floor; lower it",
             module=_MOD, code="truncation")
-    energy = energy_fraction(evals, n)
-    return KLEBasis(grid, evals[:n].copy(), phi[:, :n].copy(), energy)
+    a, b = np.divmod(order[:n], grid.nx)
+    phi = (uy[:, None, a] * ux[None, :, b]).reshape(N, n)
+    phi = _fix_signs(phi) / np.sqrt(grid.hx * grid.hy)
+    return KLEBasis(grid, evals[:n].copy(), phi, energy_fraction(evals, n))
 
 
 def energy_fraction(lambdas, n):

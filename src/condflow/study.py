@@ -66,7 +66,7 @@ def build_setup(cfg):
     """Assemble grids, KL basis, kriging, projector, and reference data.
 
     Both input CSVs are read before the covariance is factored, so bad
-    input fails before the O(N^3) work."""
+    input fails before the eigendecompositions."""
     fine = make_grid(cfg.fine_nx, cfg.fine_ny)
     coarse = make_grid(cfg.coarse_nx, cfg.coarse_ny)
     ms = read_measurements_csv(cfg.measurements

@@ -21,19 +21,14 @@ from condflow.conditioning import (
 )
 from condflow.config import StudyConfig
 from condflow.darcy import BoundaryConditions, boundary_fluxes, solve_pressure
-from condflow.diagnostics import (
-    between_chain_cov,
-    mpsrf,
-    posterior_cov,
-    psrf,
-    within_chain_cov,
-)
+from condflow.diagnostics import mpsrf, posterior_cov, psrf
 from condflow.grid import ScalarField, make_grid
-from condflow.kle import energy_fraction, full_spectrum
+from condflow.kle import energy_fraction
 from condflow.kriging import snap_to_cells
 from condflow import mcmc
 from condflow.mcmc import run_chain, run_study
 from condflow.study import build_setup, sample_studies, study_report
+from oracles import between_chain_cov, dense_spectrum, within_chain_cov
 
 
 def _report(number, name, ok, detail=""):
@@ -120,11 +115,7 @@ def test_criterion_3_elliptic_solver():
 
 
 def test_criterion_4_kle_energy(setup):
-    g = setup.bundle.fine
-    from condflow.covariance import assemble_covariance
-
-    cov = assemble_covariance(g, StudyConfig().kernel)
-    evals, _ = full_spectrum(cov, g)
+    evals, _ = dense_spectrum(setup.bundle.fine, StudyConfig().kernel)
     energy20 = energy_fraction(evals, 20)
     monotone = bool(np.all(np.diff(evals) <= 0))
     energy10 = energy_fraction(evals, 10)
@@ -298,8 +289,9 @@ def test_criterion_10_two_stage_posterior(single_component):
     # conditioned field depends on theta only through z. The coarse
     # likelihood must be at least as sharp as the fine one for a wrong
     # correction to show: with sigma_c2 = 5e-3 a dropped or sign-flipped
-    # coarse term stayed within |z| <= 3.8. Standard errors come from the
-    # spread of the 32 independent chains' means and mean squared
+    # coarse term reached only |z| 2.1 to 4.5 unconditioned, and the
+    # dropped term passed the full-vector case. Standard errors come from
+    # the spread of the 32 independent chains' means and mean squared
     # deviations. A fourth quadrature pass of 81 points per axis over
     # 10 sd moved no moment by more than 4e-11, far below every standard
     # error.

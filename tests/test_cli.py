@@ -120,9 +120,19 @@ def test_solve_extreme_permeability_fails_with_one_line(tmp_path, fast_config,
     assert len(err) == 1 and err[0].startswith(f"error:darcy:{code}:")
 
 
-def test_invert_and_diagnose(tmp_path, fast_config, capsys):
+def test_invert_and_diagnose(tmp_path, capsys):
+    # diagnose prints an MPSRF only if every parameter moved after the
+    # burn-in in some chain. Single-component chains of 80 iterations
+    # left a parameter unmoved in both chains for 37 of 200 seed pairs
+    # (a leading mode is proposed about 6 times and mostly rejected), and
+    # diagnose then rightly prints only its zero-variance notice. Small
+    # full-vector steps move every parameter at each of the chain's
+    # roughly 14 fine acceptances.
+    config = tmp_path / "study.cfg"
+    config.write_text(FAST_CFG + "mcmc.single_component = false\n"
+                      "mcmc.beta = 0.2\n")
     out = tmp_path / "out"
-    rc = main(["invert", "--config", fast_config, "--out-dir", str(out)])
+    rc = main(["invert", "--config", str(config), "--out-dir", str(out)])
     assert rc == 0
     traces = sorted(str(p) for p in out.glob("trace_uncond_chain*.csv"))
     assert len(traces) == 2

@@ -6,6 +6,7 @@ import pytest
 from condflow.covariance import KernelParams, assemble_covariance, kernel
 from condflow.errors import ArgumentError
 from condflow.grid import make_grid
+from oracles import dense_covariance
 
 
 def test_zero_distance(kernel_params):
@@ -34,30 +35,50 @@ def test_param_validation(kernel_params):
 
 
 def test_assemble_1x1(kernel_params):
-    R = assemble_covariance(make_grid(1, 1), kernel_params)
-    assert R.shape == (1, 1)
-    assert R[0, 0] == kernel_params.sigma2
+    cov = assemble_covariance(make_grid(1, 1), kernel_params)
+    assert cov.sigma2 == kernel_params.sigma2
+    assert cov.rx.shape == cov.ry.shape == (1, 1)
+    assert cov.rx[0, 0] == cov.ry[0, 0] == 1.0
 
 
 def test_assemble_2x1(kernel_params):
-    # centers 0.5 apart in x: off-diagonal exp(-0.25 / (2 * 0.16))
-    R = assemble_covariance(make_grid(2, 1), kernel_params)
+    # centers 0.5 apart in x: off-diagonal exp(-0.25 / (2 * 0.16)); one
+    # row, so the y factor is the 1x1 unit matrix
+    cov = assemble_covariance(make_grid(2, 1), kernel_params)
     expected = np.exp(-0.25 / (2 * 0.4**2))
-    assert R[0, 1] == pytest.approx(expected, rel=1e-15)
-    assert R[1, 0] == R[0, 1]
+    assert cov.rx[0, 1] == pytest.approx(expected, rel=1e-15)
+    assert cov.rx[1, 0] == cov.rx[0, 1]
+    assert cov.ry.shape == (1, 1)
 
 
 def test_diagonal_is_sigma2(fine_cov, kernel_params):
-    assert np.all(np.diag(fine_cov) == kernel_params.sigma2)
+    assert fine_cov.sigma2 == kernel_params.sigma2
+    assert np.all(np.diag(fine_cov.rx) == 1.0)
+    assert np.all(np.diag(fine_cov.ry) == 1.0)
 
 
 def test_exact_symmetry(fine_cov):
-    assert np.max(np.abs(fine_cov - fine_cov.T)) == 0.0
+    for r in (fine_cov.rx, fine_cov.ry):
+        assert np.array_equal(r, r.T)
 
 
 def test_positive_semidefinite(fine_cov):
-    eigmin = np.linalg.eigvalsh(fine_cov)[0]
-    assert eigmin >= -1e-8 * np.trace(fine_cov)
+    for r in (fine_cov.rx, fine_cov.ry):
+        assert np.linalg.eigvalsh(r)[0] >= -1e-8 * np.trace(r)
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [(16, 16, 0.4, 0.8),
+                                            (12, 20, 0.4, 0.8),
+                                            (5, 3, 0.8, 0.3)])
+def test_kronecker_factors_match_dense_kernel(nx, ny, lx, ly):
+    # cells are row-major with j outer, so the dense matrix over the
+    # cell centers is sigma2 * kron(ry, rx), to rounding of the exponent
+    g = make_grid(nx, ny)
+    params = KernelParams(sigma2=1.7, lx=lx, ly=ly)
+    cov = assemble_covariance(g, params)
+    dense = dense_covariance(g, params)
+    np.testing.assert_allclose(cov.sigma2 * np.kron(cov.ry, cov.rx), dense,
+                               rtol=1e-15, atol=0.0)
 
 
 def test_monotone_decay_along_axis(kernel_params):

@@ -5,16 +5,15 @@ import pytest
 
 from condflow.diagnostics import (
     DiagnosticsReport,
-    between_chain_cov,
     diagnostics_series,
     mpsrf,
     posterior_cov,
     psrf,
     read_report_csv,
-    within_chain_cov,
     write_report_csv,
 )
 from condflow.errors import ArgumentError, NumericalError, ParseError
+from oracles import between_chain_cov, within_chain_cov
 
 
 class FakeTrace:

@@ -5,11 +5,12 @@ from condflow.covariance import KernelParams, assemble_covariance
 from condflow.errors import ArgumentError
 from condflow.grid import make_grid
 from condflow.kle import (
+    _fix_signs,
     energy_fraction,
-    full_spectrum,
     solve_kle,
     synthesize_unconditioned,
 )
+from oracles import dense_covariance, dense_spectrum
 
 
 def test_single_cell_problem():
@@ -25,10 +26,11 @@ def test_reference_setup_energy(basis20):
     assert basis20.energy >= 0.95
 
 
-def test_trace_identity(fine_cov, fine_grid, kernel_params):
-    evals, _ = full_spectrum(fine_cov, fine_grid)
-    # sum of eigenvalues = trace(hx hy R) = hx hy N sigma2 = sigma2
-    assert np.sum(evals) == pytest.approx(kernel_params.sigma2, rel=1e-12)
+def test_trace_identity(basis20, kernel_params):
+    # the full spectrum's sum, the retained mass over the energy fraction,
+    # is trace(hx hy R) = hx hy N sigma2 = sigma2
+    assert np.sum(basis20.lambdas) / basis20.energy == pytest.approx(
+        kernel_params.sigma2, rel=1e-12)
 
 
 def test_eigenvalues_descending_positive(basis20):
@@ -42,16 +44,17 @@ def test_orthonormality(basis20, fine_grid):
     assert np.max(np.abs(G - np.eye(basis20.n))) <= 1e-8
 
 
-def test_covariance_reconstruction(basis20, fine_cov, fine_grid):
-    # full spectrum reconstructs the kernel exactly
-    evals, phi = full_spectrum(fine_cov, fine_grid)
+def test_covariance_reconstruction(basis20, fine_grid, kernel_params):
+    # the dense oracle's full spectrum reconstructs the kernel exactly
+    dense = dense_covariance(fine_grid, kernel_params)
+    evals, phi = dense_spectrum(fine_grid, kernel_params)
     full = (phi * evals) @ phi.T
-    assert np.max(np.abs(full - fine_cov)) <= 1e-10
+    assert np.max(np.abs(full - dense)) <= 1e-10
     # truncation error is bounded by the tail mass times the squared
     # sup-norm of the discarded eigenfunctions (eigenfunctions are not
     # uniformly bounded by 1, so the tail mass alone is not a bound)
     approx = (basis20.phi * basis20.lambdas) @ basis20.phi.T
-    err = np.max(np.abs(approx - fine_cov))
+    err = np.max(np.abs(approx - dense))
     tail_sup2 = np.max(np.abs(phi[:, basis20.n:]), axis=0) ** 2
     bound = np.sum(evals[basis20.n:] * tail_sup2)
     assert err <= bound + 1e-6
@@ -88,10 +91,10 @@ def test_energy_fraction_basics():
         energy_fraction(np.array([]), 1)
 
 
-def test_energy_threshold_mode(fine_cov, fine_grid):
+def test_energy_threshold_mode(fine_cov, fine_grid, kernel_params):
     # the threshold keeps the fewest modes whose cumulative fraction of the
     # full spectrum reaches it, the basis of that fixed count bit for bit
-    evals, _ = full_spectrum(fine_cov, fine_grid)
+    evals, _ = dense_spectrum(fine_grid, kernel_params)
     frac = np.cumsum(evals) / np.sum(evals)
     for threshold, n in ((0.95, 4), (0.999, 11), (0.9999999, 30)):
         assert int(np.searchsorted(frac, threshold) + 1) == n
@@ -128,3 +131,80 @@ def test_synthesize_linearity(basis20):
 def test_synthesize_length_mismatch(basis20):
     with pytest.raises(ArgumentError):
         synthesize_unconditioned(basis20, np.zeros(7))
+
+
+def _simple(evals, n, gap=1e-3):
+    """Which of the n leading eigenvalues are apart from both neighbours
+    by more than ``gap`` relative."""
+    rel = -np.diff(evals[:n + 1]) / evals[:n]
+    return np.minimum(np.r_[np.inf, rel[:-1]], rel) > gap
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [(16, 16, 0.4, 0.8),
+                                            (32, 32, 0.4, 0.8),
+                                            (12, 20, 0.4, 0.8),
+                                            (16, 16, 0.8, 0.3)],
+                         ids=["default", "32x32", "12x20", "lx>ly"])
+def test_separable_basis_matches_dense_oracle(nx, ny, lx, ly):
+    g = make_grid(nx, ny)
+    params = KernelParams(sigma2=1.0, lx=lx, ly=ly)
+    cov = assemble_covariance(g, params)
+    evals, phi = dense_spectrum(g, params)
+    w = g.hx * g.hy
+    basis = solve_kle(cov, g, 20)
+    assert np.max(np.abs(basis.lambdas - evals[:20]) / evals[:20]) <= 1e-10
+    # the retained subspace, through its quadrature-weighted projector
+    P = w * basis.phi @ basis.phi.T
+    P_dense = w * phi[:, :20] @ phi[:, :20].T
+    assert np.max(np.abs(P - P_dense)) <= 1e-10
+    # each eigenfunction of a simple eigenvalue, under the same sign rule
+    simple = _simple(evals, 20)
+    assert simple.sum() >= 4
+    assert np.max(np.abs(basis.phi[:, simple] - phi[:, :20][:, simple])) \
+        <= 1e-9
+    # the same truncation by count and by energy
+    frac = np.cumsum(evals) / np.sum(evals)
+    assert basis.energy == pytest.approx(frac[19], rel=1e-12)
+    for threshold in (0.9999, 0.999):
+        n = int(np.searchsorted(frac, threshold) + 1)
+        by_energy = solve_kle(cov, g, 1, threshold)
+        assert by_energy.n == n
+        assert by_energy.energy == pytest.approx(frac[n - 1], rel=1e-12)
+
+
+def test_tied_pair_cut_keeps_the_lower_flat_index():
+    # an isotropic kernel on a square grid: modes (a, b) and (b, a) have
+    # exactly equal eigenvalues. A cut between them keeps the one with
+    # the lower flat index a*nx + b, the one smoother along y
+    g = make_grid(8, 8)
+    cov = assemble_covariance(g, KernelParams(sigma2=1.0, lx=0.5, ly=0.5))
+    three = solve_kle(cov, g, 3)
+    assert three.lambdas[1] == three.lambdas[2] < three.lambdas[0]
+    two = solve_kle(cov, g, 2)
+    assert np.array_equal(two.phi, three.phi[:, :2])
+    assert np.array_equal(two.lambdas, three.lambdas[:2])
+    # mode 1 is (a, b) = (0, 1): even along y, odd along x; mode 2 the
+    # mirror image (1, 0)
+    for k, (odd_axis, even_axis) in ((1, (1, 0)), (2, (0, 1))):
+        f = three.phi[:, k].reshape(g.ny, g.nx)
+        np.testing.assert_allclose(np.flip(f, axis=even_axis), f,
+                                   atol=1e-12)
+        np.testing.assert_allclose(np.flip(f, axis=odd_axis), -f,
+                                   atol=1e-12)
+    # an energy threshold reached by the first of the pair keeps it alone
+    frac = np.cumsum(three.lambdas) / (np.sum(three.lambdas)
+                                       / three.energy)
+    by_energy = solve_kle(cov, g, 1, (frac[0] + frac[1]) / 2)
+    assert by_energy.n == 2
+    assert np.array_equal(by_energy.phi, two.phi)
+
+
+def test_sign_rule_ignores_one_ulp_between_mirrored_maxima():
+    # mirror cells 1 and 3 share the largest magnitude up to one ulp;
+    # which of them is larger must not decide the column's sign
+    big = np.nextafter(1.0, 2.0)
+    for col in ([0.5, -1.0, 0.2, big], [0.5, -big, 0.2, 1.0],
+                [0.5, 1.0, 0.2, -big], [0.5, big, 0.2, -1.0]):
+        fixed = _fix_signs(np.array(col)[:, None])[:, 0]
+        assert fixed[1] > 0.0
+        assert np.array_equal(np.abs(fixed), np.abs(col))

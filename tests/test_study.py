@@ -1,4 +1,9 @@
+import inspect
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,26 +139,63 @@ def test_reference_experiment_samples_both_studies_in_one_call(
 
 @pytest.mark.parametrize("threshold", [None, 0.9999])
 def test_build_setup_factors_the_covariance_once(monkeypatch, threshold):
-    # the mode count and the basis come from one spectrum
+    # the mode count and the basis come from one spectrum: one 1-D
+    # factorization per axis, none of the 256 x 256 covariance
     calls = []
-    original = kle.full_spectrum
+    original = kle._axis_spectrum
 
-    def counting(cov, grid):
-        calls.append(grid.n_cells)
-        return original(cov, grid)
+    def counting(weighted):
+        calls.append(weighted.shape)
+        return original(weighted)
 
-    monkeypatch.setattr(kle, "full_spectrum", counting)
+    monkeypatch.setattr(kle, "_axis_spectrum", counting)
     setup = build_setup(StudyConfig(energy_threshold=threshold, verbosity=0))
-    assert calls == [256]
+    assert calls == [(16, 16), (16, 16)]
     assert setup.bundle.basis.n == (20 if threshold is None else 16)
 
 
 def test_build_setup_reads_inputs_before_factoring(tmp_path, monkeypatch):
-    def fail(cov, grid):
+    def fail(weighted):
         pytest.fail("the covariance was factored before the inputs were read")
 
-    monkeypatch.setattr(kle, "full_spectrum", fail)
+    monkeypatch.setattr(kle, "_axis_spectrum", fail)
     bad = tmp_path / "ms.csv"
     bad.write_text("x,y,value\n0.5,0.5,oops\n")
     with pytest.raises(ParseError, match="ms.csv"):
         build_setup(StudyConfig(measurements=str(bad), verbosity=0))
+
+
+def test_setup_and_traces_do_not_depend_on_blas_threads(tmp_path):
+    # the default setup and a short stack of both studies, built under
+    # one and two OpenBLAS threads, give bitwise the same basis,
+    # projector and traces
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from condflow.config import StudyConfig\n"
+        "from condflow.study import build_setup, sample_studies\n"
+        "cfg = StudyConfig(chains=4, iterations=300, verbosity=0)\n"
+        "setup = build_setup(cfg)\n"
+        "traces, _ = sample_studies(setup, (False, True))\n"
+        "arrays = [setup.bundle.basis.phi, setup.bundle.projector.Q]\n"
+        "arrays += [t.thetas for ts in traces for t in ts]\n"
+        "arrays += [t.loglik_fine for ts in traces for t in ts]\n"
+        "for a in arrays:\n"
+        "    print(hashlib.sha256(np.ascontiguousarray(a).tobytes())"
+        ".hexdigest())\n"
+    )
+    src = str(Path(inspect.getfile(build_setup)).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             cwd=tmp_path)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 2 + 2 * 8
+    labels = (["phi", "Q"] + [f"thetas of chain {c}" for c in range(8)]
+              + [f"loglik of chain {c}" for c in range(8)])
+    assert [lab for lab, a, b in zip(labels, *digests) if a != b] == []
