@@ -29,19 +29,20 @@ stack, and the two results would differ in the last bit.
 (see ``ScalarField``) and solve the whole stack at once. Every check
 holds for each field on its own: finite permeability, transmissibility
 overflow, singular pivots (named by field and cell), and each pressure
-field's own residual. Each field's result is bitwise that of its own
-call (the tests check this). ``boundary_fluxes`` takes one field.
+field's own residual. On grids at most 64 cells wide, which covers
+every shipped config, each field's result is bitwise that of its own
+call (the tests check this). Above that width ``dpbtrf`` factors the
+band in blocks of 32 columns counted from the start of the whole
+stack, so a field's rounding can depend on its place in the stack.
+``boundary_fluxes`` takes one field.
 
-The only per-grid plan is the gather of the 2x2 upscaling problems
-(``_closed_form``, per pair of fine and coarse grids): it does not
-depend on the permeability, so it is built once, memoized on its
-arguments and frozen (read-only arrays, a frozen dataclass). The
-operator needs nothing stored: with its bands flat over the stack, the
-layout costs one assignment per band. A call computes 1/k once per
-stack, shared by all faces, and enters one
-``np.errstate(divide="ignore", over="ignore")``, inside which the
-private helpers run; every overflow or division by zero they can meet
-is checked and reported as an error of its own.
+Nothing is stored between calls. The 2x2 upscaling layout is two
+transposed views of the permeability stack, built per call; the
+operator, with its bands flat over the stack, costs one assignment per
+band. A call computes 1/k once per stack, shared by all faces, and
+enters one ``np.errstate(divide="ignore", over="ignore")``, inside
+which the private helpers run; every overflow or division by zero they
+can meet is checked and reported as an error of its own.
 
 Upscaling solves, per coarse block, two local TPFA problems with a unit
 pressure drop (in x and in y, no-flow on the lateral faces), converts
@@ -49,8 +50,8 @@ the resulting through-flux to a directional effective permeability, and
 stores the log of the geometric mean of the two directions. 2x2 blocks,
 the shape every shipped config uses, are solved in closed form
 (``_keff_x_2x2``), each step one array operation over all blocks of the
-stack; one gather puts every x problem and every y problem (a
-transposed block) straight into its layout. Any other shape is
+stack; two transposed views of the stack put every x problem and every
+y problem (a transposed block) into its layout. Any other shape is
 assembled by ``_tpfa`` and solved by ``_solve``, the blocks of one
 direction in one call. A block whose effective permeability is not > 0
 is singular.
@@ -58,7 +59,6 @@ is singular.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +76,6 @@ class BoundaryConditions:
 
     p_left: float = 1.0
     p_right: float = 0.0
-
-
-def _frozen(a):
-    a.flags.writeable = False
-    return a
 
 
 def _check_diagonal(diag):
@@ -313,35 +308,6 @@ def check_refinement(fine, coarse):
     return fine.nx // coarse.nx, fine.ny // coarse.ny
 
 
-@dataclass(frozen=True, eq=False)
-class _ClosedForm:
-    """What upscaling 2x2 blocks of one fine grid to one coarse grid needs
-    that does not depend on the permeability: the x problem of block b
-    sits at b, its y problem (the transposed block, flow along y) at
-    nb + b."""
-
-    #: (2, 2, 1, 2 nb) the fine cell at (i, j) of each problem, in the
-    #: layout of ``_keff_x_2x2``
-    gather: np.ndarray
-    #: the cell size along and across the flow of each problem: (2 nb,)
-    #: arrays, or one number each on square cells
-    hx: np.ndarray | float
-    hy: np.ndarray | float
-
-
-@functools.lru_cache(maxsize=16)
-def _closed_form(fine, coarse):
-    nb = coarse.n_cells
-    cells = np.arange(fine.n_cells).reshape(coarse.ny, 2, coarse.nx, 2)
-    x_problems = cells.transpose(1, 3, 0, 2).reshape(2, 2, 1, nb)
-    gather = np.concatenate([x_problems, x_problems.transpose(1, 0, 2, 3)],
-                            axis=-1)
-    hx, hy = fine.hx, fine.hy
-    if hx != hy:
-        hx, hy = (_frozen(np.repeat(h, nb)) for h in ([hx, hy], [hy, hx]))
-    return _ClosedForm(_frozen(gather), hx, hy)
-
-
 def upscale(fine_logperm, coarse):
     """Effective coarse log-permeability from local flow problems.
 
@@ -354,15 +320,20 @@ def upscale(fine_logperm, coarse):
     bx, by = check_refinement(fine, coarse)
     nb = coarse.n_cells
     with np.errstate(divide="ignore", over="ignore"):
-        k = _permeability(fine_logperm)
+        # k[f, J, j, I, i]: cell (i, j) of block (I, J) of field f
+        k = _permeability(fine_logperm).reshape(-1, coarse.ny, by,
+                                                 coarse.nx, bx)
         if bx == by == 2:
-            plan = _closed_form(fine, coarse)
-            offsets = np.arange(0, k.size, fine.n_cells)[:, None]
-            keff = _keff_x_2x2(k.ravel()[plan.gather + offsets], plan.hx,
-                               plan.hy)
+            # the x problem of block b at b, its y problem (the transposed
+            # block) at nb + b
+            problems = np.stack([k.transpose(2, 4, 0, 1, 3),
+                                 k.transpose(4, 2, 0, 1, 3)], axis=3)
+            hx, hy = fine.hx, fine.hy
+            if hx != hy:  # the cell size along and across each problem
+                hx, hy = np.repeat([hx, hy], nb), np.repeat([hy, hx], nb)
+            keff = _keff_x_2x2(problems.reshape(2, 2, -1, 2 * nb), hx, hy)
         else:
-            blocks = k.reshape(-1, coarse.ny, by, coarse.nx, bx).transpose(
-                0, 1, 3, 2, 4).reshape(-1, by, bx)
+            blocks = k.transpose(0, 1, 3, 2, 4).reshape(-1, by, bx)
             keff = np.concatenate([
                 _keff_x(blocks, fine.hx, fine.hy).reshape(-1, nb),
                 _keff_x(blocks.transpose(0, 2, 1), fine.hy,

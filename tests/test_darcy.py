@@ -536,10 +536,14 @@ def test_upscale_takes_closed_form_for_2x2_blocks_only(monkeypatch):
     ((16, 16), (4, 4)),
     ((6, 1), (3, 1)),
     ((32, 32), (16, 16)),
+    ((16, 8), (8, 4)),
+    ((8, 16), (4, 8)),
+    ((64, 4), (32, 2)),
 ])
 def test_stacked_calls_equal_single_calls(fine_shape, coarse_shape):
     # a stack is solved as one system, but each row must be bitwise the
-    # single-field result
+    # single-field result; on anisotropic cells too, and up to 64 cells
+    # wide, the widest grid for which the docs claim it
     fine, coarse = make_grid(*fine_shape), make_grid(*coarse_shape)
     rng = np.random.default_rng(fine.n_cells)
     stack = ScalarField(fine, 1.5 * rng.standard_normal((4, fine.n_cells)))
@@ -608,47 +612,6 @@ def test_stacked_residual_is_checked_per_field(monkeypatch):
         solve_pressure(ScalarField(g, np.log(k).reshape(100, -1)), BC)
     assert (info.value.module, info.value.code) == ("darcy", "residual")
 
-
-
-def test_plans_are_frozen_and_read_only():
-    from dataclasses import FrozenInstanceError
-
-    from condflow import darcy
-
-    fine = make_grid(16, 8)  # cells twice as tall as wide
-    plan = darcy._closed_form(fine, make_grid(8, 4))
-    for a in (plan.gather, plan.hx, plan.hy):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[...] = 0.0
-    with pytest.raises(FrozenInstanceError):
-        plan.gather = None
-
-
-def test_alternating_grids_equal_fresh_calls():
-    # the plan is built once per grid pair and reused: calls on grid
-    # pairs A, B, A give bitwise what calls with no plan built yet give
-    from condflow import darcy
-
-    pairs = [(make_grid(16, 16), make_grid(8, 8)),
-             (make_grid(8, 16), make_grid(4, 8)),
-             (make_grid(16, 16), make_grid(8, 8))]
-    bcs = [BC, BoundaryConditions(0.2, 0.9), BC]
-    rng = np.random.default_rng(11)
-    fields = [ScalarField(fine, rng.standard_normal((3, fine.n_cells)))
-              for fine, _ in pairs]
-
-    def forward(field, coarse, bc):
-        up = upscale(field, coarse)
-        return (solve_pressure(field, bc).values, up.values,
-                solve_pressure(up, bc).values)
-
-    warm = [forward(f, coarse, bc)
-            for f, (_, coarse), bc in zip(fields, pairs, bcs)]
-    for f, (_, coarse), bc, got in zip(fields, pairs, bcs, warm):
-        darcy._closed_form.cache_clear()
-        for a, b in zip(got, forward(f, coarse, bc)):
-            assert np.array_equal(a, b)
 
 def test_upscale_non_divisible():
     fine, coarse = make_grid(16, 16), make_grid(7, 8)
