@@ -10,8 +10,11 @@ It factors into an x and a y part, so with cells row-major, j outer, the
 covariance over the cell centers is sigma2 * (Ry kron Rx), Rx and Ry the
 unit-variance 1-D kernels on the nx cell-center abscissae and the ny
 ordinates. :func:`assemble_covariance` returns these factors; no N x N
-matrix is formed. Quadrature weights are NOT applied here: the KLE
-module weights Rx by hx and Ry by hy, the per-axis Nystrom weights.
+matrix is formed. The KLE and kriging both read these factors.
+Quadrature weights are NOT applied here: the KLE module weights Rx by hx
+and Ry by hy, the per-axis Nystrom weights, and kriging reads the
+unweighted rows. The pointwise kernel and the dense matrix live in the
+tests' oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -40,24 +43,6 @@ class KernelParams:
                 f"(sigma2={self.sigma2}, lx={self.lx}, ly={self.ly})",
                 module=_MOD,
             )
-
-
-def kernel(x1, x2, params):
-    """Evaluate the covariance kernel at a pair of points."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    dx = x1[..., 0] - x2[..., 0]
-    dy = x1[..., 1] - x2[..., 1]
-    return params.sigma2 * np.exp(
-        -(dx**2) / (2.0 * params.lx**2) - (dy**2) / (2.0 * params.ly**2)
-    )
-
-
-def kernel_matrix(points_a, points_b, params):
-    """Kernel evaluated on all pairs of two point sets; shape (na, nb)."""
-    a = np.asarray(points_a, dtype=float)
-    b = np.asarray(points_b, dtype=float)
-    return kernel(a[:, None, :], b[None, :, :], params)
 
 
 @dataclass(frozen=True)

@@ -61,13 +61,6 @@ class Grid2D:
         """Flat index of cell column i, row j (row-major, j outer)."""
         return j * self.nx + i
 
-    def cell_centers(self):
-        """(n_cells, 2) array of cell-center coordinates, flat order."""
-        xs = (np.arange(self.nx) + 0.5) * self.hx
-        ys = (np.arange(self.ny) + 0.5) * self.hy
-        X, Y = np.meshgrid(xs, ys)
-        return np.column_stack([X.ravel(), Y.ravel()])
-
 
 def make_grid(nx, ny):
     """Build a Grid2D, validating dimensions."""

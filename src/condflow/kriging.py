@@ -7,9 +7,12 @@ sum of the measured values. The surface interpolates the data exactly
 at the measurement cells, which is what makes the nullspace constraint
 in the conditioning module homogeneous.
 
-All kernel evaluations use the measurement locations snapped to their
-nearest cell centers, keeping the surface consistent with the discrete
-fields it is added to.
+The measurement locations are snapped to the cells that hold them, so
+k(x) is a row of the covariance over the cell centers. Kriging reads
+those rows from the same Kronecker factors as the KLE
+(:mod:`condflow.covariance`), keeping the surface consistent with the
+discrete fields it is added to. The pointwise kernel and the dense
+matrix live in the tests' oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import kernel_matrix
 from .errors import ArgumentError, NumericalError, ParseError
 from .grid import ScalarField, _read_csv
 
@@ -74,12 +76,16 @@ def snap_to_cells(ms, grid):
     return cells
 
 
-def krige(ms, params, grid):
-    """Simple-kriging surface over all cell centers as a ScalarField."""
+def krige(ms, cov, grid):
+    """Simple-kriging surface over all cell centers as a ScalarField,
+    under the Kronecker covariance ``cov`` of the grid
+    (:func:`condflow.covariance.assemble_covariance`)."""
     cells = snap_to_cells(ms, grid)
-    centers = grid.cell_centers()
-    pts = centers[cells]
-    K = kernel_matrix(pts, pts, params)
+    j, i = np.divmod(cells, grid.nx)
+    # the rows of sigma2 * (ry kron rx) at the measurement cells
+    cross = (cov.sigma2 * cov.ry[j][:, :, None]
+             * cov.rx[i][:, None, :]).reshape(ms.m, grid.n_cells)
+    K = cross[:, cells]
     svals = np.linalg.svd(K, compute_uv=False)
     cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
     if cond > 1e12 or svals[-1] <= 1e-12 * svals[0]:
@@ -89,7 +95,7 @@ def krige(ms, params, grid):
             module=_MOD,
             code="conditioning",
         )
-    weights = np.linalg.solve(K, kernel_matrix(pts, centers, params))
+    weights = np.linalg.solve(K, cross)
     return ScalarField(grid, weights.T @ ms.values)
 
 

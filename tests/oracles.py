@@ -1,14 +1,14 @@
 """Dense reference implementations the tests check condflow against.
 
-condflow never forms the N x N covariance: it factors the separable
-kernel into two 1-D problems. The dense matrix over the cell centers and
+condflow never evaluates the kernel pointwise: it factors the separable
+kernel into two 1-D problems, whose factors the KLE and kriging read.
+The pointwise kernel, the cell centers, the dense matrix over them and
 its eigendecomposition, and the direct forms of the within- and
-between-chain covariances, live here for the tests alone.
+between-chain covariances live here for the tests alone.
 """
 
 import numpy as np
 
-from condflow.covariance import kernel_matrix
 from condflow.diagnostics import (
     _as_chain_matrix,
     _between,
@@ -18,9 +18,35 @@ from condflow.diagnostics import (
 from condflow.kle import _fix_signs
 
 
+def kernel(x1, x2, params):
+    """Evaluate the covariance kernel at a pair of points."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    dx = x1[..., 0] - x2[..., 0]
+    dy = x1[..., 1] - x2[..., 1]
+    return params.sigma2 * np.exp(
+        -(dx**2) / (2.0 * params.lx**2) - (dy**2) / (2.0 * params.ly**2)
+    )
+
+
+def kernel_matrix(points_a, points_b, params):
+    """Kernel evaluated on all pairs of two point sets; shape (na, nb)."""
+    a = np.asarray(points_a, dtype=float)
+    b = np.asarray(points_b, dtype=float)
+    return kernel(a[:, None, :], b[None, :, :], params)
+
+
+def cell_centers(grid):
+    """(n_cells, 2) array of cell-center coordinates, flat order."""
+    xs = (np.arange(grid.nx) + 0.5) * grid.hx
+    ys = (np.arange(grid.ny) + 0.5) * grid.hy
+    X, Y = np.meshgrid(xs, ys)
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
 def dense_covariance(grid, params):
     """The N x N kernel matrix over the grid's cell centers."""
-    centers = grid.cell_centers()
+    centers = cell_centers(grid)
     return kernel_matrix(centers, centers, params)
 
 

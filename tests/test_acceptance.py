@@ -28,7 +28,12 @@ from condflow.kriging import snap_to_cells
 from condflow import mcmc
 from condflow.mcmc import run_chain, run_study
 from condflow.study import build_setup, sample_studies, study_report
-from oracles import between_chain_cov, dense_spectrum, within_chain_cov
+from oracles import (
+    between_chain_cov,
+    cell_centers,
+    dense_spectrum,
+    within_chain_cov,
+)
 
 
 def _report(number, name, ok, detail=""):
@@ -91,7 +96,7 @@ def test_criterion_3_elliptic_solver():
     bc = BoundaryConditions()
 
     uniform = solve_pressure(ScalarField(g, np.full(g.n_cells, 0.7)), bc)
-    centers = g.cell_centers()
+    centers = cell_centers(g)
     linear_err = np.max(np.abs(uniform.values - (1.0 - centers[:, 0])))
 
     # two vertical layers k=1 (left) and k=4 (right): series resistance

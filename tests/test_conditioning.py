@@ -12,6 +12,7 @@ from condflow.errors import ArgumentError
 from condflow.grid import make_grid
 from condflow.kle import KLEBasis, synthesize_unconditioned
 from condflow.kriging import MeasurementSet, krige, snap_to_cells
+from oracles import cell_centers
 
 
 @pytest.fixture(scope="module")
@@ -20,8 +21,8 @@ def reference_projector(basis20, measurements, fine_grid):
 
 
 @pytest.fixture(scope="module")
-def kriged(measurements, kernel_params, fine_grid):
-    return krige(measurements, kernel_params, fine_grid)
+def kriged(measurements, fine_cov, fine_grid):
+    return krige(measurements, fine_cov, fine_grid)
 
 
 def test_data_matrix_shape(basis20, measurements, fine_grid):
@@ -42,7 +43,7 @@ def test_data_matrix_definition():
 def test_too_many_measurements(basis20, fine_grid):
     rng = np.random.default_rng(0)
     # 20 distinct cells on a 16x16 grid
-    centers = fine_grid.cell_centers()
+    centers = cell_centers(fine_grid)
     pick = rng.choice(256, size=20, replace=False)
     ms = MeasurementSet(centers[pick], np.zeros(20))
     with pytest.raises(ArgumentError, match="nullspace"):

@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from condflow.covariance import KernelParams, assemble_covariance, kernel
+from condflow.covariance import KernelParams, assemble_covariance
 from condflow.errors import ArgumentError
 from condflow.grid import make_grid
-from oracles import dense_covariance
+from oracles import dense_covariance, kernel
 
 
 def test_zero_distance(kernel_params):

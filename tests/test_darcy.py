@@ -27,6 +27,7 @@ from condflow.errors import ArgumentError, NumericalError
 from condflow.grid import ScalarField, chessboard_mask, make_grid
 from condflow.kle import solve_kle, synthesize_unconditioned
 from condflow.kriging import MeasurementSet, krige
+from oracles import cell_centers
 
 BC = BoundaryConditions(p_left=1.0, p_right=0.0)
 
@@ -34,13 +35,13 @@ BC = BoundaryConditions(p_left=1.0, p_right=0.0)
 def test_uniform_k_linear_pressure():
     g = make_grid(16, 16)
     p = solve_pressure(ScalarField(g, np.zeros(256)), BC)
-    exact = 1.0 - g.cell_centers()[:, 0]
+    exact = 1.0 - cell_centers(g)[:, 0]
     assert np.max(np.abs(p.values - exact)) <= 1e-12
 
 
 def test_layered_series_resistance_flux():
     g = make_grid(16, 16)
-    x = g.cell_centers()[:, 0]
+    x = cell_centers(g)[:, 0]
     k = np.where(x < 0.5, 1.0, 4.0)
     logperm = ScalarField(g, np.log(k))
     p = solve_pressure(logperm, BC)
@@ -566,10 +567,10 @@ def test_stacked_calls_equal_single_calls(fine_shape, coarse_shape):
                           pressures.values[:, mask.cells])
 
     # so is the KL synthesis of a stack of thetas, and their projection
-    params = StudyConfig().kernel
-    basis = solve_kle(assemble_covariance(fine, params), fine, 3)
+    cov = assemble_covariance(fine, StudyConfig().kernel)
+    basis = solve_kle(cov, fine, 3)
     ms = MeasurementSet([[0.5, 0.5]], [0.7])
-    kriged = krige(ms, params, fine)
+    kriged = krige(ms, cov, fine)
     proj = nullspace_basis(build_data_matrix(basis, ms, fine))
     thetas = rng.standard_normal((4, basis.n))
     unconditioned = synthesize_unconditioned(basis, thetas)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from condflow.covariance import KernelParams, kernel_matrix
+from condflow.covariance import KernelParams, assemble_covariance
 from condflow.errors import ArgumentError, NumericalError, ParseError
 from condflow.grid import make_grid
 from condflow.kriging import (
@@ -10,11 +10,12 @@ from condflow.kriging import (
     read_measurements_csv,
     snap_to_cells,
 )
+from oracles import cell_centers, kernel_matrix
 
 
-def test_single_measurement_exact(fine_grid, kernel_params):
+def test_single_measurement_exact(fine_grid, fine_cov):
     ms = MeasurementSet(np.array([[0.5, 0.5]]), np.array([2.0]))
-    surf = krige(ms, kernel_params, fine_grid)
+    surf = krige(ms, fine_cov, fine_grid)
     cell = snap_to_cells(ms, fine_grid)[0]
     assert surf.values[cell] == pytest.approx(2.0, abs=1e-12)
 
@@ -23,50 +24,50 @@ def test_far_field_decays_to_zero():
     g = make_grid(32, 32)
     params = KernelParams(sigma2=1.0, lx=0.05, ly=0.05)
     ms = MeasurementSet(np.array([[0.1, 0.1]]), np.array([5.0]))
-    surf = krige(ms, params, g)
+    surf = krige(ms, assemble_covariance(g, params), g)
     far = g.cell_index(31, 31)
     assert abs(surf.values[far]) < 1e-10
 
 
-def test_two_measurement_hand_oracle(fine_grid, kernel_params):
+def test_two_measurement_hand_oracle(fine_grid, kernel_params, fine_cov):
     ms = MeasurementSet(np.array([[0.25, 0.25], [0.75, 0.75]]),
                         np.array([1.0, -2.0]))
-    surf = krige(ms, kernel_params, fine_grid)
+    surf = krige(ms, fine_cov, fine_grid)
     cells = snap_to_cells(ms, fine_grid)
-    # hand 2x2 solve at the snapped centers
-    pts = fine_grid.cell_centers()[cells]
+    # hand 2x2 solve at the snapped centers, with the pointwise kernel
+    centers = cell_centers(fine_grid)
+    pts = centers[cells]
     K = kernel_matrix(pts, pts, kernel_params)
     det = K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0]
     w = np.array([
         (K[1, 1] * ms.values[0] - K[0, 1] * ms.values[1]) / det,
         (K[0, 0] * ms.values[1] - K[1, 0] * ms.values[0]) / det,
     ])
-    centers = fine_grid.cell_centers()
     expected = kernel_matrix(centers, pts, kernel_params) @ w
     assert np.max(np.abs(surf.values - expected)) <= 1e-10
     assert np.abs(surf.values[cells] - ms.values).max() <= 1e-10
 
 
-def test_exactness_packaged(measurements, kernel_params, fine_grid):
-    surf = krige(measurements, kernel_params, fine_grid)
+def test_exactness_packaged(measurements, fine_cov, fine_grid):
+    surf = krige(measurements, fine_cov, fine_grid)
     cells = snap_to_cells(measurements, fine_grid)
     assert np.abs(surf.values[cells] - measurements.values).max() <= 1e-10
 
 
-def test_linearity_in_data(measurements, kernel_params, fine_grid):
-    surf = krige(measurements, kernel_params, fine_grid)
+def test_linearity_in_data(measurements, fine_cov, fine_grid):
+    surf = krige(measurements, fine_cov, fine_grid)
     scaled = MeasurementSet(measurements.locations, 3.0 * measurements.values)
-    surf3 = krige(scaled, kernel_params, fine_grid)
+    surf3 = krige(scaled, fine_cov, fine_grid)
     assert surf3.values == pytest.approx(3.0 * surf.values, abs=1e-12)
 
 
-def test_three_point_cramer_oracle(fine_grid, kernel_params):
+def test_three_point_cramer_oracle(fine_grid, kernel_params, fine_cov):
     pts = np.array([[0.2, 0.3], [0.6, 0.4], [0.4, 0.8]])
     vals = np.array([1.0, 2.0, -1.0])
     ms = MeasurementSet(pts, vals)
-    surf = krige(ms, kernel_params, fine_grid)
+    surf = krige(ms, fine_cov, fine_grid)
     cells = snap_to_cells(ms, fine_grid)
-    snapped = fine_grid.cell_centers()[cells]
+    snapped = cell_centers(fine_grid)[cells]
     K = kernel_matrix(snapped, snapped, kernel_params)
 
     def cramer_solve(K, b):
@@ -79,14 +80,14 @@ def test_three_point_cramer_oracle(fine_grid, kernel_params):
         return w
 
     # the kriging value at any probe cell is k(x)^T K^-1 y; compare weights
-    probe = fine_grid.cell_centers()[[0, 100, 255]]
+    probe = cell_centers(fine_grid)[[0, 100, 255]]
     kx = kernel_matrix(probe, snapped, kernel_params)
     expected = kx @ cramer_solve(K, vals)
     assert np.abs(surf.values[[0, 100, 255]] - expected).max() <= 1e-10
 
 
-def test_surface_finite(measurements, kernel_params, fine_grid):
-    surf = krige(measurements, kernel_params, fine_grid)
+def test_surface_finite(measurements, fine_cov, fine_grid):
+    surf = krige(measurements, fine_cov, fine_grid)
     assert np.all(np.isfinite(surf.values))
 
 
@@ -96,7 +97,7 @@ def test_ill_conditioned_system(fine_grid):
     ms = MeasurementSet(np.array([[0.2, 0.2], [0.8, 0.8], [0.2, 0.8]]),
                         np.array([1.0, 2.0, 3.0]))
     with pytest.raises(NumericalError):
-        krige(ms, params, fine_grid)
+        krige(ms, assemble_covariance(fine_grid, params), fine_grid)
 
 
 def test_snap_single_cell():

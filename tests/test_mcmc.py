@@ -40,15 +40,15 @@ def _small_bundle(sigma_c2=5e-3, sigma_f2=1e-4, n_modes=6, ref_seed=9):
     """Cheap 4x4 fine / 2x2 coarse inversion problem."""
     fine = make_grid(4, 4)
     coarse = make_grid(2, 2)
-    params = StudyConfig().kernel
-    basis = solve_kle(assemble_covariance(fine, params), fine, n_modes)
+    cov = assemble_covariance(fine, StudyConfig().kernel)
+    basis = solve_kle(cov, fine, n_modes)
     rng = np.random.default_rng(ref_seed)
     ref = synthesize_unconditioned(basis, rng.standard_normal(n_modes))
     ms = MeasurementSet(np.array([[0.3, 0.3], [0.7, 0.7]]),
                         ref.values[snap_to_cells(
                             MeasurementSet(np.array([[0.3, 0.3], [0.7, 0.7]]),
                                            np.zeros(2)), fine)])
-    kriged = krige(ms, params, fine)
+    kriged = krige(ms, cov, fine)
     projector = nullspace_basis(build_data_matrix(basis, ms, fine))
     bc = BoundaryConditions()
     fm, cm = chessboard_mask(fine), chessboard_mask(coarse)
