@@ -94,8 +94,8 @@ def solve_kle(cov, grid, n, energy_threshold=None):
     products = cov.sigma2 * np.outer(mu, nu).ravel()  # flat a*nx + b
     order = np.argsort(-products, kind="stable")
     evals = products[order]
+    frac = np.cumsum(evals) / np.sum(evals)  # the energy of 1, 2, ... modes
     if energy_threshold is not None:
-        frac = np.cumsum(evals) / np.sum(evals)
         n = int(np.searchsorted(frac, energy_threshold) + 1)
     if n > N or evals[n - 1] <= 1e-12 * evals[0]:
         raise NumericalError(
@@ -107,19 +107,7 @@ def solve_kle(cov, grid, n, energy_threshold=None):
     a, b = np.divmod(order[:n], grid.nx)
     phi = (uy[:, None, a] * ux[None, :, b]).reshape(N, n)
     phi = _fix_signs(phi) / np.sqrt(grid.hx * grid.hy)
-    return KLEBasis(grid, evals[:n].copy(), phi, energy_fraction(evals, n))
-
-
-def energy_fraction(lambdas, n):
-    """Fraction of total spectral mass carried by the first n eigenvalues.
-
-    The infinite sum in the continuous definition is taken as the full
-    discrete spectrum.
-    """
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.size == 0:
-        raise ArgumentError("empty spectrum", module=_MOD)
-    return float(np.sum(lambdas[:n]) / np.sum(lambdas))
+    return KLEBasis(grid, evals[:n].copy(), phi, float(frac[n - 1]))
 
 
 def synthesize_unconditioned(basis, theta):

@@ -3,8 +3,9 @@
 condflow never evaluates the kernel pointwise: it factors the separable
 kernel into two 1-D problems, whose factors the KLE and kriging read.
 The pointwise kernel, the cell centers, the dense matrix over them and
-its eigendecomposition, and the direct forms of the within- and
-between-chain covariances live here for the tests alone.
+its eigendecomposition, the energy fraction of a spectrum, and the
+direct forms of the within- and between-chain covariances live here for
+the tests alone.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from condflow.diagnostics import (
     _shifted_sums,
     _within,
 )
+from condflow.errors import ArgumentError
 from condflow.kle import _fix_signs
 
 
@@ -57,6 +59,18 @@ def dense_spectrum(grid, params):
     w = grid.hx * grid.hy
     evals, evecs = np.linalg.eigh(w * dense_covariance(grid, params))
     return evals[::-1], _fix_signs(evecs[:, ::-1]) / np.sqrt(w)
+
+
+def energy_fraction(lambdas, n):
+    """Fraction of total spectral mass carried by the first n eigenvalues.
+
+    The infinite sum in the continuous definition is taken as the full
+    discrete spectrum.
+    """
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.size == 0:
+        raise ArgumentError("empty spectrum", module="kle")
+    return float(np.sum(lambdas[:n]) / np.sum(lambdas))
 
 
 def within_chain_cov(chains):

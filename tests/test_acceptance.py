@@ -23,7 +23,6 @@ from condflow.config import StudyConfig
 from condflow.darcy import BoundaryConditions, boundary_fluxes, solve_pressure
 from condflow.diagnostics import mpsrf, posterior_cov, psrf
 from condflow.grid import ScalarField, make_grid
-from condflow.kle import energy_fraction
 from condflow.kriging import snap_to_cells
 from condflow import mcmc
 from condflow.mcmc import run_chain, run_study
@@ -32,6 +31,7 @@ from oracles import (
     between_chain_cov,
     cell_centers,
     dense_spectrum,
+    energy_fraction,
     within_chain_cov,
 )
 

@@ -4,13 +4,8 @@ import pytest
 from condflow.covariance import KernelParams, assemble_covariance
 from condflow.errors import ArgumentError
 from condflow.grid import make_grid
-from condflow.kle import (
-    _fix_signs,
-    energy_fraction,
-    solve_kle,
-    synthesize_unconditioned,
-)
-from oracles import dense_covariance, dense_spectrum
+from condflow.kle import _fix_signs, solve_kle, synthesize_unconditioned
+from oracles import dense_covariance, dense_spectrum, energy_fraction
 
 
 def test_single_cell_problem():
