@@ -25,7 +25,7 @@ from condflow.diagnostics import mpsrf, posterior_cov, psrf
 from condflow.grid import ScalarField, make_grid
 from condflow.kriging import snap_to_cells
 from condflow import mcmc
-from condflow.mcmc import run_chain, run_study
+from condflow.mcmc import run_study
 from condflow.study import build_setup, sample_studies, study_report
 from oracles import (
     between_chain_cov,
@@ -201,17 +201,22 @@ def test_criterion_6_reference_reproduction(reference_run):
 
 def test_criterion_7_flat_likelihood_prior():
     # tiny inversion problem; the field model is irrelevant when the
-    # likelihood is flat, so keep the forward solves as cheap as possible
+    # likelihood is flat, so keep the forward solves as cheap as possible.
+    # 100000 draws, as one lockstep stack of 32 chains x 3125 iterations;
+    # every chain starts at a prior draw and the target is the prior, so
+    # no draw is burned in
     from test_mcmc import _small_bundle
 
     bundle, _, _ = _small_bundle(sigma_c2=1e12, sigma_f2=1e12, n_modes=6)
-    cfg = StudyConfig(iterations=100_000, seed=7, single_component=False)
-    trace = run_chain(cfg, bundle)
-    mean_err = float(np.max(np.abs(trace.thetas.mean(axis=0))))
-    var_err = float(np.max(np.abs(trace.thetas.var(axis=0) - 1.0)))
+    cfg = StudyConfig(iterations=3125, single_component=False)
+    traces = run_study(cfg, bundle, [7 + c for c in range(32)])
+    thetas = np.concatenate([t.thetas for t in traces])
+    mean_err = float(np.max(np.abs(thetas.mean(axis=0))))
+    var_err = float(np.max(np.abs(thetas.var(axis=0) - 1.0)))
     ok = mean_err <= 0.05 and var_err <= 0.05
     _report(7, "flat-likelihood prior preservation", ok,
-            f"max |mean| {mean_err:.4f}, max |var - 1| {var_err:.4f}")
+            f"{thetas.shape[0]} draws of 32 chains, max |mean| "
+            f"{mean_err:.4f}, max |var - 1| {var_err:.4f}")
 
 
 def test_criterion_8_determinism(tmp_path):
