@@ -325,9 +325,11 @@ def upscale(fine_logperm, coarse):
                                                  coarse.nx, bx)
         if bx == by == 2:
             # the x problem of block b at b, its y problem (the transposed
-            # block) at nb + b
-            problems = np.stack([k.transpose(2, 4, 0, 1, 3),
-                                 k.transpose(4, 2, 0, 1, 3)], axis=3)
+            # block) at nb + b; two slice assignments cost less per call
+            # than np.stack
+            problems = np.empty((2, 2, k.shape[0], 2, coarse.ny, coarse.nx))
+            problems[:, :, :, 0] = k.transpose(2, 4, 0, 1, 3)
+            problems[:, :, :, 1] = k.transpose(4, 2, 0, 1, 3)
             hx, hy = fine.hx, fine.hy
             if hx != hy:  # the cell size along and across each problem
                 hx, hy = np.repeat([hx, hy], nb), np.repeat([hy, hx], nb)
