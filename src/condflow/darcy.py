@@ -13,7 +13,8 @@ system: its main diagonal and its +1 and +nx bands, each a flat array
 over the whole stack laid end to end, with no band coupling two
 fields. One solver, ``_solve``, hands it to one call of LAPACK's
 ``dpbsv`` in lower banded storage, for a pressure solve and for the
-generic upscaling cell problems alike. In lower storage the
+generic upscaling cell problems alike; ``_lapack`` loads the routine's
+compiled module alone, at the first solve. In lower storage the
 factorization hands each column's rank-1 update to BLAS ``dsyr`` as a
 stride-1 vector; in upper storage its stride is the bandwidth, and
 OpenBLAS runs that several times slower, most of all on two threads.
@@ -23,18 +24,19 @@ alone. The backward solve's dot products then have the same length for
 every field, and their terms from another field's rows or the unit rows
 are exact zeros, as no band couples two fields; without the unit rows,
 a field's last cells would sum shorter dot products alone than in a
-stack, and the two results would differ in the last bit.
+stack, and the two results would differ in the last bit. For a
+bandwidth u of at least 32, ``dpbtrf`` factors the band in blocks of 32
+columns counted from the first row, so each field is laid out on a
+multiple of 32 rows, the extra rows decoupled unit rows too: every field
+starts on a block boundary, and its factor is summed in the same
+groupings in a stack as alone.
 
 ``solve_pressure`` and ``upscale`` take one field or a stack of fields
 (see ``ScalarField``) and solve the whole stack at once. Every check
 holds for each field on its own: finite permeability, transmissibility
 overflow, singular pivots (named by field and cell), and each pressure
-field's own residual. On grids at most 64 cells wide, which covers
-every shipped config, each field's result is bitwise that of its own
-call (the tests check this). Above that width ``dpbtrf`` factors the
-band in blocks of 32 columns counted from the start of the whole
-stack, so a field's rounding can depend on its place in the stack.
-``boundary_fluxes`` takes one field.
+field's own residual. Each field's result is bitwise that of its own
+call (the tests check this). ``boundary_fluxes`` takes one field.
 
 Nothing is stored between calls. The 2x2 upscaling layout is two
 transposed views of the permeability stack, built per call; the
@@ -59,7 +61,12 @@ is singular.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -67,6 +74,7 @@ from .errors import ArgumentError, NumericalError
 from .grid import ScalarField
 
 _MOD = "darcy"
+_NBMAX = 32  # the largest block size of LAPACK's dpbtrf
 
 
 @dataclass(frozen=True)
@@ -139,44 +147,99 @@ def _matvec(bands, x):
     return y
 
 
+def _lapack():
+    """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded
+    alone: the one place condflow names scipy, called by ``_solve``.
+
+    Importing ``scipy.linalg`` runs its whole package init: on a 2-core
+    x86_64 host (Python 3.11, numpy 2.4, scipy 1.17) it loads 85 scipy
+    modules, adds 28.5 MB of resident memory and takes 0.16-0.20 s. This
+    imports top-level ``scipy``, whose init finds the libraries a wheel
+    bundles, and loads the one extension module from scipy's ``linalg``
+    directory: 11 scipy modules, +3.4 MB and 11-12 ms there. The module
+    is registered under its own name, so a later ``import scipy.linalg``
+    finds it loaded and ``scipy.linalg.lapack.dpbsv``, a re-export, is
+    the routine used here; if scipy.linalg was imported first, its
+    module is returned."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+
+        path = os.path.join(scipy.__path__[0], "linalg")
+        spec = FileFinder(path, (ExtensionFileLoader, EXTENSION_SUFFIXES)
+                          ).find_spec(name)
+        if spec is None:
+            raise ImportError(f"no {name} extension module in {path} "
+                              f"(scipy {scipy.__version__})", name=name)
+        module = module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
 def _solve(bands, rhs, cells):
     """Solve the SPD system of the bands of ``_tpfa``, a stack of fields
     of ``cells`` cells each; a singular one raises NumericalError that
-    names the field and its cell. scipy is imported here, at the first
-    solve, so that a command that solves no pressure never loads it."""
-    from scipy.linalg.lapack import dpbsv
+    names the field and its cell.
 
+    LAPACK's ``dpbsv`` comes from ``_lapack`` at the first solve, which
+    loads the compiled ``_flapack`` module alone: 11 modules of its
+    library, +3.4 MB and 11-12 ms, against 85 modules, +28.5 MB and
+    0.16-0.20 s for its whole linalg package (``_lapack`` names the
+    host). A command that solves no pressure (``import condflow.cli``,
+    ``diagnose``) loads none of it. Each field takes ``cells`` rows, or
+    a multiple of 32 for a bandwidth of at least 32 (see the module
+    docstring)."""
     diag, tx, ty = bands
     n = diag.size
     nx = ty.size - n
     u = min(nx, cells - 1)  # no band reaches past a field's last cell
-    # LAPACK's lower banded storage, (u + 1, n + u) in Fortran order: row
+    # column c's entries in rows c + 1 and c + nx, negated below
+    tx, ty = tx[1:], ty[nx:]
+    rows = cells
+    if u >= _NBMAX:  # every field starts on a block boundary of dpbtrf
+        rows = -(-cells // _NBMAX) * _NBMAX
+        diag = _pad_fields(diag, cells, rows, 1.0)
+        tx, ty, rhs = (_pad_fields(a, cells, rows, 0.0) for a in (tx, ty, rhs))
+    m = diag.size
+    # LAPACK's lower banded storage, (u + 1, m + u) in Fortran order: row
     # c of ab holds column c of the matrix from the diagonal down. The u
     # unit rows after the stack give the last field's cells u rows below
     # them, as every other field has
-    ab = np.zeros((n + u, u + 1))
-    ab[n:, 0] = 1.0
-    ab[:n, 0] = diag
+    ab = np.zeros((m + u, u + 1))
+    ab[m:, 0] = 1.0
+    ab[:m, 0] = diag
     # the -1 band before the -nx band: they share a column when nx = 1.
     # Where there is no face the entry is -0, which changes no bit of the
     # result: the factorization and the solves only scale it and subtract
     # its products
     if u:
-        np.negative(tx[1:], out=ab[:n, 1])
+        np.negative(tx, out=ab[:m, 1])
     if nx <= u:
-        np.negative(ty[nx:], out=ab[:n, nx])
-    b = np.zeros(n + u)
-    b[:n] = rhs
-    _, x, info = dpbsv(ab.T, b, lower=1, overwrite_ab=1, overwrite_b=1)
+        np.negative(ty, out=ab[:m, nx])
+    b = np.zeros(m + u)
+    b[:m] = rhs
+    _, x, info = _lapack().dpbsv(ab.T, b, lower=1, overwrite_ab=1,
+                                 overwrite_b=1)
     if info > 0:  # a unit row cannot fail
-        field, cell = divmod(info - 1, cells)
+        field, cell = divmod(info - 1, rows)
         raise NumericalError(f"singular TPFA system: the pivot of cell "
                              f"{cell} of field {field} is not > 0",
                              module=_MOD, code="singular")
     if info < 0:
         raise ArgumentError(f"dpbsv rejected its argument {-info}",
                             module=_MOD)
-    return x[:n]
+    x = x[:m]
+    return x if rows == cells else x.reshape(-1, rows)[:, :cells].ravel()
+
+
+def _pad_fields(a, cells, rows, value):
+    """a, ``cells`` entries per field laid end to end, on ``rows`` entries
+    per field, the extra ones ``value``."""
+    padded = np.full((a.size // cells, rows), value)
+    padded[:, :cells] = a.reshape(-1, cells)
+    return padded.ravel()
 
 
 def _permeability(logperm):

@@ -38,7 +38,7 @@ log-likelihoods of a stack are one batched product, each row bitwise
 what :func:`log_likelihood` gives its chain. Each chain draws from its
 own generator in its own order (proposal, coarse uniform, fine uniform),
 so a chain's random stream and trace are exactly those of the chain run
-alone, on grids at most 64 cells wide (see :mod:`condflow.darcy`).
+alone (see :mod:`condflow.darcy`).
 """
 
 from __future__ import annotations

@@ -302,6 +302,38 @@ def test_diagnose_loads_no_scipy(tmp_path):
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("first", ["", "import scipy.linalg\n"],
+                         ids=["alone", "after_scipy_linalg"])
+def test_solve_loads_only_the_lapack_module(tmp_path, first):
+    # a solve loads scipy's compiled LAPACK module and no other part of
+    # scipy.linalg; the package imported later, or before, works and
+    # shares that one module object
+    code = (
+        "import sys\n"
+        + first +
+        "before = sys.modules.get('scipy.linalg._flapack')\n"
+        "import condflow.cli\n"
+        "from condflow import darcy\n"
+        "assert condflow.cli.main(sys.argv[1:]) == 0\n"
+        "flapack = darcy._lapack()\n"
+        "assert sys.modules['scipy.linalg._flapack'] is flapack\n"
+        "assert before is None or before is flapack\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('scipy.linalg')))\n"
+        "import scipy.linalg.lapack\n"
+        "assert scipy.linalg.lapack.dpbsv is flapack.dpbsv\n"
+        "print(before is flapack)\n"
+    )
+    run = _run_python("-c", code, "solve", "--out-dir", str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    modules, shared = run.stdout.splitlines()[-2:]
+    assert (tmp_path / "pressure.csv").exists()
+    if first:
+        assert shared == "True"
+    else:
+        assert modules == "['scipy.linalg._flapack']"
+
+
 def test_python_m_condflow_runs_the_cli(tmp_path):
     paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
     out = tmp_path / "d.csv"

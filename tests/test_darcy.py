@@ -201,15 +201,17 @@ def test_singular_field_raises_numerical_error():
                 solve()
             assert (info.value.module, info.value.code) == ("darcy",
                                                             "singular")
-    # one impermeable cell, cell 6 of the second field of a stack, zeroes
-    # its own pivot: the message names that field and cell, not a row of
-    # the padded system
-    values = np.zeros((3, g.n_cells))
-    values[1, 6] = -800.0
-    with np.errstate(divide="ignore"), pytest.raises(NumericalError) as info:
-        solve_pressure(ScalarField(g, values), BC)
-    assert (info.value.module, info.value.code) == ("darcy", "singular")
-    assert "cell 6 of field 1 " in str(info.value)
+    # one impermeable cell of the second field of a stack zeroes its own
+    # pivot: the message names that field and cell, not a row of the
+    # padded system (a 65x9 field is laid out on 608 rows)
+    for g, cell in ((g, 6), (make_grid(65, 9), 400)):
+        values = np.zeros((3, g.n_cells))
+        values[1, cell] = -800.0
+        with (np.errstate(divide="ignore"),
+              pytest.raises(NumericalError) as info):
+            solve_pressure(ScalarField(g, values), BC)
+        assert (info.value.module, info.value.code) == ("darcy", "singular")
+        assert f"cell {cell} of field 1 " in str(info.value)
 
 
 def test_upscale_singular_block_in_stack():
@@ -540,11 +542,14 @@ def test_upscale_takes_closed_form_for_2x2_blocks_only(monkeypatch):
     ((16, 8), (8, 4)),
     ((8, 16), (4, 8)),
     ((64, 4), (32, 2)),
+    ((65, 9), (5, 3)),
+    ((100, 7), (50, 7)),
+    ((70, 3), (35, 3)),
 ])
 def test_stacked_calls_equal_single_calls(fine_shape, coarse_shape):
     # a stack is solved as one system, but each row must be bitwise the
-    # single-field result; on anisotropic cells too, and up to 64 cells
-    # wide, the widest grid for which the docs claim it
+    # single-field result; on anisotropic cells too, and on grids wider
+    # than 32 cells, whose band LAPACK factors in blocks of 32 columns
     fine, coarse = make_grid(*fine_shape), make_grid(*coarse_shape)
     rng = np.random.default_rng(fine.n_cells)
     stack = ScalarField(fine, 1.5 * rng.standard_normal((4, fine.n_cells)))
@@ -659,16 +664,26 @@ def test_coarse_fine_coherence(basis20, fine_grid, coarse_grid):
         assert r >= 0.95
 
 
-def test_scipy_is_named_only_inside_solve():
-    # scipy is loaded at the first pressure solve and nowhere else, so a
+def test_scipy_is_named_only_inside_the_lapack_loader():
+    # scipy is named in one loader, which only the solve calls, so a
     # command that solves no pressure (diagnose) never imports it
     from condflow import darcy
 
-    lines, start = inspect.getsourcelines(darcy._solve)
-    solve = {("darcy.py", n) for n in range(start, start + len(lines))}
+    def lines_of(func):
+        lines, start = inspect.getsourcelines(func)
+        return {("darcy.py", n) for n in range(start, start + len(lines))}
+
     src = Path(darcy.__file__).parent
-    named = {(path.name, n) for path in src.rglob("*")
-             if path.is_file() and "__pycache__" not in path.parts
-             for n, line in enumerate(path.read_bytes().splitlines(), start=1)
-             if b"scipy" in line}
-    assert named and named <= solve, sorted(named - solve)
+
+    def naming(word):
+        return {(path.name, n) for path in src.rglob("*")
+                if path.is_file() and "__pycache__" not in path.parts
+                for n, line in enumerate(path.read_bytes().splitlines(),
+                                         start=1)
+                if word in line}
+
+    loader, solve = lines_of(darcy._lapack), lines_of(darcy._solve)
+    named = naming(b"scipy")
+    assert named and named <= loader, sorted(named - loader)
+    calls = naming(b"_lapack(") - loader
+    assert calls and calls <= solve, sorted(calls - solve)
