@@ -51,13 +51,12 @@ def check_measurement_count(m, n):
                             module=_MOD)
 
 
-def build_data_matrix(basis, ms, grid):
-    """The (m, n) data matrix A_ij = sqrt(lambda_j) phi_j(x_hat_i) on
-    snapped cells."""
-    if basis.grid != grid:
-        raise ArgumentError("basis and measurement grid differ", module=_MOD)
+def build_data_matrix(basis, ms):
+    """The (m, n) data matrix A_ij = sqrt(lambda_j) phi_j(x_hat_i), the
+    measurements snapped to cells of the basis's grid."""
     check_measurement_count(ms.m, basis.n)
-    return basis.phi[snap_to_cells(ms, grid)] * basis.sqrt_lambdas[None, :]
+    return (basis.phi[snap_to_cells(ms, basis.grid)]
+            * basis.sqrt_lambdas[None, :])
 
 
 def nullspace_basis(A):

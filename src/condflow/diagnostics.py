@@ -46,18 +46,14 @@ def check_chain_count(k):
         raise ArgumentError(f"need at least 2 chains, got k={k}", module=_MOD)
 
 
-def _as_chain_matrix(chains, min_draws=2):
+def _as_chain_matrix(chains):
     arr = np.asarray(chains, dtype=float)
     if arr.ndim != 3:
         raise ArgumentError(
             "chain matrix must have shape (chains, draws, parameters)",
             module=_MOD,
         )
-    k, l, _ = arr.shape
-    check_chain_count(k)
-    if l < min_draws:
-        raise ArgumentError(f"need at least {min_draws} draws, got l={l}",
-                            module=_MOD)
+    check_chain_count(arr.shape[0])
     if not np.all(np.isfinite(arr)):
         raise ArgumentError("chain matrix contains non-finite values",
                             module=_MOD)
@@ -160,7 +156,7 @@ def diagnostics_series(traces, checkpoints):
     if len(shapes) > 1:
         raise ArgumentError(f"trace shapes differ: {sorted(shapes)}",
                             module=_MOD)
-    full = _as_chain_matrix(thetas, min_draws=0)  # (k, L, n)
+    full = _as_chain_matrix(thetas)  # (k, L, n)
     k, L, n = full.shape
     first = full[:, :1]
     s1, s2 = np.zeros((k, n)), np.zeros((k, n, n))

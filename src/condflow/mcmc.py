@@ -33,9 +33,9 @@ A study's chains advance in lockstep, one iteration at a time: each
 forward layer (KL synthesis, upscaling, coarse solve, and the fine solve
 of the chains whose proposal passed the coarse stage) runs once per
 iteration on the stack of all chains' states or fields, of both studies
-when run together (:func:`synthesize` makes each study's rows). The
-log-likelihoods of a stack are one batched product, each row bitwise
-what :func:`log_likelihood` gives its chain. Each chain draws from its
+when run together (:func:`synthesize` makes each study's rows). One
+:func:`log_likelihood` call scores a stack, each row bitwise what it
+gives the chain's own observations. Each chain draws from its
 own generator in its own order (proposal, coarse uniform, fine uniform),
 so a chain's random stream and trace are exactly those of the chain run
 alone (see :mod:`condflow.darcy`).
@@ -139,16 +139,20 @@ class ChainTrace:
 
 
 def log_likelihood(sim, ref, sigma2):
-    """Gaussian log-likelihood -||ref - sim||^2 / (2 sigma2)."""
+    """Gaussian log-likelihood -||ref - sim||^2 / (2 sigma2) of one
+    observation vector, or of each row of a stack, bitwise as one at a
+    time: one vector dot product per row, as ``r @ r`` makes it. The
+    residual is made C-contiguous first, because a strided row is summed
+    in another order."""
     sim = np.asarray(sim, dtype=float)
     ref = np.asarray(ref, dtype=float)
-    if sim.shape != ref.shape:
+    if sim.shape[-1:] != ref.shape:
         raise ArgumentError(
             f"observation length mismatch: {sim.shape} vs {ref.shape}",
             module=_MOD,
         )
-    r = ref - sim
-    return float(-(r @ r) / (2.0 * sigma2))
+    r = np.ascontiguousarray(ref - sim)
+    return -np.vecdot(r, r) / (2.0 * sigma2)
 
 
 def rws_propose(theta, beta, rng, single_component=True):
@@ -169,15 +173,6 @@ def _metropolis(log_ratio):
     return 1.0 if log_ratio >= 0.0 else float(np.exp(log_ratio))
 
 
-def _logliks(pressure, mask, ref, sigma2):
-    """Log-likelihood of each field of a pressure stack, bitwise that of
-    :func:`log_likelihood` on its row: one vector dot product per row,
-    as ``r @ r`` makes it. The residual is made C-contiguous first,
-    because a strided row is summed in another order."""
-    r = np.ascontiguousarray(ref - darcy.observe_pressure(pressure, mask))
-    return -np.vecdot(r, r) / (2.0 * sigma2)
-
-
 def synthesize(bundle, thetas, conditioned):
     """Fine log-permeability field of a theta, or fields of a stack of
     thetas: their KL synthesis, or when ``conditioned`` the kriged
@@ -190,25 +185,24 @@ def synthesize(bundle, thetas, conditioned):
 
 def _coarse_step(thetas, studies, bundle):
     """Stack of the states' fine log-permeability fields and their coarse
-    log-likelihoods; ``studies`` holds (conditioned flag, rows) pairs."""
+    log-likelihoods; ``studies`` holds (conditioned flag, rows) pairs,
+    and each study's synthesis fills its rows of the stack."""
     values = np.empty((len(thetas), bundle.fine.n_cells))
     for conditioned, rows in studies:
-        fine_fields = synthesize(bundle, thetas[rows], conditioned)
-        values[rows] = fine_fields.values
-    if len(studies) > 1:  # one study's fields are the whole stack already
-        fine_fields = ScalarField.of_checked(bundle.fine, values)
+        values[rows] = synthesize(bundle, thetas[rows], conditioned).values
+    fine_fields = ScalarField.of_checked(bundle.fine, values)
     coarse_fields = darcy.upscale(fine_fields, bundle.coarse)
     pc = darcy.solve_pressure(coarse_fields, bundle.bc)
-    return fine_fields, _logliks(pc, bundle.coarse_mask,
-                                 bundle.ref_obs_coarse,
-                                 bundle.likelihood.sigma_c2)
+    return fine_fields, log_likelihood(
+        darcy.observe_pressure(pc, bundle.coarse_mask),
+        bundle.ref_obs_coarse, bundle.likelihood.sigma_c2)
 
 
 def _fine_step(fine_fields, bundle):
     """Fine log-likelihoods of a stack of fine log-permeability fields."""
     pf = darcy.solve_pressure(fine_fields, bundle.bc)
-    return _logliks(pf, bundle.fine_mask, bundle.ref_obs_fine,
-                    bundle.likelihood.sigma_f2)
+    return log_likelihood(darcy.observe_pressure(pf, bundle.fine_mask),
+                          bundle.ref_obs_fine, bundle.likelihood.sigma_f2)
 
 
 def run_chain(cfg, bundle):
@@ -231,7 +225,8 @@ def run_study(base_cfg, bundle, seeds, conditioned=None):
 
     The chains advance in lockstep, and each forward layer runs once per
     iteration on the stack of their fields; each proposal's forward model
-    is evaluated once, the fine step reusing the field of the coarse step.
+    is evaluated once, the fine step solving the coarse step's fields of
+    the chains whose proposal passed it.
     Every chain has its own generator, seeded with its seed, and draws
     from it in the order of a chain run alone, its initial state first,
     so its trace is that of ``run_study`` over its seed and flag only.
@@ -270,10 +265,8 @@ def run_study(base_cfg, bundle, seeds, conditioned=None):
                       if rngs[c].random() < _metropolis(llc_p[c] - llc[c])]
             coarse_acc[passed, it] = True
             if passed:
-                if len(passed) < m:
-                    fields_p = ScalarField.of_checked(
-                        bundle.fine, fields_p.values[passed])
-                llf_p = _fine_step(fields_p, bundle)
+                llf_p = _fine_step(ScalarField.of_checked(
+                    bundle.fine, fields_p.values[passed]), bundle)
                 for c, llf_c in zip(passed, llf_p):
                     if rngs[c].random() < _metropolis(
                             (llf_c - llf[c]) - (llc_p[c] - llc[c])):

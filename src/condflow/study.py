@@ -77,7 +77,7 @@ def build_setup(cfg):
     cov = assemble_covariance(fine, cfg.kernel)
     basis = solve_kle(cov, fine, cfg.n_terms, cfg.energy_threshold)
     kriged = krige(ms, cov, fine)
-    projector = nullspace_basis(build_data_matrix(basis, ms, fine))
+    projector = nullspace_basis(build_data_matrix(basis, ms))
 
     bc = BoundaryConditions()
     fine_mask = chessboard_mask(fine)

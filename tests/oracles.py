@@ -73,15 +73,24 @@ def energy_fraction(lambdas, n):
     return float(np.sum(lambdas[:n]) / np.sum(lambdas))
 
 
+def _chain_matrix(chains):
+    """condflow's chain matrix, of at least 2 draws per chain."""
+    arr = _as_chain_matrix(chains)
+    if arr.shape[1] < 2:
+        raise ArgumentError(f"need at least 2 draws, got l={arr.shape[1]}",
+                            module="diagnostics")
+    return arr
+
+
 def within_chain_cov(chains):
     """Average per-chain sample covariance W (denominator l-1)."""
-    arr = _as_chain_matrix(chains)
+    arr = _chain_matrix(chains)
     s1, s2 = _shifted_sums(arr, arr[:, :1])
     return _within(s1, s2, arr.shape[1])
 
 
 def between_chain_cov(chains):
     """Between-chain covariance B of the chain means."""
-    arr = _as_chain_matrix(chains)
+    arr = _chain_matrix(chains)
     first = arr[:, :1]
     return _between(first, (arr - first).sum(axis=1), arr.shape[1])

@@ -76,7 +76,7 @@ def test_criterion_1_data_honoring(setup):
 
 def test_criterion_2_projector_algebra(setup):
     bundle = setup.bundle
-    A = build_data_matrix(bundle.basis, setup.measurements, bundle.fine)
+    A = build_data_matrix(bundle.basis, setup.measurements)
     Q = bundle.projector.Q
     P = Q @ Q.T
     checks = {

@@ -16,8 +16,8 @@ from oracles import cell_centers
 
 
 @pytest.fixture(scope="module")
-def reference_projector(basis20, measurements, fine_grid):
-    return nullspace_basis(build_data_matrix(basis20, measurements, fine_grid))
+def reference_projector(basis20, measurements):
+    return nullspace_basis(build_data_matrix(basis20, measurements))
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +25,8 @@ def kriged(measurements, fine_cov, fine_grid):
     return krige(measurements, fine_cov, fine_grid)
 
 
-def test_data_matrix_shape(basis20, measurements, fine_grid):
-    A = build_data_matrix(basis20, measurements, fine_grid)
+def test_data_matrix_shape(basis20, measurements):
+    A = build_data_matrix(basis20, measurements)
     assert A.shape == (9, 20)
     assert np.all(np.isfinite(A))
 
@@ -36,7 +36,7 @@ def test_data_matrix_definition():
     g = make_grid(1, 1)
     basis = KLEBasis(g, np.array([4.0, 1.0]), np.array([[1.0, 1.0]]), 1.0)
     ms = MeasurementSet(np.array([[0.5, 0.5]]), np.array([0.0]))
-    A = build_data_matrix(basis, ms, g)
+    A = build_data_matrix(basis, ms)
     assert A.tolist() == [[2.0, 1.0]]
 
 
@@ -47,7 +47,7 @@ def test_too_many_measurements(basis20, fine_grid):
     pick = rng.choice(256, size=20, replace=False)
     ms = MeasurementSet(centers[pick], np.zeros(20))
     with pytest.raises(ArgumentError, match="nullspace"):
-        build_data_matrix(basis20, ms, fine_grid)
+        build_data_matrix(basis20, ms)
 
 
 def test_nullspace_axis_aligned():
@@ -68,8 +68,8 @@ def test_reference_scale_projector(reference_projector):
     assert reference_projector.Q.shape == (20, 11)
 
 
-def test_projector_algebra(basis20, measurements, fine_grid, reference_projector):
-    A = build_data_matrix(basis20, measurements, fine_grid)
+def test_projector_algebra(basis20, measurements, reference_projector):
+    A = build_data_matrix(basis20, measurements)
     Q = reference_projector.Q
     assert np.max(np.abs(Q.T @ Q - np.eye(11))) <= 1e-10
     assert np.max(np.abs(A @ Q)) <= 1e-10 * np.linalg.norm(A)
@@ -100,9 +100,9 @@ def test_project_drops_constrained_coordinate():
     assert project(np.array([3.0, 4.0]), proj) == pytest.approx([0.0, 4.0])
 
 
-def test_project_residual_orthogonal(basis20, measurements, fine_grid,
+def test_project_residual_orthogonal(basis20, measurements,
                                      reference_projector):
-    A = build_data_matrix(basis20, measurements, fine_grid)
+    A = build_data_matrix(basis20, measurements)
     rng = np.random.default_rng(4)
     for _ in range(20):
         theta = rng.standard_normal(20)

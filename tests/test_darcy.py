@@ -576,7 +576,7 @@ def test_stacked_calls_equal_single_calls(fine_shape, coarse_shape):
     basis = solve_kle(cov, fine, 3)
     ms = MeasurementSet([[0.5, 0.5]], [0.7])
     kriged = krige(ms, cov, fine)
-    proj = nullspace_basis(build_data_matrix(basis, ms, fine))
+    proj = nullspace_basis(build_data_matrix(basis, ms))
     thetas = rng.standard_normal((4, basis.n))
     unconditioned = synthesize_unconditioned(basis, thetas)
     conditioned = synthesize_conditioned(basis, kriged, thetas, proj)

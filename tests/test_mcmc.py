@@ -49,7 +49,7 @@ def _small_bundle(sigma_c2=5e-3, sigma_f2=1e-4, n_modes=6, ref_seed=9):
                             MeasurementSet(np.array([[0.3, 0.3], [0.7, 0.7]]),
                                            np.zeros(2)), fine)])
     kriged = krige(ms, cov, fine)
-    projector = nullspace_basis(build_data_matrix(basis, ms, fine))
+    projector = nullspace_basis(build_data_matrix(basis, ms))
     bc = BoundaryConditions()
     fm, cm = chessboard_mask(fine), chessboard_mask(coarse)
     rof = observe_pressure(solve_pressure(ref, bc), fm)
@@ -446,19 +446,18 @@ def test_bundle_rejects_reference_data_of_the_wrong_length():
 
 
 def test_stacked_logliks_equal_single_logliks():
-    # one batched product per stack, each row bitwise log_likelihood of
-    # that row; a pressure stack in Fortran order gives a strided residual,
-    # which the batch makes contiguous before summing
-    from condflow.mcmc import _logliks
-
+    # log_likelihood of a stack gives each row bitwise its own
+    # log_likelihood; a pressure stack in Fortran order gives a strided
+    # residual, which is made contiguous before summing
     fine = make_grid(16, 16)
     mask = chessboard_mask(fine)
     rng = np.random.default_rng(4)
     ref = rng.random(mask.cells.size)
     values = ref.mean() + 0.01 * rng.standard_normal((8, fine.n_cells))
     for stack in (values, np.asfortranarray(values), values[:1]):
-        got = _logliks(ScalarField(fine, stack), mask, ref, 1e-4)
-        want = [log_likelihood(obs, ref, 1e-4) for obs in stack[:, mask.cells]]
+        obs = observe_pressure(ScalarField(fine, stack), mask)
+        got = log_likelihood(obs, ref, 1e-4)
+        want = [log_likelihood(row, ref, 1e-4) for row in obs]
         assert got.shape == (len(stack),)
         assert np.array_equal(got, want)
 

@@ -59,8 +59,7 @@ def _assert_same_series(got, want):
 
 
 def test_conditioned_report_ignores_row_space(setup, thetas):
-    A = build_data_matrix(setup.bundle.basis, setup.measurements,
-                          setup.bundle.fine)
+    A = build_data_matrix(setup.bundle.basis, setup.measurements)
     rng = np.random.default_rng(12)
     # a different row-space vector A^T y for every stored theta, with
     # chain-specific offsets that would dominate a stored-theta MPSRF
