@@ -112,17 +112,28 @@ def cmd_invert(args):
     return 0
 
 
+def _read_after_burn_in(path, burn_in):
+    """The trace at ``path`` without its first ``burn_in`` draws."""
+    return study.post_burn_in([read_trace_csv(path)], burn_in)[0]
+
+
 def cmd_diagnose(args):
+    from itertools import chain
+
     # the arguments are checked before any trace is parsed
     check_burn_in(args.burn_in)
     study.check_checkpoint_spacing(args.checkpoint_every)
     check_chain_count(len(args.traces))
-    traces = [read_trace_csv(p) for p in args.traces]
-    kept = study.post_burn_in(traces, args.burn_in)
-    length = kept[0].thetas.shape[0]
-    report = diagnostics_series(
-        kept, study.checkpoints_for(length, args.checkpoint_every)
-    )
+    # the series holds one parsed trace at a time: the first trace sets
+    # the checkpoints, and once the series is past it nothing holds it
+    # (an exhausted list iterator drops its list)
+    kept = (_read_after_burn_in(p, args.burn_in) for p in args.traces)
+    first = next(kept)
+    checkpoints = study.checkpoints_for(first.thetas.shape[0],
+                                        args.checkpoint_every)
+    traces = chain(iter([first]), kept)
+    del first
+    report = diagnostics_series(traces, checkpoints)
     write_report_csv(report, args.out)
     root, _ = os.path.splitext(args.out)
     write_report_dat(report, root + ".dat")

@@ -21,10 +21,13 @@ W and B are formed from per-chain sums of y and y y^T, where y is a
 draw minus its chain's first draw (the shifted sums of Chan, Golub &
 LeVeque 1979). The shift keeps the sums free of cancellation for chains
 far from 0, and makes the deviations of a parameter that never moved in
-a chain exactly 0. A checkpoint series accumulates the sums segment by
-segment between checkpoints, so it reads every draw once. A checkpoint
-at which some chain has zero variance in every parameter, or some
-parameter has zero within-chain variance, is skipped with a notice.
+a chain exactly 0. A checkpoint series takes the chains one at a time:
+it accumulates a chain's sums segment by segment between checkpoints,
+keeps a copy at each checkpoint, and drops the chain, so it reads every
+draw once and holds one trace plus k x checkpoints x n^2 sums. W, B and
+the rest are formed per checkpoint once every chain is summed. A
+checkpoint at which some chain has zero variance in every parameter, or
+some parameter has zero within-chain variance, is skipped with a notice.
 """
 
 from __future__ import annotations
@@ -46,25 +49,24 @@ def check_chain_count(k):
         raise ArgumentError(f"need at least 2 chains, got k={k}", module=_MOD)
 
 
-def _as_chain_matrix(chains):
-    arr = np.asarray(chains, dtype=float)
-    if arr.ndim != 3:
-        raise ArgumentError(
-            "chain matrix must have shape (chains, draws, parameters)",
-            module=_MOD,
-        )
-    check_chain_count(arr.shape[0])
-    if not np.all(np.isfinite(arr)):
-        raise ArgumentError("chain matrix contains non-finite values",
-                            module=_MOD)
-    return arr
-
-
-def _shifted_sums(segment, first):
-    """Per-chain sums of y and y y^T over a (k, m, n) segment of draws,
-    with y = draw - first and ``first`` the (k, 1, n) first draws."""
-    y = segment - first
-    return y.sum(axis=1), np.matmul(y.transpose(0, 2, 1), y)
+def _chain_sums(thetas, checkpoints):
+    """One chain's first draw and its sums of y and y y^T, y = draw -
+    first draw, over the draws before each of the sorted ``checkpoints``
+    (rows of two arrays). The first draw is a copy: a view of it would
+    keep the whole trace alive."""
+    first = thetas[0].copy()
+    n = thetas.shape[1]
+    s1, s2 = np.zeros(n), np.zeros((n, n))
+    sums1 = np.empty((len(checkpoints), n))
+    sums2 = np.empty((len(checkpoints), n, n))
+    done = 0
+    for p, c in enumerate(checkpoints):
+        y = thetas[done:c] - first
+        s1 += y.sum(axis=0)
+        s2 += y.T @ y
+        sums1[p], sums2[p] = s1, s2
+        done = c
+    return first, sums1, sums2
 
 
 def _within(s1, s2, l):
@@ -83,10 +85,10 @@ def _within(s1, s2, l):
 
 
 def _between(first, s1, l):
-    """B from the per-chain sums of y over l draws; chain means are taken
-    relative to chain 0's first draw."""
+    """B from the (k, n) first draws and per-chain sums of y over l draws;
+    chain means are taken relative to chain 0's first draw."""
     k = s1.shape[0]
-    means = first[:, 0, :] - first[0, 0, :] + s1 / l
+    means = first - first[0] + s1 / l
     dev = means - means.mean(axis=0)
     return l / (k - 1) * (dev.T @ dev)
 
@@ -144,38 +146,57 @@ class DiagnosticsReport:
 def diagnostics_series(traces, checkpoints):
     """Evaluate max PSRF and MPSRF over growing prefixes of the traces.
 
-    ``traces`` are ChainTrace objects (or anything with a ``thetas``
-    array); all must have equal length and parameter count. The shifted
-    sums grow segment by segment between the sorted checkpoints.
-    Checkpoints needing fewer than 2 draws, beyond the trace length, or
-    hitting degenerate within-chain variance (common early on with
-    single-component updates), are skipped with a notice.
+    ``traces`` is an iterable of ChainTrace objects (or anything with a
+    ``thetas`` array) of equal length and parameter count; at least 2.
+    It is read one trace at a time, and no reference to a trace is kept
+    once its sums are taken, so a generator of traces read on demand
+    holds one of them at a time. Checkpoints needing fewer than 2 draws,
+    beyond the trace length, or hitting degenerate within-chain variance
+    (common early on with single-component updates), are skipped with a
+    notice.
     """
-    thetas = [np.asarray(t.thetas, dtype=float) for t in traces]
-    shapes = {t.shape for t in thetas}
-    if len(shapes) > 1:
-        raise ArgumentError(f"trace shapes differ: {sorted(shapes)}",
-                            module=_MOD)
-    full = _as_chain_matrix(thetas)  # (k, L, n)
-    k, L, n = full.shape
-    first = full[:, :1]
-    s1, s2 = np.zeros((k, n)), np.zeros((k, n, n))
-    done = 0
+    checkpoints = sorted(checkpoints)
+    shape, firsts, sums1, sums2 = None, [], [], []
+    for trace in traces:
+        thetas = np.asarray(trace.thetas, dtype=float)
+        if shape is None:
+            if thetas.ndim != 2:
+                raise ArgumentError(
+                    "chain matrix must have shape (chains, draws, parameters)",
+                    module=_MOD,
+                )
+            shape = thetas.shape
+            inside = [c for c in checkpoints if 2 <= c <= shape[0]]
+        elif thetas.shape != shape:
+            raise ArgumentError(
+                f"trace shapes differ: {sorted([shape, thetas.shape])}",
+                module=_MOD)
+        if not np.all(np.isfinite(thetas)):
+            raise ArgumentError("chain matrix contains non-finite values",
+                                module=_MOD)
+        first, s1, s2 = _chain_sums(thetas, inside)
+        firsts.append(first)
+        sums1.append(s1)
+        sums2.append(s2)
+        del trace, thetas  # freed before the next trace is read
+    k = len(firsts)
+    check_chain_count(k)
+    firsts = np.array(firsts)
     report = DiagnosticsReport([], [], [])
-    for c in sorted(checkpoints):
+    row = 0  # of the sums, one per checkpoint inside the traces
+    for c in checkpoints:
         if c < 2:
             report.notices.append(f"checkpoint {c}: fewer than 2 draws, skipped")
             continue
-        if c > L:
+        if c > shape[0]:
             report.notices.append(f"checkpoint {c}: beyond trace length, skipped")
             continue
-        d1, d2 = _shifted_sums(full[:, done:c], first)
-        s1 += d1
-        s2 += d2
-        done = c
+        s1 = np.array([s[row] for s in sums1])
+        s2 = np.array([s[row] for s in sums2])
+        row += 1
         try:
             W = _within(s1, s2, c)
-            B = _between(first, s1, c)
+            B = _between(firsts, s1, c)
             V = posterior_cov(W, B, k, c)
             p = psrf(W, V)
         except NumericalError as exc:

@@ -3,20 +3,24 @@
 condflow never evaluates the kernel pointwise: it factors the separable
 kernel into two 1-D problems, whose factors the KLE and kriging read.
 The pointwise kernel, the cell centers, the dense matrix over them and
-its eigendecomposition, the energy fraction of a spectrum, and the
-direct forms of the within- and between-chain covariances live here for
-the tests alone.
+its eigendecomposition, the energy fraction of a spectrum, the direct
+forms of the within- and between-chain covariances, and the checkpoint
+series over a (chains, draws, parameters) matrix live here for the
+tests alone.
 """
 
 import numpy as np
 
 from condflow.diagnostics import (
-    _as_chain_matrix,
+    DiagnosticsReport,
     _between,
-    _shifted_sums,
     _within,
+    check_chain_count,
+    mpsrf,
+    posterior_cov,
+    psrf,
 )
-from condflow.errors import ArgumentError
+from condflow.errors import ArgumentError, NumericalError
 from condflow.kle import _fix_signs
 
 
@@ -73,8 +77,30 @@ def energy_fraction(lambdas, n):
     return float(np.sum(lambdas[:n]) / np.sum(lambdas))
 
 
+def _as_chain_matrix(chains):
+    """The chains as one (k, L, n) array: at least 2 chains, finite."""
+    arr = np.asarray(chains, dtype=float)
+    if arr.ndim != 3:
+        raise ArgumentError(
+            "chain matrix must have shape (chains, draws, parameters)",
+            module="diagnostics",
+        )
+    check_chain_count(arr.shape[0])
+    if not np.all(np.isfinite(arr)):
+        raise ArgumentError("chain matrix contains non-finite values",
+                            module="diagnostics")
+    return arr
+
+
+def _shifted_sums(segment, first):
+    """Per-chain sums of y and y y^T over a (k, m, n) segment of draws,
+    with y = draw - first and ``first`` the (k, 1, n) first draws."""
+    y = segment - first
+    return y.sum(axis=1), np.matmul(y.transpose(0, 2, 1), y)
+
+
 def _chain_matrix(chains):
-    """condflow's chain matrix, of at least 2 draws per chain."""
+    """The chain matrix, of at least 2 draws per chain."""
     arr = _as_chain_matrix(chains)
     if arr.shape[1] < 2:
         raise ArgumentError(f"need at least 2 draws, got l={arr.shape[1]}",
@@ -93,4 +119,39 @@ def between_chain_cov(chains):
     """Between-chain covariance B of the chain means."""
     arr = _chain_matrix(chains)
     first = arr[:, :1]
-    return _between(first, (arr - first).sum(axis=1), arr.shape[1])
+    return _between(first[:, 0], (arr - first).sum(axis=1), arr.shape[1])
+
+
+def matrix_series(chains, checkpoints):
+    """:func:`condflow.diagnostics.diagnostics_series` over the whole
+    (k, L, n) chain matrix at once: the shifted sums of every chain grow
+    together, segment by segment between the sorted checkpoints."""
+    full = _as_chain_matrix(chains)
+    k, L, n = full.shape
+    first = full[:, :1]
+    s1, s2 = np.zeros((k, n)), np.zeros((k, n, n))
+    done = 0
+    report = DiagnosticsReport([], [], [])
+    for c in sorted(checkpoints):
+        if c < 2:
+            report.notices.append(f"checkpoint {c}: fewer than 2 draws, skipped")
+            continue
+        if c > L:
+            report.notices.append(f"checkpoint {c}: beyond trace length, skipped")
+            continue
+        d1, d2 = _shifted_sums(full[:, done:c], first)
+        s1 += d1
+        s2 += d2
+        done = c
+        try:
+            W = _within(s1, s2, c)
+            B = _between(first[:, 0], s1, c)
+            V = posterior_cov(W, B, k, c)
+            p = psrf(W, V)
+        except NumericalError as exc:
+            report.notices.append(f"checkpoint {c}: {exc}")
+            continue
+        report.checkpoints.append(c)
+        report.max_psrf.append(float(np.max(p)))
+        report.mpsrf.append(mpsrf(W, B, k, c))
+    return report

@@ -278,6 +278,26 @@ def test_diagnose_rejects_arguments_before_reading_traces(
     assert _diagnose_error(tmp_path, capsys, paths, *options) == message
 
 
+def test_diagnose_holds_one_parsed_trace_at_a_time(tmp_path):
+    # each trace is 3000 rows of 24 values: iteration, 20 thetas, the two
+    # flags and loglik. Holding every trace, or a (chains, draws, params)
+    # copy of the draws, would peak at more than 4 of them
+    import tracemalloc
+
+    paths = _write_traces(tmp_path, [(3000, 20)] * 4)
+    one_trace = 3000 * 24 * 8
+    argv = ["diagnose", *paths, "--out", str(tmp_path / "d.csv"),
+            "--burn-in", "300"]
+    assert main(argv) == 0  # first-call caches are not the series' memory
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * one_trace
+
+
 def _run_python(*args):
     """Run a fresh interpreter with this checkout's condflow on the path."""
     src = str(Path(condflow.__file__).resolve().parents[1])

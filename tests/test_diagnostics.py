@@ -13,7 +13,7 @@ from condflow.diagnostics import (
     write_report_csv,
 )
 from condflow.errors import ArgumentError, NumericalError, ParseError
-from oracles import between_chain_cov, within_chain_cov
+from oracles import between_chain_cov, matrix_series, within_chain_cov
 
 
 class FakeTrace:
@@ -234,6 +234,25 @@ def test_series_length_mismatch():
             [FakeTrace(np.zeros((10, 2))), FakeTrace(np.zeros((11, 2)))],
             [10],
         )
+
+
+@pytest.mark.parametrize("traces, message", [
+    ([], "need at least 2 chains, got k=0"),
+    ([np.zeros((10, 2))], "need at least 2 chains, got k=1"),
+    ([np.zeros(10), np.zeros(10)],
+     "chain matrix must have shape (chains, draws, parameters)"),
+    ([np.ones((10, 2)), np.ones((10, 2)), np.ones((9, 2)), np.ones((8, 3))],
+     "trace shapes differ: [(9, 2), (10, 2)]"),
+    ([np.ones((10, 2)), np.full((10, 2), np.nan)],
+     "chain matrix contains non-finite values"),
+], ids=["no_trace", "one_trace", "one_dimensional", "third_differs",
+        "non_finite"])
+def test_series_rejects_traces_as_it_reads_them(traces, message):
+    # the rules hold for a generator, which the series reads only once;
+    # a shape error names the first trace's shape and the offending one
+    with pytest.raises(ArgumentError) as exc:
+        diagnostics_series((FakeTrace(t) for t in traces), [5])
+    assert str(exc.value) == message
 
 
 def test_report_csv_round_trip(tmp_path):
@@ -468,6 +487,44 @@ def test_series_non_finite_draw_beyond_every_checkpoint():
     a[90, 1] = np.inf
     with pytest.raises(ArgumentError, match="non-finite"):
         diagnostics_series([FakeTrace(a), FakeTrace(b)], [50])
+
+
+def _matrix_form_cases():
+    rng = np.random.default_rng(19)
+    walk = np.cumsum(rng.standard_normal((4, 600, 5)), axis=1) + 40.0
+    yield "random", walk, list(range(50, 601, 50))
+    prefix = walk.copy()
+    prefix[:, :120] = prefix[:, :1]  # no chain moves for 120 draws
+    yield "constant_prefix", prefix, list(range(40, 601, 40))
+    still = walk.copy()
+    still[:, :, 3] = rng.standard_normal((4, 1))  # parameter 3 never moves
+    yield "parameter_never_moves", still, [100, 600]
+    yield "out_of_range", walk[:3, :200], [250, -1, 0, 1, 2, 3, 200, 201]
+    yield "single_component", single_component_chains(
+        rng, 3, 500, 8, accept=0.3), list(range(5, 501, 5))
+
+
+MATRIX_FORM_CASES = list(_matrix_form_cases())
+
+
+@pytest.mark.parametrize("as_generator", [False, True],
+                         ids=["list", "generator"])
+@pytest.mark.parametrize("name, chains, checkpoints", MATRIX_FORM_CASES,
+                         ids=[case[0] for case in MATRIX_FORM_CASES])
+def test_series_equals_matrix_form_bitwise(name, chains, checkpoints,
+                                           as_generator):
+    # one chain at a time gives the bits of all chains at once
+    traces = [FakeTrace(c) for c in chains]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # pseudo-inverse fallbacks
+        report = diagnostics_series(
+            (t for t in traces) if as_generator else traces, checkpoints)
+        expected = matrix_series(chains, checkpoints)
+    assert report.notices == expected.notices
+    assert report.checkpoints == expected.checkpoints
+    assert report.max_psrf == expected.max_psrf
+    assert report.mpsrf == expected.mpsrf
+    assert report.checkpoints or name == "parameter_never_moves"
 
 
 # The numpy Cholesky reduction in mpsrf against scipy's generalized
