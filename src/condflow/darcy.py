@@ -252,9 +252,10 @@ def _permeability(logperm):
 
 
 def _field_norms(values, n_cells):
-    """2-norm of each field of a stack laid end to end."""
+    """2-norm of each field of a stack laid end to end, summed as
+    :func:`condflow.mcmc.log_likelihood` sums, by no BLAS thread."""
     a = values.reshape(-1, n_cells)
-    return np.sqrt(np.vecdot(a, a))
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
 
 
 def solve_pressure(logperm, bc):

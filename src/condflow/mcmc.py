@@ -141,9 +141,10 @@ class ChainTrace:
 def log_likelihood(sim, ref, sigma2):
     """Gaussian log-likelihood -||ref - sim||^2 / (2 sigma2) of one
     observation vector, or of each row of a stack, bitwise as one at a
-    time: one vector dot product per row, as ``r @ r`` makes it. The
-    residual is made C-contiguous first, because a strided row is summed
-    in another order."""
+    time: each row's squares are summed by numpy's own reduction, which
+    no BLAS thread splits (OpenBLAS splits a dot product of more than
+    10000 values over its threads). The residual is made C-contiguous
+    first, because a strided row is summed in another order."""
     sim = np.asarray(sim, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if sim.shape[-1:] != ref.shape:
@@ -152,7 +153,7 @@ def log_likelihood(sim, ref, sigma2):
             module=_MOD,
         )
     r = np.ascontiguousarray(ref - sim)
-    return -np.vecdot(r, r) / (2.0 * sigma2)
+    return -np.add.reduce(r * r, axis=-1) / (2.0 * sigma2)
 
 
 def rws_propose(theta, beta, rng, single_component=True):

@@ -1,5 +1,10 @@
+import inspect
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -460,6 +465,37 @@ def test_stacked_logliks_equal_single_logliks():
         want = [log_likelihood(row, ref, 1e-4) for row in obs]
         assert got.shape == (len(stack),)
         assert np.array_equal(got, want)
+
+
+def test_log_likelihood_does_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a dot product of more than 10000 values over its
+    # threads; stacks of rows longer than that, and the residual gate's
+    # norms of fields that large, give the same bits under one and two
+    # threads
+    code = (
+        "import numpy as np\n"
+        "from condflow.darcy import _field_norms\n"
+        "from condflow.mcmc import log_likelihood\n"
+        "rng = np.random.default_rng(5)\n"
+        "for n in (10001, 32768):\n"
+        "    sim = rng.standard_normal((3, n))\n"
+        "    ref = rng.standard_normal(n)\n"
+        "    print(log_likelihood(sim, ref, 0.01).tobytes().hex())\n"
+        "    print(_field_norms(sim.ravel(), n).tobytes().hex())\n"
+    )
+    src = str(Path(inspect.getfile(log_likelihood)).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             cwd=tmp_path)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout.split())
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_each_layer_runs_once_per_iteration(monkeypatch):
