@@ -112,11 +112,6 @@ def cmd_invert(args):
     return 0
 
 
-def _read_after_burn_in(path, burn_in):
-    """The trace at ``path`` without its first ``burn_in`` draws."""
-    return study.post_burn_in([read_trace_csv(path)], burn_in)[0]
-
-
 def cmd_diagnose(args):
     from itertools import chain
 
@@ -127,7 +122,8 @@ def cmd_diagnose(args):
     # the series holds one parsed trace at a time: the first trace sets
     # the checkpoints, and once the series is past it nothing holds it
     # (an exhausted list iterator drops its list)
-    kept = (_read_after_burn_in(p, args.burn_in) for p in args.traces)
+    kept = (study.post_burn_in([read_trace_csv(p)], args.burn_in)[0]
+            for p in args.traces)
     first = next(kept)
     checkpoints = study.checkpoints_for(first.thetas.shape[0],
                                         args.checkpoint_every)

@@ -50,22 +50,20 @@ def check_chain_count(k):
 
 
 def _chain_sums(thetas, checkpoints):
-    """One chain's first draw and its sums of y and y y^T, y = draw -
-    first draw, over the draws before each of the sorted ``checkpoints``
-    (rows of two arrays). The first draw is a copy: a view of it would
-    keep the whole trace alive."""
+    """One chain's first draw, and its sums of y and y y^T (y = draw -
+    first draw) over the draws before each of the sorted ``checkpoints``,
+    one row of two arrays per checkpoint. The first draw is a copy: a
+    view of it would keep the whole trace alive."""
     first = thetas[0].copy()
     n = thetas.shape[1]
     s1, s2 = np.zeros(n), np.zeros((n, n))
     sums1 = np.empty((len(checkpoints), n))
     sums2 = np.empty((len(checkpoints), n, n))
-    done = 0
-    for p, c in enumerate(checkpoints):
-        y = thetas[done:c] - first
+    for row, (start, c) in enumerate(zip([0] + checkpoints, checkpoints)):
+        y = thetas[start:c] - first
         s1 += y.sum(axis=0)
         s2 += y.T @ y
-        sums1[p], sums2[p] = s1, s2
-        done = c
+        sums1[row], sums2[row] = s1, s2
     return first, sums1, sums2
 
 
@@ -156,7 +154,7 @@ def diagnostics_series(traces, checkpoints):
     notice.
     """
     checkpoints = sorted(checkpoints)
-    shape, firsts, sums1, sums2 = None, [], [], []
+    shape, chains = None, []
     for trace in traces:
         thetas = np.asarray(trace.thetas, dtype=float)
         if shape is None:
@@ -174,13 +172,11 @@ def diagnostics_series(traces, checkpoints):
         if not np.all(np.isfinite(thetas)):
             raise ArgumentError("chain matrix contains non-finite values",
                                 module=_MOD)
-        first, s1, s2 = _chain_sums(thetas, inside)
-        firsts.append(first)
-        sums1.append(s1)
-        sums2.append(s2)
+        chains.append(_chain_sums(thetas, inside))
         del trace, thetas  # freed before the next trace is read
-    k = len(firsts)
+    k = len(chains)
     check_chain_count(k)
+    firsts, sums1, sums2 = zip(*chains)
     firsts = np.array(firsts)
     report = DiagnosticsReport([], [], [])
     row = 0  # of the sums, one per checkpoint inside the traces
