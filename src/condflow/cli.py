@@ -25,12 +25,7 @@ import numpy as np
 from . import study
 from .config import check_burn_in, parse_config
 from .darcy import solve_pressure
-from .diagnostics import (
-    check_chain_count,
-    diagnostics_series,
-    write_report_csv,
-    write_report_dat,
-)
+from .diagnostics import check_chain_count, write_report_csv, write_report_dat
 from .errors import CondflowError, ParseError
 from .grid import _read_csv, read_field_csv, write_field_csv, write_field_pgm
 from .kriging import snap_to_cells
@@ -113,23 +108,12 @@ def cmd_invert(args):
 
 
 def cmd_diagnose(args):
-    from itertools import chain
-
     # the arguments are checked before any trace is parsed
     check_burn_in(args.burn_in)
     study.check_checkpoint_spacing(args.checkpoint_every)
     check_chain_count(len(args.traces))
-    # the series holds one parsed trace at a time: the first trace sets
-    # the checkpoints, and once the series is past it nothing holds it
-    # (an exhausted list iterator drops its list)
-    kept = (study.post_burn_in([read_trace_csv(p)], args.burn_in)[0]
-            for p in args.traces)
-    first = next(kept)
-    checkpoints = study.checkpoints_for(first.thetas.shape[0],
-                                        args.checkpoint_every)
-    traces = chain(iter([first]), kept)
-    del first
-    report = diagnostics_series(traces, checkpoints)
+    report = study.diagnose_traces(map(read_trace_csv, args.traces),
+                                   args.burn_in, args.checkpoint_every)
     write_report_csv(report, args.out)
     root, _ = os.path.splitext(args.out)
     write_report_dat(report, root + ".dat")

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
-from .grid import ScalarField
 from .kle import _fix_signs, synthesize_unconditioned
 from .kriging import snap_to_cells
 
@@ -97,6 +96,5 @@ def synthesize_conditioned(basis, kriged, theta, proj):
     if kriged.grid != basis.grid:
         raise ArgumentError("kriged surface grid differs from basis grid",
                             module=_MOD)
-    theta_hat = project(theta, proj)
-    perturbation = synthesize_unconditioned(basis, theta_hat)
-    return ScalarField(basis.grid, kriged.values + perturbation.values)
+    return synthesize_unconditioned(basis, project(theta, proj),
+                                    mean=kriged.values)

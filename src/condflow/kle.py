@@ -110,15 +110,16 @@ def solve_kle(cov, grid, n, energy_threshold=None):
     return KLEBasis(grid, evals[:n].copy(), phi, float(frac[n - 1]))
 
 
-def synthesize_unconditioned(basis, theta):
-    """Zero-mean field sum_i sqrt(lambda_i) theta_i phi_i as a ScalarField;
-    a stack of thetas gives the stack of their fields, each bitwise its
-    own call's (the trailing unit axis makes one gemv per theta)."""
+def synthesize_unconditioned(basis, theta, mean=None):
+    """Zero-mean field sum_i sqrt(lambda_i) theta_i phi_i, plus the cell
+    values ``mean`` if given, as one checked ScalarField; a stack of
+    thetas gives the stack of their fields, each bitwise its own call's
+    (the trailing unit axis makes one gemv per theta)."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape[-1:] != (basis.n,):
         raise ArgumentError(
             f"theta has shape {theta.shape}, basis has {basis.n} modes",
             module=_MOD,
         )
-    values = basis.phi @ (basis.sqrt_lambdas * theta)[..., None]
-    return ScalarField(basis.grid, values[..., 0])
+    values = (basis.phi @ (basis.sqrt_lambdas * theta)[..., None])[..., 0]
+    return ScalarField(basis.grid, values if mean is None else mean + values)

@@ -1,6 +1,11 @@
 """Study orchestration: model-bundle assembly from a config, the
 comparative conditioned/unconditioned reference experiment, manifests,
-and artifact output."""
+and artifact output.
+
+:func:`diagnose_traces` is the one diagnosis of a set of traces, for
+``condflow diagnose`` and for the studies' own reports alike: burn-in,
+the nullspace coordinates of a conditioned study, checkpoints, and one
+trace at a time."""
 
 from __future__ import annotations
 
@@ -108,13 +113,6 @@ def chain_seeds(cfg):
     return [cfg.seed + c for c in range(cfg.chains)]
 
 
-def post_burn_in(traces, burn_in):
-    """The traces without their first ``burn_in`` draws; at least 2 must
-    remain in every trace."""
-    check_burn_in(burn_in, min(t.thetas.shape[0] for t in traces))
-    return [t.after_burn_in(burn_in) for t in traces]
-
-
 def check_checkpoint_spacing(spacing):
     if spacing < 1:
         raise ArgumentError(
@@ -131,6 +129,33 @@ def checkpoints_for(length, spacing=CHECKPOINT_EVERY):
     return pts
 
 
+def diagnose_traces(traces, burn_in, spacing=CHECKPOINT_EVERY, Q=None):
+    """PSRF/MPSRF series of an iterable of at least 2 traces, each taken
+    after its first ``burn_in`` draws (at least 2 must remain) and, given
+    a nullspace basis ``Q``, on the coordinates Q^T theta. Checkpoints
+    fall every ``spacing`` draws of the first cut trace and at its last.
+
+    The traces are cut and fed to the series one at a time, so a
+    generator that reads them on demand holds one of them at a time.
+    """
+    from itertools import chain
+
+    def cut(trace):
+        check_burn_in(burn_in, trace.thetas.shape[0])
+        trace = trace.after_burn_in(burn_in)
+        return trace if Q is None else replace(trace, thetas=trace.thetas @ Q)
+
+    # map keeps no reference to the trace it cut last; once the series
+    # is past the first trace nothing holds it (an exhausted list
+    # iterator drops its list)
+    kept = map(cut, traces)
+    first = next(kept)
+    checkpoints = checkpoints_for(first.thetas.shape[0], spacing)
+    kept = chain(iter([first]), kept)
+    del first
+    return diagnostics_series(kept, checkpoints)
+
+
 def study_report(setup, traces, conditioned):
     """PSRF/MPSRF series of a study's traces after the burn-in.
 
@@ -140,11 +165,8 @@ def study_report(setup, traces, conditioned):
     same MPSRF. The row-space part of a stored unprojected theta is
     bookkeeping that nothing uses.
     """
-    kept = post_burn_in(traces, setup.cfg.effective_burn_in)
-    if conditioned:
-        Q = setup.bundle.projector.Q
-        kept = [replace(t, thetas=t.thetas @ Q) for t in kept]
-    return diagnostics_series(kept, checkpoints_for(kept[0].thetas.shape[0]))
+    Q = setup.bundle.projector.Q if conditioned else None
+    return diagnose_traces(traces, setup.cfg.effective_burn_in, Q=Q)
 
 
 def _study_label(conditioned):

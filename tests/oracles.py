@@ -4,9 +4,9 @@ condflow never evaluates the kernel pointwise: it factors the separable
 kernel into two 1-D problems, whose factors the KLE and kriging read.
 The pointwise kernel, the cell centers, the dense matrix over them and
 its eigendecomposition, the energy fraction of a spectrum, the direct
-forms of the within- and between-chain covariances, and the checkpoint
-series over a (chains, draws, parameters) matrix live here for the
-tests alone.
+forms of the within- and between-chain covariances, the checkpoint
+series over a (chains, draws, parameters) matrix and the list of traces
+after a burn-in live here for the tests alone.
 """
 
 import numpy as np
@@ -155,3 +155,10 @@ def matrix_series(chains, checkpoints):
         report.max_psrf.append(float(np.max(p)))
         report.mpsrf.append(mpsrf(W, B, k, c))
     return report
+
+
+def post_burn_in(traces, burn_in):
+    """Every trace without its first ``burn_in`` draws, all held at once:
+    the list that :func:`condflow.study.diagnose_traces` cuts one trace at
+    a time."""
+    return [t.after_burn_in(burn_in) for t in traces]

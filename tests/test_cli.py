@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 import condflow
+from condflow import study
 from condflow.cli import main
+from condflow.config import parse_config
+from condflow.diagnostics import read_report_csv, write_report_csv
+from condflow.mcmc import read_trace_csv
 
 FAST_CFG = """\
 kle.n_terms = 12
@@ -145,6 +149,38 @@ def test_invert_and_diagnose(tmp_path, capsys):
     assert diag.exists()
     assert (tmp_path / "diag.dat").exists()
     assert "MPSRF" in capsys.readouterr().out
+
+
+def test_diagnose_reproduces_the_reference_diagnostics(tmp_path):
+    # condflow diagnose, and study.diagnose_traces with the setup's
+    # nullspace basis, re-read a reference run's traces and write its
+    # diagnostics byte for byte
+    config = tmp_path / "study.cfg"
+    config.write_text("seed = 7\nmcmc.chains = 3\nmcmc.iterations = 1200\n"
+                      "output.snapshots = 1200\noutput.verbosity = 0\n")
+    out = tmp_path / "out"
+    assert main(["reference", "--config", str(config),
+                 "--out-dir", str(out)]) == 0
+    cfg = parse_config(str(config))
+
+    def traces(label):
+        return sorted(str(p) for p in out.glob(f"trace_{label}_chain*.csv"))
+
+    diag = tmp_path / "diag.csv"
+    assert main(["diagnose", *traces("uncond"), "--out", str(diag),
+                 "--burn-in", str(cfg.effective_burn_in)]) == 0
+    assert read_report_csv(diag).checkpoints  # some checkpoint evaluated
+    assert filecmp.cmp(diag, out / "diagnostics_uncond.csv", shallow=False)
+    assert filecmp.cmp(tmp_path / "diag.dat", out / "diagnostics_uncond.dat",
+                       shallow=False)
+
+    report = study.diagnose_traces(
+        map(read_trace_csv, traces("cond")), cfg.effective_burn_in,
+        Q=study.build_setup(cfg).bundle.projector.Q)
+    assert report.checkpoints
+    write_report_csv(report, tmp_path / "cond.csv")
+    assert filecmp.cmp(tmp_path / "cond.csv", out / "diagnostics_cond.csv",
+                       shallow=False)
 
 
 def test_diagnose_single_trace_errors(tmp_path, fast_config, capsys):

@@ -17,11 +17,11 @@ from condflow import kle, study
 from condflow.study import (
     build_setup,
     checkpoints_for,
-    post_burn_in,
     run_one_study,
     run_reference_experiment,
     study_report,
 )
+from oracles import post_burn_in
 
 CHAINS, ITERATIONS, BURN_IN = 3, 900, 100
 
@@ -90,6 +90,33 @@ def test_unconditioned_report_is_the_stored_theta_series(setup, thetas):
     assert got.checkpoints == want.checkpoints
     assert got.max_psrf == want.max_psrf
     assert got.mpsrf == want.mpsrf
+
+
+def test_conditioned_report_holds_one_projected_trace_at_a_time(setup):
+    # holding a projected copy of every trace, as a list of them, would
+    # peak at more than 4 of them
+    import tracemalloc
+    from dataclasses import replace
+
+    iterations, burn_in = 3000, 300
+    long_run = replace(setup, cfg=replace(setup.cfg, chains=4,
+                                          iterations=iterations,
+                                          burn_in=burn_in))
+    n, free = setup.bundle.projector.Q.shape
+    rng = np.random.default_rng(13)
+    flags = np.zeros(iterations, dtype=bool)
+    traces = [ChainTrace(rng.standard_normal((iterations, n)), flags, flags,
+                         np.zeros(iterations), seed=c) for c in range(4)]
+    one_projected = (iterations - burn_in) * free * 8
+    study_report(long_run, traces, conditioned=True)  # first-call caches
+    tracemalloc.start()
+    try:
+        report = study_report(long_run, traces, conditioned=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.checkpoints[-1] == iterations - burn_in
+    assert peak < 2 * one_projected
 
 
 def test_snapshots_past_the_run_warn_once_per_study(tmp_path):
