@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import study
-from .config import check_burn_in, parse_config
+from .config import parse_config
 from .darcy import solve_pressure
 from .diagnostics import check_chain_count, write_report_csv, write_report_dat
 from .errors import CondflowError, ParseError
@@ -108,9 +108,8 @@ def cmd_invert(args):
 
 
 def cmd_diagnose(args):
-    # the arguments are checked before any trace is parsed
-    check_burn_in(args.burn_in)
-    study.check_checkpoint_spacing(args.checkpoint_every)
+    # the chain count, like diagnose_traces its arguments, is checked
+    # before any trace is parsed
     check_chain_count(len(args.traces))
     report = study.diagnose_traces(map(read_trace_csv, args.traces),
                                    args.burn_in, args.checkpoint_every)

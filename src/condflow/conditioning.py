@@ -67,8 +67,6 @@ def nullspace_basis(A):
     relative 1e-8 of the column's largest magnitude is positive) for
     reproducibility. An all-zero A yields the identity basis.
     """
-    if np.abs(A).max() == 0.0:
-        return Projector(np.eye(A.shape[1]), 0)
     _, svals, Vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(svals > RANK_RTOL * svals[0]))
     return Projector(_fix_signs(Vt[rank:].T), rank)

@@ -24,10 +24,12 @@ far from 0, and makes the deviations of a parameter that never moved in
 a chain exactly 0. A checkpoint series takes the chains one at a time:
 it accumulates a chain's sums segment by segment between checkpoints,
 keeps a copy at each checkpoint, and drops the chain, so it reads every
-draw once and holds one trace plus k x checkpoints x n^2 sums. W, B and
-the rest are formed per checkpoint once every chain is summed. A
-checkpoint at which some chain has zero variance in every parameter, or
-some parameter has zero within-chain variance, is skipped with a notice.
+draw once and holds one trace plus k x checkpoints x n^2 sums. The
+checkpoints fall every ``spacing`` draws of the first trace read, and
+at its last. W, B and the rest are formed per checkpoint once every
+chain is summed. A checkpoint at which some chain has zero variance in
+every parameter, or some parameter has zero within-chain variance, is
+skipped with a notice.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from .grid import _read_csv
 
 _MOD = "diagnostics"
 
+#: diagnostics checkpoint spacing (post-burn-in draws between evaluations)
+CHECKPOINT_EVERY = 250
+
 
 def check_chain_count(k):
     """Reject fewer than the 2 chains that the diagnostics compare."""
@@ -49,11 +54,28 @@ def check_chain_count(k):
         raise ArgumentError(f"need at least 2 chains, got k={k}", module=_MOD)
 
 
+def check_checkpoint_spacing(spacing):
+    if spacing < 1:
+        raise ArgumentError(
+            f"checkpoint spacing must be at least 1, got {spacing}",
+            module="study",  # study.diagnose_traces checks it first
+        )
+
+
+def checkpoints_for(length, spacing=CHECKPOINT_EVERY):
+    """Every ``spacing``-th of ``length`` draws, and the last."""
+    check_checkpoint_spacing(spacing)
+    pts = list(range(spacing, length + 1, spacing))
+    if not pts or pts[-1] != length:
+        pts.append(length)
+    return pts
+
+
 def _chain_sums(thetas, checkpoints):
     """One chain's first draw, and its sums of y and y y^T (y = draw -
-    first draw) over the draws before each of the sorted ``checkpoints``,
-    one row of two arrays per checkpoint. The first draw is a copy: a
-    view of it would keep the whole trace alive."""
+    first draw) over the draws before each of the ascending
+    ``checkpoints``, one row of two arrays per checkpoint. The first draw
+    is a copy: a view of it would keep the whole trace alive."""
     first = thetas[0].copy()
     n = thetas.shape[1]
     s1, s2 = np.zeros(n), np.zeros((n, n))
@@ -141,19 +163,19 @@ class DiagnosticsReport:
     notices: list = field(default_factory=list)
 
 
-def diagnostics_series(traces, checkpoints):
-    """Evaluate max PSRF and MPSRF over growing prefixes of the traces.
+def diagnostics_series(traces, spacing=CHECKPOINT_EVERY):
+    """Evaluate max PSRF and MPSRF over growing prefixes of the traces, at
+    the checkpoints :func:`checkpoints_for` gives for the first trace's
+    length and ``spacing``.
 
     ``traces`` is an iterable of ChainTrace objects (or anything with a
     ``thetas`` array) of equal length and parameter count; at least 2.
     It is read one trace at a time, and no reference to a trace is kept
     once its sums are taken, so a generator of traces read on demand
     holds one of them at a time. Checkpoints needing fewer than 2 draws,
-    beyond the trace length, or hitting degenerate within-chain variance
-    (common early on with single-component updates), are skipped with a
-    notice.
+    or hitting degenerate within-chain variance (common early on with
+    single-component updates), are skipped with a notice.
     """
-    checkpoints = sorted(checkpoints)
     shape, chains = None, []
     for trace in traces:
         thetas = np.asarray(trace.thetas, dtype=float)
@@ -164,7 +186,7 @@ def diagnostics_series(traces, checkpoints):
                     module=_MOD,
                 )
             shape = thetas.shape
-            inside = [c for c in checkpoints if 2 <= c <= shape[0]]
+            checkpoints = checkpoints_for(shape[0], spacing)
         elif thetas.shape != shape:
             raise ArgumentError(
                 f"trace shapes differ: {sorted([shape, thetas.shape])}",
@@ -172,24 +194,19 @@ def diagnostics_series(traces, checkpoints):
         if not np.all(np.isfinite(thetas)):
             raise ArgumentError("chain matrix contains non-finite values",
                                 module=_MOD)
-        chains.append(_chain_sums(thetas, inside))
+        chains.append(_chain_sums(thetas, checkpoints))
         del trace, thetas  # freed before the next trace is read
     k = len(chains)
     check_chain_count(k)
     firsts, sums1, sums2 = zip(*chains)
     firsts = np.array(firsts)
     report = DiagnosticsReport([], [], [])
-    row = 0  # of the sums, one per checkpoint inside the traces
-    for c in checkpoints:
+    for row, c in enumerate(checkpoints):
         if c < 2:
             report.notices.append(f"checkpoint {c}: fewer than 2 draws, skipped")
             continue
-        if c > shape[0]:
-            report.notices.append(f"checkpoint {c}: beyond trace length, skipped")
-            continue
         s1 = np.array([s[row] for s in sums1])
         s2 = np.array([s[row] for s in sums2])
-        row += 1
         try:
             W = _within(s1, s2, c)
             B = _between(firsts, s1, c)

@@ -4,8 +4,8 @@ and artifact output.
 
 :func:`diagnose_traces` is the one diagnosis of a set of traces, for
 ``condflow diagnose`` and for the studies' own reports alike: burn-in,
-the nullspace coordinates of a conditioned study, checkpoints, and one
-trace at a time."""
+the nullspace coordinates of a conditioned study, and one trace at a
+time."""
 
 from __future__ import annotations
 
@@ -23,17 +23,14 @@ from .conditioning import build_data_matrix, nullspace_basis
 from .config import check_burn_in
 from .covariance import assemble_covariance
 from .darcy import BoundaryConditions, observe_pressure, solve_pressure, upscale
-from .diagnostics import diagnostics_series, write_report_csv, write_report_dat
-from .errors import ArgumentError
+# checkpoints_for is bound here too: perfbench/run.py reads it from study
+from .diagnostics import (CHECKPOINT_EVERY, check_checkpoint_spacing,
+                          checkpoints_for, diagnostics_series,
+                          write_report_csv, write_report_dat)
 from .grid import chessboard_mask, make_grid, read_field_csv, write_field_pgm
 from .kle import solve_kle
 from .kriging import krige, read_measurements_csv
 from .mcmc import ModelBundle, run_study, synthesize, write_trace_csv
-
-_MOD = "study"
-
-#: diagnostics checkpoint spacing (iterations between evaluations)
-CHECKPOINT_EVERY = 250
 
 
 def _packaged(name):
@@ -113,47 +110,25 @@ def chain_seeds(cfg):
     return [cfg.seed + c for c in range(cfg.chains)]
 
 
-def check_checkpoint_spacing(spacing):
-    if spacing < 1:
-        raise ArgumentError(
-            f"checkpoint spacing must be at least 1, got {spacing}",
-            module=_MOD,
-        )
-
-
-def checkpoints_for(length, spacing=CHECKPOINT_EVERY):
-    check_checkpoint_spacing(spacing)
-    pts = list(range(spacing, length + 1, spacing))
-    if not pts or pts[-1] != length:
-        pts.append(length)
-    return pts
-
-
 def diagnose_traces(traces, burn_in, spacing=CHECKPOINT_EVERY, Q=None):
     """PSRF/MPSRF series of an iterable of at least 2 traces, each taken
     after its first ``burn_in`` draws (at least 2 must remain) and, given
     a nullspace basis ``Q``, on the coordinates Q^T theta. Checkpoints
-    fall every ``spacing`` draws of the first cut trace and at its last.
+    fall every ``spacing`` draws of the cut traces and at their last.
 
-    The traces are cut and fed to the series one at a time, so a
-    generator that reads them on demand holds one of them at a time.
+    The burn-in and spacing are checked before a trace is read, and the
+    traces are cut and fed to the series one at a time, so a generator
+    that reads them on demand holds one of them at a time.
     """
-    from itertools import chain
+    check_burn_in(burn_in)
+    check_checkpoint_spacing(spacing)
 
     def cut(trace):
         check_burn_in(burn_in, trace.thetas.shape[0])
         trace = trace.after_burn_in(burn_in)
         return trace if Q is None else replace(trace, thetas=trace.thetas @ Q)
 
-    # map keeps no reference to the trace it cut last; once the series
-    # is past the first trace nothing holds it (an exhausted list
-    # iterator drops its list)
-    kept = map(cut, traces)
-    first = next(kept)
-    checkpoints = checkpoints_for(first.thetas.shape[0], spacing)
-    kept = chain(iter([first]), kept)
-    del first
-    return diagnostics_series(kept, checkpoints)
+    return diagnostics_series(map(cut, traces), spacing)
 
 
 def study_report(setup, traces, conditioned):

@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from condflow import diagnostics, study
 from condflow.diagnostics import (
     DiagnosticsReport,
+    checkpoints_for,
     diagnostics_series,
     mpsrf,
     posterior_cov,
@@ -196,11 +198,27 @@ def test_shape_validation():
         within_chain_cov(np.zeros((2, 10)))
 
 
+@pytest.mark.parametrize("length, spacing, expected", [
+    (600, 250, [250, 500, 600]),
+    (500, 250, [250, 500]),
+    (100, 250, [100]),
+    (3, 1, [1, 2, 3]),
+])
+def test_checkpoints_for(length, spacing, expected):
+    assert checkpoints_for(length, spacing) == expected
+
+
+def test_study_binds_the_checkpoint_rule():
+    # the bench reads study.checkpoints_for
+    assert study.checkpoints_for is diagnostics.checkpoints_for
+    assert study.CHECKPOINT_EVERY is diagnostics.CHECKPOINT_EVERY
+
+
 def test_series_identical_chains():
     rng = np.random.default_rng(7)
     base = rng.standard_normal((100, 2))
     traces = [FakeTrace(base), FakeTrace(base.copy())]
-    report = diagnostics_series(traces, [50, 100])
+    report = diagnostics_series(traces, 50)
     assert report.checkpoints == [50, 100]
     assert report.max_psrf[0] == pytest.approx(np.sqrt(49 / 50))
     assert report.max_psrf[1] == pytest.approx(np.sqrt(99 / 100))
@@ -211,7 +229,7 @@ def test_series_mpsrf_bounds_psrf():
     rng = np.random.default_rng(8)
     traces = [FakeTrace(rng.standard_normal((200, 3)) + i)
               for i in range(3)]
-    report = diagnostics_series(traces, [50, 100, 150, 200])
+    report = diagnostics_series(traces, 50)
     for p, m in zip(report.max_psrf, report.mpsrf):
         assert m >= p - 1e-8
 
@@ -221,18 +239,19 @@ def test_series_skips_degenerate_and_small():
     a = np.zeros((100, 2))
     a[50:] = rng.standard_normal((50, 2))  # constant early prefix
     b = rng.standard_normal((100, 2))
-    report = diagnostics_series([FakeTrace(a), FakeTrace(b)], [1, 30, 100])
-    assert 1 not in report.checkpoints
-    assert 30 not in report.checkpoints
-    assert 100 in report.checkpoints
-    assert len(report.notices) == 2
+    report = diagnostics_series([FakeTrace(a), FakeTrace(b)], 1)
+    assert report.checkpoints == list(range(51, 101))
+    assert report.notices[0] == "checkpoint 1: fewer than 2 draws, skipped"
+    assert report.notices[1:] == [
+        f"checkpoint {c}: chain(s) [0] have zero variance in every parameter"
+        for c in range(2, 51)]
 
 
 def test_series_length_mismatch():
     with pytest.raises(ArgumentError):
         diagnostics_series(
             [FakeTrace(np.zeros((10, 2))), FakeTrace(np.zeros((11, 2)))],
-            [10],
+            10,
         )
 
 
@@ -251,14 +270,14 @@ def test_series_rejects_traces_as_it_reads_them(traces, message):
     # the rules hold for a generator, which the series reads only once;
     # a shape error names the first trace's shape and the offending one
     with pytest.raises(ArgumentError) as exc:
-        diagnostics_series((FakeTrace(t) for t in traces), [5])
+        diagnostics_series((FakeTrace(t) for t in traces), 5)
     assert str(exc.value) == message
 
 
 def test_report_csv_round_trip(tmp_path):
     rng = np.random.default_rng(10)
     traces = [FakeTrace(rng.standard_normal((100, 2))) for _ in range(3)]
-    report = diagnostics_series(traces, [50, 100])
+    report = diagnostics_series(traces, 50)
     path = tmp_path / "diag.csv"
     write_report_csv(report, path)
     back = read_report_csv(path)
@@ -319,16 +338,12 @@ def dense_between(chains):
     return l / (k - 1) * (dev.T @ dev)
 
 
-def dense_series(chains, checkpoints, mpsrf_):
+def dense_series(chains, spacing, mpsrf_):
     k, L, n = chains.shape
     out = dict(checkpoints=[], max_psrf=[], mpsrf=[], notices=[])
-    for c in sorted(checkpoints):
+    for c in checkpoints_for(L, spacing):
         if c < 2:
             out["notices"].append(f"checkpoint {c}: fewer than 2 draws, "
-                                  "skipped")
-            continue
-        if c > L:
-            out["notices"].append(f"checkpoint {c}: beyond trace length, "
                                   "skipped")
             continue
         try:
@@ -360,13 +375,11 @@ def recording_mpsrf(fell_back):
     return call
 
 
-def assert_series_match_oracle(chains, checkpoints, monkeypatch):
-    import condflow.diagnostics as diag
-
+def assert_series_match_oracle(chains, spacing, monkeypatch):
     fell_back, expected_fell_back = [], []
-    monkeypatch.setattr(diag, "mpsrf", recording_mpsrf(fell_back))
-    report = diagnostics_series([FakeTrace(c) for c in chains], checkpoints)
-    expected = dense_series(chains, checkpoints,
+    monkeypatch.setattr(diagnostics, "mpsrf", recording_mpsrf(fell_back))
+    report = diagnostics_series([FakeTrace(c) for c in chains], spacing)
+    expected = dense_series(chains, spacing,
                             recording_mpsrf(expected_fell_back))
     assert report.notices == expected["notices"]
     assert report.checkpoints == expected["checkpoints"]
@@ -402,8 +415,7 @@ def test_public_covariances_match_dense_oracle():
 def test_series_random_walk_matches_oracle(monkeypatch):
     rng = np.random.default_rng(12)
     chains = np.cumsum(rng.standard_normal((4, 3000, 6)), axis=1)
-    report, _ = assert_series_match_oracle(
-        chains, list(range(250, 3001, 250)), monkeypatch)
+    report, _ = assert_series_match_oracle(chains, 250, monkeypatch)
     assert len(report.checkpoints) == 12
 
 
@@ -413,8 +425,7 @@ def test_series_large_offset_matches_oracle(monkeypatch):
     rng = np.random.default_rng(13)
     chains = 1e6 + 1e-3 * rng.standard_normal((4, 2000, 3))
     chains[1] += 2e-4
-    report, _ = assert_series_match_oracle(
-        chains, list(range(100, 2001, 100)), monkeypatch)
+    report, _ = assert_series_match_oracle(chains, 100, monkeypatch)
     assert len(report.checkpoints) == 20
     assert report.max_psrf[-1] > 1.0
 
@@ -422,8 +433,7 @@ def test_series_large_offset_matches_oracle(monkeypatch):
 def test_series_single_component_skips_early_checkpoints(monkeypatch):
     rng = np.random.default_rng(14)
     chains = single_component_chains(rng, 4, 600, 20, accept=0.3)
-    report, _ = assert_series_match_oracle(
-        chains, list(range(5, 601, 5)), monkeypatch)
+    report, _ = assert_series_match_oracle(chains, 5, monkeypatch)
     assert any("zero variance in every parameter" in s
                for s in report.notices)
     assert any("zero within-chain variance" in s for s in report.notices)
@@ -436,27 +446,9 @@ def test_series_ill_conditioned_w_falls_back_like_oracle(monkeypatch):
     rng = np.random.default_rng(15)
     chains = np.cumsum(rng.standard_normal((4, 1000, 3)), axis=1)
     chains[:, :, 2] *= 1e-7
-    report, fell_back = assert_series_match_oracle(
-        chains, [250, 500, 750, 1000], monkeypatch)
+    report, fell_back = assert_series_match_oracle(chains, 250, monkeypatch)
     assert fell_back == [250, 500, 750, 1000]
     assert report.checkpoints == fell_back
-
-
-def test_series_unsorted_duplicate_and_out_of_range_checkpoints(
-        monkeypatch):
-    rng = np.random.default_rng(16)
-    chains = np.cumsum(rng.standard_normal((3, 300, 4)), axis=1)
-    report, _ = assert_series_match_oracle(
-        chains, [300, 0, 120, 1, 120, 2, 301, 50, 1000, 300, -4],
-        monkeypatch)
-    assert report.checkpoints == [2, 50, 120, 120, 300, 300]
-    assert report.notices == [
-        "checkpoint -4: fewer than 2 draws, skipped",
-        "checkpoint 0: fewer than 2 draws, skipped",
-        "checkpoint 1: fewer than 2 draws, skipped",
-        "checkpoint 301: beyond trace length, skipped",
-        "checkpoint 1000: beyond trace length, skipped",
-    ]
 
 
 def test_series_skips_parameter_that_never_moved():
@@ -473,7 +465,7 @@ def test_series_skips_parameter_that_never_moved():
         traces.append(FakeTrace(thetas))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = diagnostics_series(traces, [250])
+        report = diagnostics_series(traces, 250)
     assert report.checkpoints == []
     assert report.notices == [
         "checkpoint 250: parameter(s) [1] have zero within-chain variance"]
@@ -481,27 +473,27 @@ def test_series_skips_parameter_that_never_moved():
     assert within_chain_cov(chains)[1, 1] == 0.0
 
 
-def test_series_non_finite_draw_beyond_every_checkpoint():
+def test_series_non_finite_draw_between_checkpoints():
     rng = np.random.default_rng(17)
     a, b = rng.standard_normal((2, 100, 2))
     a[90, 1] = np.inf
     with pytest.raises(ArgumentError, match="non-finite"):
-        diagnostics_series([FakeTrace(a), FakeTrace(b)], [50])
+        diagnostics_series([FakeTrace(a), FakeTrace(b)], 50)
 
 
 def _matrix_form_cases():
     rng = np.random.default_rng(19)
     walk = np.cumsum(rng.standard_normal((4, 600, 5)), axis=1) + 40.0
-    yield "random", walk, list(range(50, 601, 50))
+    yield "random", walk, 50
     prefix = walk.copy()
     prefix[:, :120] = prefix[:, :1]  # no chain moves for 120 draws
-    yield "constant_prefix", prefix, list(range(40, 601, 40))
+    yield "constant_prefix", prefix, 40
     still = walk.copy()
     still[:, :, 3] = rng.standard_normal((4, 1))  # parameter 3 never moves
-    yield "parameter_never_moves", still, [100, 600]
-    yield "out_of_range", walk[:3, :200], [250, -1, 0, 1, 2, 3, 200, 201]
+    yield "parameter_never_moves", still, 100
+    yield "spacing_one", walk[:3, :200], 1
     yield "single_component", single_component_chains(
-        rng, 3, 500, 8, accept=0.3), list(range(5, 501, 5))
+        rng, 3, 500, 8, accept=0.3), 5
 
 
 MATRIX_FORM_CASES = list(_matrix_form_cases())
@@ -509,17 +501,18 @@ MATRIX_FORM_CASES = list(_matrix_form_cases())
 
 @pytest.mark.parametrize("as_generator", [False, True],
                          ids=["list", "generator"])
-@pytest.mark.parametrize("name, chains, checkpoints", MATRIX_FORM_CASES,
+@pytest.mark.parametrize("name, chains, spacing", MATRIX_FORM_CASES,
                          ids=[case[0] for case in MATRIX_FORM_CASES])
-def test_series_equals_matrix_form_bitwise(name, chains, checkpoints,
+def test_series_equals_matrix_form_bitwise(name, chains, spacing,
                                            as_generator):
     # one chain at a time gives the bits of all chains at once
     traces = [FakeTrace(c) for c in chains]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # pseudo-inverse fallbacks
         report = diagnostics_series(
-            (t for t in traces) if as_generator else traces, checkpoints)
-        expected = matrix_series(chains, checkpoints)
+            (t for t in traces) if as_generator else traces, spacing)
+        expected = matrix_series(chains,
+                                 checkpoints_for(chains.shape[1], spacing))
     assert report.notices == expected.notices
     assert report.checkpoints == expected.checkpoints
     assert report.max_psrf == expected.max_psrf
