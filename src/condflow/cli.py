@@ -25,7 +25,9 @@ import numpy as np
 from . import study
 from .config import parse_config
 from .darcy import solve_pressure
-from .diagnostics import check_chain_count, write_report_csv, write_report_dat
+from .diagnostics import (CHECKPOINT_EVERY, check_chain_count,
+                          diagnostics_series, write_report_csv,
+                          write_report_dat)
 from .errors import CondflowError, ParseError
 from .grid import _read_csv, read_field_csv, write_field_csv, write_field_pgm
 from .kriging import snap_to_cells
@@ -108,11 +110,11 @@ def cmd_invert(args):
 
 
 def cmd_diagnose(args):
-    # the chain count, like diagnose_traces its arguments, is checked
-    # before any trace is parsed
+    # the chain count, like the series its arguments, is checked before
+    # any trace is parsed
     check_chain_count(len(args.traces))
-    report = study.diagnose_traces(map(read_trace_csv, args.traces),
-                                   args.burn_in, args.checkpoint_every)
+    report = diagnostics_series(map(read_trace_csv, args.traces),
+                                args.checkpoint_every, args.burn_in)
     write_report_csv(report, args.out)
     root, _ = os.path.splitext(args.out)
     write_report_dat(report, root + ".dat")
@@ -164,7 +166,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="diagnostics CSV to write")
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--checkpoint-every", type=int,
-                   default=study.CHECKPOINT_EVERY)
+                   default=CHECKPOINT_EVERY)
     p.set_defaults(func=cmd_diagnose)
     return parser
 

@@ -65,10 +65,11 @@ def nullspace_basis(A):
     Rank is the count of singular values above RANK_RTOL times the
     largest; signs follow the KL basis's rule (the first entry within a
     relative 1e-8 of the column's largest magnitude is positive) for
-    reproducibility. An all-zero A yields the identity basis.
+    reproducibility. An A with no rows, or all zeros, yields the identity
+    basis.
     """
     _, svals, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(svals > RANK_RTOL * svals[0]))
+    rank = int(np.sum(svals > RANK_RTOL * svals.max(initial=0.0)))
     return Projector(_fix_signs(Vt[rank:].T), rank)
 
 

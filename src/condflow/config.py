@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, fields
 
 from .covariance import KernelParams
 from .darcy import check_refinement
+from .diagnostics import check_burn_in
 from .errors import ArgumentError, ParseError
 from .grid import make_grid
 from .mcmc import LikelihoodParams
@@ -50,20 +51,6 @@ _PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str,
 def _key(section, default):
     """A field read from the file key ``<section>.<field name>``."""
     return field(default=default, metadata={"section": section})
-
-
-def check_burn_in(burn_in, length=None):
-    """Reject a negative burn-in and, when ``length`` is given, traces of
-    fewer than 2 draws or a burn-in that leaves fewer than 2 of them."""
-    if burn_in < 0 or length is not None and burn_in > length - 2:
-        bound = ("at least 0" if length is None else
-                 f"in [0, {length - 2}] to keep at least 2 of {length} draws")
-        short = length is not None and length < 2
-        raise ArgumentError(
-            f"at least 2 draws are needed, got traces of {length}" if short
-            else f"burn-in must be {bound}, got {burn_in}",
-            module="study",  # named after study, which cuts the traces
-        )
 
 
 @dataclass

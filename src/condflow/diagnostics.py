@@ -25,11 +25,15 @@ a chain exactly 0. A checkpoint series takes the chains one at a time:
 it accumulates a chain's sums segment by segment between checkpoints,
 keeps a copy at each checkpoint, and drops the chain, so it reads every
 draw once and holds one trace plus k x checkpoints x n^2 sums. The
-checkpoints fall every ``spacing`` draws of the first trace read, and
-at its last. W, B and the rest are formed per checkpoint once every
-chain is summed. A checkpoint at which some chain has zero variance in
-every parameter, or some parameter has zero within-chain variance, is
-skipped with a notice.
+checkpoints fall every ``spacing`` draws of the first trace read, after
+its burn-in, and at its last. W, B and the rest are formed per
+checkpoint once every chain is summed. A checkpoint at which some chain
+has zero variance in every parameter, or some parameter has zero
+within-chain variance, is skipped with a notice.
+
+:func:`diagnostics_series` is the one diagnosis of a set of traces, and
+every rule of one is stated here: the chain count, the burn-in, the
+checkpoint spacing, and each trace's shape and finiteness.
 """
 
 from __future__ import annotations
@@ -54,11 +58,25 @@ def check_chain_count(k):
         raise ArgumentError(f"need at least 2 chains, got k={k}", module=_MOD)
 
 
+def check_burn_in(burn_in, length=None):
+    """Reject a negative burn-in and, when ``length`` is given, traces of
+    fewer than 2 draws or a burn-in that leaves fewer than 2 of them."""
+    if burn_in < 0 or length is not None and burn_in > length - 2:
+        bound = ("at least 0" if length is None else
+                 f"in [0, {length - 2}] to keep at least 2 of {length} draws")
+        short = length is not None and length < 2
+        raise ArgumentError(
+            f"at least 2 draws are needed, got traces of {length}" if short
+            else f"burn-in must be {bound}, got {burn_in}",
+            module=_MOD,
+        )
+
+
 def check_checkpoint_spacing(spacing):
     if spacing < 1:
         raise ArgumentError(
             f"checkpoint spacing must be at least 1, got {spacing}",
-            module="study",  # study.diagnose_traces checks it first
+            module=_MOD,
         )
 
 
@@ -163,28 +181,39 @@ class DiagnosticsReport:
     notices: list = field(default_factory=list)
 
 
-def diagnostics_series(traces, spacing=CHECKPOINT_EVERY):
-    """Evaluate max PSRF and MPSRF over growing prefixes of the traces, at
-    the checkpoints :func:`checkpoints_for` gives for the first trace's
+def diagnostics_series(traces, spacing=CHECKPOINT_EVERY, burn_in=0, Q=None):
+    """Evaluate max PSRF and MPSRF over growing prefixes of the traces,
+    each cut after its first ``burn_in`` draws (at least 2 must remain)
+    and, given a nullspace basis ``Q``, mapped to Q^T theta. The
+    checkpoints are :func:`checkpoints_for` of the first cut trace's
     length and ``spacing``.
 
-    ``traces`` is an iterable of ChainTrace objects (or anything with a
-    ``thetas`` array) of equal length and parameter count; at least 2.
-    It is read one trace at a time, and no reference to a trace is kept
-    once its sums are taken, so a generator of traces read on demand
-    holds one of them at a time. Checkpoints needing fewer than 2 draws,
-    or hitting degenerate within-chain variance (common early on with
-    single-component updates), are skipped with a notice.
+    ``traces`` is an iterable of at least 2 ChainTrace objects (or
+    anything with a ``thetas`` array) of equal shape; an error names a
+    trace by its 1-based position. The arguments are checked before a
+    trace is read, and no reference to a trace is kept once its sums are
+    taken, so a generator of traces read on demand holds one of them at
+    a time. Checkpoints needing fewer than 2 draws, or hitting degenerate
+    within-chain variance (common early on with single-component
+    updates), are skipped with a notice.
     """
+    check_burn_in(burn_in)
+    check_checkpoint_spacing(spacing)
     shape, chains = None, []
+    # no enumerate: its reused result tuple would keep the last trace
+    # alive while the next one is read
     for trace in traces:
+        i = len(chains) + 1
         thetas = np.asarray(trace.thetas, dtype=float)
+        if thetas.ndim != 2:
+            raise ArgumentError(
+                f"trace {i}: draws must have shape (draws, parameters), "
+                f"got {thetas.shape}", module=_MOD)
+        check_burn_in(burn_in, len(thetas))
+        thetas = thetas[burn_in:]
+        if Q is not None:
+            thetas = thetas @ Q
         if shape is None:
-            if thetas.ndim != 2:
-                raise ArgumentError(
-                    "chain matrix must have shape (chains, draws, parameters)",
-                    module=_MOD,
-                )
             shape = thetas.shape
             checkpoints = checkpoints_for(shape[0], spacing)
         elif thetas.shape != shape:
@@ -192,7 +221,7 @@ def diagnostics_series(traces, spacing=CHECKPOINT_EVERY):
                 f"trace shapes differ: {sorted([shape, thetas.shape])}",
                 module=_MOD)
         if not np.all(np.isfinite(thetas)):
-            raise ArgumentError("chain matrix contains non-finite values",
+            raise ArgumentError(f"trace {i} contains non-finite values",
                                 module=_MOD)
         chains.append(_chain_sums(thetas, checkpoints))
         del trace, thetas  # freed before the next trace is read

@@ -130,13 +130,6 @@ class ChainTrace:
             return 0.0
         return float(np.sum(self.fine_accepted)) / n_coarse
 
-    def after_burn_in(self, burn_in):
-        """The trace without its first ``burn_in`` draws."""
-        d = slice(burn_in, None)
-        return ChainTrace(self.thetas[d], self.coarse_accepted[d],
-                          self.fine_accepted[d], self.loglik_fine[d],
-                          self.seed)
-
 
 def log_likelihood(sim, ref, sigma2):
     """Gaussian log-likelihood -||ref - sim||^2 / (2 sigma2) of one

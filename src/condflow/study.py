@@ -2,10 +2,10 @@
 comparative conditioned/unconditioned reference experiment, manifests,
 and artifact output.
 
-:func:`diagnose_traces` is the one diagnosis of a set of traces, for
-``condflow diagnose`` and for the studies' own reports alike: burn-in,
-the nullspace coordinates of a conditioned study, and one trace at a
-time."""
+:func:`study_report` diagnoses a study's traces through
+:func:`condflow.diagnostics.diagnostics_series`, the one diagnosis that
+``condflow diagnose`` calls too; what it adds is the policy that a
+conditioned study is diagnosed on its nullspace coordinates."""
 
 from __future__ import annotations
 
@@ -13,19 +13,17 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
 from .conditioning import build_data_matrix, nullspace_basis
-from .config import check_burn_in
 from .covariance import assemble_covariance
 from .darcy import BoundaryConditions, observe_pressure, solve_pressure, upscale
 # checkpoints_for is bound here too: perfbench/run.py reads it from study
-from .diagnostics import (CHECKPOINT_EVERY, check_checkpoint_spacing,
-                          checkpoints_for, diagnostics_series,
+from .diagnostics import (checkpoints_for, diagnostics_series,
                           write_report_csv, write_report_dat)
 from .grid import chessboard_mask, make_grid, read_field_csv, write_field_pgm
 from .kle import solve_kle
@@ -110,27 +108,6 @@ def chain_seeds(cfg):
     return [cfg.seed + c for c in range(cfg.chains)]
 
 
-def diagnose_traces(traces, burn_in, spacing=CHECKPOINT_EVERY, Q=None):
-    """PSRF/MPSRF series of an iterable of at least 2 traces, each taken
-    after its first ``burn_in`` draws (at least 2 must remain) and, given
-    a nullspace basis ``Q``, on the coordinates Q^T theta. Checkpoints
-    fall every ``spacing`` draws of the cut traces and at their last.
-
-    The burn-in and spacing are checked before a trace is read, and the
-    traces are cut and fed to the series one at a time, so a generator
-    that reads them on demand holds one of them at a time.
-    """
-    check_burn_in(burn_in)
-    check_checkpoint_spacing(spacing)
-
-    def cut(trace):
-        check_burn_in(burn_in, trace.thetas.shape[0])
-        trace = trace.after_burn_in(burn_in)
-        return trace if Q is None else replace(trace, thetas=trace.thetas @ Q)
-
-    return diagnostics_series(map(cut, traces), spacing)
-
-
 def study_report(setup, traces, conditioned):
     """PSRF/MPSRF series of a study's traces after the burn-in.
 
@@ -141,7 +118,8 @@ def study_report(setup, traces, conditioned):
     bookkeeping that nothing uses.
     """
     Q = setup.bundle.projector.Q if conditioned else None
-    return diagnose_traces(traces, setup.cfg.effective_burn_in, Q=Q)
+    return diagnostics_series(traces, burn_in=setup.cfg.effective_burn_in,
+                              Q=Q)
 
 
 def _study_label(conditioned):

@@ -9,6 +9,8 @@ series over a (chains, draws, parameters) matrix and the list of traces
 after a burn-in live here for the tests alone.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from condflow.diagnostics import (
@@ -156,6 +158,6 @@ def matrix_series(chains, checkpoints):
 
 def post_burn_in(traces, burn_in):
     """Every trace without its first ``burn_in`` draws, all held at once:
-    the list that :func:`condflow.study.diagnose_traces` cuts one trace at
+    what :func:`condflow.diagnostics.diagnostics_series` cuts one trace at
     a time."""
-    return [t.after_burn_in(burn_in) for t in traces]
+    return [replace(t, thetas=t.thetas[burn_in:]) for t in traces]

@@ -14,7 +14,8 @@ import condflow
 from condflow import study
 from condflow.cli import main
 from condflow.config import parse_config
-from condflow.diagnostics import read_report_csv, write_report_csv
+from condflow.diagnostics import (diagnostics_series, read_report_csv,
+                                  write_report_csv)
 from condflow.mcmc import read_trace_csv
 
 FAST_CFG = """\
@@ -152,7 +153,7 @@ def test_invert_and_diagnose(tmp_path, capsys):
 
 
 def test_diagnose_reproduces_the_reference_diagnostics(tmp_path):
-    # condflow diagnose, and study.diagnose_traces with the setup's
+    # condflow diagnose, and diagnostics_series with the setup's
     # nullspace basis, re-read a reference run's traces and write its
     # diagnostics byte for byte
     config = tmp_path / "study.cfg"
@@ -174,8 +175,8 @@ def test_diagnose_reproduces_the_reference_diagnostics(tmp_path):
     assert filecmp.cmp(tmp_path / "diag.dat", out / "diagnostics_uncond.dat",
                        shallow=False)
 
-    report = study.diagnose_traces(
-        map(read_trace_csv, traces("cond")), cfg.effective_burn_in,
+    report = diagnostics_series(
+        map(read_trace_csv, traces("cond")), burn_in=cfg.effective_burn_in,
         Q=study.build_setup(cfg).bundle.projector.Q)
     assert report.checkpoints
     write_report_csv(report, tmp_path / "cond.csv")
@@ -227,14 +228,16 @@ def test_diagnose_rejects_burn_in_outside_trace(tmp_path, capsys, burn_in):
     err = _diagnose_error(tmp_path, capsys, paths, "--burn-in", burn_in)
     # a negative burn-in is rejected before the trace length is known
     bound = "at least 0" if burn_in == "-5" else "in [0, 18]"
-    assert err.startswith(f"error:study:argument: burn-in must be {bound}")
+    assert err.startswith(
+        f"error:diagnostics:argument: burn-in must be {bound}")
 
 
 def test_diagnose_rejects_one_draw_traces(tmp_path, capsys):
     # no burn-in keeps 2 draws of a one-draw trace; the error says so
     paths = _write_traces(tmp_path, [(1, 2), (1, 2)])
     assert _diagnose_error(tmp_path, capsys, paths) == (
-        "error:study:argument: at least 2 draws are needed, got traces of 1")
+        "error:diagnostics:argument: at least 2 draws are needed, got "
+        "traces of 1")
 
 
 def _corrupt_trace(path, edits):
@@ -296,14 +299,15 @@ def test_diagnose_rejects_checkpoint_spacing_below_one(tmp_path, capsys,
     paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
     err = _diagnose_error(tmp_path, capsys, paths,
                           "--checkpoint-every", spacing)
-    assert err.startswith("error:study:argument: checkpoint spacing")
+    assert err.startswith("error:diagnostics:argument: checkpoint spacing")
 
 
 @pytest.mark.parametrize("options, n_traces, message", [
     (["--checkpoint-every", "0"], 2,
-     "error:study:argument: checkpoint spacing must be at least 1, got 0"),
+     "error:diagnostics:argument: checkpoint spacing must be at least 1, "
+     "got 0"),
     (["--burn-in", "-1"], 2,
-     "error:study:argument: burn-in must be at least 0, got -1"),
+     "error:diagnostics:argument: burn-in must be at least 0, got -1"),
     ([], 1, "error:diagnostics:argument: need at least 2 chains, got k=1"),
 ], ids=["spacing", "burn_in", "one_trace"])
 def test_diagnose_rejects_arguments_before_reading_traces(
@@ -413,8 +417,9 @@ def test_diagnose_rejects_different_parameter_counts(tmp_path, capsys):
 def test_diagnose_rejects_nan_in_one_trace(tmp_path, capsys):
     paths = _write_traces(tmp_path, [(20, 2), (20, 2), (20, 2)], nan_at=1)
     err = _diagnose_error(tmp_path, capsys, paths)
-    assert err.startswith("error:diagnostics:argument: chain matrix "
-                          "contains non-finite values")
+    # the NaN is in the second file: the error names it by its position
+    assert err == ("error:diagnostics:argument: trace 2 contains "
+                   "non-finite values")
 
 
 @pytest.mark.parametrize("header, body, message", [
@@ -505,7 +510,8 @@ def test_invert_rejects_burn_in_before_running(tmp_path, capsys):
         tmp_path, capsys, ["invert", "--out-dir", str(out)],
         lambda text: text.replace("mcmc.iterations = 80\nmcmc.burn_in = 10",
                                   "mcmc.iterations = 12\nmcmc.burn_in = 11"))
-    assert err.startswith("error:study:argument: burn-in must be in [0, 10]")
+    assert err.startswith(
+        "error:diagnostics:argument: burn-in must be in [0, 10]")
     assert not list(out.glob("trace_*.csv"))
 
 
@@ -515,7 +521,7 @@ def test_invert_rejects_burn_in_before_running(tmp_path, capsys):
     (["invert"], "seed = -3",
      "error:cli:argument: seed must be at least 0, got -3"),
     (["invert"], "mcmc.chains = 1\nmcmc.burn_in = -5",
-     "error:study:argument: burn-in must be at least 0, got -5"),
+     "error:diagnostics:argument: burn-in must be at least 0, got -5"),
 ], ids=["seed_reference", "seed_invert", "burn_in_invert"])
 def test_negative_seed_or_burn_in_fails_before_output(tmp_path, capsys, argv,
                                                       lines, message):

@@ -57,8 +57,11 @@ def test_nullspace_axis_aligned():
     assert P == pytest.approx(np.diag([0.0, 1.0]), abs=1e-14)
 
 
-def test_nullspace_zero_matrix():
-    proj = nullspace_basis(np.zeros((1, 3)))
+@pytest.mark.parametrize("shape", [(1, 3), (0, 3)],
+                         ids=["one_row", "no_rows"])
+def test_nullspace_zero_matrix(shape):
+    # no data constrains theta: N(A) is all of R^3
+    proj = nullspace_basis(np.zeros(shape))
     assert proj.rank == 0
     assert np.array_equal(proj.Q, np.eye(3))
 

@@ -211,7 +211,6 @@ def test_checkpoints_for(length, spacing, expected):
 def test_study_binds_the_checkpoint_rule():
     # the bench reads study.checkpoints_for
     assert study.checkpoints_for is diagnostics.checkpoints_for
-    assert study.CHECKPOINT_EVERY is diagnostics.CHECKPOINT_EVERY
 
 
 def test_series_identical_chains():
@@ -258,20 +257,63 @@ def test_series_length_mismatch():
 @pytest.mark.parametrize("traces, message", [
     ([], "need at least 2 chains, got k=0"),
     ([np.zeros((10, 2))], "need at least 2 chains, got k=1"),
-    ([np.zeros(10), np.zeros(10)],
-     "chain matrix must have shape (chains, draws, parameters)"),
+    ([np.zeros((10, 2)), np.zeros(10)],
+     "trace 2: draws must have shape (draws, parameters), got (10,)"),
     ([np.ones((10, 2)), np.ones((10, 2)), np.ones((9, 2)), np.ones((8, 3))],
      "trace shapes differ: [(9, 2), (10, 2)]"),
     ([np.ones((10, 2)), np.full((10, 2), np.nan)],
-     "chain matrix contains non-finite values"),
+     "trace 2 contains non-finite values"),
+    ([np.ones((0, 2)), np.ones((0, 2))],
+     "at least 2 draws are needed, got traces of 0"),
+    ([np.ones((1, 2)), np.ones((1, 2))],
+     "at least 2 draws are needed, got traces of 1"),
 ], ids=["no_trace", "one_trace", "one_dimensional", "third_differs",
-        "non_finite"])
+        "non_finite", "no_draws", "one_draw"])
 def test_series_rejects_traces_as_it_reads_them(traces, message):
     # the rules hold for a generator, which the series reads only once;
-    # a shape error names the first trace's shape and the offending one
+    # a shape error names the first trace's shape and the offending one,
+    # and other errors the offending trace by its position
     with pytest.raises(ArgumentError) as exc:
         diagnostics_series((FakeTrace(t) for t in traces), 5)
-    assert str(exc.value) == message
+    assert (exc.value.module, str(exc.value)) == ("diagnostics", message)
+
+
+def _unread():
+    """Traces that fail the test if the series pulls one."""
+    pytest.fail("a trace was read before the arguments were checked")
+    yield
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"burn_in": -1}, "burn-in must be at least 0, got -1"),
+    ({"spacing": 0}, "checkpoint spacing must be at least 1, got 0"),
+    ({"burn_in": -1, "spacing": 0}, "burn-in must be at least 0, got -1"),
+], ids=["burn_in", "spacing", "burn_in_first"])
+def test_series_checks_its_arguments_before_reading(options, message):
+    with pytest.raises(ArgumentError) as exc:
+        diagnostics_series(_unread(), **options)
+    assert (exc.value.module, str(exc.value)) == ("diagnostics", message)
+
+
+@pytest.mark.parametrize("traces", [[], iter([])], ids=["list", "iterator"])
+def test_series_rejects_an_empty_input(traces):
+    with pytest.raises(ArgumentError) as exc:
+        diagnostics_series(traces)
+    assert (exc.value.module, str(exc.value)) == (
+        "diagnostics", "need at least 2 chains, got k=0")
+
+
+def test_series_cuts_the_burn_in_and_maps_to_the_basis():
+    # the series of the cut, mapped traces, given whole, equals that of
+    # the traces cut and mapped beforehand
+    rng = np.random.default_rng(14)
+    chains = rng.standard_normal((3, 60, 4)) + rng.standard_normal((3, 1, 4))
+    Q = np.linalg.qr(rng.standard_normal((4, 2)))[0]
+    got = diagnostics_series([FakeTrace(c) for c in chains], 10,
+                             burn_in=15, Q=Q)
+    want = diagnostics_series([FakeTrace(c[15:] @ Q) for c in chains], 10)
+    assert got == want
+    assert got.checkpoints == [10, 20, 30, 40, 45]
 
 
 def test_report_csv_round_trip(tmp_path):

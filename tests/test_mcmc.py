@@ -28,7 +28,6 @@ from condflow.grid import ScalarField, chessboard_mask, make_grid
 from condflow.kle import solve_kle, synthesize_unconditioned
 from condflow.kriging import MeasurementSet, krige, snap_to_cells
 from condflow.mcmc import (
-    ChainTrace,
     LikelihoodParams,
     ModelBundle,
     _metropolis,
@@ -225,19 +224,6 @@ def test_trace_csv_round_trip(tmp_path):
     assert np.array_equal(back.fine_accepted, trace.fine_accepted)
     assert np.array_equal(back.loglik_fine, trace.loglik_fine)
     assert back.seed is None  # a trace CSV does not record its seed
-
-
-def test_trace_after_burn_in():
-    trace = ChainTrace(np.arange(12.0).reshape(6, 2),
-                       np.arange(6) % 2 == 0, np.arange(6) % 3 == 0,
-                       -np.arange(6.0), seed=5)
-    kept = trace.after_burn_in(4)
-    assert np.array_equal(kept.thetas, trace.thetas[4:])
-    assert np.array_equal(kept.coarse_accepted, [True, False])
-    assert np.array_equal(kept.fine_accepted, [False, False])
-    assert np.array_equal(kept.loglik_fine, [-4.0, -5.0])
-    assert (kept.iterations, kept.seed) == (2, 5)
-    assert trace.iterations == 6
 
 
 def test_run_study_needs_one_flag_per_seed():

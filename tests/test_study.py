@@ -11,12 +11,11 @@ import pytest
 from condflow.conditioning import build_data_matrix, project
 from condflow.config import StudyConfig
 from condflow.diagnostics import diagnostics_series
-from condflow.errors import ArgumentError, ParseError
+from condflow.errors import ParseError
 from condflow.mcmc import ChainTrace
 from condflow import kle, study
 from condflow.study import (
     build_setup,
-    diagnose_traces,
     run_one_study,
     run_reference_experiment,
     study_report,
@@ -89,14 +88,6 @@ def test_unconditioned_report_is_the_stored_theta_series(setup, thetas):
     assert got.checkpoints == want.checkpoints
     assert got.max_psrf == want.max_psrf
     assert got.mpsrf == want.mpsrf
-
-
-@pytest.mark.parametrize("traces", [[], iter([])], ids=["list", "iterator"])
-def test_diagnose_traces_rejects_an_empty_input(traces):
-    with pytest.raises(ArgumentError) as exc:
-        diagnose_traces(traces, 0)
-    assert (exc.value.module, str(exc.value)) == (
-        "diagnostics", "need at least 2 chains, got k=0")
 
 
 def test_conditioned_report_holds_one_projected_trace_at_a_time(setup):
