@@ -8,15 +8,14 @@ measurement cells, so the synthesized field honors the data exactly.
 An arbitrary i.i.d. normal theta is replaced by its orthogonal
 projection theta_hat = Q Q^T theta, the closest nullspace vector in the
 least-squares sense; Q holds an orthonormal nullspace basis obtained
-from the SVD of A.
+from the SVD of A, and is what `nullspace_basis` returns. A's rank is
+n minus Q's column count.
 
 The projection matrix P = Q Q^T is never materialized; Q is applied and
 then Q^T, which is the same operator.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +27,6 @@ _MOD = "conditioning"
 
 #: relative singular-value threshold for numerical rank detection
 RANK_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Orthonormal nullspace basis Q (n x (n-r)) and the rank r of A."""
-
-    Q: np.ndarray
-    rank: int
-
-    @property
-    def n(self):
-        return self.Q.shape[0]
 
 
 def check_measurement_count(m, n):
@@ -59,10 +46,10 @@ def build_data_matrix(basis, ms):
 
 
 def nullspace_basis(A):
-    """Orthonormal basis of N(A), for a data matrix A (m, n), from the
-    right singular vectors.
+    """Orthonormal basis Q (n, n - r) of N(A), for a data matrix A (m, n)
+    of rank r, from the right singular vectors.
 
-    Rank is the count of singular values above RANK_RTOL times the
+    The rank r is the count of singular values above RANK_RTOL times the
     largest; signs follow the KL basis's rule (the first entry within a
     relative 1e-8 of the column's largest magnitude is positive) for
     reproducibility. An A with no rows, or all zeros, yields the identity
@@ -70,22 +57,22 @@ def nullspace_basis(A):
     """
     _, svals, Vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(svals > RANK_RTOL * svals.max(initial=0.0)))
-    return Projector(_fix_signs(Vt[rank:].T), rank)
+    return _fix_signs(Vt[rank:].T)
 
 
-def project(theta, proj):
+def project(theta, Q):
     """Orthogonal projection theta_hat = Q (Q^T theta) onto N(A), of one
     theta or, row by row and bitwise as one at a time, of a stack."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1:] != (proj.n,):
+    if theta.shape[-1:] != Q.shape[:1]:
         raise ArgumentError(
-            f"theta has shape {theta.shape}, projector expects {proj.n}",
-            module=_MOD,
+            f"theta has shape {theta.shape}, nullspace basis Q has "
+            f"{Q.shape[0]} rows", module=_MOD,
         )
-    return (proj.Q @ (proj.Q.T @ theta[..., None]))[..., 0]
+    return (Q @ (Q.T @ theta[..., None]))[..., 0]
 
 
-def synthesize_conditioned(basis, kriged, theta, proj):
+def synthesize_conditioned(basis, kriged, theta, Q):
     """Kriged surface plus the KL synthesis of the projected theta, or
     the stack of these fields for a stack of thetas.
 
@@ -95,5 +82,5 @@ def synthesize_conditioned(basis, kriged, theta, proj):
     if kriged.grid != basis.grid:
         raise ArgumentError("kriged surface grid differs from basis grid",
                             module=_MOD)
-    return synthesize_unconditioned(basis, project(theta, proj),
+    return synthesize_unconditioned(basis, project(theta, Q),
                                     mean=kriged.values)

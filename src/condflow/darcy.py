@@ -160,7 +160,10 @@ def _lapack():
     is registered under its own name, so a later ``import scipy.linalg``
     finds it loaded and ``scipy.linalg.lapack.dpbsv``, a re-export, is
     the routine used here; if scipy.linalg was imported first, its
-    module is returned."""
+    module is returned. A module loaded here is not bound as an attribute
+    of the ``scipy.linalg`` package, so ``scipy.linalg._flapack`` raises
+    AttributeError; ``from scipy.linalg import _flapack``,
+    ``scipy.linalg.lapack`` and scipy's public API keep working."""
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:

@@ -33,7 +33,8 @@ within-chain variance, is skipped with a notice.
 
 :func:`diagnostics_series` is the one diagnosis of a set of traces, and
 every rule of one is stated here: the chain count, the burn-in, the
-checkpoint spacing, and each trace's shape and finiteness.
+checkpoint spacing, the shape of Q, and each trace's shape and
+finiteness.
 """
 
 from __future__ import annotations
@@ -184,9 +185,9 @@ class DiagnosticsReport:
 def diagnostics_series(traces, spacing=CHECKPOINT_EVERY, burn_in=0, Q=None):
     """Evaluate max PSRF and MPSRF over growing prefixes of the traces,
     each cut after its first ``burn_in`` draws (at least 2 must remain)
-    and, given a nullspace basis ``Q``, mapped to Q^T theta. The
-    checkpoints are :func:`checkpoints_for` of the first cut trace's
-    length and ``spacing``.
+    and, given a 2-D nullspace basis ``Q`` with a row per parameter,
+    mapped to Q^T theta. The checkpoints are :func:`checkpoints_for` of
+    the first cut trace's length and ``spacing``.
 
     ``traces`` is an iterable of at least 2 ChainTrace objects (or
     anything with a ``thetas`` array) of equal shape; an error names a
@@ -199,6 +200,9 @@ def diagnostics_series(traces, spacing=CHECKPOINT_EVERY, burn_in=0, Q=None):
     """
     check_burn_in(burn_in)
     check_checkpoint_spacing(spacing)
+    if Q is not None and np.ndim(Q) != 2:
+        raise ArgumentError(f"nullspace basis Q must be 2-D, got shape "
+                            f"{np.shape(Q)}", module=_MOD)
     shape, chains = None, []
     # no enumerate: its reused result tuple would keep the last trace
     # alive while the next one is read
@@ -209,6 +213,10 @@ def diagnostics_series(traces, spacing=CHECKPOINT_EVERY, burn_in=0, Q=None):
             raise ArgumentError(
                 f"trace {i}: draws must have shape (draws, parameters), "
                 f"got {thetas.shape}", module=_MOD)
+        if Q is not None and np.shape(Q)[0] != thetas.shape[1]:
+            raise ArgumentError(
+                f"trace {i}: {thetas.shape[1]} parameters, but Q has "
+                f"{np.shape(Q)[0]} rows", module=_MOD)
         check_burn_in(burn_in, len(thetas))
         thetas = thetas[burn_in:]
         if Q is not None:

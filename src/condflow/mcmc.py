@@ -87,7 +87,7 @@ class ModelBundle:
     ref_obs_fine: np.ndarray
     ref_obs_coarse: np.ndarray
     likelihood: LikelihoodParams
-    projector: conditioning.Projector
+    projector: np.ndarray  # nullspace basis Q of the data matrix
     kriged: ScalarField
 
     def __post_init__(self):

@@ -63,7 +63,7 @@ class StudySetup:
 
 
 def build_setup(cfg):
-    """Assemble grids, KL basis, kriging, projector, and reference data.
+    """Assemble grids, KL basis, kriging, nullspace basis Q and reference data.
 
     Both input CSVs are read before the covariance is factored, so bad
     input fails before the eigendecompositions."""
@@ -117,7 +117,7 @@ def study_report(setup, traces, conditioned):
     same MPSRF. The row-space part of a stored unprojected theta is
     bookkeeping that nothing uses.
     """
-    Q = setup.bundle.projector.Q if conditioned else None
+    Q = setup.bundle.projector if conditioned else None
     return diagnostics_series(traces, burn_in=setup.cfg.effective_burn_in,
                               Q=Q)
 

@@ -77,7 +77,7 @@ def test_criterion_1_data_honoring(setup):
 def test_criterion_2_projector_algebra(setup):
     bundle = setup.bundle
     A = build_data_matrix(bundle.basis, setup.measurements)
-    Q = bundle.projector.Q
+    Q = bundle.projector
     P = Q @ Q.T
     checks = {
         "P^2 - P": np.max(np.abs(P @ P - P)),
@@ -254,7 +254,7 @@ def test_criterion_9_conditioned_flat_likelihood_prior(single_component):
                       single_component=single_component)
     traces = run_study(cfg, bundle, [90 + c for c in range(32)])
     z = (np.concatenate([t.thetas[cfg.burn_in:] for t in traces])
-         @ bundle.projector.Q)
+         @ bundle.projector)
     mean_err = float(np.max(np.abs(z.mean(axis=0))))
     var_err = float(np.max(np.abs(z.var(axis=0) - 1.0)))
     ok = mean_err <= 0.05 and var_err <= 0.05
@@ -312,7 +312,7 @@ def test_criterion_10_two_stage_posterior(single_component):
     for conditioned, n_modes in ((False, 3), (True, 4)):
         bundle, _, _ = _small_bundle(sigma_c2=5e-4, sigma_f2=1e-3,
                                      n_modes=n_modes)
-        Q = bundle.projector.Q if conditioned else np.eye(n_modes)
+        Q = bundle.projector if conditioned else np.eye(n_modes)
 
         def log_density(z):
             fields = mcmc.synthesize(bundle, z @ Q.T, conditioned)

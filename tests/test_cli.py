@@ -177,7 +177,7 @@ def test_diagnose_reproduces_the_reference_diagnostics(tmp_path):
 
     report = diagnostics_series(
         map(read_trace_csv, traces("cond")), burn_in=cfg.effective_burn_in,
-        Q=study.build_setup(cfg).bundle.projector.Q)
+        Q=study.build_setup(cfg).bundle.projector)
     assert report.checkpoints
     write_report_csv(report, tmp_path / "cond.csv")
     assert filecmp.cmp(tmp_path / "cond.csv", out / "diagnostics_cond.csv",

@@ -288,7 +288,8 @@ def _unread():
     ({"burn_in": -1}, "burn-in must be at least 0, got -1"),
     ({"spacing": 0}, "checkpoint spacing must be at least 1, got 0"),
     ({"burn_in": -1, "spacing": 0}, "burn-in must be at least 0, got -1"),
-], ids=["burn_in", "spacing", "burn_in_first"])
+    ({"Q": np.ones(3)}, "nullspace basis Q must be 2-D, got shape (3,)"),
+], ids=["burn_in", "spacing", "burn_in_first", "one_dimensional_basis"])
 def test_series_checks_its_arguments_before_reading(options, message):
     with pytest.raises(ArgumentError) as exc:
         diagnostics_series(_unread(), **options)
@@ -301,6 +302,18 @@ def test_series_rejects_an_empty_input(traces):
         diagnostics_series(traces)
     assert (exc.value.module, str(exc.value)) == (
         "diagnostics", "need at least 2 chains, got k=0")
+
+
+@pytest.mark.parametrize("traces, message", [
+    ([np.ones((10, 3)), np.ones((10, 3))],
+     "trace 1: 3 parameters, but Q has 4 rows"),
+    ([np.ones((10, 4)), np.ones((10, 3))],
+     "trace 2: 3 parameters, but Q has 4 rows"),
+], ids=["first", "second"])
+def test_series_rejects_a_basis_of_the_wrong_rows(traces, message):
+    with pytest.raises(ArgumentError) as exc:
+        diagnostics_series((FakeTrace(t) for t in traces), 5, Q=np.ones((4, 2)))
+    assert (exc.value.module, str(exc.value)) == ("diagnostics", message)
 
 
 def test_series_cuts_the_burn_in_and_maps_to_the_basis():

@@ -100,7 +100,7 @@ def test_conditioned_report_holds_one_projected_trace_at_a_time(setup):
     long_run = replace(setup, cfg=replace(setup.cfg, chains=4,
                                           iterations=iterations,
                                           burn_in=burn_in))
-    n, free = setup.bundle.projector.Q.shape
+    n, free = setup.bundle.projector.shape
     rng = np.random.default_rng(13)
     flags = np.zeros(iterations, dtype=bool)
     traces = [ChainTrace(rng.standard_normal((iterations, n)), flags, flags,
@@ -201,7 +201,7 @@ def test_setup_and_traces_do_not_depend_on_blas_threads(tmp_path):
         "cfg = StudyConfig(chains=4, iterations=300, verbosity=0)\n"
         "setup = build_setup(cfg)\n"
         "traces, _ = sample_studies(setup, (False, True))\n"
-        "arrays = [setup.bundle.basis.phi, setup.bundle.projector.Q]\n"
+        "arrays = [setup.bundle.basis.phi, setup.bundle.projector]\n"
         "arrays += [t.thetas for ts in traces for t in ts]\n"
         "arrays += [t.loglik_fine for ts in traces for t in ts]\n"
         "for a in arrays:\n"
