@@ -93,7 +93,7 @@ def _read_theta(path, n):
 def cmd_solve(args):
     setup = _setup(args)
     field = (read_field_csv(args.field, setup.bundle.fine)
-             if args.field else setup.reference_field)
+             if args.field else setup.bundle.reference_field)
     out = study.output_dir(setup.cfg, args.out_dir)
     pressure = solve_pressure(field, setup.bundle.bc)
     write_field_csv(pressure, os.path.join(out, "pressure.csv"))

@@ -278,9 +278,6 @@ def read_report_csv(path):
     header, data = _read_csv(path, _MOD, header=True, empty=True)
     if header != "checkpoint,max_psrf,mpsrf":
         raise ParseError(f"{path}: not a diagnostics CSV", module=_MOD)
-    if data.size and data.shape[1] != 3:
-        raise ParseError(f"{path}: rows have {data.shape[1]} values, the "
-                         "header 3", module=_MOD)
-    checkpoints, max_psrf, mpsrf = data.reshape(-1, 3).T
+    checkpoints, max_psrf, mpsrf = data.T
     return DiagnosticsReport(checkpoints.astype(int).tolist(),
                              max_psrf.tolist(), mpsrf.tolist())

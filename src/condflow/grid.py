@@ -15,8 +15,8 @@ Conventions (fixed, documented here once):
     over the rows with comma delimiters and no comment character.
     Empty lines are skipped. Any malformed body (a bad token, a ragged
     row, no data rows) is a ``ParseError`` of the calling module that
-    names the file and loadtxt's row and column; each reader then checks
-    its header and shape.
+    names the file and loadtxt's row and column; rows must be as wide as
+    a header, and each reader then checks its header and shape.
 """
 
 from __future__ import annotations
@@ -140,9 +140,10 @@ def _read_csv(path, module, header=False, empty=False):
     """(header line or None, 2-D float array) of a CSV artifact.
 
     One ``np.loadtxt`` pass over the rows after the header; a malformed
-    body raises ``ParseError(module)`` naming the path. A file without
-    data rows is malformed unless ``empty`` (a report with no
-    checkpoints), in which case the array has no rows.
+    body, or rows whose width is not the header's, raises
+    ``ParseError(module)`` naming the path. A file without data rows is
+    malformed unless ``empty`` (a report with no checkpoints), in which
+    case the array has no rows.
     """
     head = None
     if header:
@@ -158,6 +159,12 @@ def _read_csv(path, module, header=False, empty=False):
                               ndmin=2, comments=None)
     except (ValueError, UserWarning) as exc:
         raise ParseError(f"{path}: {exc}", module=module) from exc
+    if header:
+        width = len(head.split(","))
+        if data.size and data.shape[1] != width:  # no rows: shape (0, 1)
+            raise ParseError(f"{path}: rows have {data.shape[1]} values, the "
+                             f"header {width}", module=module)
+        data = data.reshape(-1, width)
     return head, data
 
 

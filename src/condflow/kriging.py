@@ -106,7 +106,4 @@ def read_measurements_csv(path):
     if header.lower().replace(" ", "") != "x,y,value":
         raise ParseError(f"{path}:1: expected header 'x,y,value', got "
                          f"'{header}'", module=_MOD)
-    if data.shape[1] != 3:
-        raise ParseError(f"{path}: rows have {data.shape[1]} values, the "
-                         "header 3", module=_MOD)
     return MeasurementSet(data[:, :2], data[:, 2])

@@ -44,13 +44,14 @@ alone (see :mod:`condflow.darcy`).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import conditioning, darcy, kle
 from .errors import ArgumentError, CondflowError, ParseError
-from .grid import Grid2D, ObservationMask, ScalarField, _read_csv
+from .grid import (Grid2D, ObservationMask, ScalarField, _read_csv,
+                   chessboard_mask)
 
 _MOD = "mcmc"
 
@@ -73,30 +74,34 @@ class LikelihoodParams:
 class ModelBundle:
     """Everything a chain needs, all immutable and shareable.
 
-    ref_obs_fine / ref_obs_coarse are the reference pressure data,
-    observed through the chessboard masks of the respective grids; each
-    must have one value per cell of its mask.
+    The other six fields are derived: the basis's grid, the default
+    boundary conditions, each grid's chessboard mask, and the reference
+    field's data through the forward model that scores the proposals.
     """
 
     basis: kle.KLEBasis  # on the fine grid
-    fine: Grid2D
     coarse: Grid2D
-    bc: darcy.BoundaryConditions
-    fine_mask: ObservationMask
-    coarse_mask: ObservationMask
-    ref_obs_fine: np.ndarray
-    ref_obs_coarse: np.ndarray
+    reference_field: ScalarField  # on the fine grid
     likelihood: LikelihoodParams
     projector: np.ndarray  # nullspace basis Q of the data matrix
     kriged: ScalarField
+    fine: Grid2D = field(init=False)
+    bc: darcy.BoundaryConditions = field(init=False)
+    fine_mask: ObservationMask = field(init=False)
+    coarse_mask: ObservationMask = field(init=False)
+    ref_obs_fine: np.ndarray = field(init=False)
+    ref_obs_coarse: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for mask, ref in ((self.fine_mask, self.ref_obs_fine),
-                          (self.coarse_mask, self.ref_obs_coarse)):
-            if np.shape(ref) != mask.cells.shape:
-                raise ArgumentError(
-                    f"observation length mismatch: {np.shape(ref)} vs "
-                    f"{mask.cells.shape}", module=_MOD)
+        fine = self.basis.grid
+        for name, value in (("fine", fine), ("bc", darcy.BoundaryConditions()),
+                            ("fine_mask", chessboard_mask(fine)),
+                            ("coarse_mask", chessboard_mask(self.coarse))):
+            object.__setattr__(self, name, value)
+        # the observations read the grids, the conditions and the masks
+        for name, obs in (("ref_obs_fine", _fine_obs),
+                          ("ref_obs_coarse", _coarse_obs)):
+            object.__setattr__(self, name, obs(self.reference_field, self))
 
 
 @dataclass
@@ -177,6 +182,18 @@ def synthesize(bundle, thetas, conditioned):
     return kle.synthesize_unconditioned(bundle.basis, thetas)
 
 
+def _fine_obs(fields, bundle):
+    """Fine pressure observations of a field or a stack of fields."""
+    return darcy.observe_pressure(
+        darcy.solve_pressure(fields, bundle.bc), bundle.fine_mask)
+
+
+def _coarse_obs(fields, bundle):
+    """Coarse pressure observations of an upscaled field or stack."""
+    return darcy.observe_pressure(darcy.solve_pressure(
+        darcy.upscale(fields, bundle.coarse), bundle.bc), bundle.coarse_mask)
+
+
 def _coarse_step(thetas, studies, bundle):
     """Stack of the states' fine log-permeability fields and their coarse
     log-likelihoods; ``studies`` holds (conditioned flag, rows) pairs,
@@ -185,18 +202,15 @@ def _coarse_step(thetas, studies, bundle):
     for conditioned, rows in studies:
         values[rows] = synthesize(bundle, thetas[rows], conditioned).values
     fine_fields = ScalarField.of_checked(bundle.fine, values)
-    coarse_fields = darcy.upscale(fine_fields, bundle.coarse)
-    pc = darcy.solve_pressure(coarse_fields, bundle.bc)
-    return fine_fields, log_likelihood(
-        darcy.observe_pressure(pc, bundle.coarse_mask),
-        bundle.ref_obs_coarse, bundle.likelihood.sigma_c2)
+    return fine_fields, log_likelihood(_coarse_obs(fine_fields, bundle),
+                                       bundle.ref_obs_coarse,
+                                       bundle.likelihood.sigma_c2)
 
 
 def _fine_step(fine_fields, bundle):
     """Fine log-likelihoods of a stack of fine log-permeability fields."""
-    pf = darcy.solve_pressure(fine_fields, bundle.bc)
-    return log_likelihood(darcy.observe_pressure(pf, bundle.fine_mask),
-                          bundle.ref_obs_fine, bundle.likelihood.sigma_f2)
+    return log_likelihood(_fine_obs(fine_fields, bundle), bundle.ref_obs_fine,
+                          bundle.likelihood.sigma_f2)
 
 
 def run_chain(cfg, bundle):
@@ -301,9 +315,6 @@ def read_trace_csv(path):
     n = len(cols) - 4
     if n < 1 or cols[0] != "iteration" or cols[-1] != "loglik":
         raise ParseError(f"{path}: not a trace CSV", module=_MOD)
-    if data.shape[1] != len(cols):
-        raise ParseError(f"{path}: rows have {data.shape[1]} values, the "
-                         f"header {len(cols)}", module=_MOD)
     iteration, coarse, fine = data[:, 0], data[:, 1 + n], data[:, 2 + n]
     rules = (
         (iteration != np.arange(len(data)), "iterations must count 0, 1, "

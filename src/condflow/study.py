@@ -21,11 +21,13 @@ import numpy as np
 from . import __version__
 from .conditioning import build_data_matrix, nullspace_basis
 from .covariance import assemble_covariance
-from .darcy import BoundaryConditions, observe_pressure, solve_pressure, upscale
+# solve_pressure is bound here too: perfbench's
+# test_tracer_spans_every_binding_and_restores_it patches it in study
+from .darcy import solve_pressure
 # checkpoints_for is bound here too: perfbench/run.py reads it from study
 from .diagnostics import (checkpoints_for, diagnostics_series,
                           write_report_csv, write_report_dat)
-from .grid import chessboard_mask, make_grid, read_field_csv, write_field_pgm
+from .grid import make_grid, read_field_csv, write_field_pgm
 from .kle import solve_kle
 from .kriging import krige, read_measurements_csv
 from .mcmc import ModelBundle, run_study, synthesize, write_trace_csv
@@ -59,16 +61,15 @@ class StudySetup:
     cfg: object
     bundle: ModelBundle
     measurements: object
-    reference_field: object
 
 
 def build_setup(cfg):
-    """Assemble grids, KL basis, kriging, nullspace basis Q and reference data.
+    """Assemble grids, KL basis, kriging, nullspace basis Q and the model
+    bundle, which derives the reference data from the reference field.
 
     Both input CSVs are read before the covariance is factored, so bad
     input fails before the eigendecompositions."""
     fine = make_grid(cfg.fine_nx, cfg.fine_ny)
-    coarse = make_grid(cfg.coarse_nx, cfg.coarse_ny)
     ms = read_measurements_csv(cfg.measurements
                                or default_measurements_path())
     ref_path = cfg.reference_field or default_reference_field_path()
@@ -77,30 +78,15 @@ def build_setup(cfg):
     cov = assemble_covariance(fine, cfg.kernel)
     basis = solve_kle(cov, fine, cfg.n_terms, cfg.energy_threshold)
     kriged = krige(ms, cov, fine)
-    projector = nullspace_basis(build_data_matrix(basis, ms))
-
-    bc = BoundaryConditions()
-    fine_mask = chessboard_mask(fine)
-    coarse_mask = chessboard_mask(coarse)
-    ref_obs_fine = observe_pressure(solve_pressure(ref_field, bc), fine_mask)
-    ref_coarse = upscale(ref_field, coarse)
-    ref_obs_coarse = observe_pressure(solve_pressure(ref_coarse, bc),
-                                      coarse_mask)
-
     bundle = ModelBundle(
         basis=basis,
-        fine=fine,
-        coarse=coarse,
-        bc=bc,
-        fine_mask=fine_mask,
-        coarse_mask=coarse_mask,
-        ref_obs_fine=ref_obs_fine,
-        ref_obs_coarse=ref_obs_coarse,
+        coarse=make_grid(cfg.coarse_nx, cfg.coarse_ny),
+        reference_field=ref_field,
         likelihood=cfg.likelihood,
-        projector=projector,
+        projector=nullspace_basis(build_data_matrix(basis, ms)),
         kriged=kriged,
     )
-    return StudySetup(cfg, bundle, ms, ref_field)
+    return StudySetup(cfg, bundle, ms)
 
 
 def chain_seeds(cfg):
@@ -189,14 +175,13 @@ def run_one_study(setup, conditioned, out_dir):
 
 def write_acceptance_table(path, traces_by_label):
     """Acceptance-rate summary across studies, one row per chain."""
-    with open(path, "w") as fh:
-        fh.write("study,chain,coarse_rate,fine_rate,fine_rate_conditional\n")
-        for label, traces in traces_by_label.items():
-            for c, t in enumerate(traces):
-                fh.write(
-                    f"{label},{c + 1},{t.coarse_rate:.6f},"
-                    f"{t.fine_rate:.6f},{t.fine_rate_conditional:.6f}\n"
-                )
+    rows = [(label, c + 1, t.coarse_rate, t.fine_rate,
+             t.fine_rate_conditional)
+            for label, traces in traces_by_label.items()
+            for c, t in enumerate(traces)]
+    np.savetxt(path, np.array(rows, dtype=object),
+               fmt="%s,%d,%.6f,%.6f,%.6f", comments="",
+               header="study,chain,coarse_rate,fine_rate,fine_rate_conditional")
 
 
 def write_manifest(path, cfg, seeds, artifact_paths, timings=None):

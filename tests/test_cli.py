@@ -16,7 +16,7 @@ from condflow.cli import main
 from condflow.config import parse_config
 from condflow.diagnostics import (diagnostics_series, read_report_csv,
                                   write_report_csv)
-from condflow.mcmc import read_trace_csv
+from condflow.mcmc import read_trace_csv, write_trace_csv
 
 FAST_CFG = """\
 kle.n_terms = 12
@@ -78,10 +78,14 @@ def test_condition_wrong_theta_length(tmp_path, fast_config, capsys):
     assert err.startswith("error:cli:parse:")
 
 
-@pytest.mark.parametrize("text", ["", "# theta\n" + "0.5\n" * 12],
-                         ids=["empty", "comment_line"])
+@pytest.mark.parametrize("text, message", [
+    ("", "input contained no data"),
+    ("# theta\n" + "0.5\n" * 12, "could not convert string '# theta'"),
+    ("0.5,0.5\n" * 12, "expected one theta value per row, got 2"),
+], ids=["empty", "comment_line", "two_per_row"])
 def test_condition_theta_file_fails_with_one_parse_line(tmp_path, fast_config,
-                                                        capsys, text):
+                                                        capsys, text,
+                                                        message):
     # read like every other CSV: no comment character, and numpy's
     # empty-file warning is not printed before the error line
     theta = tmp_path / "theta.csv"
@@ -93,6 +97,7 @@ def test_condition_theta_file_fails_with_one_parse_line(tmp_path, fast_config,
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error:cli:parse:")
+    assert message in err[0]
     assert [str(w.message) for w in caught] == []
 
 
@@ -182,6 +187,27 @@ def test_diagnose_reproduces_the_reference_diagnostics(tmp_path):
     write_report_csv(report, tmp_path / "cond.csv")
     assert filecmp.cmp(tmp_path / "cond.csv", out / "diagnostics_cond.csv",
                        shallow=False)
+
+
+@pytest.mark.parametrize("still", [0, 6], ids=["moving", "still_start"])
+def test_diagnose_prints_one_notice_per_skipped_checkpoint(tmp_path, capsys,
+                                                           still):
+    # checkpoint 1 has too few draws; a chain that holds its first state
+    # for ``still`` draws has no within-chain variance until it moves
+    paths = _write_traces(tmp_path, [(30, 2), (30, 2)])
+    first = read_trace_csv(paths[0])
+    first.thetas[:still] = first.thetas[0]
+    write_trace_csv(first, paths[0])
+    out = tmp_path / "d.csv"
+    assert main(["diagnose", *paths, "--out", str(out),
+                 "--checkpoint-every", "1"]) == 0
+    notices = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("notice: ")]
+    written = read_report_csv(out).checkpoints
+    skipped = [c for c in range(1, 31) if c not in written]
+    assert len(skipped) == max(1, still)
+    assert [int(re.match(r"notice: checkpoint (\d+): ", n)[1])
+            for n in notices] == skipped
 
 
 def test_diagnose_single_trace_errors(tmp_path, fast_config, capsys):
@@ -631,6 +657,19 @@ def test_krige_rejects_measurement_outside_unit_square(tmp_path, capsys,
                         lambda text: text + "paths.measurements = ms.csv\n")
     assert err == ("error:kriging:argument: measurement 2 lies outside the "
                    "unit square [0, 1]^2")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["nan,0.5,1.0", "0.5,0.5,nan"],
+                         ids=["location", "value"])
+def test_krige_rejects_non_finite_measurement(tmp_path, capsys, monkeypatch,
+                                              row):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ms.csv").write_text(f"x,y,value\n0.25,0.25,1.0\n{row}\n")
+    out = tmp_path / "out"
+    err = _config_error(tmp_path, capsys, ["krige", "--out-dir", str(out)],
+                        lambda text: text + "paths.measurements = ms.csv\n")
+    assert err == "error:kriging:argument: non-finite measurement data"
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ from condflow.conditioning import (
     synthesize_conditioned,
 )
 from condflow.errors import ArgumentError
-from condflow.grid import make_grid
+from condflow.grid import ScalarField, make_grid
 from condflow.kle import KLEBasis, synthesize_unconditioned
 from condflow.kriging import MeasurementSet, krige, snap_to_cells
 from oracles import cell_centers
@@ -120,6 +120,15 @@ def test_conditioned_zero_theta_is_kriged(basis20, kriged, reference_projector):
     fld = synthesize_conditioned(basis20, kriged, np.zeros(20),
                                  reference_projector)
     assert np.array_equal(fld.values, kriged.values)
+
+
+def test_conditioned_synthesis_rejects_kriging_on_another_grid(
+        basis20, reference_projector):
+    kriged = ScalarField(make_grid(8, 8), np.zeros(64))
+    with pytest.raises(ArgumentError,
+                       match="kriged surface grid differs from basis grid"):
+        synthesize_conditioned(basis20, kriged, np.zeros(20),
+                               reference_projector)
 
 
 def test_honoring_1000_draws(basis20, kriged, reference_projector, measurements,

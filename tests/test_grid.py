@@ -7,6 +7,7 @@ import pytest
 
 from condflow.errors import ArgumentError, ParseError
 from condflow.grid import (
+    ObservationMask,
     ScalarField,
     _read_csv,
     chessboard_mask,
@@ -71,6 +72,13 @@ def test_chessboard_ceil_property():
         nx, ny = rng.integers(1, 30, size=2)
         g = make_grid(nx, ny)
         assert chessboard_mask(g).cells.size == math.ceil(g.n_cells / 2)
+
+
+@pytest.mark.parametrize("cells", [[-1], [0, 4], [[0, 1]]],
+                         ids=["negative", "past_the_end", "two_dimensional"])
+def test_observation_mask_rejects_cells_out_of_range(cells):
+    with pytest.raises(ArgumentError, match="mask cell indices out of range"):
+        ObservationMask(make_grid(2, 2), np.array(cells))
 
 
 def test_csv_round_trip(tmp_path):

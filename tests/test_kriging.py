@@ -124,6 +124,17 @@ def test_location_outside_unit_square_rejected(loc):
         MeasurementSet(np.array([[0.5, 0.5], loc]), np.ones(2))
 
 
+@pytest.mark.parametrize("locations, values, message", [
+    (np.zeros((2, 3)), np.ones(2), r"locations must be an \(m, 2\) array"),
+    (np.zeros((0, 2)), np.ones(0), r"locations must be an \(m, 2\) array"),
+    (np.full((2, 2), 0.5), np.ones(3), "2 locations but 3 values"),
+], ids=["three_columns", "no_rows", "value_count"])
+def test_measurement_set_rejects_mismatched_shapes(locations, values,
+                                                   message):
+    with pytest.raises(ArgumentError, match=message):
+        MeasurementSet(locations, values)
+
+
 def test_snap_collision(fine_grid):
     ms = MeasurementSet(np.array([[0.5, 0.5], [0.51, 0.51]]),
                         np.array([1.0, 2.0]))

@@ -28,6 +28,7 @@ from condflow.grid import ScalarField, chessboard_mask, make_grid
 from condflow.kle import solve_kle, synthesize_unconditioned
 from condflow.kriging import MeasurementSet, krige, snap_to_cells
 from condflow.mcmc import (
+    ChainTrace,
     LikelihoodParams,
     ModelBundle,
     _metropolis,
@@ -54,12 +55,7 @@ def _small_bundle(sigma_c2=5e-3, sigma_f2=1e-4, n_modes=6, ref_seed=9):
                                            np.zeros(2)), fine)])
     kriged = krige(ms, cov, fine)
     projector = nullspace_basis(build_data_matrix(basis, ms))
-    bc = BoundaryConditions()
-    fm, cm = chessboard_mask(fine), chessboard_mask(coarse)
-    rof = observe_pressure(solve_pressure(ref, bc), fm)
-    roc = observe_pressure(
-        solve_pressure(upscale(ref, coarse), bc), cm)
-    bundle = ModelBundle(basis, fine, coarse, bc, fm, cm, rof, roc,
+    bundle = ModelBundle(basis, coarse, ref,
                          LikelihoodParams(sigma_c2, sigma_f2),
                          projector, kriged)
     return bundle, ms, ref
@@ -231,6 +227,18 @@ def test_run_study_needs_one_flag_per_seed():
     with pytest.raises(ArgumentError, match="one conditioned flag per seed"):
         run_study(StudyConfig(iterations=5), bundle, [1, 2],
                   conditioned=[True])
+
+
+def test_run_study_needs_a_seed():
+    bundle, _, _ = _small_bundle()
+    with pytest.raises(ArgumentError, match="need at least one seed"):
+        run_study(StudyConfig(iterations=5), bundle, [])
+
+
+def test_fine_rate_conditional_without_coarse_acceptance_is_zero():
+    none = np.zeros(4, dtype=bool)
+    trace = ChainTrace(np.zeros((4, 2)), none, none, np.zeros(4), 1)
+    assert trace.fine_rate_conditional == 0.0
 
 
 def test_chain_config_validation():
@@ -428,12 +436,24 @@ def test_singular_upscaling_is_a_forward_failure(monkeypatch):
     assert info.value.__cause__.code == "singular"
 
 
-def test_bundle_rejects_reference_data_of_the_wrong_length():
-    bundle, _, _ = _small_bundle()
-    for field in ("ref_obs_fine", "ref_obs_coarse"):
-        short = getattr(bundle, field)[:-1]
-        with pytest.raises(ArgumentError, match="observation length"):
-            replace(bundle, **{field: short})
+def test_bundle_derives_its_reference_data_from_the_reference_field():
+    # the forward model written out from the public darcy calls
+    bundle, _, ref = _small_bundle()
+    fine, coarse, bc = make_grid(4, 4), make_grid(2, 2), BoundaryConditions()
+    fine_mask, coarse_mask = chessboard_mask(fine), chessboard_mask(coarse)
+    ref_obs_fine = observe_pressure(solve_pressure(ref, bc), fine_mask)
+    ref_obs_coarse = observe_pressure(
+        solve_pressure(upscale(ref, coarse), bc), coarse_mask)
+    assert (bundle.fine, bundle.bc) == (fine, bc)
+    assert np.array_equal(bundle.fine_mask.cells, fine_mask.cells)
+    assert np.array_equal(bundle.coarse_mask.cells, coarse_mask.cells)
+    assert bundle.ref_obs_fine.tobytes() == ref_obs_fine.tobytes()
+    assert bundle.ref_obs_coarse.tobytes() == ref_obs_coarse.tobytes()
+    # the derived fields are not arguments, so replace refuses them too
+    for name in ("fine", "bc", "fine_mask", "coarse_mask", "ref_obs_fine",
+                 "ref_obs_coarse"):
+        with pytest.raises(ValueError, match="init=False"):
+            replace(bundle, **{name: getattr(bundle, name)})
 
 
 def test_stacked_logliks_equal_single_logliks():
