@@ -37,10 +37,13 @@ class KernelParams:
     ly: float
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.sigma2, self.lx, self.ly)):
+        # the kernel divides by the squared lengths
+        lengths2 = (self.lx * self.lx, self.ly * self.ly)
+        if not all(0 < v < np.inf for v in (self.sigma2, self.lx, self.ly,
+                                             *lengths2)):
             raise ArgumentError(
-                "kernel parameters must be positive and finite "
-                f"(sigma2={self.sigma2}, lx={self.lx}, ly={self.ly})",
+                "kernel parameters and squared lengths must be positive and "
+                f"finite (sigma2={self.sigma2}, lx={self.lx}, ly={self.ly})",
                 module=_MOD,
             )
 

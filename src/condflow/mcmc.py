@@ -19,11 +19,11 @@ likelihood ratios:
     alpha_c = min(1, exp(llc_p - llc))
     alpha_f = min(1, exp((llf_p - llf) - (llc_p - llc)))
 
-A chain reads beta, the iteration count, the conditioned flag and the
-single-component flag from the study's
-:class:`condflow.config.StudyConfig`, which has validated them. Its
-state is the unprojected theta; a conditioned chain projects it only to
-synthesize its field.
+A chain reads beta, the iteration count and the single-component flag
+from the study's :class:`condflow.config.StudyConfig`, which has
+validated them, and its seed from :func:`chain_seeds`. Its state is the
+unprojected theta; a conditioned chain projects it only to synthesize
+its field.
 
 The trace records the fine-scale accepted theta per iteration, repeating
 the previous state on rejection, which is exactly what the convergence
@@ -32,24 +32,24 @@ diagnostics consume.
 A study's chains advance in lockstep, one iteration at a time: each
 forward layer (KL synthesis, upscaling, coarse solve, and the fine solve
 of the chains whose proposal passed the coarse stage) runs once per
-iteration on the stack of all chains' states or fields, of both studies
-when run together (:func:`synthesize` makes each study's rows). One
-:func:`log_likelihood` call scores a stack, each row bitwise what it
-gives the chain's own observations. Each chain draws from its
-own generator in its own order (proposal, coarse uniform, fine uniform),
-so a chain's random stream and trace are exactly those of the chain run
-alone (see :mod:`condflow.darcy`).
+iteration on the stack of all chains' states or fields, of every study
+:func:`run_study` is given, study after study (:func:`synthesize` makes
+each study's rows). One :func:`log_likelihood` call scores a stack, each
+row bitwise what it gives the chain's own observations. Each chain draws
+from its own generator in its own order (proposal, coarse uniform, fine
+uniform), so a chain's random stream and trace are exactly those of the
+chain run alone (see :mod:`condflow.darcy`).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import conditioning, darcy, kle
-from .errors import ArgumentError, CondflowError, ParseError
+from .errors import (ArgumentError, CondflowError, NumericalError,
+                     ParseError)
 from .grid import (Grid2D, ObservationMask, ScalarField, _read_csv,
                    chessboard_mask)
 
@@ -70,7 +70,7 @@ class LikelihoodParams:
                                 f"sigma_f2={self.sigma_f2})", module=_MOD)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelBundle:
     """Everything a chain needs, all immutable and shareable.
 
@@ -213,46 +213,50 @@ def _fine_step(fine_fields, bundle):
                           bundle.likelihood.sigma_f2)
 
 
+def chain_seeds(cfg):
+    """The seed of each of a study's ``cfg.chains`` chains, the same in
+    every study: chain c is seeded with ``cfg.seed + c``."""
+    return [cfg.seed + c for c in range(cfg.chains)]
+
+
 def run_chain(cfg, bundle):
     """Run one two-stage chain, seeded with ``cfg.seed``, and return its
-    trace: the one-seed case of :func:`run_study`. ``cfg`` is a
+    trace: the one-chain case of :func:`run_study`. ``cfg`` is a
     :class:`condflow.config.StudyConfig`.
     """
-    return run_study(cfg, bundle, [cfg.seed])[0]
+    return run_study(replace(cfg, chains=1), bundle)[0][0]
 
 
-def run_study(base_cfg, bundle, seeds, conditioned=None):
-    """Run one independent chain per seed and return the traces in seed
-    order.
+def _forward_failed(exc, where):
+    return CondflowError(f"forward solve failed {where}: {exc}",
+                         module=_MOD, code="forward")
 
-    ``base_cfg`` is a :class:`condflow.config.StudyConfig`; the chains
-    read its beta, iterations, conditioned and single_component fields,
-    and the seeds replace its seed and chain count. ``conditioned``, one
-    flag per seed, replaces the config's flag chain by chain, so both
-    studies' chains share one stack.
 
-    The chains advance in lockstep, and each forward layer runs once per
-    iteration on the stack of their fields; each proposal's forward model
-    is evaluated once, the fine step solving the coarse step's fields of
-    the chains whose proposal passed it.
-    Every chain has its own generator, seeded with its seed, and draws
-    from it in the order of a chain run alone, its initial state first,
-    so its trace is that of ``run_study`` over its seed and flag only.
+def run_study(cfg, bundle, studies=None):
+    """Run ``cfg.chains`` chains for each study, one conditioned flag
+    each (``(cfg.conditioned,)`` by default), and return each study's
+    traces in chain order. The chains read ``cfg``'s beta, iterations
+    and single_component, and chain c of every study is seeded with
+    ``chain_seeds(cfg)[c]``.
+
+    All chains advance in lockstep in one stack, study after study, and
+    each forward layer runs once per iteration on the stack of their
+    fields; each proposal's forward model is evaluated once, the fine
+    step solving the coarse step's fields of the chains whose proposal
+    passed it. Every chain draws from its own generator in the order of
+    a chain run alone, its initial state first, so its trace is that of
+    its study run alone. An initial state whose log-likelihood is not
+    finite can never be left, so it fails.
     """
-    seeds = list(seeds)
-    m, n, iters = len(seeds), bundle.basis.n, base_cfg.iterations
-    if m < 1:
-        raise ArgumentError("need at least one seed", module=_MOD)
-    flags = ([base_cfg.conditioned] * m if conditioned is None
-             else [bool(f) for f in conditioned])
-    if len(flags) != m:
-        raise ArgumentError("need one conditioned flag per seed",
-                            module=_MOD)
-    if len(set(zip(seeds, flags))) != m:
-        warnings.warn("duplicate chain seeds: chains will be identical",
-                      stacklevel=2)
-    studies = [(f, np.flatnonzero(np.equal(flags, f))) for f in set(flags)]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    studies = (cfg.conditioned,) if studies is None else tuple(studies)
+    if not studies:
+        raise ArgumentError("need at least one study", module=_MOD)
+    seeds = chain_seeds(cfg)
+    k, n, iters = len(seeds), bundle.basis.n, cfg.iterations
+    m = k * len(studies)
+    blocks = [(flag, slice(s * k, (s + 1) * k))
+              for s, flag in enumerate(studies)]
+    rngs = [np.random.default_rng(seed) for _ in studies for seed in seeds]
     state = np.array([rng.standard_normal(n) for rng in rngs])
 
     thetas = np.empty((m, iters, n))
@@ -260,15 +264,25 @@ def run_study(base_cfg, bundle, seeds, conditioned=None):
     fine_acc = np.zeros((m, iters), dtype=bool)
     logliks = np.empty((m, iters))
 
-    it = None
     try:
-        fields, llc = _coarse_step(state, studies, bundle)
+        fields, llc = _coarse_step(state, blocks, bundle)
         llf = _fine_step(fields, bundle)
+    except CondflowError as exc:
+        raise _forward_failed(exc, "for the initial state") from exc
+    stuck = np.flatnonzero(~(np.isfinite(llc) & np.isfinite(llf)))
+    if stuck.size:
+        c = stuck[0]
+        raise NumericalError(
+            f"the initial state of chain {c % k + 1} (seed {seeds[c % k]}) "
+            f"has log-likelihoods coarse {llc[c]:g}, fine {llf[c]:g}; a "
+            "chain cannot leave a state whose likelihood is not finite",
+            module=_MOD, code="likelihood")
+    try:
         for it in range(iters):
-            props = np.array([rws_propose(theta, base_cfg.beta, rng,
-                                          base_cfg.single_component)
+            props = np.array([rws_propose(theta, cfg.beta, rng,
+                                          cfg.single_component)
                               for theta, rng in zip(state, rngs)])
-            fields_p, llc_p = _coarse_step(props, studies, bundle)
+            fields_p, llc_p = _coarse_step(props, blocks, bundle)
             passed = [c for c in range(m)
                       if rngs[c].random() < _metropolis(llc_p[c] - llc[c])]
             coarse_acc[passed, it] = True
@@ -284,13 +298,11 @@ def run_study(base_cfg, bundle, seeds, conditioned=None):
             thetas[:, it] = state
             logliks[:, it] = llf
     except CondflowError as exc:
-        where = "for the initial state" if it is None else f"at iteration {it}"
-        raise CondflowError(f"forward solve failed {where}: {exc}",
-                            module=_MOD, code="forward") from exc
+        raise _forward_failed(exc, f"at iteration {it}") from exc
 
-    return [ChainTrace(thetas[c], coarse_acc[c], fine_acc[c], logliks[c],
-                       seed)
-            for c, seed in enumerate(seeds)]
+    return [[ChainTrace(thetas[r], coarse_acc[r], fine_acc[r], logliks[r],
+                        seed) for r, seed in zip(range(m)[rows], seeds)]
+            for _, rows in blocks]
 
 
 def write_trace_csv(trace, path):

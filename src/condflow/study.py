@@ -30,7 +30,8 @@ from .diagnostics import (checkpoints_for, diagnostics_series,
 from .grid import make_grid, read_field_csv, write_field_pgm
 from .kle import solve_kle
 from .kriging import krige, read_measurements_csv
-from .mcmc import ModelBundle, run_study, synthesize, write_trace_csv
+from .mcmc import (ModelBundle, chain_seeds, run_study, synthesize,
+                   write_trace_csv)
 
 
 def _packaged(name):
@@ -89,11 +90,6 @@ def build_setup(cfg):
     return StudySetup(cfg, bundle, ms)
 
 
-def chain_seeds(cfg):
-    """Distinct per-chain seeds; both studies reuse the same list."""
-    return [cfg.seed + c for c in range(cfg.chains)]
-
-
 def study_report(setup, traces, conditioned):
     """PSRF/MPSRF series of a study's traces after the burn-in.
 
@@ -116,16 +112,13 @@ def sample_studies(setup, studies):
     """Sample the chains of the studies, one conditioned flag each, in one
     lockstep stack with shared seeds: (traces per study, seconds)."""
     cfg = setup.cfg
-    seeds = chain_seeds(cfg)
     t0 = time.perf_counter()
-    traces = run_study(cfg, setup.bundle, seeds * len(studies),
-                       conditioned=[flag for flag in studies for _ in seeds])
+    traces = run_study(cfg, setup.bundle, studies)
     elapsed = time.perf_counter() - t0
     if cfg.verbosity:
-        print(f"{len(traces)} chains x {cfg.iterations} iterations in "
-              f"{elapsed:.1f}s")
-    k = len(seeds)
-    return [traces[i * k:(i + 1) * k] for i in range(len(studies))], elapsed
+        print(f"{cfg.chains * len(studies)} chains x {cfg.iterations} "
+              f"iterations in {elapsed:.1f}s")
+    return traces, elapsed
 
 
 def write_study(setup, traces, conditioned, out_dir):

@@ -208,8 +208,9 @@ def test_criterion_7_flat_likelihood_prior():
     from test_mcmc import _small_bundle
 
     bundle, _, _ = _small_bundle(sigma_c2=1e12, sigma_f2=1e12, n_modes=6)
-    cfg = StudyConfig(iterations=3125, single_component=False)
-    traces = run_study(cfg, bundle, [7 + c for c in range(32)])
+    cfg = StudyConfig(iterations=3125, single_component=False, seed=7,
+                      chains=32)
+    (traces,) = run_study(cfg, bundle)
     thetas = np.concatenate([t.thetas for t in traces])
     mean_err = float(np.max(np.abs(thetas.mean(axis=0))))
     var_err = float(np.max(np.abs(thetas.var(axis=0) - 1.0)))
@@ -251,8 +252,8 @@ def test_criterion_9_conditioned_flat_likelihood_prior(single_component):
 
     bundle, _, _ = _small_bundle(sigma_c2=1e12, sigma_f2=1e12, n_modes=6)
     cfg = StudyConfig(iterations=3000, burn_in=500, conditioned=True,
-                      single_component=single_component)
-    traces = run_study(cfg, bundle, [90 + c for c in range(32)])
+                      single_component=single_component, seed=90, chains=32)
+    (traces,) = run_study(cfg, bundle)
     z = (np.concatenate([t.thetas[cfg.burn_in:] for t in traces])
          @ bundle.projector)
     mean_err = float(np.max(np.abs(z.mean(axis=0))))
@@ -307,7 +308,6 @@ def test_criterion_10_two_stage_posterior(single_component):
     # error.
     from test_mcmc import _small_bundle
 
-    seeds = [300 + c for c in range(32)]
     worst, parts = 0.0, []
     for conditioned, n_modes in ((False, 3), (True, 4)):
         bundle, _, _ = _small_bundle(sigma_c2=5e-4, sigma_f2=1e-3,
@@ -322,13 +322,14 @@ def test_criterion_10_two_stage_posterior(single_component):
         mean, var = _posterior_moments(log_density, Q.shape[1])
         cfg = StudyConfig(iterations=4000, burn_in=500,
                           conditioned=conditioned,
-                          single_component=single_component)
-        traces = run_study(cfg, bundle, seeds)
+                          single_component=single_component, seed=300,
+                          chains=32)
+        (traces,) = run_study(cfg, bundle)
         z = np.array([t.thetas[cfg.burn_in:] for t in traces]) @ Q
         zs = []
         for per_chain, target in ((z.mean(axis=1), mean),
                                   (((z - mean) ** 2).mean(axis=1), var)):
-            se = per_chain.std(axis=0, ddof=1) / np.sqrt(len(seeds))
+            se = per_chain.std(axis=0, ddof=1) / np.sqrt(cfg.chains)
             zs.append(np.abs(per_chain.mean(axis=0) - target) / se)
         case_worst = float(np.max(zs))
         worst = max(worst, case_worst)

@@ -563,18 +563,41 @@ def test_negative_seed_or_burn_in_fails_before_output(tmp_path, capsys, argv,
     ("kernel.sigma2 = nan", "covariance"), ("kernel.lx = nan", "covariance"),
     ("kernel.ly = nan", "covariance"), ("kernel.sigma2 = inf", "covariance"),
     ("mcmc.sigma_f2 = nan", "mcmc"), ("mcmc.sigma_c2 = nan", "mcmc"),
+    ("kernel.lx = 1e200", "covariance"), ("kernel.ly = 1e-300", "covariance"),
 ])
 @pytest.mark.parametrize("argv", [["invert"], ["reference"]],
                          ids=lambda argv: argv[0])
 def test_non_finite_parameter_fails_before_output(tmp_path, capsys, argv,
                                                   line, module):
     # NaN and inf are rejected with the other bad values, before the
-    # kernel reaches LAPACK or a precision reaches the sampler
+    # kernel reaches LAPACK or a precision reaches the sampler; so are
+    # lengths whose square, which the kernel divides by, is inf (a bare
+    # OverflowError once) or 0 (a NaN kernel that LAPACK's SVD could not
+    # converge on)
     out = tmp_path / "out"
     err = _config_error(tmp_path, capsys, [*argv, "--out-dir", str(out)],
                         lambda text: _set(text, line))
     assert err.startswith(f"error:{module}:argument:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, logliks", [
+    ("mcmc.sigma_c2", "coarse -inf, fine "), ("mcmc.sigma_f2", ", fine -inf;"),
+], ids=["coarse", "fine"])
+def test_invert_fails_on_an_initial_state_of_likelihood_zero(
+        tmp_path, capsys, key, logliks):
+    # a precision of 1e-320 is positive and finite, but every residual
+    # overflows its log-likelihood to -inf; no proposal is accepted from
+    # a state of likelihood 0, so the chains would never move
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        err = _config_error(tmp_path, capsys,
+                            ["invert", "--out-dir", str(out)],
+                            lambda text: _set(text, f"{key} = 1e-320"))
+    assert err.startswith("error:mcmc:likelihood: the initial state of "
+                          "chain 1 (seed 2023) has log-likelihoods ")
+    assert logliks in err
+    assert not list(out.glob("trace_*.csv"))
 
 
 @pytest.mark.parametrize("line, module", [("kernel.lx = 0", "covariance"),

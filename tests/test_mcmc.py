@@ -32,6 +32,7 @@ from condflow.mcmc import (
     LikelihoodParams,
     ModelBundle,
     _metropolis,
+    chain_seeds,
     log_likelihood,
     read_trace_csv,
     run_chain,
@@ -180,32 +181,29 @@ def test_reproducibility():
     assert np.array_equal(t1.loglik_fine, t2.loglik_fine)
 
 
-def test_run_study_duplicate_seed_warns():
-    bundle, _, _ = _small_bundle()
-    cfg = StudyConfig(iterations=20, seed=0)
-    with pytest.warns(UserWarning, match="duplicate"):
-        traces = run_study(cfg, bundle, [7, 7])
-    assert np.array_equal(traces[0].thetas, traces[1].thetas)
-    # one seed twice in the same study of a joint stack still warns
-    with pytest.warns(UserWarning, match="duplicate"):
-        run_study(cfg, bundle, [7, 7, 7], conditioned=[False, False, True])
-
-
-def test_run_study_paired_seeds_across_studies_do_not_warn():
-    bundle, _, _ = _small_bundle()
-    cfg = StudyConfig(iterations=20, seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        run_study(cfg, bundle, [7, 8, 7, 8],
-                  conditioned=[False, False, True, True])
-
-
 def test_run_study_single_and_multi():
     bundle, _, _ = _small_bundle()
-    cfg = StudyConfig(iterations=20, seed=0)
-    assert len(run_study(cfg, bundle, [1])) == 1
-    traces = run_study(cfg, bundle, [1, 2, 3, 4])
+    cfg = StudyConfig(iterations=20, seed=1)
+    (traces,) = run_study(replace(cfg, chains=1), bundle)
+    assert len(traces) == 1
+    (traces,) = run_study(replace(cfg, chains=4), bundle)
     assert len(traces) == 4
+
+
+def test_run_study_seeds_chain_c_of_every_study_alike():
+    # chain c of each study is seeded with chain_seeds(cfg)[c], and its
+    # trace is that of one chain run alone with that seed
+    bundle, _, _ = _small_bundle()
+    cfg = StudyConfig(beta=0.3, iterations=20, seed=40, chains=3)
+    assert chain_seeds(cfg) == [40, 41, 42]
+    for flag, traces in zip((False, True), run_study(cfg, bundle,
+                                                     (False, True))):
+        assert [t.seed for t in traces] == chain_seeds(cfg)
+        for trace in traces:
+            alone = run_chain(replace(cfg, seed=trace.seed, conditioned=flag),
+                              bundle)
+            assert np.array_equal(trace.thetas, alone.thetas)
+            assert np.array_equal(trace.loglik_fine, alone.loglik_fine)
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -222,16 +220,10 @@ def test_trace_csv_round_trip(tmp_path):
     assert back.seed is None  # a trace CSV does not record its seed
 
 
-def test_run_study_needs_one_flag_per_seed():
-    bundle, _, _ = _small_bundle()
-    with pytest.raises(ArgumentError, match="one conditioned flag per seed"):
-        run_study(StudyConfig(iterations=5), bundle, [1, 2],
-                  conditioned=[True])
-
-
 def test_run_study_needs_a_seed():
+    # every study is seeded from the config; no study gives no chain
     bundle, _, _ = _small_bundle()
-    with pytest.raises(ArgumentError, match="need at least one seed"):
+    with pytest.raises(ArgumentError, match="need at least one study"):
         run_study(StudyConfig(iterations=5), bundle, [])
 
 
@@ -323,9 +315,9 @@ def test_run_chain_matches_reference_loop(conditioned, single_component):
 def test_run_study_matches_reference_loop(conditioned, single_component):
     bundle, _, _ = _small_bundle()
     cfg = StudyConfig(beta=0.3, iterations=60, conditioned=conditioned,
-                      single_component=single_component)
+                      single_component=single_component, seed=11, chains=4)
     seeds = [11, 12, 13, 14]
-    traces = run_study(cfg, bundle, seeds)
+    (traces,) = run_study(cfg, bundle)
     coarse = np.array([t.coarse_accepted for t in traces])
     # some iterations stack only part of the chains for the fine solve
     assert np.any(coarse.any(axis=0) & ~coarse.all(axis=0))
@@ -340,29 +332,23 @@ def test_run_study_matches_reference_loop(conditioned, single_component):
 
 @pytest.mark.parametrize("single_component", [False, True])
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("interleaved", [False, True])
+@pytest.mark.parametrize("conditioned_first", [False, True])
 def test_joint_studies_equal_separate_studies(single_component, k,
-                                               interleaved):
+                                               conditioned_first):
     # the chains of both studies in one stack sample exactly what each
-    # study samples on its own, whatever the order of the flags
+    # study samples on its own, whichever study comes first
     bundle, _, _ = _small_bundle()
     cfg = StudyConfig(beta=0.3, iterations=60,
-                      single_component=single_component)
-    seeds = [31 + c for c in range(k)]
-    if interleaved:
-        joint_seeds = [s for s in seeds for _ in (False, True)]
-        flags = [f for _ in seeds for f in (False, True)]
-    else:
-        joint_seeds, flags = seeds + seeds, [False] * k + [True] * k
-    joint = run_study(cfg, bundle, joint_seeds, conditioned=flags)
-    coarse = np.array([t.coarse_accepted for t in joint])
+                      single_component=single_component, seed=31, chains=k)
+    flags = (True, False) if conditioned_first else (False, True)
+    joint = run_study(cfg, bundle, flags)
+    coarse = np.array([t.coarse_accepted for ts in joint for t in ts])
     # some fine stacks hold only the chains that passed the coarse stage
     assert np.any(coarse.any(axis=0) & ~coarse.all(axis=0))
-    assert all(t.fine_accepted.any() for t in joint)
-    for flag in (False, True):
-        alone = run_study(replace(cfg, conditioned=flag), bundle, seeds)
-        got = [t for t, f in zip(joint, flags) if f == flag]
-        for g, w in zip(got, alone):
+    assert all(t.fine_accepted.any() for ts in joint for t in ts)
+    for flag, got in zip(flags, joint):
+        (alone,) = run_study(replace(cfg, conditioned=flag), bundle)
+        for g, w in zip(got, alone, strict=True):
             assert g.seed == w.seed
             assert np.array_equal(g.thetas, w.thetas)
             assert np.array_equal(g.coarse_accepted, w.coarse_accepted)
@@ -373,11 +359,11 @@ def test_joint_studies_equal_separate_studies(single_component, k,
 @pytest.mark.parametrize("conditioned", [False, True])
 def test_chain_does_not_depend_on_its_companions(conditioned):
     bundle, _, _ = _small_bundle()
-    cfg = StudyConfig(beta=0.3, iterations=40, conditioned=conditioned)
-    seeds = [21, 22, 23, 24]
-    together = run_study(cfg, bundle, seeds)
-    for got, seed in zip(together, seeds):
-        alone = run_study(cfg, bundle, [seed])[0]
+    cfg = StudyConfig(beta=0.3, iterations=40, conditioned=conditioned,
+                      seed=21, chains=4)
+    (together,) = run_study(cfg, bundle)
+    for got, seed in zip(together, [21, 22, 23, 24], strict=True):
+        ((alone,),) = run_study(replace(cfg, seed=seed, chains=1), bundle)
         assert np.array_equal(got.thetas, alone.thetas)
         assert np.array_equal(got.coarse_accepted, alone.coarse_accepted)
         assert np.array_equal(got.fine_accepted, alone.fine_accepted)
@@ -415,7 +401,7 @@ def test_forward_failure_names_where(monkeypatch, fail_call, where):
     # fails at the same place
     calls.clear()
     with pytest.raises(CondflowError) as info:
-        run_study(StudyConfig(iterations=20), bundle, [1, 2])
+        run_study(StudyConfig(iterations=20, seed=1, chains=2), bundle)
     assert (info.value.module, info.value.code) == ("mcmc", "forward")
     assert f"{where}:" in str(info.value)
     assert isinstance(info.value.__cause__, NumericalError)
@@ -434,6 +420,16 @@ def test_singular_upscaling_is_a_forward_failure(monkeypatch):
     assert "for the initial state:" in str(info.value)
     assert isinstance(info.value.__cause__, NumericalError)
     assert info.value.__cause__.code == "singular"
+
+
+def test_bundles_compare_by_identity():
+    # two bundles of one problem hold equal arrays, which == cannot
+    # compare; a bundle equals only itself and hashes by identity
+    a, _, _ = _small_bundle()
+    b, _, _ = _small_bundle()
+    assert a == a and a != b
+    assert hash(a) == object.__hash__(a)
+    assert len({a, a, b}) == 2
 
 
 def test_bundle_derives_its_reference_data_from_the_reference_field():
@@ -525,9 +521,9 @@ def test_each_layer_runs_once_per_iteration(monkeypatch):
 
     monkeypatch.setattr(darcy, "upscale", counting_upscale)
     monkeypatch.setattr(darcy, "solve_pressure", counting_solve)
-    traces = run_study(cfg, bundle, [41, 42, 41, 42],
-                       conditioned=[False, False, True, True])
-    coarse = np.array([t.coarse_accepted for t in traces])
+    traces = run_study(replace(cfg, seed=41, chains=2), bundle,
+                       (False, True))
+    coarse = np.array([t.coarse_accepted for ts in traces for t in ts])
     passed_any = coarse.any(axis=0)
     # every chain, some of them, and none pass in one iteration or another
     assert coarse.all(axis=0).any() and not passed_any.all()

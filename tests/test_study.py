@@ -148,16 +148,15 @@ def test_reference_experiment_samples_both_studies_in_one_call(
     calls = []
     original = study.run_study
 
-    def counting(cfg, bundle, seeds, **kwargs):
-        calls.append((list(seeds), kwargs["conditioned"]))
-        return original(cfg, bundle, seeds, **kwargs)
+    def counting(cfg, bundle, studies):
+        calls.append((cfg.seed, cfg.chains, tuple(studies)))
+        return original(cfg, bundle, studies)
 
     monkeypatch.setattr(study, "run_study", counting)
     cfg = StudyConfig(chains=2, iterations=30, burn_in=5, snapshots=(12,),
                       verbosity=0, output_dir=str(tmp_path))
     run_reference_experiment(cfg)
-    seeds = [cfg.seed, cfg.seed + 1]
-    assert calls == [(seeds + seeds, [False, False, True, True])]
+    assert calls == [(cfg.seed, 2, (False, True))]
 
 
 
