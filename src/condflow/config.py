@@ -63,7 +63,6 @@ class StudyConfig:
     lx: float = _key("kernel", 0.4)
     ly: float = _key("kernel", 0.8)
     n_terms: int = _key("kle", 20)
-    energy_threshold: float = _key("kle", None)  # overrides n_terms when set
     beta: float = _key("mcmc", 0.85)
     sigma_f2: float = _key("mcmc", 1e-4)
     sigma_c2: float = _key("mcmc", 5e-3)
@@ -95,12 +94,6 @@ class StudyConfig:
                          make_grid(self.coarse_nx, self.coarse_ny))
         # each parameter type checks its own values
         self.kernel, self.likelihood
-        if self.energy_threshold is not None and not (
-            0.0 < self.energy_threshold <= 1.0
-        ):
-            raise ArgumentError(
-                "kle.energy_threshold must be in (0, 1]", module=_MOD
-            )
         # the diagnostics of several chains need 2 draws after burn-in
         check_burn_in(self.effective_burn_in,
                       self.iterations if self.chains > 1 else None)

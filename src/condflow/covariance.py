@@ -37,10 +37,12 @@ class KernelParams:
     ly: float
 
     def __post_init__(self):
-        # the kernel divides by the squared lengths
-        lengths2 = (self.lx * self.lx, self.ly * self.ly)
-        if not all(0 < v < np.inf for v in (self.sigma2, self.lx, self.ly,
-                                             *lengths2)):
+        # the kernel divides by the squared lengths, squared as floats
+        try:
+            sigma2, lx, ly = map(float, (self.sigma2, self.lx, self.ly))
+        except OverflowError:  # an int too large for a float
+            sigma2 = lx = ly = np.inf
+        if not all(0 < v < np.inf for v in (sigma2, lx, ly, lx * lx, ly * ly)):
             raise ArgumentError(
                 "kernel parameters and squared lengths must be positive and "
                 f"finite (sigma2={self.sigma2}, lx={self.lx}, ly={self.ly})",

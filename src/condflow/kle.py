@@ -8,8 +8,8 @@ quadrature weight. :func:`solve_kle` eigendecomposes hx*Rx (values nu_b,
 vectors ux) and hy*Ry (mu_a, uy), each descending. Mode (a, b) has
 eigenvalue sigma2 * mu_a * nu_b and the value uy[j, a] * ux[i, b] /
 sqrt(hx*hy) at cell j*nx + i, so that hx * hy * sum_cells phi^2 = 1.
-The count, the 1e-12 floor and the energy are read from these products,
-the full spectrum; only the retained columns are formed.
+The 1e-12 floor and the energy are read from these products, the full
+spectrum; only the retained columns are formed.
 
 Modes are ranked by a stable descending sort of the products, so equal
 eigenvalues keep the order of the flat index a*nx + b. An isotropic
@@ -79,14 +79,12 @@ def _axis_spectrum(weighted):
     return evals[::-1], evecs[:, ::-1]
 
 
-def solve_kle(cov, grid, n, energy_threshold=None):
+def solve_kle(cov, grid, n):
     """Solve the discrete KL eigenproblem of the Kronecker covariance
     ``cov`` (:func:`condflow.covariance.assemble_covariance`) and retain
-    the n leading modes, or with ``energy_threshold`` the fewest whose
-    energy fraction reaches it. One pair of 1-D factorizations gives
-    both the count and the basis."""
+    the n leading modes, read from one pair of 1-D factorizations."""
     N = grid.n_cells
-    if energy_threshold is None and not 1 <= n <= N:
+    if not 1 <= n <= N:
         raise ArgumentError(f"mode count n={n} must be in [1, {N}]",
                             module=_MOD)
     nu, ux = _axis_spectrum(grid.hx * cov.rx)
@@ -95,15 +93,10 @@ def solve_kle(cov, grid, n, energy_threshold=None):
     order = np.argsort(-products, kind="stable")
     evals = products[order]
     frac = np.cumsum(evals) / np.sum(evals)  # the energy of 1, 2, ... modes
-    if energy_threshold is not None:
-        n = int(np.searchsorted(frac, energy_threshold) + 1)
-    if n > N or evals[n - 1] <= 1e-12 * evals[0]:
+    if evals[n - 1] <= 1e-12 * evals[0]:
         raise NumericalError(
             f"eigenvalue {n} is <= 1e-12 of the leading one; reduce the "
-            "number of retained modes" if energy_threshold is None else
-            f"kle.energy_threshold = {energy_threshold} is reached by no "
-            "mode count above the 1e-12 eigenvalue floor; lower it",
-            module=_MOD, code="truncation")
+            "number of retained modes", module=_MOD, code="truncation")
     a, b = np.divmod(order[:n], grid.nx)
     phi = (uy[:, None, a] * ux[None, :, b]).reshape(N, n)
     phi = _fix_signs(phi) / np.sqrt(grid.hx * grid.hy)

@@ -151,7 +151,8 @@ def log_likelihood(sim, ref, sigma2):
             module=_MOD,
         )
     r = np.ascontiguousarray(ref - sim)
-    return -np.add.reduce(r * r, axis=-1) / (2.0 * sigma2)
+    with np.errstate(over="ignore"):  # over a tiny precision: -inf
+        return -np.add.reduce(r * r, axis=-1) / (2.0 * sigma2)
 
 
 def rws_propose(theta, beta, rng, single_component=True):

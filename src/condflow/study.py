@@ -77,7 +77,7 @@ def build_setup(cfg):
     ref_field = read_field_csv(ref_path, fine)
 
     cov = assemble_covariance(fine, cfg.kernel)
-    basis = solve_kle(cov, fine, cfg.n_terms, cfg.energy_threshold)
+    basis = solve_kle(cov, fine, cfg.n_terms)
     kriged = krige(ms, cov, fine)
     bundle = ModelBundle(
         basis=basis,
@@ -177,11 +177,11 @@ def write_acceptance_table(path, traces_by_label):
                header="study,chain,coarse_rate,fine_rate,fine_rate_conditional")
 
 
-def write_manifest(path, cfg, seeds, artifact_paths, timings=None):
+def write_manifest(path, cfg, artifact_paths, timings=None):
     manifest = {
         "version": __version__,
         "config": cfg.as_dict(),
-        "seeds": seeds,
+        "seeds": chain_seeds(cfg),
         "artifacts": artifact_paths,
         "timings_seconds": timings,
     }
@@ -198,9 +198,8 @@ def run_reference_experiment(cfg, dry_run=False, out_dir=None):
     directory exists, in a dry run too."""
     setup = build_setup(cfg)
     out_dir = output_dir(cfg, out_dir)
-    seeds = chain_seeds(cfg)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    write_manifest(manifest_path, cfg, seeds, {})
+    write_manifest(manifest_path, cfg, {})
     if dry_run:
         if cfg.verbosity:
             print(f"dry run: manifest written to {manifest_path}")
@@ -217,7 +216,7 @@ def run_reference_experiment(cfg, dry_run=False, out_dir=None):
     table_path = os.path.join(out_dir, "acceptance_rates.csv")
     write_acceptance_table(table_path, traces_by_label)
     all_paths["acceptance_table"] = table_path
-    write_manifest(manifest_path, cfg, seeds, all_paths, {"sampling": elapsed})
+    write_manifest(manifest_path, cfg, all_paths, {"sampling": elapsed})
     if cfg.verbosity:
         print(f"reference experiment complete; artifacts in {out_dir}")
     return 0

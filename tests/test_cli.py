@@ -588,12 +588,12 @@ def test_invert_fails_on_an_initial_state_of_likelihood_zero(
         tmp_path, capsys, key, logliks):
     # a precision of 1e-320 is positive and finite, but every residual
     # overflows its log-likelihood to -inf; no proposal is accepted from
-    # a state of likelihood 0, so the chains would never move
+    # a state of likelihood 0, so the chains would never move. The
+    # overflow is silent: its one error line is all of stderr, and a
+    # RuntimeWarning would fail the test (pyproject's filterwarnings)
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        err = _config_error(tmp_path, capsys,
-                            ["invert", "--out-dir", str(out)],
-                            lambda text: _set(text, f"{key} = 1e-320"))
+    err = _config_error(tmp_path, capsys, ["invert", "--out-dir", str(out)],
+                        lambda text: _set(text, f"{key} = 1e-320"))
     assert err.startswith("error:mcmc:likelihood: the initial state of "
                           "chain 1 (seed 2023) has log-likelihoods ")
     assert logliks in err
@@ -656,20 +656,6 @@ def test_reference_full_run_rejects_fewer_modes_than_measurements(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threshold", ["1.0", "0.999999999999"])
-def test_kle_rejects_unreachable_energy_threshold(tmp_path, capsys,
-                                                  threshold):
-    # the cumulative fraction stops short of 1.0 by rounding, and the last
-    # modes it needs for the second value are rounding noise
-    out = tmp_path / "out"
-    err = _config_error(tmp_path, capsys, ["kle", "--out-dir", str(out)],
-                        lambda text: text + f"kle.energy_threshold = "
-                                            f"{threshold}\n")
-    assert err.startswith(f"error:kle:truncation: kle.energy_threshold = "
-                          f"{threshold} is reached by no mode count")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("row", ["5.0,-2.0,0.5", "0.5,1.0001,0.5"])
 def test_krige_rejects_measurement_outside_unit_square(tmp_path, capsys,
                                                        monkeypatch, row):
@@ -693,21 +679,6 @@ def test_krige_rejects_non_finite_measurement(tmp_path, capsys, monkeypatch,
     err = _config_error(tmp_path, capsys, ["krige", "--out-dir", str(out)],
                         lambda text: text + "paths.measurements = ms.csv\n")
     assert err == "error:kriging:argument: non-finite measurement data"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [["reference", "--dry-run"],
-                                  ["reference"]])
-def test_reference_energy_threshold_rejects_fewer_modes_than_measurements(
-        tmp_path, capsys, monkeypatch, argv):
-    # with kle.energy_threshold, n comes from the covariance spectrum; it
-    # is still counted before the output directory is created
-    out = tmp_path / "out"
-    monkeypatch.setenv("CONDFLOW_OUTPUT_DIR", str(out))
-    err = _config_error(tmp_path, capsys, argv,
-                        lambda text: text + "kle.energy_threshold = 0.5\n")
-    assert err.startswith("error:conditioning:argument: 9 measurements "
-                          "with only ")
     assert not out.exists()
 
 

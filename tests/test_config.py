@@ -51,7 +51,6 @@ kernel.sigma2 = 2.0
 kernel.lx = 0.3
 kernel.ly = 0.6
 kle.n_terms = 10
-kle.energy_threshold = 0.9
 mcmc.beta = 0.7
 mcmc.sigma_f2 = 1e-3
 mcmc.sigma_c2 = 1e-2
@@ -72,7 +71,6 @@ output.verbosity = 0
         == (8, 8, 4, 4)
     assert (cfg.sigma2, cfg.lx, cfg.ly) == (2.0, 0.3, 0.6)
     assert cfg.n_terms == 10
-    assert cfg.energy_threshold == 0.9
     assert cfg.beta == 0.7
     assert (cfg.sigma_f2, cfg.sigma_c2) == (1e-3, 1e-2)
     assert (cfg.chains, cfg.iterations, cfg.burn_in) == (2, 500, 100)
@@ -91,11 +89,14 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(_write(tmp_path, "mcmc.betta = 0.85\n"))
 
 
-def test_store_projected_key_rejected(tmp_path):
-    # the key of the removed stored-projection option is now unknown
-    with pytest.raises(ParseError, match="unknown key 'mcmc.store_projected'"
-                       ) as info:
-        parse_config(_write(tmp_path, "mcmc.store_projected = false\n"))
+@pytest.mark.parametrize("key, value", [("mcmc.store_projected", "false"),
+                                        ("kle.energy_threshold", "0.9999")],
+                         ids=["mcmc.store_projected", "kle.energy_threshold"])
+def test_store_projected_key_rejected(tmp_path, key, value):
+    # the keys of removed options (the stored projection, the KL mode
+    # count by energy) are now unknown
+    with pytest.raises(ParseError, match=f"unknown key '{key}'") as info:
+        parse_config(_write(tmp_path, f"{key} = {value}\n"))
     assert (info.value.module, info.value.code) == ("cli", "parse")
 
 
@@ -125,11 +126,6 @@ def test_bad_boolean_value(tmp_path):
 def test_beta_out_of_range(tmp_path):
     with pytest.raises(ArgumentError, match="beta"):
         parse_config(_write(tmp_path, "mcmc.beta = 1.5\n"))
-
-
-def test_energy_threshold_out_of_range():
-    with pytest.raises(ArgumentError):
-        StudyConfig(energy_threshold=1.5)
 
 
 def test_nonpositive_sizes_rejected():

@@ -29,7 +29,9 @@ def test_symmetry_random(kernel_params):
 def test_param_validation(kernel_params):
     for bad in [dict(sigma2=0), dict(lx=-1.0), dict(ly=0.0),
                 dict(sigma2=np.nan), dict(lx=np.nan), dict(ly=np.nan),
-                dict(sigma2=np.inf), dict(ly=np.inf)]:
+                dict(sigma2=np.inf), dict(ly=np.inf),
+                # ints square past the largest float, or are past it
+                dict(lx=10**200), dict(ly=10**400)]:
         with pytest.raises(ArgumentError):
             replace(kernel_params, **bad)
 

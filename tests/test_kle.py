@@ -86,21 +86,6 @@ def test_energy_fraction_basics():
         energy_fraction(np.array([]), 1)
 
 
-def test_energy_threshold_mode(fine_cov, fine_grid, kernel_params):
-    # the threshold keeps the fewest modes whose cumulative fraction of the
-    # full spectrum reaches it, the basis of that fixed count bit for bit
-    evals, _ = dense_spectrum(fine_grid, kernel_params)
-    frac = np.cumsum(evals) / np.sum(evals)
-    for threshold, n in ((0.95, 4), (0.999, 11), (0.9999999, 30)):
-        assert int(np.searchsorted(frac, threshold) + 1) == n
-        basis = solve_kle(fine_cov, fine_grid, 1, threshold)
-        fixed = solve_kle(fine_cov, fine_grid, n)
-        assert basis.n == n
-        assert np.array_equal(basis.lambdas, fixed.lambdas)
-        assert np.array_equal(basis.phi, fixed.phi)
-        assert basis.energy == fixed.energy >= threshold
-
-
 def test_synthesize_zero(basis20):
     fld = synthesize_unconditioned(basis20, np.zeros(20))
     assert np.all(fld.values == 0.0)
@@ -157,14 +142,9 @@ def test_separable_basis_matches_dense_oracle(nx, ny, lx, ly):
     assert simple.sum() >= 4
     assert np.max(np.abs(basis.phi[:, simple] - phi[:, :20][:, simple])) \
         <= 1e-9
-    # the same truncation by count and by energy
+    # the energy of the 20 retained modes
     frac = np.cumsum(evals) / np.sum(evals)
     assert basis.energy == pytest.approx(frac[19], rel=1e-12)
-    for threshold in (0.9999, 0.999):
-        n = int(np.searchsorted(frac, threshold) + 1)
-        by_energy = solve_kle(cov, g, 1, threshold)
-        assert by_energy.n == n
-        assert by_energy.energy == pytest.approx(frac[n - 1], rel=1e-12)
 
 
 def test_tied_pair_cut_keeps_the_lower_flat_index():
@@ -186,12 +166,6 @@ def test_tied_pair_cut_keeps_the_lower_flat_index():
                                    atol=1e-12)
         np.testing.assert_allclose(np.flip(f, axis=odd_axis), -f,
                                    atol=1e-12)
-    # an energy threshold reached by the first of the pair keeps it alone
-    frac = np.cumsum(three.lambdas) / (np.sum(three.lambdas)
-                                       / three.energy)
-    by_energy = solve_kle(cov, g, 1, (frac[0] + frac[1]) / 2)
-    assert by_energy.n == 2
-    assert np.array_equal(by_energy.phi, two.phi)
 
 
 def test_sign_rule_ignores_one_ulp_between_mirrored_maxima():

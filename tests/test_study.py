@@ -160,10 +160,10 @@ def test_reference_experiment_samples_both_studies_in_one_call(
 
 
 
-@pytest.mark.parametrize("threshold", [None, 0.9999])
-def test_build_setup_factors_the_covariance_once(monkeypatch, threshold):
-    # the mode count and the basis come from one spectrum: one 1-D
-    # factorization per axis, none of the 256 x 256 covariance
+@pytest.mark.parametrize("n_terms", [None, 16])  # None: the default 20
+def test_build_setup_factors_the_covariance_once(monkeypatch, n_terms):
+    # the basis comes from one spectrum: one 1-D factorization per axis,
+    # none of the 256 x 256 covariance
     calls = []
     original = kle._axis_spectrum
 
@@ -172,9 +172,9 @@ def test_build_setup_factors_the_covariance_once(monkeypatch, threshold):
         return original(weighted)
 
     monkeypatch.setattr(kle, "_axis_spectrum", counting)
-    setup = build_setup(StudyConfig(energy_threshold=threshold, verbosity=0))
+    setup = build_setup(StudyConfig(n_terms=n_terms or 20, verbosity=0))
     assert calls == [(16, 16), (16, 16)]
-    assert setup.bundle.basis.n == (20 if threshold is None else 16)
+    assert setup.bundle.basis.n == (n_terms or 20)
 
 
 def test_build_setup_reads_inputs_before_factoring(tmp_path, monkeypatch):
