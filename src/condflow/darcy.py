@@ -11,10 +11,10 @@ One builder, ``_tpfa``, assembles the SPD operator of a stack of
 permeability fields of shape (..., ny, nx) as one block-diagonal
 system: its main diagonal and its +1 and +nx bands, each a flat array
 over the whole stack laid end to end, with no band coupling two
-fields. One solver, ``_solve``, hands it to one call of LAPACK's
-``dpbsv`` in lower banded storage, for a pressure solve and for the
-generic upscaling cell problems alike; ``_lapack`` loads the routine's
-compiled module alone, at the first solve. In lower storage the
+fields. One solver, ``_solve``, hands it to LAPACK's ``dpbsv`` in
+lower banded storage, for a pressure solve and for the generic
+upscaling cell problems alike; ``_lapack`` loads the routine's compiled
+module alone, at the first solve. In lower storage the
 factorization hands each column's rank-1 update to BLAS ``dsyr`` as a
 stride-1 vector; in upper storage its stride is the bandwidth, and
 OpenBLAS runs that several times slower, most of all on two threads.
@@ -24,12 +24,9 @@ alone. The backward solve's dot products then have the same length for
 every field, and their terms from another field's rows or the unit rows
 are exact zeros, as no band couples two fields; without the unit rows,
 a field's last cells would sum shorter dot products alone than in a
-stack, and the two results would differ in the last bit. For a
-bandwidth u of at least 32, ``dpbtrf`` factors the band in blocks of 32
-columns counted from the first row, so each field is laid out on a
-multiple of 32 rows, the extra rows decoupled unit rows too: every field
-starts on a block boundary, and its factor is summed in the same
-groupings in a stack as alone.
+stack, and the two results would differ in the last bit. A stack of
+bandwidth u of at least 32, which ``dpbtrf`` factors in blocks of 32
+columns counted from the first row, is solved one field per call.
 
 ``solve_pressure`` and ``upscale`` take one field or a stack of fields
 (see ``ScalarField``) and solve the whole stack at once. Every check
@@ -191,58 +188,47 @@ def _solve(bands, rhs, cells):
     library, +3.4 MB and 11-12 ms, against 85 modules, +28.5 MB and
     0.16-0.20 s for its whole linalg package (``_lapack`` names the
     host). A command that solves no pressure (``import condflow.cli``,
-    ``diagnose``) loads none of it. Each field takes ``cells`` rows, or
-    a multiple of 32 for a bandwidth of at least 32 (see the module
-    docstring)."""
+    ``diagnose``) loads none of it. A stack of bandwidth at least 32 is
+    solved one field per call (see the module docstring)."""
     diag, tx, ty = bands
     n = diag.size
     nx = ty.size - n
     u = min(nx, cells - 1)  # no band reaches past a field's last cell
     # column c's entries in rows c + 1 and c + nx, negated below
     tx, ty = tx[1:], ty[nx:]
-    rows = cells
-    if u >= _NBMAX:  # every field starts on a block boundary of dpbtrf
-        rows = -(-cells // _NBMAX) * _NBMAX
-        diag = _pad_fields(diag, cells, rows, 1.0)
-        tx, ty, rhs = (_pad_fields(a, cells, rows, 0.0) for a in (tx, ty, rhs))
-    m = diag.size
-    # LAPACK's lower banded storage, (u + 1, m + u) in Fortran order: row
-    # c of ab holds column c of the matrix from the diagonal down. The u
-    # unit rows after the stack give the last field's cells u rows below
-    # them, as every other field has
-    ab = np.zeros((m + u, u + 1))
-    ab[m:, 0] = 1.0
-    ab[:m, 0] = diag
-    # the -1 band before the -nx band: they share a column when nx = 1.
-    # Where there is no face the entry is -0, which changes no bit of the
-    # result: the factorization and the solves only scale it and subtract
-    # its products
-    if u:
-        np.negative(tx, out=ab[:m, 1])
-    if nx <= u:
-        np.negative(ty, out=ab[:m, nx])
-    b = np.zeros(m + u)
-    b[:m] = rhs
-    _, x, info = _lapack().dpbsv(ab.T, b, lower=1, overwrite_ab=1,
-                                 overwrite_b=1)
-    if info > 0:  # a unit row cannot fail
-        field, cell = divmod(info - 1, rows)
-        raise NumericalError(f"singular TPFA system: the pivot of cell "
-                             f"{cell} of field {field} is not > 0",
-                             module=_MOD, code="singular")
-    if info < 0:
-        raise ArgumentError(f"dpbsv rejected its argument {-info}",
-                            module=_MOD)
-    x = x[:m]
-    return x if rows == cells else x.reshape(-1, rows)[:, :cells].ravel()
-
-
-def _pad_fields(a, cells, rows, value):
-    """a, ``cells`` entries per field laid end to end, on ``rows`` entries
-    per field, the extra ones ``value``."""
-    padded = np.full((a.size // cells, rows), value)
-    padded[:, :cells] = a.reshape(-1, cells)
-    return padded.ravel()
+    m = cells if u >= _NBMAX else n  # rows per call
+    x = np.empty(n)
+    for start in range(0, n, m):
+        part = slice(start, start + m)
+        # LAPACK's lower banded storage, (u + 1, m + u) in Fortran order:
+        # row c of ab holds column c of the matrix from the diagonal down.
+        # The u unit rows after the fields give the last field's cells u
+        # rows below them, as every other field has
+        ab = np.zeros((m + u, u + 1))
+        ab[m:, 0] = 1.0
+        ab[:m, 0] = diag[part]
+        # the -1 band before the -nx band: they share a column when
+        # nx = 1. Where there is no face the entry is -0, which changes no
+        # bit of the result: the factorization and the solves only scale
+        # it and subtract its products
+        if u:
+            np.negative(tx[part], out=ab[:m, 1])
+        if nx <= u:
+            np.negative(ty[part], out=ab[:m, nx])
+        b = np.zeros(m + u)
+        b[:m] = rhs[part]
+        _, b, info = _lapack().dpbsv(ab.T, b, lower=1, overwrite_ab=1,
+                                     overwrite_b=1)
+        if info > 0:  # a unit row cannot fail
+            field, cell = divmod(start + info - 1, cells)
+            raise NumericalError(f"singular TPFA system: the pivot of cell "
+                                 f"{cell} of field {field} is not > 0",
+                                 module=_MOD, code="singular")
+        if info < 0:
+            raise ArgumentError(f"dpbsv rejected its argument {-info}",
+                                module=_MOD)
+        x[part] = b[:m]
+    return x
 
 
 def _permeability(logperm):

@@ -79,24 +79,35 @@ def snap_to_cells(ms, grid):
 def krige(ms, cov, grid):
     """Simple-kriging surface over all cell centers as a ScalarField,
     under the Kronecker covariance ``cov`` of the grid
-    (:func:`condflow.covariance.assemble_covariance`)."""
+    (:func:`condflow.covariance.assemble_covariance`).
+
+    The surface must honor every datum to 1e-10 relative to the largest
+    |value| (or 1), and cond(K) must be below 1e12; otherwise, or if K
+    is singular, the system is rejected as ill-conditioned."""
     cells = snap_to_cells(ms, grid)
     j, i = np.divmod(cells, grid.nx)
-    # the rows of sigma2 * (ry kron rx) at the measurement cells
-    cross = (cov.sigma2 * cov.ry[j][:, :, None]
+    # the rows of ry kron rx at the measurement cells: sigma2 cancels
+    # from the weights, and a tiny one would underflow K
+    cross = (cov.ry[j][:, :, None]
              * cov.rx[i][:, None, :]).reshape(ms.m, grid.n_cells)
     K = cross[:, cells]
     svals = np.linalg.svd(K, compute_uv=False)
     cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
-    if cond > 1e12 or svals[-1] <= 1e-12 * svals[0]:
+    try:
+        surface = np.linalg.solve(K, cross).T @ ms.values
+        miss = np.abs(surface[cells] - ms.values).max()
+    except np.linalg.LinAlgError:  # K is singular
+        miss = np.inf
+    bound = 1e-10 * max(1.0, np.abs(ms.values).max())
+    if not (cond < 1e12 and miss <= bound):  # NaN fails
         raise NumericalError(
-            f"kriging system is ill-conditioned (cond={cond:.3g}); "
-            "measurement locations are nearly duplicate",
+            f"kriging system is ill-conditioned: the surface misses the "
+            f"data by {miss:.3g} at cond(K) = {cond:.3g}; the measurements "
+            "are too close for the kernel's correlation lengths",
             module=_MOD,
             code="conditioning",
         )
-    weights = np.linalg.solve(K, cross)
-    return ScalarField(grid, weights.T @ ms.values)
+    return ScalarField(grid, surface)
 
 
 def read_measurements_csv(path):

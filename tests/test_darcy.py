@@ -145,9 +145,9 @@ def _upper_band_solve(bands, rhs):
 ], ids=["8x8", "16x16", "32x32", "1x6", "6x1", "1x1", "blocks4x4",
         "blocks2x1"])
 def test_solve_matches_upper_band_reference(nx, ny, count, hx, hy):
-    # the padded lower-storage solve against the unpadded upper-storage
-    # one, on a stack of lognormal fields with p = 1 on the left edge and
-    # 0 on the right, as solve_pressure and _keff_x pose it
+    # the lower-storage solve against one upper-storage call over the
+    # whole stack, on a stack of lognormal fields with p = 1 on the left
+    # edge and 0 on the right, as solve_pressure and _keff_x pose it
     from condflow import darcy
 
     rng = np.random.default_rng(nx * 100 + ny)
@@ -162,15 +162,17 @@ def test_solve_matches_upper_band_reference(nx, ny, count, hx, hy):
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-def test_solve_does_not_depend_on_blas_threads(tmp_path):
-    # one fixed 32x32 stack of 8 fields solved under one and two OpenBLAS
-    # threads gives bitwise the same pressures
+@pytest.mark.parametrize("nx, ny", [(32, 32), (65, 9)],
+                         ids=["32x32", "65x9"])
+def test_solve_does_not_depend_on_blas_threads(tmp_path, nx, ny):
+    # one fixed stack of 8 fields, each of bandwidth at least 32, solved
+    # under one and two OpenBLAS threads gives bitwise the same pressures
     code = (
         "import hashlib\n"
         "import numpy as np\n"
         "from condflow.darcy import BoundaryConditions, solve_pressure\n"
         "from condflow.grid import ScalarField, make_grid\n"
-        "g = make_grid(32, 32)\n"
+        f"g = make_grid({nx}, {ny})\n"
         "rng = np.random.default_rng(2024)\n"
         "field = ScalarField(g, 1.5 * rng.standard_normal((8, g.n_cells)))\n"
         "p = solve_pressure(field, BoundaryConditions()).values\n"
@@ -202,8 +204,8 @@ def test_singular_field_raises_numerical_error():
             assert (info.value.module, info.value.code) == ("darcy",
                                                             "singular")
     # one impermeable cell of the second field of a stack zeroes its own
-    # pivot: the message names that field and cell, not a row of the
-    # padded system (a 65x9 field is laid out on 608 rows)
+    # pivot: the message names that field and cell, whether the stack is
+    # one call (4x4) or one call per field (65x9, of bandwidth 65)
     for g, cell in ((g, 6), (make_grid(65, 9), 400)):
         values = np.zeros((3, g.n_cells))
         values[1, cell] = -800.0

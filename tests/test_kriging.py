@@ -86,6 +86,18 @@ def test_three_point_cramer_oracle(fine_grid, kernel_params, fine_cov):
     assert np.abs(surf.values[[0, 100, 255]] - expected).max() <= 1e-10
 
 
+@pytest.mark.parametrize("sigma2", [1e-300, 3.0, 1e300])
+def test_surface_does_not_depend_on_sigma2(measurements, fine_grid, sigma2):
+    # the weights solve K w = k(x), both scaled by sigma2; at 1e-300 the
+    # scaled K would underflow and its solve give NaN weights
+    def surface(sigma2):
+        params = KernelParams(sigma2=sigma2, lx=0.4, ly=0.8)
+        return krige(measurements, assemble_covariance(fine_grid, params),
+                     fine_grid).values
+
+    assert surface(sigma2).tobytes() == surface(1.0).tobytes()
+
+
 def test_surface_finite(measurements, fine_cov, fine_grid):
     surf = krige(measurements, fine_cov, fine_grid)
     assert np.all(np.isfinite(surf.values))
@@ -98,6 +110,23 @@ def test_ill_conditioned_system(fine_grid):
                         np.array([1.0, 2.0, 3.0]))
     with pytest.raises(NumericalError):
         krige(ms, assemble_covariance(fine_grid, params), fine_grid)
+
+
+@pytest.mark.parametrize("length, miss", [(0.4, "1.67e-08"), (1e6, "inf")],
+                         ids=["surface_misses_data", "singular"])
+def test_adjacent_block_rejected(fine_grid, length, miss):
+    # nine measurements on the 3x3 block of cells i, j = 6..8: at the
+    # default lengths cond(K) is about 3.6e9, below 1e12, yet the surface
+    # misses the data by 1.3e-8 relative to the largest value; at 1e6
+    # np.linalg.solve finds K singular
+    i, j = np.meshgrid(np.arange(6, 9), np.arange(6, 9))
+    ms = MeasurementSet((np.column_stack([i.ravel(), j.ravel()]) + 0.5) / 16,
+                        np.random.default_rng(0).standard_normal(9))
+    cov = assemble_covariance(fine_grid, KernelParams(1.0, length, 2 * length))
+    with pytest.raises(NumericalError) as info:
+        krige(ms, cov, fine_grid)
+    assert (info.value.module, info.value.code) == ("kriging", "conditioning")
+    assert f"misses the data by {miss} at cond(K) = " in str(info.value)
 
 
 def test_snap_single_cell():
