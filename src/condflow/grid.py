@@ -4,6 +4,8 @@ them, chessboard observation masks, and field file I/O (CSV, PGM).
 Conventions (fixed, documented here once):
   * cells are indexed row-major with j (the y index) outermost:
     ``cell = j * nx + i``;
+  * a ``ScalarField``'s values are (n_cells,) for one field or
+    (m, n_cells) for a stack, all finite, and no other shape is accepted;
   * field CSV files hold ny rows of nx comma-separated values with the
     bottom row (j = 0) on the first line, printed to 17 significant
     digits so a write/read round trip is bit exact;
@@ -71,9 +73,10 @@ def make_grid(nx, ny):
 class ScalarField:
     """One real value per grid cell (log-permeability, pressure, ...).
 
-    ``values`` is (n_cells,) for one field. A 2D array whose rows hold
-    n_cells values each is a stack of fields, (m, n_cells); any other
-    shape is flattened into one field.
+    The one field rule: ``values`` is (n_cells,) for one field or
+    (m, n_cells) for a stack of m fields, and every value is finite. Any
+    other shape, such as (ny, nx), a 3-D stack or a scalar, is an
+    ``ArgumentError`` that names it.
     """
 
     grid: Grid2D
@@ -81,26 +84,13 @@ class ScalarField:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != self.grid.n_cells:
-            vals = vals.ravel()
-        if vals.shape[-1] != self.grid.n_cells:
-            raise ArgumentError(
-                f"field has {vals.size} values for a grid of "
-                f"{self.grid.n_cells} cells",
-                module=_MOD,
-            )
+        if vals.ndim not in (1, 2) or vals.shape[-1] != self.grid.n_cells:
+            raise ArgumentError(f"field values have shape {vals.shape}, "
+                                f"not (n_cells,) or (m, n_cells) with n_cells "
+                                f"{self.grid.n_cells}", module=_MOD)
         if not np.isfinite(vals).all():
             raise ArgumentError("field contains non-finite values", module=_MOD)
         self.values = vals
-
-    @classmethod
-    def of_checked(cls, grid, values):
-        """A field or stack of values that already has the shape of one
-        and is known to be finite (the rows of a checked field, a solve
-        that passed its residual check): no copy and no second pass."""
-        fld = object.__new__(cls)
-        fld.grid, fld.values = grid, values
-        return fld
 
     def as_2d(self):
         """Values reshaped to (..., ny, nx), row j of the grid in row j."""

@@ -202,7 +202,7 @@ def _coarse_step(thetas, studies, bundle):
     values = np.empty((len(thetas), bundle.fine.n_cells))
     for conditioned, rows in studies:
         values[rows] = synthesize(bundle, thetas[rows], conditioned).values
-    fine_fields = ScalarField.of_checked(bundle.fine, values)
+    fine_fields = ScalarField(bundle.fine, values)
     return fine_fields, log_likelihood(_coarse_obs(fine_fields, bundle),
                                        bundle.ref_obs_coarse,
                                        bundle.likelihood.sigma_c2)
@@ -288,7 +288,7 @@ def run_study(cfg, bundle, studies=None):
                       if rngs[c].random() < _metropolis(llc_p[c] - llc[c])]
             coarse_acc[passed, it] = True
             if passed:
-                llf_p = _fine_step(ScalarField.of_checked(
+                llf_p = _fine_step(ScalarField(
                     bundle.fine, fields_p.values[passed]), bundle)
                 for c, llf_c in zip(passed, llf_p):
                     if rngs[c].random() < _metropolis(

@@ -3,10 +3,11 @@
 condflow never evaluates the kernel pointwise: it factors the separable
 kernel into two 1-D problems, whose factors the KLE and kriging read.
 The pointwise kernel, the cell centers, the dense matrix over them and
-its eigendecomposition, the energy fraction of a spectrum, the direct
-forms of the within- and between-chain covariances, the checkpoint
-series over a (chains, draws, parameters) matrix and the list of traces
-after a burn-in live here for the tests alone.
+its eigendecomposition, the dense TPFA system of a permeability field,
+the energy fraction of a spectrum, the direct forms of the within- and
+between-chain covariances, the checkpoint series over a (chains, draws,
+parameters) matrix and the list of traces after a burn-in live here for
+the tests alone.
 """
 
 from dataclasses import replace
@@ -50,6 +51,43 @@ def cell_centers(grid):
     ys = (np.arange(grid.ny) + 0.5) * grid.hy
     X, Y = np.meshgrid(xs, ys)
     return np.column_stack([X.ravel(), Y.ravel()])
+
+
+def dense_tpfa(k2d, hx, hy, bc):
+    """The dense TPFA system (A, b) of a permeability field k2d (ny, nx),
+    assembled cell by cell and face by face."""
+    ny, nx = k2d.shape
+    N = nx * ny
+    A = np.zeros((N, N))
+    b = np.zeros(N)
+
+    def idx(i, j):
+        return j * nx + i
+
+    for j in range(ny):
+        for i in range(nx):
+            c = idx(i, j)
+            if i + 1 < nx:
+                T = 2 * hy / (hx * (1 / k2d[j, i] + 1 / k2d[j, i + 1]))
+                A[c, c] += T
+                A[c, idx(i + 1, j)] -= T
+                A[idx(i + 1, j), idx(i + 1, j)] += T
+                A[idx(i + 1, j), c] -= T
+            if j + 1 < ny:
+                T = 2 * hx / (hy * (1 / k2d[j, i] + 1 / k2d[j + 1, i]))
+                A[c, c] += T
+                A[c, idx(i, j + 1)] -= T
+                A[idx(i, j + 1), idx(i, j + 1)] += T
+                A[idx(i, j + 1), c] -= T
+            if i == 0:
+                T = 2 * hy * k2d[j, i] / hx
+                A[c, c] += T
+                b[c] += T * bc.p_left
+            if i == nx - 1:
+                T = 2 * hy * k2d[j, i] / hx
+                A[c, c] += T
+                b[c] += T * bc.p_right
+    return A, b
 
 
 def dense_covariance(grid, params):

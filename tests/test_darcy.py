@@ -27,7 +27,7 @@ from condflow.errors import ArgumentError, NumericalError
 from condflow.grid import ScalarField, chessboard_mask, make_grid
 from condflow.kle import solve_kle, synthesize_unconditioned
 from condflow.kriging import MeasurementSet, krige
-from oracles import cell_centers
+from oracles import cell_centers, dense_tpfa
 
 BC = BoundaryConditions(p_left=1.0, p_right=0.0)
 
@@ -52,39 +52,8 @@ def test_layered_series_resistance_flux():
 
 
 def _dense_oracle_solve(k2d, hx, hy, bc):
-    """Independent loop-based TPFA assembly and solve."""
-    ny, nx = k2d.shape
-    N = nx * ny
-    A = np.zeros((N, N))
-    b = np.zeros(N)
-
-    def idx(i, j):
-        return j * nx + i
-
-    for j in range(ny):
-        for i in range(nx):
-            c = idx(i, j)
-            if i + 1 < nx:
-                T = 2 * hy / (hx * (1 / k2d[j, i] + 1 / k2d[j, i + 1]))
-                A[c, c] += T
-                A[c, idx(i + 1, j)] -= T
-                A[idx(i + 1, j), idx(i + 1, j)] += T
-                A[idx(i + 1, j), c] -= T
-            if j + 1 < ny:
-                T = 2 * hx / (hy * (1 / k2d[j, i] + 1 / k2d[j + 1, i]))
-                A[c, c] += T
-                A[c, idx(i, j + 1)] -= T
-                A[idx(i, j + 1), idx(i, j + 1)] += T
-                A[idx(i, j + 1), c] -= T
-            if i == 0:
-                T = 2 * hy * k2d[j, i] / hx
-                A[c, c] += T
-                b[c] += T * bc.p_left
-            if i == nx - 1:
-                T = 2 * hy * k2d[j, i] / hx
-                A[c, c] += T
-                b[c] += T * bc.p_right
-    return np.linalg.solve(A, b)
+    """Independent loop-based TPFA assembly and dense solve."""
+    return np.linalg.solve(*dense_tpfa(k2d, hx, hy, bc))
 
 
 def test_checkerboard_maximum_principle_and_oracle():
@@ -593,9 +562,17 @@ def test_stacked_calls_equal_single_calls(fine_shape, coarse_shape):
         assert np.array_equal(projected[i], project(theta, proj))
 
 
+def _backward_error_terms(A, b, p):
+    """(||Ap - b||, ||A|| ||p|| + ||b||) in the infinity norm."""
+    return (np.abs(A @ p - b).max(),
+            np.abs(A).sum(axis=1).max() * np.abs(p).max() + np.abs(b).max())
+
+
 def test_stacked_residual_is_checked_per_field(monkeypatch):
-    # one field that misses its own residual fails the stack, although
-    # the relative residual of the whole stack would pass
+    # one field that misses its own backward-error bound fails the stack,
+    # although it is within the bound of the whole stack: a k = 1e4 field
+    # gives the stack an ||A|| 1e4 times that of the k = 1 field, one of
+    # whose pressures is moved by 1e-8
     from condflow import darcy
 
     g = make_grid(4, 4)
@@ -603,22 +580,108 @@ def test_stacked_residual_is_checked_per_field(monkeypatch):
 
     def off_in_last_field(bands, rhs, cells):
         p = original(bands, rhs, cells)
-        p[-g.n_cells:] += 2e-10
+        p[-g.n_cells] += 1e-8
         return p
 
-    k = np.ones((100, g.ny, g.nx))
-    bands, Tl, _ = darcy._tpfa(k, g.hx, g.hy)
-    rhs = np.zeros(k.shape)
-    rhs[..., :, 0] = Tl.reshape(100, g.ny) * BC.p_left
-    rhs = rhs.ravel()
-    res = darcy._matvec(bands, off_in_last_field(bands, rhs,
-                                                  g.n_cells)) - rhs
-    assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
+    k = np.stack([np.full((g.ny, g.nx), 1e4), np.ones((g.ny, g.nx))])
+    systems = [dense_tpfa(kf, g.hx, g.hy, BC) for kf in k]
+    pressures = [np.linalg.solve(A, b) for A, b in systems]
+    pressures[1][0] += 1e-8
+    res, scale = zip(*(_backward_error_terms(A, b, p)
+                       for (A, b), p in zip(systems, pressures)))
+    assert res[1] > 1e-10 * scale[1]
+    stack_scale = (max(np.abs(A).sum(axis=1).max() for A, _ in systems)
+                   * max(np.abs(p).max() for p in pressures)
+                   + max(np.abs(b).max() for _, b in systems))
+    assert max(res) <= 1e-10 * stack_scale
 
     monkeypatch.setattr(darcy, "_solve", off_in_last_field)
     with pytest.raises(NumericalError) as info:
-        solve_pressure(ScalarField(g, np.log(k).reshape(100, -1)), BC)
+        solve_pressure(ScalarField(g, np.log(k).reshape(2, -1)), BC)
     assert (info.value.module, info.value.code) == ("darcy", "residual")
+
+
+def _series_pressure(k_columns, bc):
+    """Exact cell-center pressure of a field whose permeability varies
+    along x only: the series resistance of the columns, in rationals."""
+    h = Fraction(1, len(k_columns))
+    k = [Fraction(float(v)) for v in k_columns]
+    q = (Fraction(bc.p_left) - Fraction(bc.p_right)) / sum(h / v for v in k)
+    p, drop = [], Fraction(0)
+    for v in k:
+        p.append(float(bc.p_left - q * (drop + h / (2 * v))))
+        drop += h / v
+    return np.array(p)
+
+
+@pytest.mark.parametrize("c", [0.0, 12.0, 14.0, 18.0, 24.0, 30.0])
+def test_layered_fields_match_series_resistance(c):
+    # bands of 4 columns with log-k 0 and c, across the flow and along
+    # it, up to a contrast of e^30 (cond(A) 1.4e15): each solve passes
+    # the backward-error gate and is within cond_inf(A) * eps of the
+    # exact pressure (0.053 of that was the largest seen)
+    g = make_grid(16, 16)
+    column = np.where(np.arange(g.nx) // 4 % 2 == 0, 0.0, c)
+    across = np.tile(column, (g.ny, 1))
+    cases = ((across, np.tile(_series_pressure(np.exp(column), BC),
+                              (g.ny, 1))),
+             (across.T, np.tile(1.0 - (np.arange(g.nx) + 0.5) / g.nx,
+                                (g.ny, 1))))
+    for logk, exact in cases:
+        p = solve_pressure(ScalarField(g, logk.ravel()), BC).as_2d()
+        A, _ = dense_tpfa(np.exp(logk), g.hx, g.hy, BC)
+        bound = np.linalg.cond(A, np.inf) * np.finfo(float).eps
+        assert np.abs(p - exact).max() <= bound * np.abs(exact).max()
+
+
+def test_one_moved_pressure_fails_the_gate(monkeypatch, reference_field):
+    # the shipped reference field passes; moving any one of its 256
+    # pressures by 1e-8 either way fails
+    from condflow import darcy
+
+    solve_pressure(reference_field, BC)
+    original = darcy._solve
+    move = {}
+
+    def move_one(bands, rhs, cells):
+        p = original(bands, rhs, cells)
+        p[move["cell"]] += move["delta"]
+        return p
+
+    monkeypatch.setattr(darcy, "_solve", move_one)
+    for cell in range(reference_field.grid.n_cells):
+        for delta in (1e-8, -1e-8):
+            move.update(cell=cell, delta=delta)
+            with pytest.raises(NumericalError) as info:
+                solve_pressure(reference_field, BC)
+            assert (info.value.module, info.value.code) == ("darcy",
+                                                            "residual")
+
+
+@pytest.mark.parametrize("case, code", [
+    ("underflow", "singular"), ("overflow", "overflow"),
+    ("nan_pressure", "residual"), ("inf_pressure", "residual")])
+def test_singular_and_non_finite_systems_keep_their_codes(monkeypatch,
+                                                           case, code):
+    # k = exp(-800) is 0, and k = exp(709) overflows a transmissibility;
+    # a solve that returns a NaN or an infinite pressure fails the gate
+    from condflow import darcy
+
+    g = make_grid(4, 4)
+    logk = {"underflow": -800.0, "overflow": 709.0}.get(case, 0.0)
+    if case.endswith("_pressure"):
+        original = darcy._solve
+        bad = np.nan if case == "nan_pressure" else np.inf
+
+        def solve(bands, rhs, cells):
+            p = original(bands, rhs, cells)
+            p[5] = bad
+            return p
+
+        monkeypatch.setattr(darcy, "_solve", solve)
+    with pytest.raises(NumericalError) as info:
+        solve_pressure(ScalarField(g, np.full(g.n_cells, logk)), BC)
+    assert (info.value.module, info.value.code) == ("darcy", code)
 
 
 def test_upscale_non_divisible():

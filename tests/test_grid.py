@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,16 @@ def test_field_validation():
         ScalarField(g, np.zeros(3))
     with pytest.raises(ArgumentError):
         ScalarField(g, np.array([0.0, np.nan, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (2, 3, 256), ()],
+                         ids=["grid_shaped", "three_dimensional", "scalar"])
+def test_field_rejects_every_other_shape(shape):
+    # values are (n_cells,) or (m, n_cells); a (ny, nx) array is not
+    # flattened into one field, nor a 3-D stack into a longer one
+    with pytest.raises(ArgumentError, match=re.escape(
+            f"field values have shape {shape}")):
+        ScalarField(make_grid(16, 16), np.zeros(shape))
 
 
 def test_every_csv_is_read_by_one_loader():
