@@ -14,8 +14,8 @@ No degrees-of-freedom correction is applied to the PSRF. lam comes from
 the symmetric generalized eigenproblem B x = mu W x (mu = l*lam), not
 from W^-1 B: the Cholesky factor W = L L^T reduces it to the standard
 symmetric eigenproblem of L^-1 B L^-T, whose largest eigenvalue is mu.
-A W with condition number above 1e12, or one that is not positive
-definite, falls back to the eigenvalues of pinv(W) B with a warning.
+W is degenerate unless d = diag(W) > 0, cond(W / sqrt(d d^T)) <= 1e12
+and W has a Cholesky factor: like the MPSRF, the rule is scale-free.
 
 W and B are formed from per-chain sums of y and y y^T, where y is a
 draw minus its chain's first draw (the shifted sums of Chan, Golub &
@@ -28,8 +28,8 @@ draw once and holds one trace plus k x checkpoints x n^2 sums. The
 checkpoints fall every ``spacing`` draws of the first trace read, after
 its burn-in, and at its last. W, B and the rest are formed per
 checkpoint once every chain is summed. A checkpoint at which some chain
-has zero variance in every parameter, or some parameter has zero
-within-chain variance, is skipped with a notice.
+has zero variance in every parameter, some parameter has zero
+within-chain variance, or W is degenerate, is skipped with a notice.
 
 :func:`diagnostics_series` is the one diagnosis of a set of traces, and
 every rule of one is stated here: the chain count, the burn-in, the
@@ -39,7 +39,6 @@ finiteness.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,22 +150,21 @@ def psrf(W, V):
 
 
 def mpsrf(W, B, k, l):
-    """Multivariate PSRF from the largest eigenvalue of W^-1 B / l."""
+    """Multivariate PSRF; a degenerate W is a NumericalError."""
     W = np.asarray(W, dtype=float)
-    B = np.asarray(B, dtype=float)
+    d = np.diag(W)
+    cond = (np.linalg.cond(W / np.sqrt(np.outer(d, d))) if d.min() > 0
+            else np.inf)
     try:
-        if np.linalg.cond(W) > 1e12:
-            raise np.linalg.LinAlgError("ill-conditioned W")
+        if not cond <= 1e12:
+            raise np.linalg.LinAlgError
         Li = np.linalg.inv(np.linalg.cholesky(W))
-        mu = np.linalg.eigvalsh(Li @ B @ Li.T)[-1]
     except np.linalg.LinAlgError:
-        warnings.warn(
-            "within-chain covariance is ill-conditioned; "
-            "falling back to a pseudo-inverse for the MPSRF",
-            stacklevel=2,
-        )
-        mu = float(np.max(np.real(
-            np.linalg.eigvals(np.linalg.pinv(W) @ B))))
+        raise NumericalError(
+            "within-chain covariance is not positive definite to working "
+            f"precision (correlation condition number {cond:.3g})",
+            module=_MOD, code="degenerate") from None
+    mu = np.linalg.eigvalsh(Li @ B @ Li.T)[-1]
     lam = max(mu, 0.0) / l
     return float(np.sqrt((l - 1) / l + (k + 1) / k * lam))
 
@@ -194,9 +192,9 @@ def diagnostics_series(traces, spacing=CHECKPOINT_EVERY, burn_in=0, Q=None):
     trace by its 1-based position. The arguments are checked before a
     trace is read, and no reference to a trace is kept once its sums are
     taken, so a generator of traces read on demand holds one of them at
-    a time. Checkpoints needing fewer than 2 draws, or hitting degenerate
-    within-chain variance (common early on with single-component
-    updates), are skipped with a notice.
+    a time. Checkpoints needing fewer than 2 draws, or hitting a
+    degenerate W (common early on with single-component updates), are
+    skipped with a notice.
     """
     check_burn_in(burn_in)
     check_checkpoint_spacing(spacing)
@@ -249,12 +247,13 @@ def diagnostics_series(traces, spacing=CHECKPOINT_EVERY, burn_in=0, Q=None):
             B = _between(firsts, s1, c)
             V = posterior_cov(W, B, k, c)
             p = psrf(W, V)
+            m = mpsrf(W, B, k, c)
         except NumericalError as exc:
             report.notices.append(f"checkpoint {c}: {exc}")
             continue
         report.checkpoints.append(c)
         report.max_psrf.append(float(np.max(p)))
-        report.mpsrf.append(mpsrf(W, B, k, c))
+        report.mpsrf.append(m)
     return report
 
 

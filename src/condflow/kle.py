@@ -89,10 +89,11 @@ def solve_kle(cov, grid, n):
                             module=_MOD)
     nu, ux = _axis_spectrum(grid.hx * cov.rx)
     mu, uy = _axis_spectrum(grid.hy * cov.ry)
-    products = cov.sigma2 * np.outer(mu, nu).ravel()  # flat a*nx + b
+    products = np.outer(mu, nu).ravel()  # flat a*nx + b, each <= 1
     order = np.argsort(-products, kind="stable")
-    evals = products[order]
-    frac = np.cumsum(evals) / np.sum(evals)  # the energy of 1, 2, ... modes
+    unit = products[order]  # at sigma2 = 1, where no sum overflows
+    frac = np.cumsum(unit) / np.sum(unit)  # the energy of 1, 2, ... modes
+    evals = cov.sigma2 * unit
     if evals[n - 1] <= 1e-12 * evals[0]:
         raise NumericalError(
             f"eigenvalue {n} is <= 1e-12 of the leading one; reduce the "

@@ -185,12 +185,13 @@ def matrix_series(chains, checkpoints):
             B = _between(first[:, 0], s1, c)
             V = posterior_cov(W, B, k, c)
             p = psrf(W, V)
+            m = mpsrf(W, B, k, c)
         except NumericalError as exc:
             report.notices.append(f"checkpoint {c}: {exc}")
             continue
         report.checkpoints.append(c)
         report.max_psrf.append(float(np.max(p)))
-        report.mpsrf.append(mpsrf(W, B, k, c))
+        report.mpsrf.append(m)
     return report
 
 

@@ -393,7 +393,7 @@ def dense_between(chains):
     return l / (k - 1) * (dev.T @ dev)
 
 
-def dense_series(chains, spacing, mpsrf_):
+def dense_series(chains, spacing):
     k, L, n = chains.shape
     out = dict(checkpoints=[], max_psrf=[], mpsrf=[], notices=[])
     for c in checkpoints_for(L, spacing):
@@ -406,43 +406,27 @@ def dense_series(chains, spacing, mpsrf_):
             B = dense_between(chains[:, :c])
             V = posterior_cov(W, B, k, c)
             p = psrf(W, V)
+            m = mpsrf(W, B, k, c)
         except NumericalError as exc:
             out["notices"].append(f"checkpoint {c}: {exc}")
             continue
         out["checkpoints"].append(c)
         out["max_psrf"].append(float(np.max(p)))
-        out["mpsrf"].append(mpsrf_(W, B, k, c))
+        out["mpsrf"].append(m)
     return out
 
 
-def recording_mpsrf(fell_back):
-    """``mpsrf`` that appends to ``fell_back`` the draw count of every
-    call that fell back to the pseudo-inverse."""
-
-    def call(W, B, k, l):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = mpsrf(W, B, k, l)
-        if any("pseudo-inverse" in str(w.message) for w in caught):
-            fell_back.append(l)
-        return value
-
-    return call
-
-
-def assert_series_match_oracle(chains, spacing, monkeypatch):
-    fell_back, expected_fell_back = [], []
-    monkeypatch.setattr(diagnostics, "mpsrf", recording_mpsrf(fell_back))
-    report = diagnostics_series([FakeTrace(c) for c in chains], spacing)
-    expected = dense_series(chains, spacing,
-                            recording_mpsrf(expected_fell_back))
+def assert_series_match_oracle(chains, spacing):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = diagnostics_series([FakeTrace(c) for c in chains], spacing)
+        expected = dense_series(chains, spacing)
     assert report.notices == expected["notices"]
     assert report.checkpoints == expected["checkpoints"]
-    assert fell_back == expected_fell_back
     for key in ("max_psrf", "mpsrf"):
         got, want = np.array(getattr(report, key)), np.array(expected[key])
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), key
-    return report, fell_back
+    return report
 
 
 def single_component_chains(rng, k, L, n, accept):
@@ -467,43 +451,80 @@ def test_public_covariances_match_dense_oracle():
         <= 1e-12 * np.max(np.abs(B))
 
 
-def test_series_random_walk_matches_oracle(monkeypatch):
+def test_series_random_walk_matches_oracle():
     rng = np.random.default_rng(12)
     chains = np.cumsum(rng.standard_normal((4, 3000, 6)), axis=1)
-    report, _ = assert_series_match_oracle(chains, 250, monkeypatch)
+    report = assert_series_match_oracle(chains, 250)
     assert len(report.checkpoints) == 12
 
 
-def test_series_large_offset_matches_oracle(monkeypatch):
+def test_series_large_offset_matches_oracle():
     # near-constant chains far from 0: a sum of x x^T without the shift
     # would lose every digit of the variance to cancellation
     rng = np.random.default_rng(13)
     chains = 1e6 + 1e-3 * rng.standard_normal((4, 2000, 3))
     chains[1] += 2e-4
-    report, _ = assert_series_match_oracle(chains, 100, monkeypatch)
+    report = assert_series_match_oracle(chains, 100)
     assert len(report.checkpoints) == 20
     assert report.max_psrf[-1] > 1.0
 
 
-def test_series_single_component_skips_early_checkpoints(monkeypatch):
+def test_series_single_component_skips_early_checkpoints():
     rng = np.random.default_rng(14)
     chains = single_component_chains(rng, 4, 600, 20, accept=0.3)
-    report, _ = assert_series_match_oracle(chains, 5, monkeypatch)
+    report = assert_series_match_oracle(chains, 5)
     assert any("zero variance in every parameter" in s
                for s in report.notices)
     assert any("zero within-chain variance" in s for s in report.notices)
     assert report.checkpoints[-1] == 600
 
 
-def test_series_ill_conditioned_w_falls_back_like_oracle(monkeypatch):
-    # one parameter on a 1e-7 scale: W is non-singular but cond(W) is
-    # about 1e14, above the 1e12 switch to the pseudo-inverse
+def _random_walks():
     rng = np.random.default_rng(15)
-    chains = np.cumsum(rng.standard_normal((4, 1000, 3)), axis=1)
+    return np.cumsum(rng.standard_normal((4, 1000, 3)), axis=1)
+
+
+def test_series_badly_scaled_w_matches_oracle():
+    # one parameter on a 1e-7 scale: cond(W) is about 1e14, but W's
+    # correlation matrix is well conditioned, so no checkpoint is skipped
+    chains = _random_walks()
     chains[:, :, 2] *= 1e-7
-    report, fell_back = assert_series_match_oracle(chains, 250, monkeypatch)
-    assert fell_back == [250, 500, 750, 1000]
-    assert report.checkpoints == fell_back
+    report = assert_series_match_oracle(chains, 250)
+    assert report.checkpoints == [250, 500, 750, 1000]
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e7, 2.0**-40],
+                         ids=["1e-7", "1e7", "2^-40"])
+def test_series_is_free_of_parameter_scale(scale):
+    # the PSRFs and the MPSRF do not change when a parameter is rescaled
+    chains = _random_walks()
+    scaled = chains.copy()
+    scaled[:, :, 2] *= scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = diagnostics_series([FakeTrace(c) for c in chains], 250)
+        report = diagnostics_series([FakeTrace(c) for c in scaled], 250)
+    assert report.checkpoints == expected.checkpoints == [250, 500, 750, 1000]
+    assert report.notices == expected.notices == []
+    for key in ("max_psrf", "mpsrf"):
+        got = np.array(getattr(report, key))
+        want = np.array(getattr(expected, key))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), key
+
+
+def test_series_skips_a_degenerate_w():
+    # 2 chains of 6 parameters: W has rank at most 2 (c - 1) < 6 before
+    # checkpoint 4, though every parameter varies
+    rng = np.random.default_rng(16)
+    chains = np.cumsum(rng.standard_normal((2, 10, 6)), axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = diagnostics_series([FakeTrace(c) for c in chains], 1)
+    assert report.checkpoints == list(range(4, 11))
+    assert [s.split(":")[0] for s in report.notices] == [
+        "checkpoint 1", "checkpoint 2", "checkpoint 3"]
+    assert all("within-chain covariance is not positive definite" in s
+               for s in report.notices[1:])
 
 
 def test_series_skips_parameter_that_never_moved():
@@ -563,7 +584,7 @@ def test_series_equals_matrix_form_bitwise(name, chains, spacing,
     # one chain at a time gives the bits of all chains at once
     traces = [FakeTrace(c) for c in chains]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # pseudo-inverse fallbacks
+        warnings.simplefilter("error")
         report = diagnostics_series(
             (t for t in traces) if as_generator else traces, spacing)
         expected = matrix_series(chains,
@@ -619,7 +640,7 @@ DIFFERENTIAL_CASES = list(_differential_cases())
 @pytest.mark.parametrize("name, W, B", DIFFERENTIAL_CASES,
                          ids=[case[0] for case in DIFFERENTIAL_CASES])
 def test_mpsrf_matches_scipy_generalized_eigh(name, W, B):
-    # every W is below the 1e12 switch to the pseudo-inverse
+    # every W has cond(W) below 1e12, and none is degenerate
     low = 5e10 if name.startswith("scaled") else 1.0
     assert low <= np.linalg.cond(W) < 1e12
     with warnings.catch_warnings():
@@ -629,13 +650,28 @@ def test_mpsrf_matches_scipy_generalized_eigh(name, W, B):
                 _mpsrf_by_scipy(W, B, k, l), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("W", [
-    np.diag([1.0, 1e-13]),  # cond(W) 1e13 > 1e12
-    np.array([[1.0, 2.0], [2.0, 1.0]]),  # symmetric, eigenvalues 3 and -1
-], ids=["ill_conditioned", "indefinite"])
-def test_mpsrf_falls_back_to_pseudo_inverse(W):
+def test_mpsrf_is_exact_on_a_badly_scaled_w():
+    # cond(W) is 1e13, its correlation matrix the identity
+    W = np.diag([1.0, 1e-13])
     B = np.array([[2.0, 1.0], [1.0, 1.0]])
-    with pytest.warns(UserWarning, match="pseudo-inverse"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         value = mpsrf(W, B, 4, 100)
-    mu = np.max(np.real(np.linalg.eigvals(np.linalg.pinv(W) @ B)))
-    assert value == np.sqrt(0.99 + 1.25 * max(mu, 0.0) / 100)
+    assert value == pytest.approx(_mpsrf_by_scipy(W, B, 4, 100), rel=1e-12,
+                                  abs=0.0)
+
+
+@pytest.mark.parametrize("W", [
+    np.array([[1.0, 2.0], [2.0, 1.0]]),  # symmetric, eigenvalues 3 and -1
+    np.array([[1.0, 1.0], [1.0, 1.0]]),  # rank 1
+    np.diag([1.0, 0.0]),
+], ids=["indefinite", "rank_deficient", "zero_variance"])
+def test_mpsrf_rejects_a_degenerate_w(W):
+    B = np.array([[2.0, 1.0], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not positive definite") \
+                as info:
+            mpsrf(W, B, 4, 100)
+    assert (info.value.module, info.value.code) == ("diagnostics",
+                                                    "degenerate")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,16 @@ def test_sign_rule_ignores_one_ulp_between_mirrored_maxima():
         fixed = _fix_signs(np.array(col)[:, None])[:, 0]
         assert fixed[1] > 0.0
         assert np.array_equal(np.abs(fixed), np.abs(col))
+
+
+def test_largest_variance_keeps_the_energy_without_warnings(fine_grid,
+                                                            basis20):
+    # the energy is read from the spectrum at unit variance: at the
+    # largest float variance the sum of the scaled spectrum overflows
+    params = KernelParams(np.finfo(float).max, 0.4, 0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = solve_kle(assemble_covariance(fine_grid, params), fine_grid,
+                          20)
+    assert basis.energy == basis20.energy
+    assert np.all(np.isfinite(basis.lambdas))

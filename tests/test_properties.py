@@ -1,9 +1,12 @@
-"""Property tests of the field rule, the pressure solver, the trace CSV
-round trip, kriging and conditioning. Every test is derandomized and
-keeps no example database, so a run draws the same examples every
-time."""
+"""Property tests of the field rule, the pressure solver, the 2x2
+upscaling closed form, the trace CSV round trip and its corrupted rows,
+kriging, conditioning and the CLI. Every test is derandomized and keeps
+no example database, so a run draws the same examples every time."""
 
+import io
 import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -12,16 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from condflow import cli
+from condflow.config import _KEYS
 from condflow.conditioning import (build_data_matrix, nullspace_basis,
                                    synthesize_conditioned)
 from condflow.covariance import KernelParams, assemble_covariance
-from condflow.darcy import BoundaryConditions, solve_pressure, upscale
-from condflow.errors import ArgumentError, CondflowError, NumericalError
+from condflow.darcy import (BoundaryConditions, _keff_x, _keff_x_2x2,
+                            solve_pressure, upscale)
+from condflow.errors import (ArgumentError, CondflowError, NumericalError,
+                             ParseError)
 from condflow.grid import ScalarField, make_grid
 from condflow.kle import solve_kle
 from condflow.kriging import MeasurementSet, krige
 from condflow.mcmc import ChainTrace, read_trace_csv, write_trace_csv
 from oracles import dense_tpfa
+from test_darcy import _exact_keff_x
 
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
 
@@ -152,6 +160,33 @@ def test_stacked_solve_and_upscale_are_each_fields_own(case):
 
 
 @st.composite
+def _blocks_2x2(draw):
+    """1-20 lognormal 2x2 blocks at a drawn scale up to 4, on cells of
+    aspect ratio hx / hy from 1/30 to 30 (log-uniform)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kb = np.exp(draw(st.floats(0.0, 4.0))
+                * rng.standard_normal((draw(st.integers(1, 20)), 2, 2)))
+    return kb, 30.0 ** draw(st.floats(-1.0, 1.0)) / 16, 1 / 16
+
+
+@_settings(150)
+@given(_blocks_2x2())
+def test_closed_form_2x2_matches_exact_elimination_and_the_generic_path(
+        case):
+    # the closed form is within 16 eps of exact rational elimination (4
+    # eps the largest seen). The banded dpbsv solve of the same blocks
+    # loses digits on cells wider than tall: up to 0.6 eps (hx / hy)^2
+    # from the closed form, and within 6 eps of it at hx <= hy
+    kb, hx, hy = case
+    closed = _keff_x_2x2(kb.transpose(1, 2, 0), hx, hy)
+    exact = np.array([_exact_keff_x(b, hx, hy) for b in kb[:4]])
+    assert np.max(np.abs(closed[:4] - exact) / exact) <= 16 * EPS
+    generic = _keff_x(kb, hx, hy)
+    assert (np.max(np.abs(closed - generic) / generic)
+            <= 16 * EPS * max(1.0, hx / hy) ** 2)
+
+
+@st.composite
 def _traces(draw):
     iterations, n = draw(st.integers(1, 20)), draw(st.integers(1, 5))
     finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -176,6 +211,59 @@ def test_trace_csv_round_trip_is_bitwise(trace):
         got, expected = getattr(back, name), getattr(trace, name)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes(), name
+
+
+#: tokens that no float parser reads as a number
+_NON_NUMERIC = ["x", "one", "1.0.0", "--1", "1e", "0..5", "?"]
+
+
+@st.composite
+def _corrupted_traces(draw):
+    """A valid trace, one of its rows, and a corruption of that row: a
+    non-numeric token, a value left empty or dropped, a flag of 2, a fine
+    acceptance without a coarse one, or a skipped iteration. The last
+    three break a trace rule; the rest break the CSV."""
+    trace = draw(_traces())
+    n = trace.thetas.shape[1]
+    row = draw(st.integers(0, trace.iterations - 1))
+    column = st.integers(0, n + 3)  # iteration, thetas, flags, loglik
+    kind = draw(st.sampled_from(["token", "empty", "dropped", "flag",
+                                 "fine_without_coarse", "skipped"]))
+    if kind == "token":
+        edit = {draw(column): draw(st.sampled_from(_NON_NUMERIC))}
+    elif kind == "empty":
+        edit = {draw(column): ""}
+    elif kind == "dropped":
+        edit = {draw(column): None}
+    elif kind == "flag":
+        edit = {draw(st.sampled_from([n + 1, n + 2])): "2"}
+    elif kind == "fine_without_coarse":
+        edit = {n + 1: "0", n + 2: "1"}
+    else:
+        edit = {0: str(row + 1)}
+    return trace, row, edit, kind in ("flag", "fine_without_coarse",
+                                      "skipped")
+
+
+@_settings(100)
+@given(_corrupted_traces())
+def test_corrupted_trace_row_is_a_parse_error(case):
+    trace, row, edit, breaks_a_rule = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(trace, path)
+        lines = path.read_text().splitlines()
+        values = lines[1 + row].split(",")
+        for column, value in edit.items():
+            values[column] = value
+        lines[1 + row] = ",".join(v for v in values if v is not None)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_trace_csv(path)
+    assert info.value.module == "mcmc"
+    assert str(path) in str(info.value)
+    if breaks_a_rule:
+        assert f"row {row}: " in str(info.value)
 
 
 @st.composite
@@ -248,3 +336,96 @@ def test_conditioned_fields_honor_the_data_or_setup_fails(case):
     fields = synthesize_conditioned(basis, kriged, thetas, Q)
     miss = np.abs(fields.values[:, cells] - ms.values).max()
     assert miss <= 1e-9 * max(1.0, np.abs(ms.values).max())
+
+
+_SIZES = ["-1", "0", "1", "2", "3", "4", "8", "16", "1.5", "x", str(10**30)]
+_COUNTS = ["-1", "0", "1", "2", "20", "256", "257", "1.5", "", str(10**30)]
+_FLOATS = ["nan", "inf", "-inf", "0", "-1", "5e-324", "1e-300", "1e-3", "0.5",
+           "1", "1.0000001", "1e300", "1.7976931348623157e308", "x"]
+_BOOLS = ["true", "no", "YES", "0", "2", "", "maybe"]
+_PATHS = ["", "{tmp}/missing.csv", "{tmp}", "{tmp}/field.csv",
+          "{tmp}/measurements.csv"]
+#: adversarial values of every config key; a chain count stays small,
+#: as a dry run writes a seed per chain to the manifest
+_CONFIG_VALUES = {
+    "grid.fine_nx": _SIZES, "grid.fine_ny": _SIZES,
+    "grid.coarse_nx": _SIZES, "grid.coarse_ny": _SIZES,
+    "kernel.sigma2": _FLOATS, "kernel.lx": _FLOATS, "kernel.ly": _FLOATS,
+    "kle.n_terms": _COUNTS, "mcmc.beta": _FLOATS,
+    "mcmc.sigma_f2": _FLOATS, "mcmc.sigma_c2": _FLOATS,
+    "mcmc.chains": ["-1", "0", "1", "2", "4", "1.5", "x"],
+    "mcmc.iterations": _COUNTS, "mcmc.burn_in": _COUNTS,
+    "mcmc.conditioned": _BOOLS, "mcmc.single_component": _BOOLS,
+    "seed": _COUNTS, "paths.measurements": _PATHS,
+    "paths.reference_field": _PATHS, "paths.output_dir": _PATHS,
+    "output.snapshots": ["", "0", "-1", "40,5000", "1,,2", "x", str(10**30)],
+    "output.verbosity": _COUNTS,
+}
+#: field and measurement values, the extremes where exp(logperm)
+#: overflows or underflows among them
+_CELL_VALUES = ["0", "-1.5", "2", "709", "800", "-800", "nan", "inf", "x"]
+
+
+def test_cli_config_values_cover_every_key():
+    assert set(_CONFIG_VALUES) == set(_KEYS)
+
+
+@st.composite
+def _cli_runs(draw):
+    """A command, a config of known keys with adversarial values, a
+    16 x 16 reference field file and a measurements file, each of
+    normal or adversarial values. The field and measurement files are
+    read only when the config names them (or ``--field`` does)."""
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)),
+                         unique=True, max_size=4))
+    config = {key: draw(st.sampled_from(_CONFIG_VALUES[key]))
+              for key in keys}
+    command = draw(st.sampled_from([["kle"], ["krige"], ["solve"],
+                                    ["solve", "--field", "{tmp}/field.csv"],
+                                    ["reference", "--dry-run"]]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = [f"{v:.17g}" for v in rng.standard_normal(256)]
+    measurements = [f"{x},{y},{v:.17g}" for x, y, v in zip(
+        *rng.uniform(0.0, 1.0, (2, 9)), rng.standard_normal(9))]
+    for _ in range(draw(st.integers(0, 2))):
+        field[draw(st.integers(0, 255))] = draw(st.sampled_from(_CELL_VALUES))
+        parts = measurements[draw(st.integers(0, 8))].split(",")
+        parts[draw(st.integers(0, 2))] = draw(st.sampled_from(_CELL_VALUES))
+        measurements[draw(st.integers(0, 8))] = ",".join(parts)
+    return command, config, field, measurements
+
+
+def _run_cli(argv):
+    """Exit code of an in-process run, and its stderr lines with one
+    line per warning, as a process would print it."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(io.StringIO()), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, err.getvalue().splitlines() + [
+        f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+@_settings(120)
+@given(_cli_runs())
+def test_cli_exits_0_or_with_one_error_line(run):
+    command, config, field, measurements = run
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "field.csv").write_text("\n".join(
+            ",".join(field[j * 16:(j + 1) * 16]) for j in range(16)) + "\n")
+        (root / "measurements.csv").write_text(
+            "x,y,value\n" + "\n".join(measurements) + "\n")
+        (root / "study.cfg").write_text("".join(
+            f"{key} = {value.format(tmp=tmp)}\n"
+            for key, value in config.items()))
+        code, stderr = _run_cli(
+            [arg.format(tmp=tmp) for arg in command]
+            + ["--config", str(root / "study.cfg"),
+               "--out-dir", str(root / "out")])
+    if code == 0:
+        assert stderr == []
+    else:
+        assert code == 1
+        assert len(stderr) == 1 and stderr[0].startswith("error:"), stderr
