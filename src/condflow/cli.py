@@ -28,8 +28,9 @@ from .darcy import solve_pressure
 from .diagnostics import (CHECKPOINT_EVERY, check_chain_count,
                           diagnostics_series, write_report_csv,
                           write_report_dat)
-from .errors import CondflowError, ParseError
-from .grid import _read_csv, read_field_csv, write_field_csv, write_field_pgm
+from .errors import ArgumentError, CondflowError, ParseError
+from .grid import (ScalarField, _read_csv, read_field_csv, write_field_csv,
+                   write_field_pgm)
 from .kriging import snap_to_cells
 from .mcmc import read_trace_csv, synthesize
 from .study import build_setup, run_reference_experiment
@@ -48,7 +49,7 @@ def cmd_kle(args):
     np.savetxt(os.path.join(out, "eigenvalues.csv"), basis.lambdas,
                fmt="%.17g")
     for i in range(basis.n):
-        write_field_csv(basis.eigenfield(i),
+        write_field_csv(ScalarField(basis.grid, basis.phi[:, i]),
                         os.path.join(out, f"phi_{i + 1:03d}.csv"))
     print(f"retained {basis.n} modes, energy {basis.energy:.6f}")
     return 0
@@ -110,14 +111,17 @@ def cmd_invert(args):
 
 
 def cmd_diagnose(args):
-    # the chain count, like the series its arguments, is checked before
-    # any trace is parsed
+    # the chain count and the output paths, like the series its
+    # arguments, are checked before any trace is parsed
     check_chain_count(len(args.traces))
+    dat = os.path.splitext(args.out)[0] + ".dat"
+    if dat == args.out:
+        raise ArgumentError(f"--out {args.out} is the path of its DAT twin; "
+                            "give the CSV another extension", module="cli")
     report = diagnostics_series(map(read_trace_csv, args.traces),
                                 args.checkpoint_every, args.burn_in)
     write_report_csv(report, args.out)
-    root, _ = os.path.splitext(args.out)
-    write_report_dat(report, root + ".dat")
+    write_report_dat(report, dat)
     for notice in report.notices:
         print(f"notice: {notice}")
     if report.mpsrf:

@@ -29,18 +29,14 @@ _MOD = "conditioning"
 RANK_RTOL = 1e-10
 
 
-def check_measurement_count(m, n):
-    """Conditioning needs fewer measurements m than KL modes n."""
-    if m >= n:
-        raise ArgumentError(f"{m} measurements with only {n} KL modes leave "
-                            "no nontrivial nullspace; retain more modes",
-                            module=_MOD)
-
-
 def build_data_matrix(basis, ms):
     """The (m, n) data matrix A_ij = sqrt(lambda_j) phi_j(x_hat_i), the
-    measurements snapped to cells of the basis's grid."""
-    check_measurement_count(ms.m, basis.n)
+    measurements snapped to cells of the basis's grid. Conditioning needs
+    fewer measurements m than KL modes n."""
+    if ms.m >= basis.n:
+        raise ArgumentError(f"{ms.m} measurements with only {basis.n} KL "
+                            "modes leave no nontrivial nullspace; retain "
+                            "more modes", module=_MOD)
     return (basis.phi[snap_to_cells(ms, basis.grid)]
             * basis.sqrt_lambdas[None, :])
 

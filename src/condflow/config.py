@@ -1,11 +1,12 @@
 """Line-oriented ``key = value`` study configuration.
 
-Grammar (bit-exact): one ``key = value`` pair per line; whitespace
-around key and value is stripped; blank lines and lines starting with
-``#`` are ignored; ``#`` does not start a comment elsewhere on a line.
-Booleans are ``true``/``1``/``yes`` or ``false``/``0``/``no``
-(case-insensitive); the snapshot list is comma-separated integers.
-Unknown keys, and a key given twice, are rejected.
+Grammar (bit-exact), in UTF-8: one ``key = value`` pair per line;
+whitespace around key and value is stripped; blank lines and lines
+starting with ``#`` are ignored; ``#`` does not start a comment
+elsewhere on a line. Booleans are ``true``/``1``/``yes`` or
+``false``/``0``/``no`` (case-insensitive); the snapshot list is
+comma-separated integers. Unknown keys, and a key given twice, are
+rejected. A file that is not UTF-8 is a parse error that names it.
 
 Each key is one :class:`StudyConfig` field, ``<section>.<field>`` with
 the section the field declares (``seed`` has none); ``_KEYS`` derives
@@ -112,9 +113,6 @@ class StudyConfig:
     def effective_burn_in(self):
         return self.iterations // 10 if self.burn_in is None else self.burn_in
 
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 # config-file key -> (attribute, parser), one per StudyConfig field
 _KEYS = {".".join(filter(None, (f.metadata.get("section"), f.name))):
@@ -127,32 +125,36 @@ def parse_config(path):
     if path is None:
         return StudyConfig()
     overrides, seen = {}, {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 'key = value'", module=_MOD
-                )
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _KEYS:
-                raise ParseError(
-                    f"{path}:{lineno}: unknown key '{key}'", module=_MOD
-                )
-            if key in seen:
-                raise ParseError(f"{path}:{lineno}: key '{key}' repeats "
-                                 f"line {seen[key]}", module=_MOD)
-            seen[key] = lineno
-            attr, parser = _KEYS[key]
-            try:
-                overrides[attr] = parser(value)
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}:{lineno}: bad value for '{key}': {exc}",
-                    module=_MOD,
-                ) from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}", module=_MOD) from exc
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ParseError(
+                f"{path}:{lineno}: expected 'key = value'", module=_MOD
+            )
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _KEYS:
+            raise ParseError(
+                f"{path}:{lineno}: unknown key '{key}'", module=_MOD
+            )
+        if key in seen:
+            raise ParseError(f"{path}:{lineno}: key '{key}' repeats "
+                             f"line {seen[key]}", module=_MOD)
+        seen[key] = lineno
+        attr, parser = _KEYS[key]
+        try:
+            overrides[attr] = parser(value)
+        except ValueError as exc:
+            raise ParseError(
+                f"{path}:{lineno}: bad value for '{key}': {exc}",
+                module=_MOD,
+            ) from exc
     return StudyConfig(**overrides)

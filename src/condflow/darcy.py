@@ -13,10 +13,15 @@ system: its main diagonal and its +1 and +nx bands, each a flat array
 over the whole stack laid end to end, with no band coupling two
 fields. One solver, ``_solve``, hands it to LAPACK's ``dpbsv`` in
 lower banded storage, for a pressure solve and for the generic
-upscaling cell problems alike; ``_lapack`` loads the routine's compiled
-module alone, at the first solve. In lower storage the
-factorization hands each column's rank-1 update to BLAS ``dsyr`` as a
-stride-1 vector; in upper storage its stride is the bandwidth, and
+upscaling cell problems alike, and is the one gate of every banded
+solve: each field's normwise backward error in the infinity norm (Rigal
+& Gaches; Higham, *Accuracy and Stability of Numerical Algorithms*,
+sec. 7.1) must meet ||Ax - b|| <= 1e-10 (||A|| ||x|| + ||b||), ||A||
+the largest absolute row sum of the field's operator and ||x|| at least
+the smallest normal float, with x finite. ``_lapack`` loads the
+routine's compiled module alone, at the first solve. In lower storage
+the factorization hands each column's rank-1 update to BLAS ``dsyr`` as
+a stride-1 vector; in upper storage its stride is the bandwidth, and
 OpenBLAS runs that several times slower, most of all on two threads.
 The stack is followed by u = min(nx, cells - 1) decoupled unit rows,
 so that every cell of every field has u rows below it, in a stack as
@@ -31,9 +36,9 @@ columns counted from the first row, is solved one field per call.
 ``solve_pressure`` and ``upscale`` take one field or a stack of fields
 (see ``ScalarField``) and solve the whole stack at once. Every check
 holds for each field on its own: finite permeability, transmissibility
-overflow, singular pivots (named by field and cell), and each pressure
-field's own backward error. Each field's result is bitwise that of its
-own call (the tests check this). ``boundary_fluxes`` takes one field.
+overflow, singular pivots (named by field and cell), and each solve's
+own backward error. Each field's result is bitwise that of its own call
+(the tests check this). ``boundary_fluxes`` takes one field.
 
 Nothing is stored between calls. The 2x2 upscaling layout is two
 transposed views of the permeability stack, built per call; the
@@ -182,7 +187,8 @@ def _lapack():
 def _solve(bands, rhs, cells):
     """Solve the SPD system of the bands of ``_tpfa``, a stack of fields
     of ``cells`` cells each; a singular one raises NumericalError that
-    names the field and its cell.
+    names the field and its cell, and one whose solution misses the
+    backward-error bound (see the module docstring) fails as "residual".
 
     LAPACK's ``dpbsv`` comes from ``_lapack`` at the first solve, which
     loads the compiled ``_flapack`` module alone: 11 modules of its
@@ -194,6 +200,8 @@ def _solve(bands, rhs, cells):
     diag, tx, ty = bands
     n = diag.size
     nx = ty.size - n
+    # |A|'s row sums: the bands hold the magnitudes of A's entries
+    rows = diag + tx[:-1] + tx[1:] + ty[:-nx] + ty[nx:]
     u = min(nx, cells - 1)  # no band reaches past a field's last cell
     # column c's entries in rows c + 1 and c + nx, negated below
     tx, ty = tx[1:], ty[nx:]
@@ -229,6 +237,14 @@ def _solve(bands, rhs, cells):
             raise ArgumentError(f"dpbsv rejected its argument {-info}",
                                 module=_MOD)
         x[part] = b[:m]
+    # each field's infinity norms of A, x, b and the residual
+    a, x_norm, b_norm, r = np.abs([rows, x, rhs, _matvec(bands, x) - rhs]
+                                  ).reshape(4, -1, cells).max(axis=2)
+    # below the smallest normal float, solutions round absolutely
+    bound = 1e-10 * (a * np.maximum(x_norm, _TINY) + b_norm)
+    if not ((r <= bound) & (x_norm < np.inf)).all():  # NaN fails
+        raise NumericalError("TPFA solve's backward error exceeds 1e-10",
+                             module=_MOD, code="residual")
     return x
 
 
@@ -245,32 +261,15 @@ def solve_pressure(logperm, bc):
     """Solve -div(k grad p) = 0 with k = exp(logperm), cellwise.
 
     Returns the pressure as a ScalarField on the same grid, one field per
-    field of a stack. Each field's solve is gated on its own normwise
-    backward error in the infinity norm, ||Ap - b|| <= 1e-10 (||A|| ||p||
-    + ||b||), where ||A|| is the largest absolute row sum of the field's
-    operator and ||p|| is at least the smallest normal float; a pressure
-    that is not finite fails too.
+    field of a stack, each accepted by ``_solve``'s backward-error gate.
     """
     grid = logperm.grid
-    cells = grid.n_cells
     with np.errstate(divide="ignore", over="ignore"):
         bands, Tl, Tr = _tpfa(_permeability(logperm), grid.hx, grid.hy)
-        rhs = np.zeros((Tl.size // grid.ny, cells))
-        rhs_rows = rhs.reshape(-1, grid.nx)
-        rhs_rows[:, 0] += Tl * bc.p_left
-        rhs_rows[:, -1] += Tr * bc.p_right
-        rhs = rhs.ravel()
-        p = _solve(bands, rhs, cells)
-        diag, tx, ty = bands  # every entry >= 0, so |A|'s row sums are
-        rows = diag + tx[:-1] + tx[1:] + ty[:-grid.nx] + ty[grid.nx:]
-        # each field's infinity norms of A, p, b and the residual
-        a, p_norm, b, r = np.abs([rows, p, rhs, _matvec(bands, p) - rhs]
-                                 ).reshape(4, -1, cells).max(axis=2)
-        # below the smallest normal float, pressures round absolutely
-        bound = 1e-10 * (a * np.maximum(p_norm, _TINY) + b)
-        if not ((r <= bound) & (p_norm < np.inf)).all():  # NaN fails
-            raise NumericalError("pressure solve's backward error exceeds "
-                                 "1e-10", module=_MOD, code="residual")
+        rhs = np.zeros((Tl.size, grid.nx))
+        rhs[:, 0] += Tl * bc.p_left
+        rhs[:, -1] += Tr * bc.p_right
+        p = _solve(bands, rhs.ravel(), grid.n_cells)
     return ScalarField(grid, p.reshape(logperm.values.shape))
 
 

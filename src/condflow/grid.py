@@ -10,14 +10,16 @@ Conventions (fixed, documented here once):
     bottom row (j = 0) on the first line, printed to 17 significant
     digits so a write/read round trip is bit exact;
   * PGM images are ASCII P2, min-max scaled to 0..255, top row first;
-    a constant field renders mid-gray (128);
+    a constant field renders mid-gray (128), and every finite field
+    renders, even one whose range exceeds the largest float;
   * every numeric artifact is written by one ``np.savetxt`` call, and
     every CSV (fields, measurements, thetas, traces, reports) is read by
-    ``_read_csv``: an optional header line, then one ``np.loadtxt`` pass
-    over the rows with comma delimiters and no comment character.
-    Empty lines are skipped. Any malformed body (a bad token, a ragged
-    row, no data rows) is a ``ParseError`` of the calling module that
-    names the file and loadtxt's row and column; rows must be as wide as
+    ``_read_csv`` as UTF-8: an optional header line, then one
+    ``np.loadtxt`` pass over the rows with comma delimiters and no
+    comment character. Empty lines are skipped. A byte that is not
+    UTF-8, or any malformed body (a bad token, a ragged row, no data
+    rows), is a ``ParseError`` of the calling module that names the file
+    (and, for a body, loadtxt's row and column); rows must be as wide as
     a header, and each reader then checks its header and shape.
 """
 
@@ -129,25 +131,25 @@ def write_field_csv(fld, path):
 def _read_csv(path, module, header=False, empty=False):
     """(header line or None, 2-D float array) of a CSV artifact.
 
-    One ``np.loadtxt`` pass over the rows after the header; a malformed
-    body, or rows whose width is not the header's, raises
-    ``ParseError(module)`` naming the path. A file without data rows is
-    malformed unless ``empty`` (a report with no checkpoints), in which
-    case the array has no rows.
+    One ``np.loadtxt`` pass over the rows after the header; a file that
+    is not UTF-8, a malformed body, or rows whose width is not the
+    header's, raises ``ParseError(module)`` naming the path. A file
+    without data rows is malformed unless ``empty`` (a report with no
+    checkpoints), in which case the array has no rows.
     """
     head = None
-    if header:
-        with open(path) as fh:
-            head = fh.readline().strip()
     try:
+        if header:
+            with open(path, encoding="utf-8") as fh:
+                head = fh.readline().strip()
         with warnings.catch_warnings():
             # loadtxt only warns on a file without data rows
             warnings.simplefilter("ignore" if empty else "error", UserWarning)
             # given a path, loadtxt reads the file in chunks; an open file
             # it reads line by line, several percent slower on a trace
             data = np.loadtxt(path, delimiter=",", skiprows=int(header),
-                              ndmin=2, comments=None)
-    except (ValueError, UserWarning) as exc:
+                              ndmin=2, comments=None, encoding="utf-8")
+    except (ValueError, UserWarning) as exc:  # UnicodeDecodeError too
         raise ParseError(f"{path}: {exc}", module=module) from exc
     if header:
         width = len(head.split(","))
@@ -161,12 +163,10 @@ def _read_csv(path, module, header=False, empty=False):
 def read_field_csv(path, grid):
     """Read a field CSV written by :func:`write_field_csv`."""
     _, data = _read_csv(path, _MOD)
-    if data.shape[1] != grid.nx:
-        raise ParseError(f"{path}: expected {grid.nx} values per row, got "
-                         f"{data.shape[1]}", module=_MOD)
-    if data.shape[0] != grid.ny:
-        raise ParseError(f"{path}: expected {grid.ny} rows, got "
-                         f"{data.shape[0]}", module=_MOD)
+    if data.shape != (grid.ny, grid.nx):
+        raise ParseError(f"{path}: expected {grid.ny} rows of {grid.nx} "
+                         f"values, got {data.shape[0]} of {data.shape[1]}",
+                         module=_MOD)
     return ScalarField(grid, data.ravel())
 
 
@@ -174,6 +174,8 @@ def write_field_pgm(fld, path):
     """Render a field as an ASCII PGM image, one pixel per cell."""
     arr = fld.as_2d()
     lo, hi = arr.min(), arr.max()
+    if hi / 2 - lo / 2 > np.finfo(float).max / 2:  # hi - lo overflows
+        arr, lo, hi = arr / 2, lo / 2, hi / 2  # exact at this range
     pix = (np.rint((arr - lo) / (hi - lo) * 255.0) if hi > lo
            else np.full(arr.shape, 128))
     np.savetxt(path, pix[::-1], fmt="%d", comments="",

@@ -59,10 +59,6 @@ class KLEBasis:
     def sqrt_lambdas(self):
         return np.sqrt(self.lambdas)
 
-    def eigenfield(self, i):
-        """The i-th eigenfunction as a ScalarField."""
-        return ScalarField(self.grid, self.phi[:, i].copy())
-
 
 def _fix_signs(vecs):
     """Flip column signs so the first entry within a relative 1e-8 of the

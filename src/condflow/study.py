@@ -13,7 +13,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -180,7 +180,7 @@ def write_acceptance_table(path, traces_by_label):
 def write_manifest(path, cfg, artifact_paths, timings=None):
     manifest = {
         "version": __version__,
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "seeds": chain_seeds(cfg),
         "artifacts": artifact_paths,
         "timings_seconds": timings,

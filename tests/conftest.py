@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,27 @@ def reference_field(fine_grid):
     from condflow.grid import read_field_csv
 
     return read_field_csv(default_reference_field_path(), fine_grid)
+
+
+@pytest.fixture
+def plant_in_dpbsv(monkeypatch):
+    """``plant(move)`` makes every LAPACK ``dpbsv`` call of condflow.darcy
+    hand its solution to ``move`` before darcy reads it: a wrong LAPACK
+    result, which ``darcy._solve``'s backward-error gate must catch.
+    ``move`` gets the solution of the call's fields, without the unit
+    rows that pad the stack, as a view to change in place."""
+    from condflow import darcy
+
+    lapack = darcy._lapack()
+
+    def plant(move):
+        def dpbsv(ab, b, **kwargs):
+            c, x, info = lapack.dpbsv(ab, b, **kwargs)
+            u = ab.shape[0] - 1  # ab is (u + 1, rows + u)
+            move(x[:ab.shape[1] - u])
+            return c, x, info
+
+        monkeypatch.setattr(darcy, "_lapack",
+                            lambda: SimpleNamespace(dpbsv=dpbsv))
+
+    return plant

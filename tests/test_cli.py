@@ -335,7 +335,10 @@ def test_diagnose_rejects_checkpoint_spacing_below_one(tmp_path, capsys,
     (["--burn-in", "-1"], 2,
      "error:diagnostics:argument: burn-in must be at least 0, got -1"),
     ([], 1, "error:diagnostics:argument: need at least 2 chains, got k=1"),
-], ids=["spacing", "burn_in", "one_trace"])
+    # the CSV would be overwritten by its DAT twin, rep.dat itself
+    (["--out", "rep.dat"], 2, "error:cli:argument: --out rep.dat is the "
+     "path of its DAT twin; give the CSV another extension"),
+], ids=["spacing", "burn_in", "one_trace", "out_is_dat"])
 def test_diagnose_rejects_arguments_before_reading_traces(
         tmp_path, capsys, options, n_traces, message):
     # the last path does not exist: reading it would fail with cli:io
@@ -449,18 +452,20 @@ def test_diagnose_rejects_nan_in_one_trace(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("header, body, message", [
-    (None, "0,1.5,abc,1,1,0\n", "could not convert string 'abc'"),
-    (None, "0,1.5,2.5,1,1,0\n1,1.5,2.5,1,1\n", "number of columns changed"),
-    (None, "", "input contained no data"),
-    (None, "0,1.5,1,1,0\n1,2.5,1,1,0\n", "rows have 5 values, the header 6"),
-    ("a,b\n", "0,1\n", "not a trace CSV"),
-], ids=["bad_token", "ragged_row", "header_only", "short_rows", "bad_header"])
+    (None, b"0,1.5,abc,1,1,0\n", "could not convert string 'abc'"),
+    (None, b"0,1.5,2.5,1,1,0\n1,1.5,2.5,1,1\n", "number of columns changed"),
+    (None, b"", "input contained no data"),
+    (None, b"0,1.5,1,1,0\n1,2.5,1,1,0\n", "rows have 5 values, the header 6"),
+    (b"a,b\n", b"0,1\n", "not a trace CSV"),
+    (b"iteration,theta_\xe9\n", b"0,1\n", "can't decode byte 0xe9"),
+], ids=["bad_token", "ragged_row", "header_only", "short_rows", "bad_header",
+        "not_utf8_header"])
 def test_diagnose_rejects_malformed_trace(tmp_path, capsys, header, body,
                                           message):
     paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
-    with open(paths[1]) as fh:
+    with open(paths[1], "rb") as fh:
         header = header or fh.readline()
-    with open(paths[1], "w") as fh:
+    with open(paths[1], "wb") as fh:
         fh.write(header + body)
     err = _diagnose_error(tmp_path, capsys, paths)
     assert err.startswith(f"error:mcmc:parse: {paths[1]}: ")
@@ -511,18 +516,22 @@ def test_subcommand_rejects_fewer_modes_before_output(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv, config_line, text, module", [
-    (["solve", "--field", "bad.csv"], "", "1,2\n3,4,5\n", "grid"),
+    (["solve", "--field", "bad.csv"], "", b"1,2\n3,4,5\n", "grid"),
     (["krige"], "paths.measurements = bad.csv\n",
-     "x,y,value\n0.5,0.5,1.0 # note\n", "kriging"),
-    (["invert"], "paths.reference_field = bad.csv\n", "", "grid"),
-    (["condition", "--theta", "bad.csv"], "", "", "cli"),
-], ids=["field", "measurements", "reference_field", "theta"])
+     b"x,y,value\n0.5,0.5,1.0 # note\n", "kriging"),
+    (["invert"], "paths.reference_field = bad.csv\n", b"", "grid"),
+    (["condition", "--theta", "bad.csv"], "", b"", "cli"),
+    # a byte that is not UTF-8, read with the header line
+    (["krige"], "paths.measurements = bad.csv\n",
+     b"x,y,value\n0.5,0.5,1.0\xe9\n", "kriging"),
+], ids=["field", "measurements", "reference_field", "theta",
+        "measurements_not_utf8"])
 def test_malformed_input_csv_fails_with_parse_line(tmp_path, capsys,
                                                    monkeypatch, argv,
                                                    config_line, text, module):
     # every input is read before the output directory is created
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "bad.csv").write_text(text)
+    (tmp_path / "bad.csv").write_bytes(text)
     err = _config_error(tmp_path, capsys,
                         [*argv, "--out-dir", str(tmp_path / "out")],
                         lambda cfg: cfg + config_line)
@@ -748,6 +757,20 @@ def test_bad_config_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:cli:parse:")
     assert "mcmc.betta" in err
+
+
+def test_config_that_is_not_utf8_fails_with_parse_line(tmp_path, capsys):
+    # byte 0xe9 in a comment line, which is skipped only once decoded
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"# caf\xe9\n" + FAST_CFG.encode())
+    out = tmp_path / "out"
+    rc = main(["kle", "--config", str(cfg), "--out-dir", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1
+    assert err[0].startswith(f"error:cli:parse: {cfg}: 'utf-8' codec can't "
+                             "decode byte 0xe9")
+    assert not out.exists()
 
 
 def test_console_script_installed():

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -173,4 +173,4 @@ def test_readme_lists_every_key():
 
 def test_as_dict_round_trip():
     cfg = StudyConfig(beta=0.6, chains=2)
-    assert StudyConfig(**cfg.as_dict()) == cfg
+    assert StudyConfig(**asdict(cfg)) == cfg

@@ -568,20 +568,15 @@ def _backward_error_terms(A, b, p):
             np.abs(A).sum(axis=1).max() * np.abs(p).max() + np.abs(b).max())
 
 
-def test_stacked_residual_is_checked_per_field(monkeypatch):
+def test_stacked_residual_is_checked_per_field(plant_in_dpbsv):
     # one field that misses its own backward-error bound fails the stack,
     # although it is within the bound of the whole stack: a k = 1e4 field
     # gives the stack an ||A|| 1e4 times that of the k = 1 field, one of
-    # whose pressures is moved by 1e-8
-    from condflow import darcy
-
+    # whose pressures LAPACK returns moved by 1e-8
     g = make_grid(4, 4)
-    original = darcy._solve
 
-    def off_in_last_field(bands, rhs, cells):
-        p = original(bands, rhs, cells)
+    def off_in_last_field(p):
         p[-g.n_cells] += 1e-8
-        return p
 
     k = np.stack([np.full((g.ny, g.nx), 1e4), np.ones((g.ny, g.nx))])
     systems = [dense_tpfa(kf, g.hx, g.hy, BC) for kf in k]
@@ -595,7 +590,7 @@ def test_stacked_residual_is_checked_per_field(monkeypatch):
                    + max(np.abs(b).max() for _, b in systems))
     assert max(res) <= 1e-10 * stack_scale
 
-    monkeypatch.setattr(darcy, "_solve", off_in_last_field)
+    plant_in_dpbsv(off_in_last_field)
     with pytest.raises(NumericalError) as info:
         solve_pressure(ScalarField(g, np.log(k).reshape(2, -1)), BC)
     assert (info.value.module, info.value.code) == ("darcy", "residual")
@@ -634,21 +629,16 @@ def test_layered_fields_match_series_resistance(c):
         assert np.abs(p - exact).max() <= bound * np.abs(exact).max()
 
 
-def test_one_moved_pressure_fails_the_gate(monkeypatch, reference_field):
-    # the shipped reference field passes; moving any one of its 256
-    # pressures by 1e-8 either way fails
-    from condflow import darcy
-
+def test_one_moved_pressure_fails_the_gate(plant_in_dpbsv, reference_field):
+    # the shipped reference field passes; LAPACK returning any one of its
+    # 256 pressures moved by 1e-8 either way fails
     solve_pressure(reference_field, BC)
-    original = darcy._solve
     move = {}
 
-    def move_one(bands, rhs, cells):
-        p = original(bands, rhs, cells)
+    def move_one(p):
         p[move["cell"]] += move["delta"]
-        return p
 
-    monkeypatch.setattr(darcy, "_solve", move_one)
+    plant_in_dpbsv(move_one)
     for cell in range(reference_field.grid.n_cells):
         for delta in (1e-8, -1e-8):
             move.update(cell=cell, delta=delta)
@@ -661,27 +651,47 @@ def test_one_moved_pressure_fails_the_gate(monkeypatch, reference_field):
 @pytest.mark.parametrize("case, code", [
     ("underflow", "singular"), ("overflow", "overflow"),
     ("nan_pressure", "residual"), ("inf_pressure", "residual")])
-def test_singular_and_non_finite_systems_keep_their_codes(monkeypatch,
+def test_singular_and_non_finite_systems_keep_their_codes(plant_in_dpbsv,
                                                            case, code):
     # k = exp(-800) is 0, and k = exp(709) overflows a transmissibility;
-    # a solve that returns a NaN or an infinite pressure fails the gate
-    from condflow import darcy
-
+    # a LAPACK solve that returns a NaN or an infinite pressure fails the
+    # gate
     g = make_grid(4, 4)
     logk = {"underflow": -800.0, "overflow": 709.0}.get(case, 0.0)
     if case.endswith("_pressure"):
-        original = darcy._solve
         bad = np.nan if case == "nan_pressure" else np.inf
 
-        def solve(bands, rhs, cells):
-            p = original(bands, rhs, cells)
+        def solve(p):
             p[5] = bad
-            return p
 
-        monkeypatch.setattr(darcy, "_solve", solve)
+        plant_in_dpbsv(solve)
     with pytest.raises(NumericalError) as info:
         solve_pressure(ScalarField(g, np.full(g.n_cells, logk)), BC)
     assert (info.value.module, info.value.code) == ("darcy", code)
+
+
+@pytest.mark.parametrize("problem", [0, 1], ids=["x", "y"])
+def test_a_wrong_upscaling_solve_fails_the_gate(plant_in_dpbsv, problem):
+    # a 4x4 field upscaled to one coarse cell takes the generic path, one
+    # banded solve for the x problem and one for the y problem; LAPACK
+    # returning one pressure of either moved by 1e-8 fails the gate that
+    # accepts every banded solve
+    fine, coarse = make_grid(4, 4), make_grid(1, 1)
+    rng = np.random.default_rng(4)
+    field = ScalarField(fine, rng.standard_normal(fine.n_cells))
+    upscale(field, coarse)
+    calls = []
+
+    def move_one(p):
+        if len(calls) == problem:
+            p[5] += 1e-8
+        calls.append(p.size)
+
+    plant_in_dpbsv(move_one)
+    with pytest.raises(NumericalError) as info:
+        upscale(field, coarse)
+    assert (info.value.module, info.value.code) == ("darcy", "residual")
+    assert calls == [fine.n_cells] * (problem + 1)
 
 
 def test_upscale_non_divisible():

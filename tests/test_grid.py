@@ -120,7 +120,8 @@ def test_csv_ragged_row(tmp_path):
 def test_csv_wrong_row_count(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-    with pytest.raises(ParseError, match="expected 2 rows, got 3"):
+    with pytest.raises(ParseError,
+                       match="expected 2 rows of 2 values, got 3 of 2"):
         read_field_csv(path, make_grid(2, 2))
 
 
@@ -145,6 +146,11 @@ def test_pgm_minmax(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[:3] == ["P2", "2 1", "255"]
     assert lines[3].split() == ["0", "255"]
+    # a finite field whose range, hi - lo, exceeds the largest float
+    big = np.finfo(float).max
+    write_field_pgm(ScalarField(make_grid(3, 1), np.array([-big, 0.0, big])),
+                    path)
+    assert path.read_text().splitlines()[3].split() == ["0", "128", "255"]
 
 
 def test_pgm_constant_midgray(tmp_path):

@@ -42,10 +42,13 @@ from condflow.mcmc import (
 )
 
 
-def _small_bundle(sigma_c2=5e-3, sigma_f2=1e-4, n_modes=6, ref_seed=9):
-    """Cheap 4x4 fine / 2x2 coarse inversion problem."""
+def _small_bundle(sigma_c2=5e-3, sigma_f2=1e-4, n_modes=6, ref_seed=9,
+                  coarse_n=2):
+    """Cheap 4x4 fine / coarse_n x coarse_n inversion problem: 2x2 blocks
+    of fine cells, upscaled in closed form, at the default; at
+    coarse_n = 1 one 4x4 block on the generic banded path."""
     fine = make_grid(4, 4)
-    coarse = make_grid(2, 2)
+    coarse = make_grid(coarse_n, coarse_n)
     cov = assemble_covariance(fine, StudyConfig().kernel)
     basis = solve_kle(cov, fine, n_modes)
     rng = np.random.default_rng(ref_seed)
@@ -356,9 +359,10 @@ def test_joint_studies_equal_separate_studies(single_component, k,
             assert np.array_equal(g.loglik_fine, w.loglik_fine)
 
 
-@pytest.mark.parametrize("conditioned", [False, True])
-def test_chain_does_not_depend_on_its_companions(conditioned):
-    bundle, _, _ = _small_bundle()
+@pytest.mark.parametrize("conditioned, coarse", [
+    (False, 2), (True, 2), (True, 1)], ids=["False", "True", "coarse1x1"])
+def test_chain_does_not_depend_on_its_companions(conditioned, coarse):
+    bundle, _, _ = _small_bundle(coarse_n=coarse)
     cfg = StudyConfig(beta=0.3, iterations=40, conditioned=conditioned,
                       seed=21, chains=4)
     (together,) = run_study(cfg, bundle)
@@ -533,9 +537,11 @@ def test_each_layer_runs_once_per_iteration(monkeypatch):
 
 
 @pytest.mark.parametrize("cause", ["overflow", "residual"])
-def test_forward_failures_name_their_darcy_cause(monkeypatch, cause):
+def test_forward_failures_name_their_darcy_cause(monkeypatch, plant_in_dpbsv,
+                                                cause):
     # a proposal whose transmissibility overflows fails in the upscaling;
-    # a fine solve whose solution is not finite fails its residual check
+    # a fine solve whose LAPACK solution is not finite fails its residual
+    # check
     bundle, _, _ = _small_bundle(sigma_c2=1e12, sigma_f2=1e12)
     if cause == "overflow":
         # k = exp(709) is finite, but 2 hy k / hx is not
@@ -552,15 +558,11 @@ def test_forward_failures_name_their_darcy_cause(monkeypatch, cause):
         monkeypatch.setattr(kle, "synthesize_unconditioned", synthesize)
         where = "iteration 0"
     else:
-        original = darcy._solve
-
-        def solve(bands, rhs, cells):
-            x = original(bands, rhs, cells)
-            if rhs.size == bundle.fine.n_cells:
+        def solve(x):
+            if x.size == bundle.fine.n_cells:
                 x[0] = np.nan
-            return x
 
-        monkeypatch.setattr(darcy, "_solve", solve)
+        plant_in_dpbsv(solve)
         where = "the initial state"
     with pytest.raises(CondflowError) as info:
         run_chain(StudyConfig(iterations=5, seed=1), bundle)
