@@ -118,6 +118,13 @@ def cmd_diagnose(args):
     if dat == args.out:
         raise ArgumentError(f"--out {args.out} is the path of its DAT twin; "
                             "give the CSV another extension", module="cli")
+    traces = set(map(os.path.realpath, args.traces))
+    if os.path.realpath(args.out) in traces:
+        raise ArgumentError(f"--out {args.out} is one of the traces",
+                            module="cli")
+    if os.path.realpath(dat) in traces:
+        raise ArgumentError(f"--out {args.out} has the DAT twin {dat}, one "
+                            "of the traces", module="cli")
     report = diagnostics_series(map(read_trace_csv, args.traces),
                                 args.checkpoint_every, args.burn_in)
     write_report_csv(report, args.out)

@@ -14,13 +14,24 @@ Conventions (fixed, documented here once):
     renders, even one whose range exceeds the largest float;
   * every numeric artifact is written by one ``np.savetxt`` call, and
     every CSV (fields, measurements, thetas, traces, reports) is read by
-    ``_read_csv`` as UTF-8: an optional header line, then one
-    ``np.loadtxt`` pass over the rows with comma delimiters and no
-    comment character. Empty lines are skipped. A byte that is not
-    UTF-8, or any malformed body (a bad token, a ragged row, no data
-    rows), is a ``ParseError`` of the calling module that names the file
-    (and, for a body, loadtxt's row and column); rows must be as wide as
-    a header, and each reader then checks its header and shape.
+    ``_read_csv`` as UTF-8: an optional header line, then rows with
+    comma delimiters and no comment character. Most tokens of a trace
+    repeat the token above them, since a rejection repeats the state and
+    a single-component move changes one coordinate: 88% of the tokens in
+    the diagnose bench's stand-in traces and in the traces a default
+    ``condflow reference`` writes, against none in the reference field
+    and 25% in the measurements, which the float pass reads. So the
+    body is cut into bytes tokens by ``np.loadtxt`` a block of rows at a
+    time, and only the tokens that differ from the one above are parsed.
+    A body the blocks cannot take plainly (a block of mostly new tokens,
+    as in a field, a blank line, a ragged row, a long, ``_`` or bad
+    token) is read by one float ``np.loadtxt`` pass over the path, so
+    the values, bit for bit, and the errors are that pass's either way.
+    Empty lines are skipped. A byte that is not UTF-8, or any malformed
+    body (a bad token, a ragged row, no data rows), is a ``ParseError``
+    of the calling module that names the file (and, for a body,
+    loadtxt's row and column); rows must be as wide as a header, and
+    each reader then checks its header and shape.
 """
 
 from __future__ import annotations
@@ -128,27 +139,118 @@ def write_field_csv(fld, path):
     np.savetxt(path, fld.as_2d(), fmt="%.17g", delimiter=",")
 
 
+#: rows per block of a CSV body: 98 kB of tokens in a 24-column trace
+_BLOCK = 128
+
+
+def _count_lines(path):
+    """Lines of a file, a last one without a newline included. A NUL byte
+    is a ValueError: a bytes token drops it where loadtxt's float parse
+    rejects it."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            if b"\0" in chunk:
+                raise ValueError("NUL byte")
+            # faster than bytes.count on a trace
+            lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10)
+            last = chunk[-1:]
+    return lines + (last != b"\n")
+
+
+def _new_tokens(tok, above):
+    """Mask of the tokens in a block of ``S32`` tokens that differ from
+    the token above them; ``above`` is the row before the block, or None
+    at row 0. A block the float parse reads as fast or may read
+    otherwise is a ValueError: no rows, a token of 25 bytes or more (one
+    that may be cut), or more than half the tokens new."""
+    # 4 uint64 lanes per token; one of at most 24 bytes leaves the last 0
+    lanes = tok.view(np.uint64).reshape(tok.shape + (4,))
+    if not tok.size or lanes[:, :, 3].any():
+        raise ValueError("no rows or a long token")
+    new = np.empty(tok.shape, dtype=bool)
+    new[0] = True if above is None else tok[0] != above
+    np.logical_or.reduce([lanes[1:, :, k] != lanes[:-1, :, k]
+                          for k in range(3)], out=new[1:])
+    if 2 * np.count_nonzero(new) > new.size:
+        raise ValueError("mostly new tokens")
+    return new
+
+
+def _fill_block(out, r, tok, new):
+    """Write a block of tokens into rows r, r + 1, ... of ``out``: each new
+    token parsed, each repeat copied from the value above. A block that
+    is not the next ``_BLOCK`` rows of ``out`` (a blank line, which
+    loadtxt skips, a ragged row), or a new token with ``_`` (which
+    ``float`` takes and loadtxt does not) or that does not parse, is a
+    ValueError."""
+    b, w = tok.shape
+    blk = out[r:r + _BLOCK]
+    if blk.shape != tok.shape:
+        raise ValueError("block shape")
+    fresh = tok[new]
+    if b"_" in fresh.tobytes():
+        raise ValueError("underscore")
+    blk[new] = fresh.astype(float)
+    # each value's source row: its own if new, else the last new one
+    # above it; with r > 0, 0 is the row before the block
+    base = int(r > 0)
+    src = np.where(new, np.arange(base, b + base)[:, None], 0)
+    np.maximum.accumulate(src, axis=0, out=src)
+    blk[:] = out[r - base:r + b].take(src * w + np.arange(w))
+
+
 def _read_csv(path, module, header=False, empty=False):
     """(header line or None, 2-D float array) of a CSV artifact.
 
-    One ``np.loadtxt`` pass over the rows after the header; a file that
-    is not UTF-8, a malformed body, or rows whose width is not the
-    header's, raises ``ParseError(module)`` naming the path. A file
-    without data rows is malformed unless ``empty`` (a report with no
-    checkpoints), in which case the array has no rows.
+    ``np.loadtxt`` cuts the body after the header into bytes tokens a
+    block of rows at a time. The first block that is plain sizes the
+    array from a count of the lines, and :func:`_fill_block` parses each
+    block into it, only the tokens that differ from the token above (the
+    repeats of a trace; see the module docstring). A body the blocks
+    cannot take plainly is read again by one float ``np.loadtxt`` pass
+    over the path, whose values and errors the blocks keep bit for bit.
+    A file that is not UTF-8, a malformed body, or rows whose width is
+    not the header's, raises ``ParseError(module)`` naming the path. A
+    file without data rows is malformed unless ``empty`` (a report with
+    no checkpoints), in which case the array has no rows.
     """
-    head = None
+    kw = dict(delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+
+    def blocks():
+        with open(path, encoding="utf-8") as fh:
+            if header:
+                fh.readline()
+            out, above, r = None, None, 0
+            while out is None or r < len(out):
+                n = _BLOCK if out is None else min(_BLOCK, len(out) - r)
+                tok = np.loadtxt(fh, dtype="S32", max_rows=n, **kw)
+                new = _new_tokens(tok, above)
+                if out is None:  # so a field's lines are never counted
+                    out = np.empty((_count_lines(path) - header, tok.shape[1]))
+                _fill_block(out, r, tok, new)
+                above, r = tok[-1].copy(), r + _BLOCK
+            if fh.read(1):
+                raise ValueError("lines past the count")
+        return out
+
+    head = data = None
     try:
         if header:
             with open(path, encoding="utf-8") as fh:
                 head = fh.readline().strip()
         with warnings.catch_warnings():
-            # loadtxt only warns on a file without data rows
+            # loadtxt warns on a file without data rows, and on a blank
+            # line when it reads a block
             warnings.simplefilter("ignore" if empty else "error", UserWarning)
-            # given a path, loadtxt reads the file in chunks; an open file
-            # it reads line by line, several percent slower on a trace
-            data = np.loadtxt(path, delimiter=",", skiprows=int(header),
-                              ndmin=2, comments=None, encoding="utf-8")
+            try:
+                data = blocks()
+            except (OSError, ValueError, UserWarning):
+                # the float pass raises whatever the file is at fault
+                # for; outside this handler the blocks' arrays are freed
+                pass
+            if data is None:
+                data = np.loadtxt(path, skiprows=int(header), **kw)
     except (ValueError, UserWarning) as exc:  # UnicodeDecodeError too
         raise ParseError(f"{path}: {exc}", module=module) from exc
     if header:

@@ -6,10 +6,11 @@ The pointwise kernel, the cell centers, the dense matrix over them and
 its eigendecomposition, the dense TPFA system of a permeability field,
 the energy fraction of a spectrum, the direct forms of the within- and
 between-chain covariances, the checkpoint series over a (chains, draws,
-parameters) matrix and the list of traces after a burn-in live here for
-the tests alone.
+parameters) matrix, the list of traces after a burn-in and a CSV read by
+one float ``np.loadtxt`` pass live here for the tests alone.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from condflow.diagnostics import (
     posterior_cov,
     psrf,
 )
-from condflow.errors import ArgumentError, NumericalError
+from condflow.errors import ArgumentError, NumericalError, ParseError
 from condflow.kle import _fix_signs
 
 
@@ -200,3 +201,27 @@ def post_burn_in(traces, burn_in):
     what :func:`condflow.diagnostics.diagnostics_series` cuts one trace at
     a time."""
     return [replace(t, thetas=t.thetas[burn_in:]) for t in traces]
+
+
+def read_csv_one_pass(path, module, header=False, empty=False):
+    """What :func:`condflow.grid._read_csv` returns or raises, read by
+    one float ``np.loadtxt`` pass over the path: the reader it replaced,
+    whose values and error texts the block reader keeps."""
+    head = None
+    try:
+        if header:
+            with open(path, encoding="utf-8") as fh:
+                head = fh.readline().strip()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore" if empty else "error", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=int(header),
+                              ndmin=2, comments=None, encoding="utf-8")
+    except (ValueError, UserWarning) as exc:
+        raise ParseError(f"{path}: {exc}", module=module) from exc
+    if header:
+        width = len(head.split(","))
+        if data.size and data.shape[1] != width:
+            raise ParseError(f"{path}: rows have {data.shape[1]} values, the "
+                             f"header {width}", module=module)
+        data = data.reshape(-1, width)
+    return head, data

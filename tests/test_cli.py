@@ -338,12 +338,20 @@ def test_diagnose_rejects_checkpoint_spacing_below_one(tmp_path, capsys,
     # the CSV would be overwritten by its DAT twin, rep.dat itself
     (["--out", "rep.dat"], 2, "error:cli:argument: --out rep.dat is the "
      "path of its DAT twin; give the CSV another extension"),
-], ids=["spacing", "burn_in", "one_trace", "out_is_dat"])
+    # the report would overwrite a trace, as the CSV or as its DAT twin;
+    # the traces are named by absolute paths, --out relative to them
+    (["--out", "trace_chain1.csv"], 2, "error:cli:argument: --out "
+     "trace_chain1.csv is one of the traces"),
+    (["--out", "missing.csv"], 2, "error:cli:argument: --out missing.csv "
+     "has the DAT twin missing.dat, one of the traces"),
+], ids=["spacing", "burn_in", "one_trace", "out_is_dat", "out_is_a_trace",
+        "dat_twin_is_a_trace"])
 def test_diagnose_rejects_arguments_before_reading_traces(
-        tmp_path, capsys, options, n_traces, message):
+        tmp_path, capsys, monkeypatch, options, n_traces, message):
     # the last path does not exist: reading it would fail with cli:io
     paths = _write_traces(tmp_path, [(20, 2)] * (n_traces - 1))
-    paths.append(str(tmp_path / "missing.csv"))
+    paths.append(str(tmp_path / "missing.dat"))
+    monkeypatch.chdir(tmp_path)
     assert _diagnose_error(tmp_path, capsys, paths, *options) == message
 
 

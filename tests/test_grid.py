@@ -188,6 +188,29 @@ def test_field_rejects_every_other_shape(shape):
         ScalarField(make_grid(16, 16), np.zeros(shape))
 
 
+@pytest.mark.parametrize("rows, repeat, calls", [
+    (300, 30, ["S32"] * 3),  # runs of 30 equal rows: the blocks alone
+    (16, 1, ["S32", None]),  # a field: one float pass after one block
+], ids=["repeating", "field"])
+def test_blocks_read_a_repeating_body_and_a_field_falls_back(
+        tmp_path, monkeypatch, rows, repeat, calls):
+    # the dtype of each np.loadtxt call; None is the float pass
+    values = np.repeat(np.random.default_rng(3).standard_normal(
+        (rows // repeat, 16)), repeat, axis=0)
+    path = tmp_path / "body.csv"
+    np.savetxt(path, values, fmt="%.17g", delimiter=",")
+    seen, loadtxt = [], np.loadtxt
+
+    def spy(fname, **kw):
+        seen.append(kw.get("dtype"))
+        return loadtxt(fname, **kw)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    _, data = _read_csv(path, "grid")
+    assert seen == calls
+    assert data.tobytes() == values.tobytes()
+
+
 def test_every_csv_is_read_by_one_loader():
     # np.loadtxt appears in src/condflow only inside grid._read_csv
     lines, start = inspect.getsourcelines(_read_csv)

@@ -1,6 +1,7 @@
 """Property tests of the field rule, the pressure solver, the 2x2
-upscaling closed form, the trace CSV round trip and its corrupted rows,
-kriging, conditioning and the CLI. Every test is derandomized and keeps
+upscaling closed form, the CSV block reader against one float loadtxt
+pass, the trace CSV round trip and its corrupted rows, kriging,
+conditioning and the CLI. Every test is derandomized and keeps
 no example database, so a run draws the same examples every time."""
 
 import io
@@ -8,6 +9,7 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from condflow import cli
+from condflow import cli, grid
 from condflow.config import _KEYS
 from condflow.conditioning import (build_data_matrix, nullspace_basis,
                                    synthesize_conditioned)
@@ -28,7 +30,7 @@ from condflow.grid import ScalarField, make_grid
 from condflow.kle import solve_kle
 from condflow.kriging import MeasurementSet, krige
 from condflow.mcmc import ChainTrace, read_trace_csv, write_trace_csv
-from oracles import dense_tpfa
+from oracles import dense_tpfa, read_csv_one_pass
 from test_darcy import _exact_keff_x
 
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -199,9 +201,7 @@ def _traces(draw):
         seed=None)
 
 
-@_settings(100)
-@given(_traces())
-def test_trace_csv_round_trip_is_bitwise(trace):
+def _assert_round_trip(trace):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         write_trace_csv(trace, path)
@@ -211,6 +211,130 @@ def test_trace_csv_round_trip_is_bitwise(trace):
         got, expected = getattr(back, name), getattr(trace, name)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes(), name
+
+
+@_settings(100)
+@given(_traces())
+def test_trace_csv_round_trip_is_bitwise(trace):
+    _assert_round_trip(trace)
+
+
+@st.composite
+def _sampler_traces(draw):
+    """A trace shaped like the sampler's: a rejection repeats the state and
+    the log-likelihood, a fine acceptance moves one coordinate and gives a
+    new log-likelihood. Read in blocks of 4 to 12 rows, its repeats cross
+    the blocks' edges."""
+    iterations, n = draw(st.integers(1, 60)), draw(st.integers(1, 8))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    coarse = draw(arrays(bool, iterations))
+    fine = coarse & draw(arrays(bool, iterations))
+    theta = draw(arrays(np.float64, n, elements=finite))
+    loglik = np.full(iterations, draw(finite))
+    thetas = np.tile(theta, (iterations, 1))
+    for it in np.flatnonzero(fine):
+        thetas[it:, draw(st.integers(0, n - 1))] = draw(finite)
+        loglik[it:] = draw(finite)
+    trace = ChainTrace(thetas, coarse, fine, loglik, seed=None)
+    return trace, draw(st.integers(4, 12))
+
+
+@_settings(100)
+@given(_sampler_traces())
+def test_sampler_shaped_trace_csv_round_trip_is_bitwise(case):
+    trace, block = case
+    with patch.object(grid, "_BLOCK", block):
+        _assert_round_trip(trace)
+
+
+#: numbers at the edges of the float parse: signed zero and NaN,
+#: infinities, subnormals, the largest values, pairs that differ only in
+#: their 19th, 24th (the most a bytes token holds whole) and 25th
+#: character, a number that a 32-byte cut would change, and whitespace
+_EDGE_NUMBERS = ["-0", "0", "nan", "-nan", "inf", "-inf", "5e-324",
+                 "2.2250738585072009e-308", "1e308",
+                 "1.7976931348623157e+308", "0.12345678901234567",
+                 "0.12345678901234568", "-1.2345678901234567e-100",
+                 "-1.2345678901234567e-101", "1.000000000000000000000e10",
+                 "1.000000000000000000000e20", "1" + "0" * 39, " 2", "3\t",
+                 " -0 "]
+#: digits grouped by ``_``, which ``float`` reads and loadtxt does not
+_UNDERSCORED = ["1_0", "-2_5.0_1", "1_0e1_0"]
+
+
+@st.composite
+def _csv_files(draw):
+    """(bytes of a CSV file, header, empty, block rows): rows that repeat
+    the row above or change one token, to a new one or in its last
+    character only, then at most one fault: a token that loadtxt does
+    not read as a number, a blank line, a ragged row, a token followed
+    by a byte that is not UTF-8 or by a NUL, or a bare carriage return
+    for a newline. The body may be empty, the header one value too
+    wide."""
+    width = draw(st.integers(1, 4))
+    token = st.one_of(st.sampled_from(_EDGE_NUMBERS),
+                      st.floats().map(lambda x: format(x, ".17g")))
+    rows = []
+    for _ in range(draw(st.integers(0, 24))):
+        row = list(rows[-1]) if rows else draw(
+            st.lists(token, min_size=width, max_size=width))
+        if rows and draw(st.integers(0, 3)) == 0:
+            j = draw(st.integers(0, width - 1))
+            row[j] = draw(st.one_of(token, st.sampled_from(
+                [row[j][:-1] + d for d in "0123456789" if row[j]])))
+        rows.append(row)
+    rows = [[t.encode() for t in row] for row in rows]
+    ends = [b"\n"] * len(rows)
+    fault = draw(st.sampled_from([None, None, "token", "blank", "ragged",
+                                  "byte", "cr"]))
+    if rows and fault:
+        at = draw(st.integers(0, len(rows) - 1))
+        row = list(rows[at])
+        if fault == "token":
+            row[draw(st.integers(0, width - 1))] = draw(st.one_of(
+                st.sampled_from(_UNDERSCORED),
+                st.sampled_from(_NON_NUMERIC + [""]))).encode()
+        elif fault == "blank":
+            ends[at] = b"\n\n"
+        elif fault == "ragged":
+            row = row[:-1] if draw(st.booleans()) else row + [b"1"]
+        elif fault == "byte":
+            row[draw(st.integers(0, width - 1))] += draw(
+                st.sampled_from([b"\xe9", b"\0"]))
+        else:
+            ends[at] = b"\r"
+        rows[at] = row
+    if ends and draw(st.booleans()):
+        ends[-1] = ends[-1][:-1]  # no newline after the last row
+    header = draw(st.booleans())
+    body = b"".join(b",".join(row) + end for row, end in zip(rows, ends))
+    if header:
+        names = range(width + draw(st.sampled_from([0, 0, 1])))
+        body = ",".join(f"c{j}" for j in names).encode() + b"\n" + body
+    return body, header, draw(st.booleans()), draw(st.integers(3, 6))
+
+
+@_settings(300)
+@given(_csv_files())
+def test_block_reader_matches_one_loadtxt_pass(case):
+    # the values bit for bit, or the same ParseError text
+    body, header, empty, block = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            patch.object(grid, "_BLOCK", block):
+        path = Path(tmp) / "body.csv"
+        path.write_bytes(body)
+        try:
+            head, expected = read_csv_one_pass(path, "grid", header, empty)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as info:
+                grid._read_csv(path, "grid", header, empty)
+            assert str(info.value) == str(exc)
+            assert info.value.module == "grid"
+            return
+        got_head, got = grid._read_csv(path, "grid", header, empty)
+    assert got_head == head
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 #: tokens that no float parser reads as a number
