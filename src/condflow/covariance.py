@@ -1,5 +1,5 @@
-"""Anisotropic squared-exponential covariance kernel and its Kronecker
-factors on a grid's cell centers.
+"""Anisotropic squared-exponential covariance kernel over a grid's cell
+centers, factored once.
 
 The kernel uses per-coordinate differences with separate correlation
 lengths:
@@ -9,12 +9,11 @@ lengths:
 It factors into an x and a y part, so with cells row-major, j outer, the
 covariance over the cell centers is sigma2 * (Ry kron Rx), Rx and Ry the
 unit-variance 1-D kernels on the nx cell-center abscissae and the ny
-ordinates. :func:`assemble_covariance` returns these factors; no N x N
-matrix is formed. The KLE and kriging both read these factors.
-Quadrature weights are NOT applied here: the KLE module weights Rx by hx
-and Ry by hy, the per-axis Nystrom weights, and kriging reads the
-unweighted rows. The pointwise kernel and the dense matrix live in the
-tests' oracles (``tests/oracles.py``).
+ordinates. :func:`assemble_covariance` returns the spectra of hx*Rx and
+hy*Ry, each axis weighted by its Nystrom quadrature weight; no N x N
+matrix is formed. The KLE and kriging both read these spectra, and
+nothing else factors the covariance. The pointwise kernel and the dense
+matrix live in the tests' oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -52,12 +51,15 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class KroneckerCovariance:
-    """The covariance over a grid's cell centers, sigma2 * (ry kron rx):
-    entry (j*nx + i, j'*nx + i') is sigma2 * ry[j, j'] * rx[i, i']."""
+    """sigma2 * (Ry kron Rx) over a grid's cell centers, as the descending
+    spectra of its weighted 1-D factors: hx*Rx = ux diag(nu) ux^T and
+    hy*Ry = uy diag(mu) uy^T, with orthonormal eigenvector columns."""
 
     sigma2: float
-    rx: np.ndarray
-    ry: np.ndarray
+    nu: np.ndarray
+    ux: np.ndarray
+    mu: np.ndarray
+    uy: np.ndarray
 
 
 def _kernel_1d(n, h, length):
@@ -69,9 +71,16 @@ def _kernel_1d(n, h, length):
     return np.exp(-(d**2) / (2.0 * length**2))
 
 
+def _axis_spectrum(weighted):
+    """Eigenvalues, descending, and orthonormal eigenvectors of a
+    weighted 1-D kernel matrix."""
+    evals, evecs = np.linalg.eigh(weighted)
+    return evals[::-1], evecs[:, ::-1]
+
+
 def assemble_covariance(grid, params):
-    """The Kronecker factors of the covariance over the grid's cell
-    centers; see :class:`KroneckerCovariance`."""
-    return KroneckerCovariance(params.sigma2,
-                               _kernel_1d(grid.nx, grid.hx, params.lx),
-                               _kernel_1d(grid.ny, grid.hy, params.ly))
+    """The covariance over the grid's cell centers, factored by one
+    eigendecomposition per axis; see :class:`KroneckerCovariance`."""
+    nu, ux = _axis_spectrum(grid.hx * _kernel_1d(grid.nx, grid.hx, params.lx))
+    mu, uy = _axis_spectrum(grid.hy * _kernel_1d(grid.ny, grid.hy, params.ly))
+    return KroneckerCovariance(params.sigma2, nu, ux, mu, uy)

@@ -4,12 +4,14 @@ of unconditioned Gaussian log-permeability fields.
 Nystrom collocation at the cell centers, with the separable kernel of
 :mod:`condflow.covariance`, makes the weighted covariance (hx*hy) * R
 equal to sigma2 * (hy*Ry) kron (hx*Rx): each axis has its own uniform
-quadrature weight. :func:`solve_kle` eigendecomposes hx*Rx (values nu_b,
-vectors ux) and hy*Ry (mu_a, uy), each descending. Mode (a, b) has
-eigenvalue sigma2 * mu_a * nu_b and the value uy[j, a] * ux[i, b] /
-sqrt(hx*hy) at cell j*nx + i, so that hx * hy * sum_cells phi^2 = 1.
-The 1e-12 floor and the energy are read from these products, the full
-spectrum; only the retained columns are formed.
+quadrature weight. :func:`condflow.covariance.assemble_covariance` has
+already eigendecomposed hx*Rx (values nu_b, vectors ux) and hy*Ry (mu_a,
+uy), each descending; :func:`solve_kle` truncates these spectra and
+factors nothing. Mode (a, b) has eigenvalue sigma2 * mu_a * nu_b and the
+value uy[j, a] * ux[i, b] / sqrt(hx*hy) at cell j*nx + i, so that
+hx * hy * sum_cells phi^2 = 1. The 1e-12 floor and the energy are read
+from these products, the full spectrum; only the retained columns are
+formed.
 
 Modes are ranked by a stable descending sort of the products, so equal
 eigenvalues keep the order of the flat index a*nx + b. An isotropic
@@ -68,24 +70,15 @@ def _fix_signs(vecs):
     return np.where(vecs[idx, np.arange(vecs.shape[1])] < 0.0, -vecs, vecs)
 
 
-def _axis_spectrum(weighted):
-    """Eigenvalues, descending, and orthonormal eigenvectors of a
-    weighted 1-D kernel matrix."""
-    evals, evecs = np.linalg.eigh(weighted)
-    return evals[::-1], evecs[:, ::-1]
-
-
 def solve_kle(cov, grid, n):
     """Solve the discrete KL eigenproblem of the Kronecker covariance
     ``cov`` (:func:`condflow.covariance.assemble_covariance`) and retain
-    the n leading modes, read from one pair of 1-D factorizations."""
+    the n leading modes of its 1-D spectra."""
     N = grid.n_cells
     if not 1 <= n <= N:
         raise ArgumentError(f"mode count n={n} must be in [1, {N}]",
                             module=_MOD)
-    nu, ux = _axis_spectrum(grid.hx * cov.rx)
-    mu, uy = _axis_spectrum(grid.hy * cov.ry)
-    products = np.outer(mu, nu).ravel()  # flat a*nx + b, each <= 1
+    products = np.outer(cov.mu, cov.nu).ravel()  # flat a*nx + b, each <= 1
     order = np.argsort(-products, kind="stable")
     unit = products[order]  # at sigma2 = 1, where no sum overflows
     frac = np.cumsum(unit) / np.sum(unit)  # the energy of 1, 2, ... modes
@@ -95,7 +88,7 @@ def solve_kle(cov, grid, n):
             f"eigenvalue {n} is <= 1e-12 of the leading one; reduce the "
             "number of retained modes", module=_MOD, code="truncation")
     a, b = np.divmod(order[:n], grid.nx)
-    phi = (uy[:, None, a] * ux[None, :, b]).reshape(N, n)
+    phi = (cov.uy[:, None, a] * cov.ux[None, :, b]).reshape(N, n)
     phi = _fix_signs(phi) / np.sqrt(grid.hx * grid.hy)
     return KLEBasis(grid, evals[:n].copy(), phi, float(frac[n - 1]))
 

@@ -1,18 +1,13 @@
 """Simple kriging of sparse log-permeability measurements.
 
 Simple kriging with a known zero mean is used (consistent with the
-zero-mean KL prior): weights solve K w(x) = k(x) with K the kernel Gram
-matrix of the measurement locations, and the surface is the weighted
-sum of the measured values. The surface interpolates the data exactly
-at the measurement cells, which is what makes the nullspace constraint
-in the conditioning module homogeneous.
-
-The measurement locations are snapped to the cells that hold them, so
-k(x) is a row of the covariance over the cell centers. Kriging reads
-those rows from the same Kronecker factors as the KLE
-(:mod:`condflow.covariance`), keeping the surface consistent with the
-discrete fields it is added to. The pointwise kernel and the dense
-matrix live in the tests' oracles (``tests/oracles.py``).
+zero-mean KL prior). The surface interpolates the data exactly at the
+measurement cells, which is what makes the nullspace constraint in the
+conditioning module homogeneous. The locations are snapped to the cells
+that hold them, and the kernel is read from the covariance the KLE
+reads, already factored (:mod:`condflow.covariance`), so the surface is
+consistent with the discrete fields it is added to. The pointwise kernel
+and the dense matrix live in the tests' oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -77,36 +72,39 @@ def snap_to_cells(ms, grid):
 
 
 def krige(ms, cov, grid):
-    """Simple-kriging surface over all cell centers as a ScalarField,
-    under the Kronecker covariance ``cov`` of the grid
+    """Simple-kriging surface k(x)^T K^-1 v over all cell centers as a
+    ScalarField, under the factored covariance ``cov`` of the grid
     (:func:`condflow.covariance.assemble_covariance`).
 
-    The surface must honor every datum to 1e-10 relative to the largest
-    |value| (or 1), and cond(K) must be below 1e12; otherwise, or if K
-    is singular, the system is rejected as ill-conditioned."""
+    Neither the Gram matrix K nor its rows k(x) are formed. With Rx =
+    Lx Lx^T and Ry = Ly Ly^T from the 1-D spectra, and G the rows of
+    Ly kron Lx at the data cells, K = G G^T; with G^T = QR the surface is
+    (Ly kron Lx) Q R^-T v, whose error grows like cond(R) = sqrt(cond(K))
+    (the change of basis of RBF-QR, Fornberg & Piret 2007). The set is
+    rejected as ill-conditioned unless cond(K) = cond(R)^2 < 1e12, which
+    is then not solved and misses by inf, and unless the surface honors
+    every datum to 1e-10 relative to the largest |value| (or 1)."""
     cells = snap_to_cells(ms, grid)
     j, i = np.divmod(cells, grid.nx)
-    # the rows of ry kron rx at the measurement cells: sigma2 cancels
-    # from the weights, and a tiny one would underflow K
-    cross = (cov.ry[j][:, :, None]
-             * cov.rx[i][:, None, :]).reshape(ms.m, grid.n_cells)
-    K = cross[:, cells]
-    svals = np.linalg.svd(K, compute_uv=False)
-    cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
-    try:
-        surface = np.linalg.solve(K, cross).T @ ms.values
+    # unit variance, so sigma2 cancels; a rounded eigenvalue below 0 is 0
+    lx = cov.ux * np.sqrt(np.maximum(cov.nu, 0.0) / grid.hx)
+    ly = cov.uy * np.sqrt(np.maximum(cov.mu, 0.0) / grid.hy)
+    G = (ly[j][:, :, None] * lx[i][:, None, :]).reshape(ms.m, grid.n_cells)
+    Q, R = np.linalg.qr(G.T)
+    s2 = np.linalg.svd(R, compute_uv=False) ** 2  # K's eigenvalues
+    # Python floats divide to inf where numpy would warn of an overflow
+    cond = np.inf if s2[-1] == 0.0 else float(s2[0]) / float(s2[-1])
+    miss = np.inf
+    if cond < 1e12:
+        theta = (Q @ np.linalg.solve(R.T, ms.values)).reshape(grid.ny, grid.nx)
+        surface = (ly @ theta @ lx.T).ravel()
         miss = np.abs(surface[cells] - ms.values).max()
-    except np.linalg.LinAlgError:  # K is singular
-        miss = np.inf
-    bound = 1e-10 * max(1.0, np.abs(ms.values).max())
-    if not (cond < 1e12 and miss <= bound):  # NaN fails
+    if not miss <= 1e-10 * max(1.0, np.abs(ms.values).max()):
         raise NumericalError(
             f"kriging system is ill-conditioned: the surface misses the "
             f"data by {miss:.3g} at cond(K) = {cond:.3g}; the measurements "
             "are too close for the kernel's correlation lengths",
-            module=_MOD,
-            code="conditioning",
-        )
+            module=_MOD, code="conditioning")
     return ScalarField(grid, surface)
 
 

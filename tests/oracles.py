@@ -1,10 +1,12 @@
 """Dense reference implementations the tests check condflow against.
 
 condflow never evaluates the kernel pointwise: it factors the separable
-kernel into two 1-D problems, whose factors the KLE and kriging read.
-The pointwise kernel, the cell centers, the dense matrix over them and
-its eigendecomposition, the dense TPFA system of a permeability field,
-the energy fraction of a spectrum, the direct forms of the within- and
+kernel once, into the spectra of two 1-D problems, and the KLE and
+kriging both read that factorization. The pointwise kernel, the cell
+centers, the dense matrix over them and its eigendecomposition, simple
+kriging of the true kernel (evaluated to 60 digits and solved exactly in
+rationals), the dense TPFA system of a permeability field, the energy
+fraction of a spectrum, the direct forms of the within- and
 between-chain covariances, the checkpoint series over a (chains, draws,
 parameters) matrix, the list of traces after a burn-in and a CSV read by
 one float ``np.loadtxt`` pass live here for the tests alone.
@@ -12,6 +14,8 @@ one float ``np.loadtxt`` pass live here for the tests alone.
 
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -52,6 +56,47 @@ def cell_centers(grid):
     ys = (np.arange(grid.ny) + 0.5) * grid.hy
     X, Y = np.meshgrid(xs, ys)
     return np.column_stack([X.ravel(), Y.ravel()])
+
+
+def exact_solve(A, b):
+    """x with A x = b, in rationals on the exact entries (floats,
+    Decimals or Fractions): Gaussian elimination with the largest pivot
+    of each column."""
+    n = len(b)
+    M = [[Fraction(v) for v in row] + [Fraction(rhs)]
+         for row, rhs in zip(A, b)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(M[r][col]))
+        M[col], M[pivot] = M[pivot], M[col]
+        for r in range(col + 1, n):
+            f = M[r][col] / M[col][col]
+            M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    x = [Fraction(0)] * n
+    for r in reversed(range(n)):
+        x[r] = (M[r][n] - sum(M[r][c] * x[c] for c in range(r + 1, n))) \
+            / M[r][r]
+    return x
+
+
+def exact_simple_kriging(grid, params, cells, values, digits=60):
+    """Simple kriging of the data ``values`` at ``cells`` under the true
+    kernel, at every cell center: the unit-variance kernel at the float
+    centers and lengths is evaluated to ``digits`` digits in decimal,
+    and the system K w = v is solved exactly."""
+    centers = [(Decimal(float(x)), Decimal(float(y)))
+               for x, y in cell_centers(grid)]
+    lx, ly = Decimal(float(params.lx)), Decimal(float(params.ly))
+    with localcontext() as ctx:
+        ctx.prec = digits
+
+        def k(p, q):
+            return Fraction((-((p[0] - q[0]) ** 2) / (2 * lx * lx)
+                             - (p[1] - q[1]) ** 2 / (2 * ly * ly)).exp())
+
+        data = [centers[c] for c in cells]
+        w = exact_solve([[k(p, q) for q in data] for p in data], values)
+        return np.array([float(sum(k(x, p) * wi for p, wi in zip(data, w)))
+                         for x in centers])
 
 
 def dense_tpfa(k2d, hx, hy, bc):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from condflow.covariance import KernelParams, assemble_covariance
+from condflow.covariance import KernelParams, _kernel_1d, assemble_covariance
 from condflow.errors import ArgumentError
 from condflow.grid import make_grid
 from oracles import dense_covariance, kernel
@@ -36,36 +36,45 @@ def test_param_validation(kernel_params):
             replace(kernel_params, **bad)
 
 
+def _factors(grid, params):
+    """The unit-variance 1-D kernels Rx and Ry the covariance factors."""
+    return (_kernel_1d(grid.nx, grid.hx, params.lx),
+            _kernel_1d(grid.ny, grid.hy, params.ly))
+
+
 def test_assemble_1x1(kernel_params):
-    cov = assemble_covariance(make_grid(1, 1), kernel_params)
+    g = make_grid(1, 1)
+    cov = assemble_covariance(g, kernel_params)
     assert cov.sigma2 == kernel_params.sigma2
-    assert cov.rx.shape == cov.ry.shape == (1, 1)
-    assert cov.rx[0, 0] == cov.ry[0, 0] == 1.0
+    rx, ry = _factors(g, kernel_params)
+    assert rx.shape == ry.shape == (1, 1)
+    assert rx[0, 0] == ry[0, 0] == 1.0
+    assert cov.nu.tolist() == cov.mu.tolist() == [1.0]
 
 
 def test_assemble_2x1(kernel_params):
     # centers 0.5 apart in x: off-diagonal exp(-0.25 / (2 * 0.16)); one
     # row, so the y factor is the 1x1 unit matrix
-    cov = assemble_covariance(make_grid(2, 1), kernel_params)
+    rx, ry = _factors(make_grid(2, 1), kernel_params)
     expected = np.exp(-0.25 / (2 * 0.4**2))
-    assert cov.rx[0, 1] == pytest.approx(expected, rel=1e-15)
-    assert cov.rx[1, 0] == cov.rx[0, 1]
-    assert cov.ry.shape == (1, 1)
+    assert rx[0, 1] == pytest.approx(expected, rel=1e-15)
+    assert rx[1, 0] == rx[0, 1]
+    assert ry.shape == (1, 1)
 
 
-def test_diagonal_is_sigma2(fine_cov, kernel_params):
+def test_diagonal_is_sigma2(fine_grid, fine_cov, kernel_params):
     assert fine_cov.sigma2 == kernel_params.sigma2
-    assert np.all(np.diag(fine_cov.rx) == 1.0)
-    assert np.all(np.diag(fine_cov.ry) == 1.0)
+    for r in _factors(fine_grid, kernel_params):
+        assert np.all(np.diag(r) == 1.0)
 
 
-def test_exact_symmetry(fine_cov):
-    for r in (fine_cov.rx, fine_cov.ry):
+def test_exact_symmetry(fine_grid, kernel_params):
+    for r in _factors(fine_grid, kernel_params):
         assert np.array_equal(r, r.T)
 
 
-def test_positive_semidefinite(fine_cov):
-    for r in (fine_cov.rx, fine_cov.ry):
+def test_positive_semidefinite(fine_grid, kernel_params):
+    for r in _factors(fine_grid, kernel_params):
         assert np.linalg.eigvalsh(r)[0] >= -1e-8 * np.trace(r)
 
 
@@ -77,10 +86,25 @@ def test_kronecker_factors_match_dense_kernel(nx, ny, lx, ly):
     # cell centers is sigma2 * kron(ry, rx), to rounding of the exponent
     g = make_grid(nx, ny)
     params = KernelParams(sigma2=1.7, lx=lx, ly=ly)
-    cov = assemble_covariance(g, params)
+    rx, ry = _factors(g, params)
     dense = dense_covariance(g, params)
-    np.testing.assert_allclose(cov.sigma2 * np.kron(cov.ry, cov.rx), dense,
+    np.testing.assert_allclose(params.sigma2 * np.kron(ry, rx), dense,
                                rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n, length", [(16, 0.4), (16, 0.8), (64, 0.4),
+                                       (192, 0.05), (5, 1e6)])
+def test_spectra_rebuild_the_weighted_factors(n, length):
+    # u diag(nu) u^T rebuilds h * R to 3.1e-16 at most over these cases
+    # (64 cells at 0.4), and u^T u is the identity to 3.1e-15 (192 cells);
+    # the bounds leave a factor of 3 for other LAPACK builds
+    g = make_grid(n, 1)
+    cov = assemble_covariance(g, KernelParams(1.0, length, 1.0))
+    weighted = g.hx * _kernel_1d(n, g.hx, length)
+    rebuilt = (cov.ux * cov.nu) @ cov.ux.T
+    assert np.abs(rebuilt - weighted).max() <= 1e-15
+    assert np.all(np.diff(cov.nu) <= 0.0)
+    assert np.abs(cov.ux.T @ cov.ux - np.eye(n)).max() <= 1e-14
 
 
 def test_monotone_decay_along_axis(kernel_params):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from condflow.covariance import KernelParams, assemble_covariance
+from condflow.covariance import KernelParams, _kernel_1d, assemble_covariance
 from condflow.errors import ArgumentError, NumericalError, ParseError
 from condflow.grid import make_grid
 from condflow.kriging import (
@@ -12,7 +12,12 @@ from condflow.kriging import (
     read_measurements_csv,
     snap_to_cells,
 )
-from oracles import cell_centers, kernel_matrix
+from oracles import (
+    cell_centers,
+    exact_simple_kriging,
+    exact_solve,
+    kernel_matrix,
+)
 
 
 def test_single_measurement_exact(fine_grid, fine_cov):
@@ -105,25 +110,6 @@ def test_surface_finite(measurements, fine_cov, fine_grid):
     assert np.all(np.isfinite(surf.values))
 
 
-def _exact_solve(A, b):
-    """x with A x = b, in rationals on the float entries: Gaussian
-    elimination with the largest pivot of each column."""
-    n = len(b)
-    M = [[Fraction(float(v)) for v in row] + [Fraction(float(rhs))]
-         for row, rhs in zip(A, b)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(M[r][col]))
-        M[col], M[pivot] = M[pivot], M[col]
-        for r in range(col + 1, n):
-            f = M[r][col] / M[col][col]
-            M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    x = [Fraction(0)] * n
-    for r in reversed(range(n)):
-        x[r] = (M[r][n] - sum(M[r][c] * x[c] for c in range(r + 1, n))) \
-            / M[r][r]
-    return x
-
-
 def test_ill_conditioned_system(fine_grid):
     # huge correlation lengths make distinct locations nearly duplicate
     params = KernelParams(sigma2=1.0, lx=1e6, ly=1e6)
@@ -138,13 +124,15 @@ def test_ill_conditioned_system(fine_grid):
     # surface of the same float system, whose largest value is 4
     cells = snap_to_cells(ms, fine_grid)
     j, i = np.divmod(cells, fine_grid.nx)
-    cross = (cov.ry[j][:, :, None]
-             * cov.rx[i][:, None, :]).reshape(ms.m, fine_grid.n_cells)
+    rx = _kernel_1d(fine_grid.nx, fine_grid.hx, params.lx)
+    ry = _kernel_1d(fine_grid.ny, fine_grid.hy, params.ly)
+    cross = (ry[j][:, :, None]
+             * rx[i][:, None, :]).reshape(ms.m, fine_grid.n_cells)
     K = cross[:, cells]
     assert np.linalg.cond(K) > 1e13
     surface = np.linalg.solve(K, cross).T @ ms.values
     assert np.abs(surface[cells] - ms.values).max() <= 1e-12
-    weights = _exact_solve(K.T, ms.values)  # the surface is cross^T K^-T v
+    weights = exact_solve(K.T, ms.values)  # the surface is cross^T K^-T v
     exact = np.array([float(sum(Fraction(float(c)) * w
                                 for c, w in zip(column, weights)))
                       for column in cross.T])
@@ -152,21 +140,63 @@ def test_ill_conditioned_system(fine_grid):
     assert np.abs(surface - exact).max() > 1e-4
 
 
-@pytest.mark.parametrize("length, miss", [(0.4, "1.67e-08"), (1e6, "inf")],
-                         ids=["surface_misses_data", "singular"])
-def test_adjacent_block_rejected(fine_grid, length, miss):
-    # nine measurements on the 3x3 block of cells i, j = 6..8: at the
-    # default lengths cond(K) is about 3.6e9, below 1e12, yet the surface
-    # misses the data by 1.3e-8 relative to the largest value; at 1e6
-    # np.linalg.solve finds K singular
+def _adjacent_block(grid):
+    """Nine measurements on the 3x3 block of cells i, j = 6..8."""
     i, j = np.meshgrid(np.arange(6, 9), np.arange(6, 9))
-    ms = MeasurementSet((np.column_stack([i.ravel(), j.ravel()]) + 0.5) / 16,
-                        np.random.default_rng(0).standard_normal(9))
+    locations = (np.column_stack([i.ravel(), j.ravel()]) + 0.5) / grid.nx
+    return MeasurementSet(locations,
+                          np.random.default_rng(0).standard_normal(9))
+
+
+def _honors(ms, cov, grid):
+    surface = krige(ms, cov, grid)
+    cells = snap_to_cells(ms, grid)
+    miss = np.abs(surface.values[cells] - ms.values).max()
+    return miss <= 1e-10 * max(1.0, np.abs(ms.values).max())
+
+
+def test_adjacent_block_honored(fine_grid):
+    # at the default lengths cond(K) is about 3.6e9, below 1e12; solving
+    # K itself missed the data by 1.3e-8 relative to the largest value,
+    # while the QR of G^T misses it by about 2e-13
+    cov = assemble_covariance(fine_grid, KernelParams(1.0, 0.4, 0.8))
+    assert _honors(_adjacent_block(fine_grid), cov, fine_grid)
+
+
+def test_scattered_thirty_points_honored(fine_grid, fine_cov):
+    # cond(K) is about 9.2e8; solving K itself missed these data by 5.4e-9,
+    # over the 2.6e-10 bound, and the QR of G^T misses them by about 4e-13
+    cells = np.array([1, 4, 5, 6, 14, 23, 29, 34, 46, 47, 92, 99, 103, 108,
+                      113, 131, 145, 152, 171, 175, 177, 182, 193, 200, 211,
+                      219, 221, 229, 234, 237])
+    values = [0.2, 1.5, 2.0, -1.8, -0.6, 0.7, 1.6, 0.4, -0.7, 0.3, 0.0, -0.2,
+              -0.7, 0.4, 0.3, -0.1, -0.2, -1.3, -0.5, 1.2, -0.2, -1.4, 1.3,
+              0.5, 2.1, 0.1, -0.5, -1.4, 1.3, 2.6]
+    j, i = np.divmod(cells, fine_grid.nx)
+    ms = MeasurementSet((np.column_stack([i, j]) + 0.5) / fine_grid.nx,
+                        values)
+    assert _honors(ms, fine_cov, fine_grid)
+
+
+@pytest.mark.parametrize("length, miss", [(1e6, "inf")], ids=["singular"])
+def test_adjacent_block_rejected(fine_grid, length, miss):
+    # at lengths 1e6 the nine data are nearly one point: cond(K) is far
+    # over 1e12, so the set is rejected without a solve
     cov = assemble_covariance(fine_grid, KernelParams(1.0, length, 2 * length))
     with pytest.raises(NumericalError) as info:
-        krige(ms, cov, fine_grid)
+        krige(_adjacent_block(fine_grid), cov, fine_grid)
     assert (info.value.module, info.value.code) == ("kriging", "conditioning")
     assert f"misses the data by {miss} at cond(K) = " in str(info.value)
+
+
+def test_matches_exact_kriging_of_the_true_kernel(measurements, fine_grid,
+                                                  kernel_params, fine_cov):
+    # the oracle evaluates the kernel to 60 digits and solves exactly
+    cells = snap_to_cells(measurements, fine_grid)
+    exact = exact_simple_kriging(fine_grid, kernel_params, cells,
+                                 measurements.values)
+    surface = krige(measurements, fine_cov, fine_grid).values
+    assert np.abs(surface - exact).max() <= 1e-12
 
 
 def test_snap_single_cell():

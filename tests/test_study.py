@@ -13,7 +13,7 @@ from condflow.config import StudyConfig
 from condflow.diagnostics import diagnostics_series
 from condflow.errors import ParseError
 from condflow.mcmc import ChainTrace
-from condflow import kle, study
+from condflow import covariance, study
 from condflow.study import (
     build_setup,
     run_one_study,
@@ -162,16 +162,17 @@ def test_reference_experiment_samples_both_studies_in_one_call(
 
 @pytest.mark.parametrize("n_terms", [None, 16])  # None: the default 20
 def test_build_setup_factors_the_covariance_once(monkeypatch, n_terms):
-    # the basis comes from one spectrum: one 1-D factorization per axis,
-    # none of the 256 x 256 covariance
+    # the basis and the kriged surface come from one spectrum: one 1-D
+    # factorization per axis, none of the 256 x 256 covariance, and
+    # kriging factors nothing again
     calls = []
-    original = kle._axis_spectrum
+    original = covariance._axis_spectrum
 
     def counting(weighted):
         calls.append(weighted.shape)
         return original(weighted)
 
-    monkeypatch.setattr(kle, "_axis_spectrum", counting)
+    monkeypatch.setattr(covariance, "_axis_spectrum", counting)
     setup = build_setup(StudyConfig(n_terms=n_terms or 20, verbosity=0))
     assert calls == [(16, 16), (16, 16)]
     assert setup.bundle.basis.n == (n_terms or 20)
@@ -181,7 +182,7 @@ def test_build_setup_reads_inputs_before_factoring(tmp_path, monkeypatch):
     def fail(weighted):
         pytest.fail("the covariance was factored before the inputs were read")
 
-    monkeypatch.setattr(kle, "_axis_spectrum", fail)
+    monkeypatch.setattr(covariance, "_axis_spectrum", fail)
     bad = tmp_path / "ms.csv"
     bad.write_text("x,y,value\n0.5,0.5,oops\n")
     with pytest.raises(ParseError, match="ms.csv"):
@@ -191,7 +192,7 @@ def test_build_setup_reads_inputs_before_factoring(tmp_path, monkeypatch):
 def test_setup_and_traces_do_not_depend_on_blas_threads(tmp_path):
     # the default setup and a short stack of both studies, built under
     # one and two OpenBLAS threads, give bitwise the same basis,
-    # projector and traces
+    # projector, kriged surface and traces
     code = (
         "import hashlib\n"
         "import numpy as np\n"
@@ -200,7 +201,8 @@ def test_setup_and_traces_do_not_depend_on_blas_threads(tmp_path):
         "cfg = StudyConfig(chains=4, iterations=300, verbosity=0)\n"
         "setup = build_setup(cfg)\n"
         "traces, _ = sample_studies(setup, (False, True))\n"
-        "arrays = [setup.bundle.basis.phi, setup.bundle.projector]\n"
+        "arrays = [setup.bundle.basis.phi, setup.bundle.projector,\n"
+        "          setup.bundle.kriged.values]\n"
         "arrays += [t.thetas for ts in traces for t in ts]\n"
         "arrays += [t.loglik_fine for ts in traces for t in ts]\n"
         "for a in arrays:\n"
@@ -218,7 +220,8 @@ def test_setup_and_traces_do_not_depend_on_blas_threads(tmp_path):
                              cwd=tmp_path)
         assert run.returncode == 0, run.stderr
         digests.append(run.stdout.split())
-    assert len(digests[0]) == 2 + 2 * 8
-    labels = (["phi", "Q"] + [f"thetas of chain {c}" for c in range(8)]
+    assert len(digests[0]) == 3 + 2 * 8
+    labels = (["phi", "Q", "kriged"]
+              + [f"thetas of chain {c}" for c in range(8)]
               + [f"loglik of chain {c}" for c in range(8)])
     assert [lab for lab, a, b in zip(labels, *digests) if a != b] == []
