@@ -24,14 +24,16 @@ import numpy as np
 
 from . import study
 from .config import parse_config
+from .covariance import assemble_covariance
 from .darcy import solve_pressure
 from .diagnostics import (CHECKPOINT_EVERY, check_chain_count,
                           diagnostics_series, write_report_csv,
                           write_report_dat)
 from .errors import ArgumentError, CondflowError, ParseError
-from .grid import (ScalarField, _read_csv, read_field_csv, write_field_csv,
-                   write_field_pgm)
-from .kriging import snap_to_cells
+from .grid import (ScalarField, _read_csv, make_grid, read_field_csv,
+                   write_field_csv, write_field_pgm)
+from .kle import solve_kle
+from .kriging import krige, snap_to_cells
 from .mcmc import read_trace_csv, synthesize
 from .study import build_setup, run_reference_experiment
 
@@ -43,9 +45,10 @@ def _setup(args):
 
 
 def cmd_kle(args):
-    setup = _setup(args)
-    out = study.output_dir(setup.cfg, args.out_dir)
-    basis = setup.bundle.basis
+    cfg = parse_config(args.config)
+    fine = make_grid(cfg.fine_nx, cfg.fine_ny)
+    basis = solve_kle(assemble_covariance(fine, cfg.kernel), fine, cfg.n_terms)
+    out = study.output_dir(cfg, args.out_dir)
     np.savetxt(os.path.join(out, "eigenvalues.csv"), basis.lambdas,
                fmt="%.17g")
     for i in range(basis.n):
@@ -56,10 +59,13 @@ def cmd_kle(args):
 
 
 def cmd_krige(args):
-    setup = _setup(args)
-    out = study.output_dir(setup.cfg, args.out_dir)
-    write_field_csv(setup.bundle.kriged, os.path.join(out, "kriged.csv"))
-    write_field_pgm(setup.bundle.kriged, os.path.join(out, "kriged.pgm"))
+    cfg = parse_config(args.config)
+    fine = make_grid(cfg.fine_nx, cfg.fine_ny)
+    kriged = krige(study.read_measurements(cfg),
+                   assemble_covariance(fine, cfg.kernel), fine)
+    out = study.output_dir(cfg, args.out_dir)
+    write_field_csv(kriged, os.path.join(out, "kriged.csv"))
+    write_field_pgm(kriged, os.path.join(out, "kriged.pgm"))
     print(f"kriged surface written to {out}")
     return 0
 

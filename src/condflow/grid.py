@@ -12,7 +12,8 @@ Conventions (fixed, documented here once):
   * PGM images are ASCII P2, min-max scaled to 0..255, top row first;
     a constant field renders mid-gray (128), and every finite field
     renders, even one whose range exceeds the largest float;
-  * every numeric artifact is written by one ``np.savetxt`` call, and
+  * a numeric artifact is written by one ``np.savetxt`` call, a trace or
+    a PGM through one open file by its writer's own ``%`` formats, and
     every CSV (fields, measurements, thetas, traces, reports) is read by
     ``_read_csv`` as UTF-8: an optional header line, then rows with
     comma delimiters and no comment character. Most tokens of a trace
@@ -184,7 +185,6 @@ def _fill_block(out, r, tok, new):
     loadtxt skips, a ragged row), or a new token with ``_`` (which
     ``float`` takes and loadtxt does not) or that does not parse, is a
     ValueError."""
-    b, w = tok.shape
     blk = out[r:r + _BLOCK]
     if blk.shape != tok.shape:
         raise ValueError("block shape")
@@ -192,12 +192,18 @@ def _fill_block(out, r, tok, new):
     if b"_" in fresh.tobytes():
         raise ValueError("underscore")
     blk[new] = fresh.astype(float)
-    # each value's source row: its own if new, else the last new one
-    # above it; with r > 0, 0 is the row before the block
-    base = int(r > 0)
+    blk[:] = _fill_down(out[r - (r > 0):r + len(blk)], new)
+
+
+def _fill_down(rows, new):
+    """The last ``len(new)`` rows of ``rows``, each value that is not
+    ``new`` replaced by the last new one above it; with one row more
+    than ``new``, ``rows`` starts with the row above the block."""
+    b, w = new.shape
+    base = len(rows) - b
     src = np.where(new, np.arange(base, b + base)[:, None], 0)
     np.maximum.accumulate(src, axis=0, out=src)
-    blk[:] = out[r - base:r + b].take(src * w + np.arange(w))
+    return rows.take(src * w + np.arange(w))
 
 
 def _read_csv(path, module, header=False, empty=False):
@@ -273,12 +279,14 @@ def read_field_csv(path, grid):
 
 
 def write_field_pgm(fld, path):
-    """Render a field as an ASCII PGM image, one pixel per cell."""
+    """Render a field as an ASCII PGM image, one pixel per cell, in one
+    write."""
     arr = fld.as_2d()
     lo, hi = arr.min(), arr.max()
     if hi / 2 - lo / 2 > np.finfo(float).max / 2:  # hi - lo overflows
         arr, lo, hi = arr / 2, lo / 2, hi / 2  # exact at this range
     pix = (np.rint((arr - lo) / (hi - lo) * 255.0) if hi > lo
-           else np.full(arr.shape, 128))
-    np.savetxt(path, pix[::-1], fmt="%d", comments="",
-               header=f"P2\n{fld.grid.nx} {fld.grid.ny}\n255")
+           else np.full(arr.shape, 128)).astype(np.int64)[::-1].tolist()
+    with open(path, "w") as fh:
+        fh.write(f"P2\n{fld.grid.nx} {fld.grid.ny}\n255\n" + "".join(
+            [" ".join(map(str, row)) + "\n" for row in pix]))

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import conditioning, darcy, kle
+from . import conditioning, darcy, grid, kle
 from .errors import (ArgumentError, CondflowError, NumericalError,
                      ParseError)
 from .grid import (Grid2D, ObservationMask, ScalarField, _read_csv,
@@ -307,15 +307,34 @@ def run_study(cfg, bundle, studies=None):
 
 
 def write_trace_csv(trace, path):
-    """Persist a trace: iteration, theta_1..theta_n, flags, loglik."""
+    """Persist a trace: iteration, theta_1..theta_n, flags, loglik, each
+    ``%.17g`` (as ``%d`` for the integers), ``grid._BLOCK`` rows at a
+    time. A value with the bits of the value above it reuses its token,
+    so only the values that change (see :mod:`condflow.grid`) are
+    formatted, by one ``%`` per block."""
     n = trace.thetas.shape[1]
     cols = (["iteration"] + [f"theta_{i + 1}" for i in range(n)]
             + ["coarse_accept", "fine_accept", "loglik"])
-    data = np.column_stack([np.arange(trace.iterations), trace.thetas,
-                            trace.coarse_accepted, trace.fine_accepted,
-                            trace.loglik_fine])
-    np.savetxt(path, data, fmt=["%d"] + ["%.17g"] * n + ["%d", "%d", "%.17g"],
-               delimiter=",", header=",".join(cols), comments="")
+    above = tok = None  # the bits and tokens of the row above a block
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for r in range(0, trace.iterations, grid._BLOCK):
+            s = slice(r, min(r + grid._BLOCK, trace.iterations))
+            vals = np.column_stack((np.arange(s.start, s.stop),
+                                    trace.thetas[s], trace.coarse_accepted[s],
+                                    trace.fine_accepted[s],
+                                    trace.loglik_fine[s]))
+            bits = vals.view(np.int64)
+            new = np.empty(bits.shape, dtype=bool)
+            new[0] = True if above is None else bits[0] != above
+            np.not_equal(bits[1:], bits[:-1], out=new[1:])
+            fresh = tuple(vals[new].tolist())
+            rows = np.empty((len(bits) + 1, n + 4), dtype=object)
+            rows[0] = tok
+            rows[1:][new] = ("%.17g," * len(fresh) % fresh).split(",")[:-1]
+            rows = grid._fill_down(rows, new).tolist()
+            fh.write("\n".join(map(",".join, rows)) + "\n")
+            above, tok = bits[-1], rows[-1]
 
 
 def read_trace_csv(path):

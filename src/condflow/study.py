@@ -38,12 +38,14 @@ def _packaged(name):
     return resources.files("condflow.data").joinpath(name)
 
 
-def default_measurements_path():
-    return str(_packaged("measurements.csv"))
-
-
 def default_reference_field_path():
     return str(_packaged("reference_field.csv"))
+
+
+def read_measurements(cfg):
+    """The config's measurements, or the packaged ones."""
+    return read_measurements_csv(cfg.measurements
+                                 or str(_packaged("measurements.csv")))
 
 
 def output_dir(cfg, override=None):
@@ -71,8 +73,7 @@ def build_setup(cfg):
     Both input CSVs are read before the covariance is factored, so bad
     input fails before the eigendecompositions."""
     fine = make_grid(cfg.fine_nx, cfg.fine_ny)
-    ms = read_measurements_csv(cfg.measurements
-                               or default_measurements_path())
+    ms = read_measurements(cfg)
     ref_path = cfg.reference_field or default_reference_field_path()
     ref_field = read_field_csv(ref_path, fine)
 

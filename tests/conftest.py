@@ -3,11 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from condflow.config import StudyConfig
 from condflow.covariance import KernelParams, assemble_covariance
 from condflow.grid import make_grid
 from condflow.kle import solve_kle
-from condflow.kriging import read_measurements_csv
-from condflow.study import default_measurements_path, default_reference_field_path
+from condflow.study import default_reference_field_path, read_measurements
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +37,7 @@ def basis20(fine_cov, fine_grid):
 
 @pytest.fixture(scope="session")
 def measurements():
-    return read_measurements_csv(default_measurements_path())
+    return read_measurements(StudyConfig())
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,9 @@ kriging of the true kernel (evaluated to 60 digits and solved exactly in
 rationals), the dense TPFA system of a permeability field, the energy
 fraction of a spectrum, the direct forms of the within- and
 between-chain covariances, the checkpoint series over a (chains, draws,
-parameters) matrix, the list of traces after a burn-in and a CSV read by
-one float ``np.loadtxt`` pass live here for the tests alone.
+parameters) matrix, the list of traces after a burn-in, a CSV read by
+one float ``np.loadtxt`` pass and the trace and PGM writers of one
+``np.savetxt`` call live here for the tests alone.
 """
 
 import warnings
@@ -270,3 +271,30 @@ def read_csv_one_pass(path, module, header=False, empty=False):
                              f"header {width}", module=module)
         data = data.reshape(-1, width)
     return head, data
+
+
+def write_trace_savetxt(trace, path):
+    """The file :func:`condflow.mcmc.write_trace_csv` writes, by one
+    ``np.savetxt`` call that formats every value: the writer it
+    replaced, whose bytes the block writer keeps."""
+    n = trace.thetas.shape[1]
+    cols = (["iteration"] + [f"theta_{i + 1}" for i in range(n)]
+            + ["coarse_accept", "fine_accept", "loglik"])
+    data = np.column_stack([np.arange(trace.iterations), trace.thetas,
+                            trace.coarse_accepted, trace.fine_accepted,
+                            trace.loglik_fine])
+    np.savetxt(path, data, fmt=["%d"] + ["%.17g"] * n + ["%d", "%d", "%.17g"],
+               delimiter=",", header=",".join(cols), comments="")
+
+
+def write_field_pgm_savetxt(fld, path):
+    """The file :func:`condflow.grid.write_field_pgm` writes, by one
+    ``np.savetxt`` call: the writer it replaced."""
+    arr = fld.as_2d()
+    lo, hi = arr.min(), arr.max()
+    if hi / 2 - lo / 2 > np.finfo(float).max / 2:  # hi - lo overflows
+        arr, lo, hi = arr / 2, lo / 2, hi / 2  # exact at this range
+    pix = (np.rint((arr - lo) / (hi - lo) * 255.0) if hi > lo
+           else np.full(arr.shape, 128))
+    np.savetxt(path, pix[::-1], fmt="%d", comments="",
+               header=f"P2\n{fld.grid.nx} {fld.grid.ny}\n255")

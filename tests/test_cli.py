@@ -505,8 +505,7 @@ def _config_error(tmp_path, capsys, argv, edit):
     return err[0]
 
 
-@pytest.mark.parametrize("argv", [["kle"], ["krige"],
-                                  ["condition", "--theta", "theta.csv"],
+@pytest.mark.parametrize("argv", [["condition", "--theta", "theta.csv"],
                                   ["solve"], ["invert"]],
                          ids=lambda argv: argv[0])
 def test_subcommand_rejects_fewer_modes_before_output(tmp_path, capsys,
@@ -521,6 +520,67 @@ def test_subcommand_rejects_fewer_modes_before_output(tmp_path, capsys,
     assert err.startswith("error:conditioning:argument: 9 measurements "
                           "with only 5 KL modes")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["kle", "krige"])
+def test_kle_and_krige_build_no_data_matrix(tmp_path, command):
+    # 9 measurements and 5 modes have no nullspace, which neither command
+    # needs: kle reads no measurements, and krige builds no basis
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(FAST_CFG.replace("kle.n_terms = 12", "kle.n_terms = 5"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert (out / {"kle": "phi_005.csv", "krige": "kriged.csv"}[command]
+            ).exists()
+
+
+#: 30 scattered cell centres of the 16 x 16 grid: more measurements than
+#: the default 20 KL modes
+MS30 = """\
+x,y,value
+0.09375,0.03125,0.2
+0.28125,0.03125,1.5
+0.34375,0.03125,2
+0.40625,0.03125,-1.8
+0.90625,0.03125,-0.6
+0.46875,0.09375,0.7
+0.84375,0.09375,1.6
+0.15625,0.15625,0.4
+0.90625,0.15625,-0.7
+0.96875,0.15625,0.3
+0.78125,0.34375,0
+0.21875,0.40625,-0.2
+0.46875,0.40625,-0.7
+0.78125,0.40625,0.4
+0.09375,0.46875,0.3
+0.21875,0.53125,-0.1
+0.09375,0.59375,-0.2
+0.53125,0.59375,-1.3
+0.71875,0.65625,-0.5
+0.96875,0.65625,1.2
+0.09375,0.71875,-0.2
+0.40625,0.71875,-1.4
+0.09375,0.78125,1.3
+0.53125,0.78125,0.5
+0.21875,0.84375,2.1
+0.71875,0.84375,0.1
+0.84375,0.84375,-0.5
+0.34375,0.90625,-1.4
+0.65625,0.90625,1.3
+0.84375,0.90625,2.6
+"""
+
+
+def test_krige_thirty_measurements_at_the_default_modes(tmp_path):
+    (tmp_path / "ms30.csv").write_text(MS30)
+    cfg = tmp_path / "krige.cfg"
+    cfg.write_text(f"paths.measurements = {tmp_path / 'ms30.csv'}\n")
+    out = tmp_path / "kr"
+    assert main(["krige", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    kriged = np.loadtxt(out / "kriged.csv", delimiter=",")
+    ms = np.loadtxt(tmp_path / "ms30.csv", delimiter=",", skiprows=1)
+    cells = ((ms[:, 1] * 16).astype(int), (ms[:, 0] * 16).astype(int))
+    assert np.abs(kriged[cells] - ms[:, 2]).max() <= 1e-9
 
 
 @pytest.mark.parametrize("argv, config_line, text, module", [

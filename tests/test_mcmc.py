@@ -2,6 +2,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -221,6 +222,24 @@ def test_trace_csv_round_trip(tmp_path):
     assert np.array_equal(back.fine_accepted, trace.fine_accepted)
     assert np.array_equal(back.loglik_fine, trace.loglik_fine)
     assert back.seed is None  # a trace CSV does not record its seed
+
+
+def test_trace_writer_holds_a_block_not_the_trace(tmp_path):
+    # a 12000 x 20 random walk, every value new: the writer's peak is
+    # about 0.5 MB of one block's tokens, where one np.savetxt call over
+    # the whole trace's table peaked at 2.4 MB
+    rng = np.random.default_rng(0)
+    coarse = rng.random(12000) < 0.9
+    trace = ChainTrace(np.cumsum(rng.standard_normal((12000, 20)), axis=0),
+                       coarse, coarse & (rng.random(12000) < 0.7),
+                       rng.standard_normal(12000), 0)
+    tracemalloc.start()
+    try:
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
 
 
 def test_run_study_needs_a_seed():

@@ -1,10 +1,12 @@
 """Property tests of the field rule, the pressure solver, the 2x2
 upscaling closed form, the CSV block reader against one float loadtxt
-pass, the trace CSV round trip and its corrupted rows, kriging,
+pass, the trace and PGM writers against one savetxt call, the trace CSV
+round trip and its corrupted rows, kriging,
 conditioning and the CLI. Every test is derandomized and keeps
 no example database, so a run draws the same examples every time."""
 
 import io
+import math
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -26,11 +28,12 @@ from condflow.darcy import (BoundaryConditions, _keff_x, _keff_x_2x2,
                             solve_pressure, upscale)
 from condflow.errors import (ArgumentError, CondflowError, NumericalError,
                              ParseError)
-from condflow.grid import ScalarField, make_grid
+from condflow.grid import ScalarField, make_grid, write_field_pgm
 from condflow.kle import solve_kle
 from condflow.kriging import MeasurementSet, krige
 from condflow.mcmc import ChainTrace, read_trace_csv, write_trace_csv
-from oracles import dense_tpfa, read_csv_one_pass
+from oracles import (dense_tpfa, read_csv_one_pass, write_field_pgm_savetxt,
+                     write_trace_savetxt)
 from test_darcy import _exact_keff_x
 
 EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
@@ -245,6 +248,86 @@ def test_sampler_shaped_trace_csv_round_trip_is_bitwise(case):
     trace, block = case
     with patch.object(grid, "_BLOCK", block):
         _assert_round_trip(trace)
+
+
+#: floats at the edges of ``%.17g``: signed zeros, subnormals, the
+#: largest values, neighbours one ulp apart and the switch to an exponent
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                1e308, -1e308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1.0, 1.0000000000000002, 0.1,
+                0.10000000000000002, 1e16, 1e17]
+
+
+@st.composite
+def _written_traces(draw):
+    """(trace, block rows): a first row of theta and loglik, then rows
+    that repeat the row above, move one value or move all of them, to a
+    finite or edge value, to its negation (0 to -0) or to a neighbour
+    one ulp away. Written in blocks of 1 to 5 rows, it is 1 row long or
+    a block multiple, give or take one row."""
+    block, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    iterations = max(1, draw(st.integers(0, 4)) * block
+                     + draw(st.sampled_from([-1, 0, 1])))
+    value = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    row = np.array(draw(st.lists(value, min_size=n + 1, max_size=n + 1)))
+    rows = [row]
+    for _ in range(iterations - 1):
+        row = row.copy()
+        moved = draw(st.sampled_from([[], [draw(st.integers(0, n))],
+                                      range(n + 1)]))
+        for j in moved:
+            near = [v for v in (-row[j], math.nextafter(row[j], -math.inf),
+                                math.nextafter(row[j], math.inf))
+                    if math.isfinite(v)]
+            row[j] = draw(st.one_of(value, st.sampled_from(near)))
+        rows.append(row)
+    rows = np.array(rows)
+    coarse = draw(arrays(bool, iterations))
+    trace = ChainTrace(rows[:, :n], coarse,
+                       coarse & draw(arrays(bool, iterations)), rows[:, n],
+                       seed=None)
+    return trace, block
+
+
+@_settings(200)
+@given(_written_traces())
+def test_trace_writer_matches_one_savetxt_call(case):
+    trace, block = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            patch.object(grid, "_BLOCK", block):
+        write_trace_csv(trace, Path(tmp) / "blocks.csv")
+        write_trace_savetxt(trace, Path(tmp) / "savetxt.csv")
+        assert ((Path(tmp) / "blocks.csv").read_bytes()
+                == (Path(tmp) / "savetxt.csv").read_bytes())
+
+
+@st.composite
+def _pgm_fields(draw):
+    """A field on a 1 x N, N x 1 or other grid up to 6 x 6: finite
+    values, one constant value, or values whose range overflows."""
+    k = draw(st.integers(1, 6))
+    nx, ny = draw(st.sampled_from([(k, 1), (1, k),
+                                   (k, draw(st.integers(1, 6)))]))
+    n = nx * ny
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["finite", "constant", "overflow"]))
+    values = (np.full(n, draw(finite)) if kind == "constant"
+              else draw(arrays(np.float64, n, elements=finite)))
+    if kind == "overflow":
+        values[draw(st.integers(0, n - 1))] = -1.7976931348623157e308
+        values[draw(st.integers(0, n - 1))] = 1e308
+    return ScalarField(make_grid(nx, ny), values)
+
+
+@_settings(200)
+@given(_pgm_fields())
+def test_pgm_writer_matches_one_savetxt_call(fld):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_field_pgm(fld, Path(tmp) / "one_write.pgm")
+        write_field_pgm_savetxt(fld, Path(tmp) / "savetxt.pgm")
+        assert ((Path(tmp) / "one_write.pgm").read_bytes()
+                == (Path(tmp) / "savetxt.pgm").read_bytes())
 
 
 #: numbers at the edges of the float parse: signed zero and NaN,
