@@ -9,6 +9,8 @@ Subcommands:
   diagnose   PSRF/MPSRF series from existing trace CSVs
   reference  the full conditioned-vs-unconditioned comparative study
 
+Each subcommand builds only what it writes, all of it but a study's
+chains before it creates its output directory, so bad input leaves none.
 Every failure exits nonzero after printing one line starting with
 ``error:<module>:<code>``. The console script ``condflow`` and
 ``python -m condflow`` both run :func:`main`.
@@ -23,9 +25,10 @@ import sys
 import numpy as np
 
 from . import study
+from .conditioning import synthesize_conditioned
 from .config import parse_config
 from .covariance import assemble_covariance
-from .darcy import solve_pressure
+from .darcy import BoundaryConditions, solve_pressure
 from .diagnostics import (CHECKPOINT_EVERY, check_chain_count,
                           diagnostics_series, write_report_csv,
                           write_report_dat)
@@ -34,14 +37,8 @@ from .grid import (ScalarField, _read_csv, make_grid, read_field_csv,
                    write_field_csv, write_field_pgm)
 from .kle import solve_kle
 from .kriging import krige, snap_to_cells
-from .mcmc import read_trace_csv, synthesize
+from .mcmc import read_trace_csv
 from .study import build_setup, run_reference_experiment
-
-
-def _setup(args):
-    """Model setup of the ``--config`` study. A command reads its inputs
-    before it creates its output directory, so bad input leaves none."""
-    return build_setup(parse_config(args.config))
 
 
 def cmd_kle(args):
@@ -71,38 +68,35 @@ def cmd_krige(args):
 
 
 def cmd_condition(args):
-    setup = _setup(args)
-    theta = _read_theta(args.theta, setup.bundle.basis.n)
-    out = study.output_dir(setup.cfg, args.out_dir)
-    fld = synthesize(setup.bundle, theta, conditioned=True)
+    cfg = parse_config(args.config)
+    theta = _read_theta(args.theta, cfg.n_terms)
+    ms, basis, kriged, Q = study.conditioned_prior(cfg)
+    fld = synthesize_conditioned(basis, kriged, theta, Q)
+    out = study.output_dir(cfg, args.out_dir)
     write_field_csv(fld, os.path.join(out, "conditioned.csv"))
     write_field_pgm(fld, os.path.join(out, "conditioned.pgm"))
-    cells = snap_to_cells(setup.measurements, setup.bundle.fine)
-    err = np.max(np.abs(fld.values[cells] - setup.measurements.values))
+    cells = snap_to_cells(ms, basis.grid)
+    err = np.max(np.abs(fld.values[cells] - ms.values))
     print(f"max honoring error: {err:.3e}")
     return 0
 
 
 def _read_theta(path, n):
-    """The n theta values of a CSV with one value per row."""
+    """The n theta values of a CSV of n rows of one value."""
     _, data = _read_csv(path, "cli")
-    if data.shape[1] != 1:
-        raise ParseError(f"{path}: expected one theta value per row, got "
-                         f"{data.shape[1]}", module="cli")
-    if data.size != n:
-        raise ParseError(
-            f"{path}: expected {n} theta values, got {data.size}",
-            module="cli",
-        )
+    if data.shape != (n, 1):
+        raise ParseError(f"{path}: expected {n} rows of one theta value, "
+                         f"got {data.shape[0]} of {data.shape[1]}",
+                         module="cli")
     return data[:, 0]
 
 
 def cmd_solve(args):
-    setup = _setup(args)
-    field = (read_field_csv(args.field, setup.bundle.fine)
-             if args.field else setup.bundle.reference_field)
-    out = study.output_dir(setup.cfg, args.out_dir)
-    pressure = solve_pressure(field, setup.bundle.bc)
+    cfg = parse_config(args.config)
+    field = (read_field_csv(args.field, make_grid(cfg.fine_nx, cfg.fine_ny))
+             if args.field else study.read_reference_field(cfg))
+    pressure = solve_pressure(field, BoundaryConditions())
+    out = study.output_dir(cfg, args.out_dir)
     write_field_csv(pressure, os.path.join(out, "pressure.csv"))
     write_field_pgm(pressure, os.path.join(out, "pressure.pgm"))
     print(f"pressure field written to {out}")
@@ -110,7 +104,7 @@ def cmd_solve(args):
 
 
 def cmd_invert(args):
-    setup = _setup(args)
+    setup = build_setup(parse_config(args.config))
     out = study.output_dir(setup.cfg, args.out_dir)
     study.run_one_study(setup, setup.cfg.conditioned, out)
     return 0
@@ -121,16 +115,11 @@ def cmd_diagnose(args):
     # arguments, are checked before any trace is parsed
     check_chain_count(len(args.traces))
     dat = os.path.splitext(args.out)[0] + ".dat"
-    if dat == args.out:
-        raise ArgumentError(f"--out {args.out} is the path of its DAT twin; "
-                            "give the CSV another extension", module="cli")
-    traces = set(map(os.path.realpath, args.traces))
-    if os.path.realpath(args.out) in traces:
-        raise ArgumentError(f"--out {args.out} is one of the traces",
+    outs = {os.path.realpath(args.out), os.path.realpath(dat)}
+    if len(outs) < 2 or outs & set(map(os.path.realpath, args.traces)):
+        raise ArgumentError(f"--out {args.out} and its DAT twin {dat} must "
+                            "be two files other than the traces",
                             module="cli")
-    if os.path.realpath(dat) in traces:
-        raise ArgumentError(f"--out {args.out} has the DAT twin {dat}, one "
-                            "of the traces", module="cli")
     report = diagnostics_series(map(read_trace_csv, args.traces),
                                 args.checkpoint_every, args.burn_in)
     write_report_csv(report, args.out)

@@ -190,13 +190,10 @@ def _solve(bands, rhs, cells):
     names the field and its cell, and one whose solution misses the
     backward-error bound (see the module docstring) fails as "residual".
 
-    LAPACK's ``dpbsv`` comes from ``_lapack`` at the first solve, which
-    loads the compiled ``_flapack`` module alone: 11 modules of its
-    library, +3.4 MB and 11-12 ms, against 85 modules, +28.5 MB and
-    0.16-0.20 s for its whole linalg package (``_lapack`` names the
-    host). A command that solves no pressure (``import condflow.cli``,
-    ``diagnose``) loads none of it. A stack of bandwidth at least 32 is
-    solved one field per call (see the module docstring)."""
+    LAPACK's ``dpbsv`` comes from :func:`_lapack` at the first solve, so
+    a command that solves no pressure loads none of its library. A stack
+    of bandwidth at least 32 is solved one field per call (see the module
+    docstring)."""
     diag, tx, ty = bands
     n = diag.size
     nx = ty.size - n

@@ -18,12 +18,9 @@ Conventions (fixed, documented here once):
     ``_read_csv`` as UTF-8: an optional header line, then rows with
     comma delimiters and no comment character. Most tokens of a trace
     repeat the token above them, since a rejection repeats the state and
-    a single-component move changes one coordinate: 88% of the tokens in
-    the diagnose bench's stand-in traces and in the traces a default
-    ``condflow reference`` writes, against none in the reference field
-    and 25% in the measurements, which the float pass reads. So the
-    body is cut into bytes tokens by ``np.loadtxt`` a block of rows at a
-    time, and only the tokens that differ from the one above are parsed.
+    a single-component move changes one coordinate, so the body is cut
+    into bytes tokens by ``np.loadtxt`` a block of rows at a time, and
+    only the tokens that differ from the one above are parsed.
     A body the blocks cannot take plainly (a block of mostly new tokens,
     as in a field, a blank line, a ragged row, a long, ``_`` or bad
     token) is read by one float ``np.loadtxt`` pass over the path, so

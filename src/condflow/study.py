@@ -48,6 +48,12 @@ def read_measurements(cfg):
                                  or str(_packaged("measurements.csv")))
 
 
+def read_reference_field(cfg):
+    """The config's reference field, or the packaged one."""
+    path = cfg.reference_field or default_reference_field_path()
+    return read_field_csv(path, make_grid(cfg.fine_nx, cfg.fine_ny))
+
+
 def output_dir(cfg, override=None):
     """The output directory, created if missing: ``override`` (the
     ``--out-dir`` option), else the CONDFLOW_OUTPUT_DIR variable, else
@@ -59,35 +65,37 @@ def output_dir(cfg, override=None):
 
 @dataclass
 class StudySetup:
-    """Model bundle plus the pieces the CLI reuses for artifact output."""
+    """Model bundle plus the measurements it is conditioned on."""
 
     cfg: object
     bundle: ModelBundle
     measurements: object
 
 
-def build_setup(cfg):
-    """Assemble grids, KL basis, kriging, nullspace basis Q and the model
-    bundle, which derives the reference data from the reference field.
-
-    Both input CSVs are read before the covariance is factored, so bad
-    input fails before the eigendecompositions."""
+def conditioned_prior(cfg):
+    """The conditioned prior's parts: the measurements, the KL basis,
+    the kriged surface and the nullspace basis Q of the data matrix.
+    The measurements are read before the covariance is factored."""
     fine = make_grid(cfg.fine_nx, cfg.fine_ny)
     ms = read_measurements(cfg)
-    ref_path = cfg.reference_field or default_reference_field_path()
-    ref_field = read_field_csv(ref_path, fine)
-
     cov = assemble_covariance(fine, cfg.kernel)
     basis = solve_kle(cov, fine, cfg.n_terms)
     kriged = krige(ms, cov, fine)
-    bundle = ModelBundle(
-        basis=basis,
-        coarse=make_grid(cfg.coarse_nx, cfg.coarse_ny),
-        reference_field=ref_field,
-        likelihood=cfg.likelihood,
-        projector=nullspace_basis(build_data_matrix(basis, ms)),
-        kriged=kriged,
-    )
+    return ms, basis, kriged, nullspace_basis(build_data_matrix(basis, ms))
+
+
+def build_setup(cfg):
+    """The reference field, then the conditioned prior, in the model
+    bundle, which derives the reference data. Both input CSVs are read
+    before the covariance is factored, so bad input fails before the
+    eigendecompositions."""
+    ref_field = read_reference_field(cfg)
+    ms, basis, kriged, Q = conditioned_prior(cfg)
+    bundle = ModelBundle(basis=basis,
+                         coarse=make_grid(cfg.coarse_nx, cfg.coarse_ny),
+                         reference_field=ref_field,
+                         likelihood=cfg.likelihood, projector=Q,
+                         kriged=kriged)
     return StudySetup(cfg, bundle, ms)
 
 

@@ -81,7 +81,7 @@ def test_condition_wrong_theta_length(tmp_path, fast_config, capsys):
 @pytest.mark.parametrize("text, message", [
     ("", "input contained no data"),
     ("# theta\n" + "0.5\n" * 12, "could not convert string '# theta'"),
-    ("0.5,0.5\n" * 12, "expected one theta value per row, got 2"),
+    ("0.5,0.5\n" * 12, "expected 12 rows of one theta value, got 12 of 2"),
 ], ids=["empty", "comment_line", "two_per_row"])
 def test_condition_theta_file_fails_with_one_parse_line(tmp_path, fast_config,
                                                         capsys, text,
@@ -336,14 +336,16 @@ def test_diagnose_rejects_checkpoint_spacing_below_one(tmp_path, capsys,
      "error:diagnostics:argument: burn-in must be at least 0, got -1"),
     ([], 1, "error:diagnostics:argument: need at least 2 chains, got k=1"),
     # the CSV would be overwritten by its DAT twin, rep.dat itself
-    (["--out", "rep.dat"], 2, "error:cli:argument: --out rep.dat is the "
-     "path of its DAT twin; give the CSV another extension"),
+    (["--out", "rep.dat"], 2, "error:cli:argument: --out rep.dat and its "
+     "DAT twin rep.dat must be two files other than the traces"),
     # the report would overwrite a trace, as the CSV or as its DAT twin;
     # the traces are named by absolute paths, --out relative to them
     (["--out", "trace_chain1.csv"], 2, "error:cli:argument: --out "
-     "trace_chain1.csv is one of the traces"),
+     "trace_chain1.csv and its DAT twin trace_chain1.dat must be two files "
+     "other than the traces"),
     (["--out", "missing.csv"], 2, "error:cli:argument: --out missing.csv "
-     "has the DAT twin missing.dat, one of the traces"),
+     "and its DAT twin missing.dat must be two files other than the "
+     "traces"),
 ], ids=["spacing", "burn_in", "one_trace", "out_is_dat", "out_is_a_trace",
         "dat_twin_is_a_trace"])
 def test_diagnose_rejects_arguments_before_reading_traces(
@@ -385,7 +387,10 @@ def _run_python(*args):
 
 
 def test_diagnose_loads_no_scipy(tmp_path):
-    paths = _write_traces(tmp_path, [(20, 2), (20, 2)])
+    # no command but solve, invert and reference solves a pressure, so no
+    # other loads scipy: condition builds the conditioned prior alone
+    (tmp_path / "theta.csv").write_text("0.5\n" * 20)
+    out = ["--out-dir", str(tmp_path / "out")]
     code = (
         "import sys\n"
         "import condflow.cli\n"
@@ -393,10 +398,13 @@ def test_diagnose_loads_no_scipy(tmp_path):
         "print(sorted(m for m in sys.modules\n"
         "             if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    run = _run_python("-c", code, "diagnose", *paths,
-                      "--out", str(tmp_path / "d.csv"))
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    for argv in (["diagnose", *_write_traces(tmp_path, [(20, 2), (20, 2)]),
+                  "--out", str(tmp_path / "d.csv")],
+                 ["kle", *out], ["krige", *out],
+                 ["condition", "--theta", str(tmp_path / "theta.csv"), *out]):
+        run = _run_python("-c", code, *argv)
+        assert run.returncode == 0, (argv[0], run.stderr)
+        assert run.stdout.splitlines()[-1] == "[]", argv[0]
 
 
 @pytest.mark.parametrize("first", ["", "import scipy.linalg\n"],
@@ -506,13 +514,15 @@ def _config_error(tmp_path, capsys, argv, edit):
 
 
 @pytest.mark.parametrize("argv", [["condition", "--theta", "theta.csv"],
-                                  ["solve"], ["invert"]],
+                                  ["invert"]],
                          ids=lambda argv: argv[0])
 def test_subcommand_rejects_fewer_modes_before_output(tmp_path, capsys,
                                                       monkeypatch, argv):
-    # the 9 packaged measurements need more than 5 modes; the setup is
-    # built before the output directory is created
+    # the 9 packaged measurements need more than 5 modes; the prior is
+    # built before the output directory is created, and after condition
+    # has read its 5 theta values
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "theta.csv").write_text("0.5\n" * 5)
     out = tmp_path / "out"
     err = _config_error(tmp_path, capsys, [*argv, "--out-dir", str(out)],
                         lambda text: text.replace("kle.n_terms = 12",
@@ -522,16 +532,25 @@ def test_subcommand_rejects_fewer_modes_before_output(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["kle", "krige"])
+@pytest.mark.parametrize("command", ["kle", "krige", "solve"])
 def test_kle_and_krige_build_no_data_matrix(tmp_path, command):
-    # 9 measurements and 5 modes have no nullspace, which neither command
-    # needs: kle reads no measurements, and krige builds no basis
+    # 9 measurements and 5 modes have no nullspace, which none of these
+    # commands needs: kle and solve read no measurements, and krige builds
+    # no basis
     cfg = tmp_path / "study.cfg"
     cfg.write_text(FAST_CFG.replace("kle.n_terms = 12", "kle.n_terms = 5"))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
-    assert (out / {"kle": "phi_005.csv", "krige": "kriged.csv"}[command]
-            ).exists()
+    assert (out / {"kle": "phi_005.csv", "krige": "kriged.csv",
+                   "solve": "pressure.csv"}[command]).exists()
+
+
+def test_solve_reads_no_measurements(tmp_path):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"paths.measurements = {tmp_path / 'missing.csv'}\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert (out / "pressure.csv").exists()
 
 
 #: 30 scattered cell centres of the 16 x 16 grid: more measurements than

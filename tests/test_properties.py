@@ -581,13 +581,17 @@ def test_cli_config_values_cover_every_key():
 def _cli_runs(draw):
     """A command, a config of known keys with adversarial values, a
     16 x 16 reference field file and a measurements file, each of
-    normal or adversarial values. The field and measurement files are
-    read only when the config names them (or ``--field`` does)."""
+    normal or adversarial values, and a theta file: as many rows as the
+    config's mode count (20 unless that is a count up to 257), or an
+    adversarial body. The field and measurement files are read only when
+    the config names them (or ``--field`` does)."""
     keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)),
                          unique=True, max_size=4))
     config = {key: draw(st.sampled_from(_CONFIG_VALUES[key]))
               for key in keys}
     command = draw(st.sampled_from([["kle"], ["krige"], ["solve"],
+                                    ["condition", "--theta",
+                                     "{tmp}/theta.csv"],
                                     ["solve", "--field", "{tmp}/field.csv"],
                                     ["reference", "--dry-run"]]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -599,7 +603,15 @@ def _cli_runs(draw):
         parts = measurements[draw(st.integers(0, 8))].split(",")
         parts[draw(st.integers(0, 2))] = draw(st.sampled_from(_CELL_VALUES))
         measurements[draw(st.integers(0, 8))] = ",".join(parts)
-    return command, config, field, measurements
+    modes = config.get("kle.n_terms", "20")
+    n = int(modes) if modes.isdigit() and int(modes) <= 257 else 20
+    theta = [f"{v:.17g}" for v in rng.standard_normal(n)]
+    body = theta if draw(st.booleans()) else draw(st.sampled_from([
+        theta[1:], theta + ["0.5"], [",".join(theta)],
+        [f"{v},0.5" for v in theta], ["# theta"] + theta,
+        theta[:1] + [""] + theta[1:], [], ["\xe9"] + theta[1:],
+        *([v] + theta[1:] for v in _CELL_VALUES)]))
+    return command, config, field, measurements, "\n".join(body) + "\n"
 
 
 def _run_cli(argv):
@@ -614,16 +626,17 @@ def _run_cli(argv):
         f"{w.category.__name__}: {w.message}" for w in caught]
 
 
-@_settings(120)
+@_settings(200)
 @given(_cli_runs())
 def test_cli_exits_0_or_with_one_error_line(run):
-    command, config, field, measurements = run
+    command, config, field, measurements, theta = run
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "field.csv").write_text("\n".join(
             ",".join(field[j * 16:(j + 1) * 16]) for j in range(16)) + "\n")
         (root / "measurements.csv").write_text(
             "x,y,value\n" + "\n".join(measurements) + "\n")
+        (root / "theta.csv").write_bytes(theta.encode("latin-1"))
         (root / "study.cfg").write_text("".join(
             f"{key} = {value.format(tmp=tmp)}\n"
             for key, value in config.items()))
@@ -631,8 +644,11 @@ def test_cli_exits_0_or_with_one_error_line(run):
             [arg.format(tmp=tmp) for arg in command]
             + ["--config", str(root / "study.cfg"),
                "--out-dir", str(root / "out")])
+        made_out = (root / "out").exists()
     if code == 0:
         assert stderr == []
     else:
         assert code == 1
         assert len(stderr) == 1 and stderr[0].startswith("error:"), stderr
+        # every input is read and checked before the output directory
+        assert not made_out, stderr
