@@ -154,19 +154,17 @@ def _lapack():
     """scipy's compiled LAPACK module, ``scipy.linalg._flapack``, loaded
     alone: the one place condflow names scipy, called by ``_solve``.
 
-    Importing ``scipy.linalg`` runs its whole package init: on a 2-core
-    x86_64 host (Python 3.11, numpy 2.4, scipy 1.17) it loads 85 scipy
-    modules, adds 28.5 MB of resident memory and takes 0.16-0.20 s. This
-    imports top-level ``scipy``, whose init finds the libraries a wheel
-    bundles, and loads the one extension module from scipy's ``linalg``
-    directory: 11 scipy modules, +3.4 MB and 11-12 ms there. The module
-    is registered under its own name, so a later ``import scipy.linalg``
-    finds it loaded and ``scipy.linalg.lapack.dpbsv``, a re-export, is
-    the routine used here; if scipy.linalg was imported first, its
-    module is returned. A module loaded here is not bound as an attribute
-    of the ``scipy.linalg`` package, so ``scipy.linalg._flapack`` raises
-    AttributeError; ``from scipy.linalg import _flapack``,
-    ``scipy.linalg.lapack`` and scipy's public API keep working."""
+    Importing ``scipy.linalg`` runs its whole package init; README's
+    Install section gives its cost against this loader's. This imports top-level ``scipy``, whose init finds the
+    libraries a wheel bundles, and loads the one extension module from
+    scipy's ``linalg`` directory. The module is registered under its own
+    name, so a later ``import scipy.linalg`` finds it loaded and
+    ``scipy.linalg.lapack.dpbsv``, a re-export, is the routine used here;
+    if scipy.linalg was imported first, its module is returned. A module
+    loaded here is not bound as an attribute of the ``scipy.linalg``
+    package, so ``scipy.linalg._flapack`` raises AttributeError; ``from
+    scipy.linalg import _flapack``, ``scipy.linalg.lapack`` and scipy's
+    public API keep working."""
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:

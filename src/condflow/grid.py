@@ -15,21 +15,7 @@ Conventions (fixed, documented here once):
   * a numeric artifact is written by one ``np.savetxt`` call, a trace or
     a PGM through one open file by its writer's own ``%`` formats, and
     every CSV (fields, measurements, thetas, traces, reports) is read by
-    ``_read_csv`` as UTF-8: an optional header line, then rows with
-    comma delimiters and no comment character. Most tokens of a trace
-    repeat the token above them, since a rejection repeats the state and
-    a single-component move changes one coordinate, so the body is cut
-    into bytes tokens by ``np.loadtxt`` a block of rows at a time, and
-    only the tokens that differ from the one above are parsed.
-    A body the blocks cannot take plainly (a block of mostly new tokens,
-    as in a field, a blank line, a ragged row, a long, ``_`` or bad
-    token) is read by one float ``np.loadtxt`` pass over the path, so
-    the values, bit for bit, and the errors are that pass's either way.
-    Empty lines are skipped. A byte that is not UTF-8, or any malformed
-    body (a bad token, a ragged row, no data rows), is a ``ParseError``
-    of the calling module that names the file (and, for a body,
-    loadtxt's row and column); rows must be as wide as a header, and
-    each reader then checks its header and shape.
+    :func:`_read_csv`.
 """
 
 from __future__ import annotations
@@ -204,19 +190,26 @@ def _fill_down(rows, new):
 
 
 def _read_csv(path, module, header=False, empty=False):
-    """(header line or None, 2-D float array) of a CSV artifact.
+    """(header line or None, 2-D float array) of a CSV artifact, read as
+    UTF-8: an optional header line, then rows of comma-delimited values
+    with no comment character; empty lines are skipped.
 
-    ``np.loadtxt`` cuts the body after the header into bytes tokens a
+    Most tokens of a trace repeat the token above them, since a rejection
+    repeats the state and a single-component move changes one coordinate,
+    so ``np.loadtxt`` cuts the body after the header into bytes tokens a
     block of rows at a time. The first block that is plain sizes the
     array from a count of the lines, and :func:`_fill_block` parses each
-    block into it, only the tokens that differ from the token above (the
-    repeats of a trace; see the module docstring). A body the blocks
-    cannot take plainly is read again by one float ``np.loadtxt`` pass
-    over the path, whose values and errors the blocks keep bit for bit.
-    A file that is not UTF-8, a malformed body, or rows whose width is
-    not the header's, raises ``ParseError(module)`` naming the path. A
-    file without data rows is malformed unless ``empty`` (a report with
-    no checkpoints), in which case the array has no rows.
+    block into it, only the tokens that differ from the token above. A
+    body the blocks cannot take plainly (a block of mostly new tokens, as
+    in a field, a blank line, a ragged row, a long, ``_`` or bad token)
+    is read again by one float ``np.loadtxt`` pass over the path, whose
+    values, bit for bit, and errors the blocks keep. A file that is not
+    UTF-8, a malformed body (a bad token, a ragged row, no data rows), or
+    rows whose width is not the header's, raises ``ParseError(module)``
+    naming the path (and, for a body, loadtxt's row and column); each
+    reader then checks its header and shape. A file without data rows is
+    malformed unless ``empty`` (a report with no checkpoints), in which
+    case the array has no rows.
     """
     kw = dict(delimiter=",", ndmin=2, comments=None, encoding="utf-8")
 

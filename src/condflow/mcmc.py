@@ -22,23 +22,12 @@ likelihood ratios:
 A chain reads beta, the iteration count and the single-component flag
 from the study's :class:`condflow.config.StudyConfig`, which has
 validated them, and its seed from :func:`chain_seeds`. Its state is the
-unprojected theta; a conditioned chain projects it only to synthesize
-its field.
+unprojected theta; :func:`synthesize` projects it onto its study's
+prior only to make its field.
 
 The trace records the fine-scale accepted theta per iteration, repeating
 the previous state on rejection, which is exactly what the convergence
 diagnostics consume.
-
-A study's chains advance in lockstep, one iteration at a time: each
-forward layer (KL synthesis, upscaling, coarse solve, and the fine solve
-of the chains whose proposal passed the coarse stage) runs once per
-iteration on the stack of all chains' states or fields, of every study
-:func:`run_study` is given, study after study (:func:`synthesize` makes
-each study's rows). One :func:`log_likelihood` call scores a stack, each
-row bitwise what it gives the chain's own observations. Each chain draws
-from its own generator in its own order (proposal, coarse uniform, fine
-uniform), so a chain's random stream and trace are exactly those of the
-chain run alone (see :mod:`condflow.darcy`).
 """
 
 from __future__ import annotations
@@ -74,9 +63,15 @@ class LikelihoodParams:
 class ModelBundle:
     """Everything a chain needs, all immutable and shareable.
 
-    The other six fields are derived: the basis's grid, the default
-    boundary conditions, each grid's chessboard mask, and the reference
-    field's data through the forward model that scores the proposals.
+    The other seven fields are derived: the basis's grid, the default
+    boundary conditions, each grid's chessboard mask, the reference
+    field's data through the forward model that scores the proposals,
+    and ``priors``, the (mean surface, Q) pair of each study, indexed by
+    its conditioned flag. The conditioned prior is ``(kriged,
+    projector)``; the unconditioned one is the prior conditioned on no
+    data, a zero surface and the identity, which is what
+    :func:`condflow.conditioning.nullspace_basis` returns for a data
+    matrix with no rows.
     """
 
     basis: kle.KLEBasis  # on the fine grid
@@ -91,12 +86,16 @@ class ModelBundle:
     coarse_mask: ObservationMask = field(init=False)
     ref_obs_fine: np.ndarray = field(init=False)
     ref_obs_coarse: np.ndarray = field(init=False)
+    priors: dict = field(init=False)  # conditioned flag: (mean, Q)
 
     def __post_init__(self):
         fine = self.basis.grid
+        zero = ScalarField(fine, np.zeros(fine.n_cells))
         for name, value in (("fine", fine), ("bc", darcy.BoundaryConditions()),
                             ("fine_mask", chessboard_mask(fine)),
-                            ("coarse_mask", chessboard_mask(self.coarse))):
+                            ("coarse_mask", chessboard_mask(self.coarse)),
+                            ("priors", {False: (zero, np.eye(self.basis.n)),
+                                        True: (self.kriged, self.projector)})):
             object.__setattr__(self, name, value)
         # the observations read the grids, the conditions and the masks
         for name, obs in (("ref_obs_fine", _fine_obs),
@@ -175,12 +174,10 @@ def _metropolis(log_ratio):
 
 def synthesize(bundle, thetas, conditioned):
     """Fine log-permeability field of a theta, or fields of a stack of
-    thetas: their KL synthesis, or when ``conditioned`` the kriged
-    surface plus that of their nullspace projections."""
-    if conditioned:
-        return conditioning.synthesize_conditioned(
-            bundle.basis, bundle.kriged, thetas, bundle.projector)
-    return kle.synthesize_unconditioned(bundle.basis, thetas)
+    thetas, under the prior of the study ``conditioned`` names: its mean
+    surface plus the KL synthesis of the projections Q Q^T theta."""
+    mean, Q = bundle.priors[conditioned]
+    return conditioning.synthesize_conditioned(bundle.basis, mean, thetas, Q)
 
 
 def _fine_obs(fields, bundle):
@@ -310,7 +307,7 @@ def write_trace_csv(trace, path):
     """Persist a trace: iteration, theta_1..theta_n, flags, loglik, each
     ``%.17g`` (as ``%d`` for the integers), ``grid._BLOCK`` rows at a
     time. A value with the bits of the value above it reuses its token,
-    so only the values that change (see :mod:`condflow.grid`) are
+    so only the values that change (see :func:`grid._read_csv`) are
     formatted, by one ``%`` per block."""
     n = trace.thetas.shape[1]
     cols = (["iteration"] + [f"theta_{i + 1}" for i in range(n)]

@@ -5,7 +5,7 @@ and artifact output.
 :func:`study_report` diagnoses a study's traces through
 :func:`condflow.diagnostics.diagnostics_series`, the one diagnosis that
 ``condflow diagnose`` calls too; what it adds is the policy that a
-conditioned study is diagnosed on its nullspace coordinates."""
+study is diagnosed on its prior's coordinates."""
 
 from __future__ import annotations
 
@@ -38,10 +38,6 @@ def _packaged(name):
     return resources.files("condflow.data").joinpath(name)
 
 
-def default_reference_field_path():
-    return str(_packaged("reference_field.csv"))
-
-
 def read_measurements(cfg):
     """The config's measurements, or the packaged ones."""
     return read_measurements_csv(cfg.measurements
@@ -50,7 +46,7 @@ def read_measurements(cfg):
 
 def read_reference_field(cfg):
     """The config's reference field, or the packaged one."""
-    path = cfg.reference_field or default_reference_field_path()
+    path = cfg.reference_field or str(_packaged("reference_field.csv"))
     return read_field_csv(path, make_grid(cfg.fine_nx, cfg.fine_ny))
 
 
@@ -100,15 +96,15 @@ def build_setup(cfg):
 
 
 def study_report(setup, traces, conditioned):
-    """PSRF/MPSRF series of a study's traces after the burn-in.
+    """PSRF/MPSRF series of a study's traces after the burn-in, on its
+    prior's coordinates Q^T theta.
 
-    A conditioned study is diagnosed on the nullspace coordinates
-    Q^T theta: the field, the likelihood and every artifact depend on
-    theta only through them, and the projected sample Q Q^T theta has the
-    same MPSRF. The row-space part of a stored unprojected theta is
-    bookkeeping that nothing uses.
+    The field, the likelihood and every artifact depend on theta only
+    through them, and the projected sample Q Q^T theta has the same
+    MPSRF. The row-space part of a stored unprojected theta is
+    bookkeeping that nothing uses; unconditioned, Q = I keeps all of it.
     """
-    Q = setup.bundle.projector if conditioned else None
+    _, Q = setup.bundle.priors[conditioned]
     return diagnostics_series(traces, burn_in=setup.cfg.effective_burn_in,
                               Q=Q)
 

@@ -7,7 +7,7 @@ from condflow.config import StudyConfig
 from condflow.covariance import KernelParams, assemble_covariance
 from condflow.grid import make_grid
 from condflow.kle import solve_kle
-from condflow.study import default_reference_field_path, read_measurements
+from condflow.study import read_measurements, read_reference_field
 
 
 @pytest.fixture(scope="session")
@@ -41,10 +41,8 @@ def measurements():
 
 
 @pytest.fixture(scope="session")
-def reference_field(fine_grid):
-    from condflow.grid import read_field_csv
-
-    return read_field_csv(default_reference_field_path(), fine_grid)
+def reference_field():
+    return read_reference_field(StudyConfig())
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condflow import darcy, kle
+from condflow import darcy, mcmc
 from condflow.conditioning import (
     build_data_matrix,
     nullspace_basis,
@@ -434,8 +434,8 @@ def test_forward_failure_names_where(monkeypatch, fail_call, where):
 def test_singular_upscaling_is_a_forward_failure(monkeypatch):
     # k = exp(-800) underflows to 0, so the first upscaling is singular
     bundle, _, _ = _small_bundle()
-    monkeypatch.setattr(kle, "synthesize_unconditioned",
-                        lambda basis, theta: ScalarField(
+    monkeypatch.setattr(mcmc, "synthesize",
+                        lambda bundle, thetas, conditioned: ScalarField(
                             bundle.fine, np.full(bundle.fine.n_cells, -800.0)))
     with np.errstate(divide="ignore"), pytest.raises(CondflowError) as info:
         run_chain(StudyConfig(iterations=5, seed=1), bundle)
@@ -564,17 +564,17 @@ def test_forward_failures_name_their_darcy_cause(monkeypatch, plant_in_dpbsv,
     bundle, _, _ = _small_bundle(sigma_c2=1e12, sigma_f2=1e12)
     if cause == "overflow":
         # k = exp(709) is finite, but 2 hy k / hx is not
-        original = kle.synthesize_unconditioned
+        original = mcmc.synthesize
         calls = []
 
-        def synthesize(basis, theta):
+        def synthesize(bundle, thetas, conditioned):
             calls.append(1)
             if len(calls) == 1:  # the initial state
-                return original(basis, theta)
+                return original(bundle, thetas, conditioned)
             return ScalarField(bundle.fine,
                                np.full(bundle.fine.n_cells, 709.0))
 
-        monkeypatch.setattr(kle, "synthesize_unconditioned", synthesize)
+        monkeypatch.setattr(mcmc, "synthesize", synthesize)
         where = "iteration 0"
     else:
         def solve(x):

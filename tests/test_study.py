@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condflow.conditioning import build_data_matrix, project
+from condflow.conditioning import build_data_matrix, nullspace_basis, project
 from condflow.config import StudyConfig
 from condflow.diagnostics import diagnostics_series
 from condflow.errors import ParseError
 from condflow.mcmc import ChainTrace
-from condflow import covariance, study
+from condflow import covariance, kle, mcmc, study
 from condflow.study import (
     build_setup,
     run_one_study,
@@ -88,6 +88,28 @@ def test_unconditioned_report_is_the_stored_theta_series(setup, thetas):
     assert got.checkpoints == want.checkpoints
     assert got.max_psrf == want.max_psrf
     assert got.mpsrf == want.mpsrf
+
+
+def test_unconditioned_prior_is_the_prior_conditioned_on_no_data(setup):
+    # a zero surface and Q = I, the nullspace basis of a data matrix with
+    # no rows, synthesize bitwise the bare KL synthesis, one theta or a
+    # stack at a time
+    bundle = setup.bundle
+    n = bundle.basis.n
+    mean, Q = bundle.priors[False]
+    assert mean.grid == bundle.fine
+    assert mean.values.tobytes() == np.zeros(bundle.fine.n_cells).tobytes()
+    assert Q.shape == (n, n) and Q.tobytes() == np.eye(n).tobytes()
+    assert nullspace_basis(np.zeros((0, n))).tobytes() == Q.tobytes()
+    assert bundle.priors[True][0] is bundle.kriged
+    assert bundle.priors[True][1] is bundle.projector
+    rng = np.random.default_rng(23)
+    for shape in [(n,), (1, n), (8, n), (64, n)]:
+        for _ in range(10):
+            theta = rng.standard_normal(shape)
+            got = mcmc.synthesize(bundle, theta, False)
+            want = kle.synthesize_unconditioned(bundle.basis, theta)
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_conditioned_report_holds_one_projected_trace_at_a_time(setup):
