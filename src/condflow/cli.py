@@ -120,7 +120,8 @@ def cmd_diagnose(args):
         raise ArgumentError(f"--out {args.out} and its DAT twin {dat} must "
                             "be two files other than the traces",
                             module="cli")
-    report = diagnostics_series(map(read_trace_csv, args.traces),
+    report = diagnostics_series((read_trace_csv(p).thetas
+                                 for p in args.traces),
                                 args.checkpoint_every, args.burn_in)
     write_report_csv(report, args.out)
     write_report_dat(report, dat)

@@ -68,15 +68,16 @@ def project(theta, Q):
     return (Q @ (Q.T @ theta[..., None]))[..., 0]
 
 
-def synthesize_conditioned(basis, kriged, theta, Q):
-    """Kriged surface plus the KL synthesis of the projected theta, or
-    the stack of these fields for a stack of thetas.
+def synthesize_conditioned(basis, mean, theta, Q):
+    """A prior's mean surface plus the KL synthesis of the projected
+    theta, or the stack of these fields for a stack of thetas.
 
-    The result matches every measured value exactly (to rounding) at the
-    measurement cells, for any input theta.
+    With the kriged surface and the nullspace basis Q of the data
+    matrix, the result matches every measured value exactly (to
+    rounding) at the measurement cells, for any input theta.
     """
-    if kriged.grid != basis.grid:
-        raise ArgumentError("kriged surface grid differs from basis grid",
+    if mean.grid != basis.grid:
+        raise ArgumentError("mean surface grid differs from basis grid",
                             module=_MOD)
     return synthesize_unconditioned(basis, project(theta, Q),
-                                    mean=kriged.values)
+                                    mean=mean.values)

@@ -33,8 +33,7 @@ within-chain variance, or W is degenerate, is skipped with a notice.
 
 :func:`diagnostics_series` is the one diagnosis of a set of traces, and
 every rule of one is stated here: the chain count, the burn-in, the
-checkpoint spacing, the shape of Q, and each trace's shape and
-finiteness.
+checkpoint spacing, and each trace's shape and finiteness.
 """
 
 from __future__ import annotations
@@ -180,45 +179,34 @@ class DiagnosticsReport:
     notices: list = field(default_factory=list)
 
 
-def diagnostics_series(traces, spacing=CHECKPOINT_EVERY, burn_in=0, Q=None):
+def diagnostics_series(traces, spacing=CHECKPOINT_EVERY, burn_in=0):
     """Evaluate max PSRF and MPSRF over growing prefixes of the traces,
-    each cut after its first ``burn_in`` draws (at least 2 must remain)
-    and, given a 2-D nullspace basis ``Q`` with a row per parameter,
-    mapped to Q^T theta. The checkpoints are :func:`checkpoints_for` of
-    the first cut trace's length and ``spacing``.
+    each cut after its first ``burn_in`` draws (at least 2 must remain).
+    The checkpoints are :func:`checkpoints_for` of the first cut trace's
+    length and ``spacing``.
 
-    ``traces`` is an iterable of at least 2 ChainTrace objects (or
-    anything with a ``thetas`` array) of equal shape; an error names a
-    trace by its 1-based position. The arguments are checked before a
-    trace is read, and no reference to a trace is kept once its sums are
-    taken, so a generator of traces read on demand holds one of them at
-    a time. Checkpoints needing fewer than 2 draws, or hitting a
-    degenerate W (common early on with single-component updates), are
-    skipped with a notice.
+    ``traces`` is an iterable of at least 2 (draws, parameters) arrays
+    of equal shape; an error names a trace by its 1-based position. The
+    arguments are checked before a trace is read, and no reference to a
+    trace is kept once its sums are taken, so a generator of traces read
+    on demand holds one of them at a time. Checkpoints needing fewer
+    than 2 draws, or hitting a degenerate W (common early on with
+    single-component updates), are skipped with a notice.
     """
     check_burn_in(burn_in)
     check_checkpoint_spacing(spacing)
-    if Q is not None and np.ndim(Q) != 2:
-        raise ArgumentError(f"nullspace basis Q must be 2-D, got shape "
-                            f"{np.shape(Q)}", module=_MOD)
     shape, chains = None, []
     # no enumerate: its reused result tuple would keep the last trace
     # alive while the next one is read
     for trace in traces:
         i = len(chains) + 1
-        thetas = np.asarray(trace.thetas, dtype=float)
+        thetas = np.asarray(trace, dtype=float)
         if thetas.ndim != 2:
             raise ArgumentError(
                 f"trace {i}: draws must have shape (draws, parameters), "
                 f"got {thetas.shape}", module=_MOD)
-        if Q is not None and np.shape(Q)[0] != thetas.shape[1]:
-            raise ArgumentError(
-                f"trace {i}: {thetas.shape[1]} parameters, but Q has "
-                f"{np.shape(Q)[0]} rows", module=_MOD)
         check_burn_in(burn_in, len(thetas))
         thetas = thetas[burn_in:]
-        if Q is not None:
-            thetas = thetas @ Q
         if shape is None:
             shape = thetas.shape
             checkpoints = checkpoints_for(shape[0], spacing)

@@ -105,8 +105,8 @@ def study_report(setup, traces, conditioned):
     bookkeeping that nothing uses; unconditioned, Q = I keeps all of it.
     """
     _, Q = setup.bundle.priors[conditioned]
-    return diagnostics_series(traces, burn_in=setup.cfg.effective_burn_in,
-                              Q=Q)
+    b = setup.cfg.effective_burn_in
+    return diagnostics_series(t.thetas[b:] @ Q for t in traces)
 
 
 def _study_label(conditioned):

@@ -8,13 +8,12 @@ kriging of the true kernel (evaluated to 60 digits and solved exactly in
 rationals), the dense TPFA system of a permeability field, the energy
 fraction of a spectrum, the direct forms of the within- and
 between-chain covariances, the checkpoint series over a (chains, draws,
-parameters) matrix, the list of traces after a burn-in, a CSV read by
+parameters) matrix, the draws of traces after a burn-in, a CSV read by
 one float ``np.loadtxt`` pass and the trace and PGM writers of one
 ``np.savetxt`` call live here for the tests alone.
 """
 
 import warnings
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -243,10 +242,10 @@ def matrix_series(chains, checkpoints):
 
 
 def post_burn_in(traces, burn_in):
-    """Every trace without its first ``burn_in`` draws, all held at once:
-    what :func:`condflow.diagnostics.diagnostics_series` cuts one trace at
-    a time."""
-    return [replace(t, thetas=t.thetas[burn_in:]) for t in traces]
+    """Every trace's draws without its first ``burn_in``, all held at
+    once: what :func:`condflow.diagnostics.diagnostics_series` cuts one
+    trace at a time."""
+    return [t.thetas[burn_in:] for t in traces]
 
 
 def read_csv_one_pass(path, module, header=False, empty=False):

@@ -158,9 +158,10 @@ def test_invert_and_diagnose(tmp_path, capsys):
 
 
 def test_diagnose_reproduces_the_reference_diagnostics(tmp_path):
-    # condflow diagnose, and diagnostics_series with the setup's
-    # nullspace basis, re-read a reference run's traces and write its
-    # diagnostics byte for byte
+    # condflow diagnose, and diagnostics_series of the conditioned draws
+    # mapped to the setup's nullspace basis as study_report maps them,
+    # re-read a reference run's traces and write its diagnostics byte
+    # for byte
     config = tmp_path / "study.cfg"
     config.write_text("seed = 7\nmcmc.chains = 3\nmcmc.iterations = 1200\n"
                       "output.snapshots = 1200\noutput.verbosity = 0\n")
@@ -180,9 +181,10 @@ def test_diagnose_reproduces_the_reference_diagnostics(tmp_path):
     assert filecmp.cmp(tmp_path / "diag.dat", out / "diagnostics_uncond.dat",
                        shallow=False)
 
-    report = diagnostics_series(
-        map(read_trace_csv, traces("cond")), burn_in=cfg.effective_burn_in,
-        Q=study.build_setup(cfg).bundle.projector)
+    Q = study.build_setup(cfg).bundle.projector
+    b = cfg.effective_burn_in
+    report = diagnostics_series(read_trace_csv(p).thetas[b:] @ Q
+                                for p in traces("cond"))
     assert report.checkpoints
     write_report_csv(report, tmp_path / "cond.csv")
     assert filecmp.cmp(tmp_path / "cond.csv", out / "diagnostics_cond.csv",

@@ -126,7 +126,7 @@ def test_conditioned_synthesis_rejects_kriging_on_another_grid(
         basis20, reference_projector):
     kriged = ScalarField(make_grid(8, 8), np.zeros(64))
     with pytest.raises(ArgumentError,
-                       match="kriged surface grid differs from basis grid"):
+                       match="mean surface grid differs from basis grid"):
         synthesize_conditioned(basis20, kriged, np.zeros(20),
                                reference_projector)
 

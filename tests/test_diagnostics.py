@@ -18,11 +18,6 @@ from condflow.errors import ArgumentError, NumericalError, ParseError
 from oracles import between_chain_cov, matrix_series, within_chain_cov
 
 
-class FakeTrace:
-    def __init__(self, thetas):
-        self.thetas = np.asarray(thetas, dtype=float)
-
-
 def test_within_hand_value():
     # k=2, l=2, one parameter, chains {0,2} and {0,2}: W = 2
     chains = np.array([[[0.0], [2.0]], [[0.0], [2.0]]])
@@ -216,7 +211,7 @@ def test_study_binds_the_checkpoint_rule():
 def test_series_identical_chains():
     rng = np.random.default_rng(7)
     base = rng.standard_normal((100, 2))
-    traces = [FakeTrace(base), FakeTrace(base.copy())]
+    traces = [base, base.copy()]
     report = diagnostics_series(traces, 50)
     assert report.checkpoints == [50, 100]
     assert report.max_psrf[0] == pytest.approx(np.sqrt(49 / 50))
@@ -226,8 +221,7 @@ def test_series_identical_chains():
 
 def test_series_mpsrf_bounds_psrf():
     rng = np.random.default_rng(8)
-    traces = [FakeTrace(rng.standard_normal((200, 3)) + i)
-              for i in range(3)]
+    traces = [rng.standard_normal((200, 3)) + i for i in range(3)]
     report = diagnostics_series(traces, 50)
     for p, m in zip(report.max_psrf, report.mpsrf):
         assert m >= p - 1e-8
@@ -238,7 +232,7 @@ def test_series_skips_degenerate_and_small():
     a = np.zeros((100, 2))
     a[50:] = rng.standard_normal((50, 2))  # constant early prefix
     b = rng.standard_normal((100, 2))
-    report = diagnostics_series([FakeTrace(a), FakeTrace(b)], 1)
+    report = diagnostics_series([a, b], 1)
     assert report.checkpoints == list(range(51, 101))
     assert report.notices[0] == "checkpoint 1: fewer than 2 draws, skipped"
     assert report.notices[1:] == [
@@ -248,10 +242,7 @@ def test_series_skips_degenerate_and_small():
 
 def test_series_length_mismatch():
     with pytest.raises(ArgumentError):
-        diagnostics_series(
-            [FakeTrace(np.zeros((10, 2))), FakeTrace(np.zeros((11, 2)))],
-            10,
-        )
+        diagnostics_series([np.zeros((10, 2)), np.zeros((11, 2))], 10)
 
 
 @pytest.mark.parametrize("traces, message", [
@@ -274,7 +265,7 @@ def test_series_rejects_traces_as_it_reads_them(traces, message):
     # a shape error names the first trace's shape and the offending one,
     # and other errors the offending trace by its position
     with pytest.raises(ArgumentError) as exc:
-        diagnostics_series((FakeTrace(t) for t in traces), 5)
+        diagnostics_series((t for t in traces), 5)
     assert (exc.value.module, str(exc.value)) == ("diagnostics", message)
 
 
@@ -288,8 +279,7 @@ def _unread():
     ({"burn_in": -1}, "burn-in must be at least 0, got -1"),
     ({"spacing": 0}, "checkpoint spacing must be at least 1, got 0"),
     ({"burn_in": -1, "spacing": 0}, "burn-in must be at least 0, got -1"),
-    ({"Q": np.ones(3)}, "nullspace basis Q must be 2-D, got shape (3,)"),
-], ids=["burn_in", "spacing", "burn_in_first", "one_dimensional_basis"])
+], ids=["burn_in", "spacing", "burn_in_first"])
 def test_series_checks_its_arguments_before_reading(options, message):
     with pytest.raises(ArgumentError) as exc:
         diagnostics_series(_unread(), **options)
@@ -304,34 +294,20 @@ def test_series_rejects_an_empty_input(traces):
         "diagnostics", "need at least 2 chains, got k=0")
 
 
-@pytest.mark.parametrize("traces, message", [
-    ([np.ones((10, 3)), np.ones((10, 3))],
-     "trace 1: 3 parameters, but Q has 4 rows"),
-    ([np.ones((10, 4)), np.ones((10, 3))],
-     "trace 2: 3 parameters, but Q has 4 rows"),
-], ids=["first", "second"])
-def test_series_rejects_a_basis_of_the_wrong_rows(traces, message):
-    with pytest.raises(ArgumentError) as exc:
-        diagnostics_series((FakeTrace(t) for t in traces), 5, Q=np.ones((4, 2)))
-    assert (exc.value.module, str(exc.value)) == ("diagnostics", message)
-
-
-def test_series_cuts_the_burn_in_and_maps_to_the_basis():
-    # the series of the cut, mapped traces, given whole, equals that of
-    # the traces cut and mapped beforehand
+def test_series_cuts_the_burn_in():
+    # the series of the traces, given whole, equals that of the traces
+    # cut beforehand
     rng = np.random.default_rng(14)
     chains = rng.standard_normal((3, 60, 4)) + rng.standard_normal((3, 1, 4))
-    Q = np.linalg.qr(rng.standard_normal((4, 2)))[0]
-    got = diagnostics_series([FakeTrace(c) for c in chains], 10,
-                             burn_in=15, Q=Q)
-    want = diagnostics_series([FakeTrace(c[15:] @ Q) for c in chains], 10)
+    got = diagnostics_series(list(chains), 10, burn_in=15)
+    want = diagnostics_series([c[15:] for c in chains], 10)
     assert got == want
     assert got.checkpoints == [10, 20, 30, 40, 45]
 
 
 def test_report_csv_round_trip(tmp_path):
     rng = np.random.default_rng(10)
-    traces = [FakeTrace(rng.standard_normal((100, 2))) for _ in range(3)]
+    traces = [rng.standard_normal((100, 2)) for _ in range(3)]
     report = diagnostics_series(traces, 50)
     path = tmp_path / "diag.csv"
     write_report_csv(report, path)
@@ -419,7 +395,7 @@ def dense_series(chains, spacing):
 def assert_series_match_oracle(chains, spacing):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = diagnostics_series([FakeTrace(c) for c in chains], spacing)
+        report = diagnostics_series(list(chains), spacing)
         expected = dense_series(chains, spacing)
     assert report.notices == expected["notices"]
     assert report.checkpoints == expected["checkpoints"]
@@ -502,8 +478,8 @@ def test_series_is_free_of_parameter_scale(scale):
     scaled[:, :, 2] *= scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        expected = diagnostics_series([FakeTrace(c) for c in chains], 250)
-        report = diagnostics_series([FakeTrace(c) for c in scaled], 250)
+        expected = diagnostics_series(list(chains), 250)
+        report = diagnostics_series(list(scaled), 250)
     assert report.checkpoints == expected.checkpoints == [250, 500, 750, 1000]
     assert report.notices == expected.notices == []
     for key in ("max_psrf", "mpsrf"):
@@ -519,7 +495,7 @@ def test_series_skips_a_degenerate_w():
     chains = np.cumsum(rng.standard_normal((2, 10, 6)), axis=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = diagnostics_series([FakeTrace(c) for c in chains], 1)
+        report = diagnostics_series(list(chains), 1)
     assert report.checkpoints == list(range(4, 11))
     assert [s.split(":")[0] for s in report.notices] == [
         "checkpoint 1", "checkpoint 2", "checkpoint 3"]
@@ -538,14 +514,14 @@ def test_series_skips_parameter_that_never_moved():
         thetas = np.empty((250, 2))
         thetas[:, 0] = rng.standard_normal(250)
         thetas[:, 1] = value
-        traces.append(FakeTrace(thetas))
+        traces.append(thetas)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = diagnostics_series(traces, 250)
     assert report.checkpoints == []
     assert report.notices == [
         "checkpoint 250: parameter(s) [1] have zero within-chain variance"]
-    chains = np.stack([t.thetas for t in traces])
+    chains = np.stack(traces)
     assert within_chain_cov(chains)[1, 1] == 0.0
 
 
@@ -554,7 +530,7 @@ def test_series_non_finite_draw_between_checkpoints():
     a, b = rng.standard_normal((2, 100, 2))
     a[90, 1] = np.inf
     with pytest.raises(ArgumentError, match="non-finite"):
-        diagnostics_series([FakeTrace(a), FakeTrace(b)], 50)
+        diagnostics_series([a, b], 50)
 
 
 def _matrix_form_cases():
@@ -582,7 +558,7 @@ MATRIX_FORM_CASES = list(_matrix_form_cases())
 def test_series_equals_matrix_form_bitwise(name, chains, spacing,
                                            as_generator):
     # one chain at a time gives the bits of all chains at once
-    traces = [FakeTrace(c) for c in chains]
+    traces = list(chains)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = diagnostics_series(
